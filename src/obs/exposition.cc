@@ -113,7 +113,9 @@ std::string RenderPrometheus(const MetricsSnapshot& snap,
     }
     out += name;
     AppendLabels(s.labels, &out);
-    out += " " + FormatValue(s.value) + "\n";
+    out += ' ';
+    out += FormatValue(s.value);
+    out += '\n';
   }
   return out;
 }

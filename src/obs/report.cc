@@ -258,26 +258,16 @@ Status CheckMetrics(const JsonValue& root, const std::string& path) {
 }
 
 Result<JsonValue> ParseWithSchema(const std::string& json,
-                                  const std::vector<const char*>& schemas) {
+                                  const char* schema) {
   auto parsed = ParseJson(json);
   if (!parsed.ok()) return parsed.status();
   if (!parsed->is_object()) {
     return Violation("$", "document is not an object");
   }
   const JsonValue* declared = parsed->Find("schema");
-  bool matched = false;
-  if (declared != nullptr && declared->is_string()) {
-    for (const char* schema : schemas) {
-      if (declared->string == schema) matched = true;
-    }
-  }
-  if (!matched) {
-    std::string expected;
-    for (const char* schema : schemas) {
-      if (!expected.empty()) expected += " or ";
-      expected += std::string("\"") + schema + "\"";
-    }
-    return Violation("$.schema", "expected " + expected);
+  if (declared == nullptr || !declared->is_string() ||
+      declared->string != schema) {
+    return Violation("$.schema", std::string("expected \"") + schema + "\"");
   }
   const JsonValue* obs = parsed->Find("obs_enabled");
   if (obs == nullptr || obs->kind != JsonValue::Kind::kBool) {
@@ -301,40 +291,34 @@ void CollectSpanNames(const JsonValue& node, std::vector<std::string>* out) {
 }  // namespace
 
 Status ValidateSolveReportJson(const std::string& json) {
-  auto parsed = ParseWithSchema(json, {kSolveReportSchema});
+  auto parsed = ParseWithSchema(json, kSolveReportSchema);
   if (!parsed.ok()) return parsed.status();
   MC3_RETURN_IF_ERROR(CheckReportBody(*parsed, "$"));
   return CheckMetrics(*parsed, "$");
 }
 
 Status ValidateBenchReportJson(const std::string& json) {
-  auto parsed = ParseWithSchema(json, {kBenchReportSchema,
-                                       kBenchReportSchemaV1});
+  auto parsed = ParseWithSchema(json, kBenchReportSchema);
   if (!parsed.ok()) return parsed.status();
-  const bool v2 = parsed->Find("schema")->string == kBenchReportSchema;
   const JsonValue* quick = parsed->Find("quick");
   if (quick == nullptr || quick->kind != JsonValue::Kind::kBool) {
     return Violation("$.quick", "missing or not a boolean");
   }
   MC3_RETURN_IF_ERROR(RequireNumber(*parsed, "$", "scale"));
   const JsonValue* obs = parsed->Find("obs_enabled");
-  std::string filter;
-  if (v2) {
-    MC3_RETURN_IF_ERROR(RequireNumber(*parsed, "$", "seed"));
-    MC3_RETURN_IF_ERROR(RequireNumber(*parsed, "$", "repeat"));
-    MC3_RETURN_IF_ERROR(RequireNumber(*parsed, "$", "warmup"));
-    MC3_RETURN_IF_ERROR(RequireString(*parsed, "$", "filter"));
-    filter = parsed->Find("filter")->string;
-    const JsonValue* machine = parsed->Find("machine");
-    if (machine == nullptr || !machine->is_object()) {
-      return Violation("$.machine", "missing or not an object");
-    }
-    for (const char* key : {"os", "arch", "compiler"}) {
-      MC3_RETURN_IF_ERROR(RequireString(*machine, "$.machine", key));
-    }
-    MC3_RETURN_IF_ERROR(
-        RequireNumber(*machine, "$.machine", "hardware_threads"));
+  MC3_RETURN_IF_ERROR(RequireNumber(*parsed, "$", "seed"));
+  MC3_RETURN_IF_ERROR(RequireNumber(*parsed, "$", "repeat"));
+  MC3_RETURN_IF_ERROR(RequireNumber(*parsed, "$", "warmup"));
+  MC3_RETURN_IF_ERROR(RequireString(*parsed, "$", "filter"));
+  const std::string& filter = parsed->Find("filter")->string;
+  const JsonValue* machine = parsed->Find("machine");
+  if (machine == nullptr || !machine->is_object()) {
+    return Violation("$.machine", "missing or not an object");
   }
+  for (const char* key : {"os", "arch", "compiler"}) {
+    MC3_RETURN_IF_ERROR(RequireString(*machine, "$.machine", key));
+  }
+  MC3_RETURN_IF_ERROR(RequireNumber(*machine, "$.machine", "hardware_threads"));
   const JsonValue* cases = parsed->Find("cases");
   if (cases == nullptr || !cases->is_array() || cases->array.empty()) {
     return Violation("$.cases", "missing, not an array, or empty");
@@ -346,35 +330,32 @@ Status ValidateBenchReportJson(const std::string& json) {
     if (const JsonValue* phases = cases->array[i].Find("phases")) {
       CollectSpanNames(*phases, &span_names);
     }
-    if (v2) {
-      const JsonValue* counters = cases->array[i].Find("counters");
-      if (counters == nullptr || !counters->is_object()) {
-        return Violation(path + ".counters", "missing or not an object");
+    const JsonValue* counters = cases->array[i].Find("counters");
+    if (counters == nullptr || !counters->is_object()) {
+      return Violation(path + ".counters", "missing or not an object");
+    }
+    for (const auto& [name, value] : counters->object) {
+      if (!value.is_number() || value.number < 0) {
+        return Violation(path + ".counters." + name,
+                         "not a non-negative number");
       }
-      for (const auto& [name, value] : counters->object) {
-        if (!value.is_number() || value.number < 0) {
-          return Violation(path + ".counters." + name,
-                           "not a non-negative number");
-        }
-      }
-      // Compiled-in observability must actually deliver the work counters:
-      // an empty object means a de-instrumented build, which would make the
-      // benchdiff gate vacuous.
-      if (obs != nullptr && obs->boolean && counters->object.empty()) {
-        return Violation(path + ".counters",
-                         "empty although obs_enabled is true");
-      }
-      const JsonValue* walls = cases->array[i].Find("wall_seconds");
-      if (walls == nullptr || !walls->is_array() || walls->array.empty()) {
-        return Violation(path + ".wall_seconds",
-                         "missing, not an array, or empty");
-      }
-      for (size_t r = 0; r < walls->array.size(); ++r) {
-        if (!walls->array[r].is_number() || walls->array[r].number < 0) {
-          return Violation(
-              path + ".wall_seconds[" + std::to_string(r) + "]",
-              "not a non-negative number");
-        }
+    }
+    // Compiled-in observability must actually deliver the work counters:
+    // an empty object means a de-instrumented build, which would make the
+    // benchdiff gate vacuous.
+    if (obs != nullptr && obs->boolean && counters->object.empty()) {
+      return Violation(path + ".counters",
+                       "empty although obs_enabled is true");
+    }
+    const JsonValue* walls = cases->array[i].Find("wall_seconds");
+    if (walls == nullptr || !walls->is_array() || walls->array.empty()) {
+      return Violation(path + ".wall_seconds",
+                       "missing, not an array, or empty");
+    }
+    for (size_t r = 0; r < walls->array.size(); ++r) {
+      if (!walls->array[r].is_number() || walls->array[r].number < 0) {
+        return Violation(path + ".wall_seconds[" + std::to_string(r) + "]",
+                         "not a non-negative number");
       }
     }
   }

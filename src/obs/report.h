@@ -7,8 +7,9 @@
 // documented in docs/observability.md):
 //   * mc3.solve_report/1 — one solve (or serve replay): header, instance
 //     shape, result, span tree, metrics snapshot;
-//   * mc3.bench_report/1 — a list of named bench cases, each a solve report
-//     body, plus the merged metrics snapshot.
+//   * mc3.bench_report/2 — a list of named bench cases, each a solve report
+//     body with work counters and per-repeat wall times, plus run
+//     parameters, machine metadata and the merged metrics snapshot.
 #pragma once
 
 #include <cstddef>
@@ -24,11 +25,10 @@
 namespace mc3::obs {
 
 inline constexpr const char kSolveReportSchema[] = "mc3.solve_report/1";
-/// Current bench-report schema: /2 adds per-case deterministic work
-/// counters, per-repeat wall times, run parameters and machine metadata.
-/// The validator still accepts /1 documents (pre-existing trajectory files).
+/// Bench-report schema: /2 added per-case deterministic work counters,
+/// per-repeat wall times, run parameters and machine metadata to /1, which
+/// is no longer accepted.
 inline constexpr const char kBenchReportSchema[] = "mc3.bench_report/2";
-inline constexpr const char kBenchReportSchemaV1[] = "mc3.bench_report/1";
 
 /// Header + scalar sections of one solve report.
 struct SolveReportMeta {
@@ -103,13 +103,12 @@ std::string RenderBenchReport(const std::vector<BenchCase>& cases,
 /// violation found.
 Status ValidateSolveReportJson(const std::string& json);
 
-/// Validates a bench-report document against mc3.bench_report/1 or /2. In
-/// addition to structural checks, when the document declares obs_enabled
-/// (and, for /2, no case filter) it requires the per-phase timings the perf
-/// trajectory is tracked on: the four preprocessing steps, the k2 max-flow
-/// solve, the greedy and f-approximation WSC phases, and the online update
-/// path. /2 documents additionally need per-case counters, per-repeat wall
-/// times and the machine block.
+/// Validates a bench-report document against mc3.bench_report/2: run
+/// parameters, the machine block, per-case counters and per-repeat wall
+/// times. In addition, when the document declares obs_enabled and no case
+/// filter, it requires the per-phase timings the perf trajectory is
+/// tracked on: the four preprocessing steps, the k2 max-flow solve, the
+/// greedy and f-approximation WSC phases, and the online update path.
 Status ValidateBenchReportJson(const std::string& json);
 
 /// Renders `metrics` as a JSON object into `writer` (value position).

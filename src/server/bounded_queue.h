@@ -5,9 +5,10 @@
 // (the caller turns it into a 429-style reject with a Retry-After hint, see
 // docs/serving.md). Engine workers (consumers) block in Pop; the update
 // coalescer uses TryPopIf to drain the maximal run of consecutive update
-// requests at the head without reordering reads past writes.
+// requests at the head without reordering a checkpoint past them.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -30,6 +31,7 @@ class BoundedQueue {
       util::MutexLock lock(mu_);
       if (closed_ || items_.size() >= capacity_) return false;
       items_.push_back(std::move(item));
+      depth_max_ = std::max(depth_max_, items_.size());
     }
     ready_.NotifyOne();
     return true;
@@ -72,6 +74,13 @@ class BoundedQueue {
     return items_.size();
   }
 
+  /// High watermark: the largest depth any push has left. Counted under
+  /// the lock, so a consumer popping right after the push cannot hide it.
+  size_t DepthMax() const {
+    util::MutexLock lock(mu_);
+    return depth_max_;
+  }
+
   bool closed() const {
     util::MutexLock lock(mu_);
     return closed_;
@@ -83,6 +92,7 @@ class BoundedQueue {
   util::CondVar ready_;
   std::deque<T> items_ MC3_GUARDED_BY(mu_);
   bool closed_ MC3_GUARDED_BY(mu_) = false;
+  size_t depth_max_ MC3_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace mc3::server

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -42,7 +43,7 @@ std::string ShardMetric(size_t shard, const char* name) {
   return "server.shard." + std::to_string(shard) + "." + name;
 }
 
-/// Lock-free read-path stage histogram: server.read.<stage>.<verb>.
+/// Lock-free read stage histogram: server.read.<stage>.<verb>.
 void RecordReadStageSeconds(const char* stage, Request::Op op,
                             double seconds) {
   obs::MetricsRegistry::Global()
@@ -99,18 +100,6 @@ void PinThreadToCore(std::thread* thread, size_t index) {
 }
 
 }  // namespace
-
-bool ParseReadPath(const std::string& text, ServerOptions::ReadPath* path) {
-  if (text == "lockfree") {
-    *path = ServerOptions::ReadPath::kLockFree;
-    return true;
-  }
-  if (text == "queued") {
-    *path = ServerOptions::ReadPath::kQueued;
-    return true;
-  }
-  return false;
-}
 
 bool ParseShards(const std::string& text, uint32_t* shards) {
   if (text.empty()) return false;
@@ -368,6 +357,11 @@ void Server::AcceptLoop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // Each response is one complete write: send it at once rather than let
+    // Nagle hold it while the client has another request in flight.
+    const int nodelay = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                       sizeof(nodelay));
     connections_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
@@ -465,21 +459,19 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
       break;
   }
 
-  // Engine ops pass admission control and enter the bounded queue.
+  // Every engine op, read or mutation, is refused once the drain began.
   if (draining_.load(std::memory_order_acquire)) {
     refused_draining_.fetch_add(1, std::memory_order_relaxed);
     WriteResponse(conn, RenderErrorResponse(request.id, request.op, 503,
                                             "server is draining"));
     return;
   }
-  // Read-only verbs never queue on the lock-free path: they render from
-  // the epoch-protected published views right here, on the connection
-  // worker thread — no admission control, no engine mutex, no 429s
-  // (docs/serving.md#lock-free-reads). `--read-path queued` falls through
-  // to the legacy queue route below.
-  if ((request.op == Request::Op::kSolve ||
-       request.op == Request::Op::kSnapshot) &&
-      options_.read_path == ServerOptions::ReadPath::kLockFree) {
+  // Read-only verbs never queue: they render from the epoch-protected
+  // published views right here, on the connection worker thread — no
+  // admission control, no engine mutex, no 429s
+  // (docs/serving.md#lock-free-reads).
+  if (request.op == Request::Op::kSolve ||
+      request.op == Request::Op::kSnapshot) {
     if (trace.sampled) {
       telemetry_.Span("parse", parse_start_us, trace.trace_id);
     }
@@ -487,6 +479,7 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
                        reader);
     return;
   }
+  // Mutations pass admission control and enter the bounded queue.
   const size_t depth = queue_.Depth();
   const Admission admission =
       AdmitAt(depth, options_.admission_watermark, options_.base_retry_ms);
@@ -522,16 +515,9 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
     }
     return;
   }
-  const size_t depth_now = queue_.Depth();
   obs::MetricsRegistry::Global()
       .GetGauge("server.queue_depth")
-      .Set(static_cast<double>(depth_now));
-  // High watermark for post-hoc saturation analysis (stats/metrics verbs).
-  uint64_t seen_depth = queue_depth_max_.load(std::memory_order_relaxed);
-  while (seen_depth < depth_now &&
-         !queue_depth_max_.compare_exchange_weak(
-             seen_depth, depth_now, std::memory_order_relaxed)) {
-  }
+      .Set(static_cast<double>(queue_.Depth()));
   if (trace.sampled) telemetry_.Span("parse", parse_start_us, trace.trace_id);
 }
 
@@ -618,14 +604,6 @@ Result<online::UpdateStats> Server::ApplyEngineUpdate(
             // live, but a lost job would deadlock the batch): run inline.
             wrapped();
           }
-          // Shard-queue high watermark (point-in-time depths miss bursts).
-          const size_t shard_depth = shard_queues_[s]->Depth();
-          uint64_t seen = shard_counters_[s].queue_depth_max.load(
-              std::memory_order_relaxed);
-          while (seen < shard_depth &&
-                 !shard_counters_[s].queue_depth_max.compare_exchange_weak(
-                     seen, shard_depth, std::memory_order_relaxed)) {
-          }
         }
         util::MutexLock lock(barrier->mu);
         barrier->done.Wait(barrier->mu, [&]() MC3_REQUIRES(barrier->mu) {
@@ -679,7 +657,8 @@ bool Server::ProcessNext(bool drain_only) {
     std::vector<PendingRequest> batch;
     batch.push_back(std::move(*first));
     // Coalesce the maximal run of consecutive updates at the head; stopping
-    // at the first non-update preserves FIFO between reads and writes.
+    // at the first checkpoint keeps queue order between checkpoints and
+    // updates.
     while (batch.size() < options_.max_batch) {
       std::optional<PendingRequest> next =
           queue_.TryPopIf([](const PendingRequest& pending) {
@@ -689,12 +668,8 @@ bool Server::ProcessNext(bool drain_only) {
       batch.push_back(std::move(*next));
     }
     HandleUpdateBatch(std::move(batch));
-  } else if (first->request.op == Request::Op::kSolve) {
-    HandleSolve(*first);
-  } else if (first->request.op == Request::Op::kCheckpoint) {
-    HandleCheckpoint(*first);
   } else {
-    HandleSnapshot(*first);
+    HandleCheckpoint(*first);
   }
   return true;
 }
@@ -856,25 +831,8 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
       const uint64_t wal_seq = PersistApplied(net.add, net.remove,
                                               sampled_ids);
       for (size_t i = 0; i < batch.size(); ++i) {
-        obs::JsonWriter writer(/*compact=*/true);
-        writer.BeginObject();
-        writer.Key("id").Int(batch[i].request.id);
-        writer.Key("op").String("update");
-        writer.Key("code").Int(200);
-        if (batch[i].trace_id != 0) {
-          writer.Key("trace_id").Int(batch[i].trace_id);
-        }
-        if (durability_ != nullptr) writer.Key("wal_seq").Int(wal_seq);
-        writer.Key("batch_size").Int(net.ops);
-        writer.Key("batch_requests").Int(batch.size());
-        writer.Key("queries_added").Int(applied->queries_added);
-        writer.Key("queries_removed").Int(applied->queries_removed);
-        writer.Key("components_resolved").Int(applied->components_resolved);
-        writer.Key("cost").Number(engine_.TotalCost());
-        writer.Key("queries").Int(engine_.NumQueries());
-        writer.Key("components").Int(engine_.NumComponents());
-        writer.EndObject();
-        responses[i] = writer.Take();
+        responses[i] = RenderUpdateAck(batch[i], wal_seq, net.ops,
+                                       batch.size(), *applied);
       }
     } else {
       // The coalesced batch is infeasible as a whole (typically one
@@ -899,26 +857,9 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
         batches_.fetch_add(1, std::memory_order_relaxed);
         const uint64_t wal_seq = PersistApplied(parsed[i].add,
                                                 parsed[i].remove, one_ids);
-        obs::JsonWriter writer(/*compact=*/true);
-        writer.BeginObject();
-        writer.Key("id").Int(batch[i].request.id);
-        writer.Key("op").String("update");
-        writer.Key("code").Int(200);
-        if (batch[i].trace_id != 0) {
-          writer.Key("trace_id").Int(batch[i].trace_id);
-        }
-        if (durability_ != nullptr) writer.Key("wal_seq").Int(wal_seq);
-        writer.Key("batch_size").Int(one->queries_added +
-                                     one->queries_removed);
-        writer.Key("batch_requests").Int(1);
-        writer.Key("queries_added").Int(one->queries_added);
-        writer.Key("queries_removed").Int(one->queries_removed);
-        writer.Key("components_resolved").Int(one->components_resolved);
-        writer.Key("cost").Number(engine_.TotalCost());
-        writer.Key("queries").Int(engine_.NumQueries());
-        writer.Key("components").Int(engine_.NumComponents());
-        writer.EndObject();
-        responses[i] = writer.Take();
+        responses[i] = RenderUpdateAck(
+            batch[i], wal_seq, one->queries_added + one->queries_removed,
+            /*batch_requests=*/1, *one);
       }
     }
     // Publish before the lock drops (and so before any ack is written):
@@ -929,6 +870,29 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
   for (size_t i = 0; i < batch.size(); ++i) {
     FinishTracedResponse(batch[i], responses[i]);
   }
+}
+
+std::string Server::RenderUpdateAck(const PendingRequest& pending,
+                                    uint64_t wal_seq, size_t batch_size,
+                                    size_t batch_requests,
+                                    const online::UpdateStats& applied) {
+  obs::JsonWriter writer(/*compact=*/true);
+  writer.BeginObject();
+  writer.Key("id").Int(pending.request.id);
+  writer.Key("op").String("update");
+  writer.Key("code").Int(200);
+  if (pending.trace_id != 0) writer.Key("trace_id").Int(pending.trace_id);
+  if (durability_ != nullptr) writer.Key("wal_seq").Int(wal_seq);
+  writer.Key("batch_size").Int(batch_size);
+  writer.Key("batch_requests").Int(batch_requests);
+  writer.Key("queries_added").Int(applied.queries_added);
+  writer.Key("queries_removed").Int(applied.queries_removed);
+  writer.Key("components_resolved").Int(applied.components_resolved);
+  writer.Key("cost").Number(engine_.TotalCost());
+  writer.Key("queries").Int(engine_.NumQueries());
+  writer.Key("components").Int(engine_.NumComponents());
+  writer.EndObject();
+  return writer.Take();
 }
 
 void Server::FinishTracedResponse(const PendingRequest& pending,
@@ -942,89 +906,6 @@ void Server::FinishTracedResponse(const PendingRequest& pending,
     telemetry_.Span("serialize", serialize_start_us, pending.trace_id);
   }
   ObserveLatency(pending.request, pending.enqueued.Seconds());
-}
-
-void Server::HandleSolve(const PendingRequest& pending) {
-  RecordStageSeconds("queue_wait", Request::Op::kSolve,
-                     pending.enqueued.Seconds());
-  if (pending.sampled) {
-    telemetry_.Span("queue_wait", pending.queued_us, pending.trace_id);
-  }
-  obs::JsonWriter writer(/*compact=*/true);
-  {
-    util::MutexLock lock(engine_mu_);
-    writer.BeginObject();
-    writer.Key("id").Int(pending.request.id);
-    writer.Key("op").String("solve");
-    writer.Key("code").Int(200);
-    if (pending.trace_id != 0) {
-      writer.Key("trace_id").Int(pending.trace_id);
-    }
-    writer.Key("cost").Number(engine_.TotalCost());
-    writer.Key("queries").Int(engine_.NumQueries());
-    writer.Key("components").Int(engine_.NumComponents());
-    const Solution solution = engine_.CurrentSolution();
-    writer.Key("classifiers").Int(solution.size());
-    if (pending.request.include_solution) {
-      writer.Key("solution").BeginArray();
-      for (const PropertySet& classifier : solution.Sorted()) {
-        writer.BeginArray();
-        for (const PropertyId id : classifier) {
-          writer.String(id < names_.size() ? names_[id]
-                                           : std::to_string(id));
-        }
-        writer.EndArray();
-      }
-      writer.EndArray();
-    }
-    writer.EndObject();
-  }
-  FinishTracedResponse(pending, writer.Take());
-}
-
-void Server::HandleSnapshot(const PendingRequest& pending) {
-  RecordStageSeconds("queue_wait", Request::Op::kSnapshot,
-                     pending.enqueued.Seconds());
-  if (pending.sampled) {
-    telemetry_.Span("queue_wait", pending.queued_us, pending.trace_id);
-  }
-  obs::JsonWriter writer(/*compact=*/true);
-  {
-    util::MutexLock lock(engine_mu_);
-    writer.BeginObject();
-    writer.Key("id").Int(pending.request.id);
-    writer.Key("op").String("snapshot");
-    writer.Key("code").Int(200);
-    if (pending.trace_id != 0) {
-      writer.Key("trace_id").Int(pending.trace_id);
-    }
-    writer.Key("cost").Number(engine_.TotalCost());
-    writer.Key("queries").Int(engine_.NumQueries());
-    writer.Key("components").Int(engine_.NumComponents());
-    const Solution solution = engine_.CurrentSolution();
-    writer.Key("classifiers").BeginArray();
-    for (const PropertySet& classifier : solution.Sorted()) {
-      writer.BeginObject();
-      writer.Key("properties").BeginArray();
-      for (const PropertyId id : classifier) {
-        writer.String(id < names_.size() ? names_[id] : std::to_string(id));
-      }
-      writer.EndArray();
-      writer.Key("cost").Number(engine_.CostOf(classifier));
-      writer.EndObject();
-    }
-    writer.EndArray();
-    const online::EngineCounters& counters = engine_.counters();
-    writer.Key("counters").BeginObject();
-    writer.Key("updates").Int(counters.updates);
-    writer.Key("queries_added").Int(counters.queries_added);
-    writer.Key("queries_removed").Int(counters.queries_removed);
-    writer.Key("components_resolved").Int(counters.components_resolved);
-    writer.Key("queries_touched").Int(counters.queries_touched);
-    writer.EndObject();
-    writer.EndObject();
-  }
-  FinishTracedResponse(pending, writer.Take());
 }
 
 void Server::HandleCheckpoint(const PendingRequest& pending) {
@@ -1168,9 +1049,9 @@ void Server::HandleLockFreeRead(const std::shared_ptr<Connection>& conn,
 std::string Server::RenderSolveFromIndex(const Request& request,
                                          uint64_t trace_id,
                                          const ReadIndex& index) {
-  // Field-for-field identical to HandleSolve's render at the same state:
-  // sums run in shard order (ShardedEngine::TotalCost), the solution is
-  // merged canonically (MergeViewClassifiers above).
+  // Every field equals the engine's at the published state: sums run in
+  // shard order (ShardedEngine::TotalCost), the solution is merged
+  // canonically (MergeViewClassifiers above).
   obs::JsonWriter writer(/*compact=*/true);
   writer.BeginObject();
   writer.Key("id").Int(request.id);
@@ -1210,9 +1091,9 @@ std::string Server::RenderSolveFromIndex(const Request& request,
 std::string Server::RenderSnapshotFromIndex(const Request& request,
                                             uint64_t trace_id,
                                             const ReadIndex& index) {
-  // Field-for-field identical to HandleSnapshot's render at the same
-  // state; classifier prices were captured at publish time from the
-  // replicated cost table, matching ShardedEngine::CostOf.
+  // Every field equals the engine's at the published state; classifier
+  // prices were captured at publish time from the replicated cost table,
+  // matching ShardedEngine::CostOf.
   obs::JsonWriter writer(/*compact=*/true);
   writer.BeginObject();
   writer.Key("id").Int(request.id);
@@ -1503,7 +1384,7 @@ ServerStats Server::GetStats() const {
   stats.coalesced_ops = coalesced_ops_.load(std::memory_order_relaxed);
   stats.max_batch = max_batch_.load(std::memory_order_relaxed);
   stats.queue_depth = queue_.Depth();
-  stats.queue_depth_max = queue_depth_max_.load(std::memory_order_relaxed);
+  stats.queue_depth_max = queue_.DepthMax();
   stats.uptime_seconds = uptime_.Seconds();
   stats.migrated = migrated_.load(std::memory_order_relaxed);
   stats.shards.resize(shard_counters_.size());
@@ -1512,10 +1393,10 @@ ServerStats Server::GetStats() const {
         shard_counters_[s].batches.load(std::memory_order_relaxed);
     stats.shards[s].ops =
         shard_counters_[s].ops.load(std::memory_order_relaxed);
-    stats.shards[s].queue_depth =
-        s < shard_queues_.size() ? shard_queues_[s]->Depth() : 0;
-    stats.shards[s].queue_depth_max =
-        shard_counters_[s].queue_depth_max.load(std::memory_order_relaxed);
+    if (s < shard_queues_.size()) {
+      stats.shards[s].queue_depth = shard_queues_[s]->Depth();
+      stats.shards[s].queue_depth_max = shard_queues_[s]->DepthMax();
+    }
   }
   return stats;
 }

@@ -1,6 +1,6 @@
 // Long-lived TCP serving front-end for the incremental engine: a
 // newline-delimited-JSON listener (src/server/protocol.h) whose accepted
-// connections are handled by a fixed WorkerPool, feeding engine operations
+// connections are handled by a fixed WorkerPool, feeding mutations
 // through a BoundedQueue into dedicated engine workers that coalesce
 // concurrent updates into single OnlineEngine churn steps.
 //
@@ -9,14 +9,17 @@
 //                          socket to the worker pool (pool size bounds
 //                          concurrent connections);
 //   * connection tasks   — blocking line reads; health/stats/shutdown are
-//                          answered inline, engine ops (solve, update,
-//                          snapshot) pass admission control and enter the
-//                          bounded queue;
+//                          answered inline, solve and snapshot are rendered
+//                          from epoch-protected published read views
+//                          (docs/serving.md#lock-free-reads), and mutations
+//                          (update, checkpoint) pass admission control and
+//                          enter the bounded queue;
 //   * engine workers     — block on the queue; an update at the head is
 //                          coalesced with the maximal run of consecutive
-//                          queued updates (never reordering reads past
-//                          writes) and applied as ONE ApplyUpdate; all
-//                          engine access is serialized by a mutex;
+//                          queued updates (never reordering a checkpoint
+//                          past them) and applied as ONE ApplyUpdate, then
+//                          the read views are republished before the acks;
+//                          all engine access is serialized by a mutex;
 //   * shard workers      — with --shards N > 1 the engine is a
 //                          ShardedEngine and each shard gets a dedicated
 //                          worker thread (optionally core-pinned) behind a
@@ -29,7 +32,7 @@
 //                          (docs/serving.md#sharded-serving).
 //
 // Admission control: the queue has a hard capacity and a reject watermark;
-// at or above the watermark new engine ops are answered 429 with a
+// at or above the watermark new mutations are answered 429 with a
 // retry_after_ms hint instead of queueing (bounded latency beats unbounded
 // buffering). Graceful drain (shutdown request or SIGTERM in the CLI):
 // stop accepting, answer new engine ops 503, finish everything queued,
@@ -64,7 +67,7 @@
 
 namespace mc3::server {
 
-/// Admission-control decision for an engine op arriving at queue depth
+/// Admission-control decision for a mutation arriving at queue depth
 /// `depth`. Rejects at or above the watermark; the retry hint grows
 /// linearly with the overload so clients back off harder the deeper the
 /// queue (deterministic in its inputs).
@@ -86,7 +89,7 @@ struct ServerOptions {
 
   /// Hard bound of the engine-op queue.
   size_t queue_capacity = 1024;
-  /// Reject engine ops at/above this queue depth; 0 derives 3/4 capacity.
+  /// Reject mutations at/above this queue depth; 0 derives 3/4 capacity.
   size_t admission_watermark = 0;
   /// Base of the 429 Retry-After hint.
   double base_retry_ms = 25;
@@ -134,22 +137,7 @@ struct ServerOptions {
   /// Where the trace-event JSON lands on shutdown (`--trace-out DIR`);
   /// see trace_file_path(). Empty = collected but never written.
   std::string trace_out_dir;
-
-  /// Which path answers the read-only engine verbs (`solve`, `snapshot`).
-  /// kLockFree (the default) renders them on the connection worker thread
-  /// from epoch-protected published views — no queue, no engine mutex, flat
-  /// read latency under write churn (docs/serving.md#lock-free-reads).
-  /// kQueued (`mc3 serve --read-path queued`) keeps the legacy behavior of
-  /// riding the engine-op queue, as an A/B baseline and rollback switch.
-  /// Mutations always queue; responses are byte-identical on both paths.
-  enum class ReadPath { kLockFree, kQueued };
-  ReadPath read_path = ReadPath::kLockFree;
 };
-
-/// Parses a `--read-path` value: "lockfree" or "queued". Returns false
-/// (leaving `*path` untouched) on anything else — the CLI turns that into a
-/// usage error.
-bool ParseReadPath(const std::string& text, ServerOptions::ReadPath* path);
 
 /// Per-shard serving statistics (stats endpoint `shards` array).
 struct ShardStats {
@@ -243,7 +231,8 @@ class Server {
     util::Mutex write_mu;
     ~Connection();
   };
-  /// One queued engine op: the parsed request plus its response channel.
+  /// One queued mutation (update or checkpoint): the parsed request plus
+  /// its response channel.
   struct PendingRequest {
     Request request;
     std::shared_ptr<Connection> conn;
@@ -296,12 +285,18 @@ class Server {
   void ShardWorkerLoop(size_t index);
 
   void HandleUpdateBatch(std::vector<PendingRequest> batch);
+  /// Renders the 200 ack of one update request at the engine's current
+  /// state (engine_mu_ held). `batch_size`/`batch_requests` describe the
+  /// churn step that applied it: the coalesced batch, or the request alone
+  /// when the batch fell back to per-request application.
+  std::string RenderUpdateAck(const PendingRequest& pending, uint64_t wal_seq,
+                              size_t batch_size, size_t batch_requests,
+                              const online::UpdateStats& applied)
+      MC3_REQUIRES(engine_mu_);
   /// Writes `response`, recording the serialize stage (and span when the
   /// request is sampled) and the endpoint latency.
   void FinishTracedResponse(const PendingRequest& pending,
                             const std::string& response);
-  void HandleSolve(const PendingRequest& pending);
-  void HandleSnapshot(const PendingRequest& pending);
   void HandleCheckpoint(const PendingRequest& pending);
 
   /// Rebuilds and publishes the per-shard views flagged in `touched` (an
@@ -313,8 +308,9 @@ class Server {
   void PublishReadViews(const std::vector<bool>& touched)
       MC3_REQUIRES(engine_mu_);
   /// Lock-free `solve`/`snapshot`: pins an epoch, loads the index once and
-  /// renders on the connection worker thread — byte-identical to the queued
-  /// renderers at every published state.
+  /// renders on the connection worker thread. Every field equals the
+  /// engine's own accessors at the published state (TotalCost, NumQueries,
+  /// NumComponents, CurrentSolution().Sorted(), CostOf, counters()).
   void HandleLockFreeRead(const std::shared_ptr<Connection>& conn,
                           const Request& request, uint64_t trace_id,
                           bool sampled, const Timer& latency,
@@ -404,7 +400,6 @@ class Server {
   struct ShardCounters {
     std::atomic<uint64_t> batches{0};
     std::atomic<uint64_t> ops{0};
-    std::atomic<uint64_t> queue_depth_max{0};  ///< high watermark
   };
   // mc3-lint: guard-ok(filled in Start before the shard workers launch, immutable after)
   std::vector<std::unique_ptr<BoundedQueue<std::function<void()>>>>
@@ -441,7 +436,6 @@ class Server {
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> coalesced_ops_{0};
   std::atomic<uint64_t> max_batch_{0};
-  std::atomic<uint64_t> queue_depth_max_{0};
 
   /// Request tracing + stage telemetry (internally synchronized; a no-op
   /// stub when the obs layer is compiled out).

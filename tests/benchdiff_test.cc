@@ -233,6 +233,9 @@ TEST(BenchDiffTest, LoadsRenderedBenchReport) {
 TEST(BenchDiffTest, RejectsUnknownSchema) {
   EXPECT_FALSE(
       benchdiff::LoadBenchData(R"({"schema": "mc3.other/9"})").ok());
+  EXPECT_FALSE(benchdiff::LoadBenchData(
+                   R"({"schema": "mc3.bench_report/1", "cases": []})")
+                   .ok());
   EXPECT_FALSE(benchdiff::LoadBenchData(R"({"no": "schema"})").ok());
   EXPECT_FALSE(benchdiff::LoadBenchData("garbage").ok());
 }

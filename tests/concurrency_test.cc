@@ -3,10 +3,10 @@
 // retire ordering, grace periods, the starvation bound) including a
 // TSan-targeted 8-reader/2-writer stress, plus server-level coverage of the
 // serving integration — read-your-writes, the stats version-vector
-// consistency contract, health/reads during drain, the queued fallback
-// path answering byte-identically, and the linearizable-prefix property:
-// every solve observed mid-churn equals the state after some prefix of the
-// acknowledged updates.
+// consistency contract, health/reads during drain, every read field equal
+// to the engine's own accessors after each step, and the
+// linearizable-prefix property: every solve observed mid-churn equals the
+// state after some prefix of the acknowledged updates.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -349,17 +349,6 @@ ServerOptions TestOptions() {
   return options;
 }
 
-TEST(ConcurrencyReadPathFlagTest, ParsesBothModesRejectsGarbage) {
-  ServerOptions::ReadPath path = ServerOptions::ReadPath::kQueued;
-  EXPECT_TRUE(ParseReadPath("lockfree", &path));
-  EXPECT_EQ(path, ServerOptions::ReadPath::kLockFree);
-  EXPECT_TRUE(ParseReadPath("queued", &path));
-  EXPECT_EQ(path, ServerOptions::ReadPath::kQueued);
-  EXPECT_FALSE(ParseReadPath("", &path));
-  EXPECT_FALSE(ParseReadPath("LockFree", &path));
-  EXPECT_FALSE(ParseReadPath("inline", &path));
-}
-
 TEST(ConcurrencyLockFreeReadTest, ReadYourWritesAfterEveryAck) {
   // Views publish before the update's ack renders, so a client that saw
   // its 200 must see its write on the very next solve — the contract the
@@ -381,24 +370,92 @@ TEST(ConcurrencyLockFreeReadTest, ReadYourWritesAfterEveryAck) {
   server.Join();
 }
 
-TEST(ConcurrencyLockFreeReadTest, QueuedFallbackAnswersByteIdentically) {
-  // `--read-path queued` must stay a drop-in fallback: the same request
-  // sequence against lockfree and queued servers produces byte-identical
-  // solve/snapshot responses, sharded or not.
-  for (const uint32_t shards : {uint32_t{0}, uint32_t{2}}) {
-    ServerOptions lockfree_options = TestOptions();
-    lockfree_options.shards = shards;
-    ASSERT_EQ(lockfree_options.read_path, ServerOptions::ReadPath::kLockFree);
-    ServerOptions queued_options = lockfree_options;
-    queued_options.read_path = ServerOptions::ReadPath::kQueued;
-    Server lockfree_server(lockfree_options);
-    Server queued_server(queued_options);
-    ASSERT_TRUE(lockfree_server.Start(BaseInstance()).ok());
-    ASSERT_TRUE(queued_server.Start(BaseInstance()).ok());
-    TestClient lockfree_client(lockfree_server.port());
-    TestClient queued_client(queued_server.port());
-    ASSERT_TRUE(lockfree_client.connected());
-    ASSERT_TRUE(queued_client.connected());
+/// The property names of one rendered classifier (a JSON string array).
+std::vector<std::string> RenderedNames(const obs::JsonValue& properties) {
+  std::vector<std::string> names;
+  for (const obs::JsonValue& name : properties.array) {
+    names.push_back(name.string);
+  }
+  return names;
+}
+
+/// Checks one `solve` or `snapshot` response field by field against the
+/// engine at this quiescent point. Equality is exact: the JSON writer emits
+/// round-trippable doubles, and the views sum per-shard costs in the
+/// engine's own shard order.
+void ExpectReadMatchesEngine(Server& server, const obs::JsonValue& response) {
+  ASSERT_EQ(CodeOf(response), 200);
+  const std::string op = response.Find("op")->string;
+  server.WithShardedEngine([&](const online::ShardedEngine& engine) {
+    const std::vector<std::string>& names = engine.property_names();
+    const auto engine_names = [&names](const PropertySet& classifier) {
+      std::vector<std::string> out;
+      for (const PropertyId id : classifier) out.push_back(names.at(id));
+      return out;
+    };
+    EXPECT_EQ(response.Find("cost")->number, engine.TotalCost()) << op;
+    EXPECT_EQ(response.Find("queries")->number,
+              static_cast<double>(engine.NumQueries()))
+        << op;
+    EXPECT_EQ(response.Find("components")->number,
+              static_cast<double>(engine.NumComponents()))
+        << op;
+    const std::vector<PropertySet> solution =
+        engine.CurrentSolution().Sorted();
+    const obs::JsonValue* classifiers = response.Find("classifiers");
+    ASSERT_NE(classifiers, nullptr);
+    if (op == "solve") {
+      EXPECT_EQ(classifiers->number, static_cast<double>(solution.size()));
+      const obs::JsonValue* rendered = response.Find("solution");
+      if (rendered == nullptr) return;
+      ASSERT_EQ(rendered->array.size(), solution.size());
+      for (size_t i = 0; i < solution.size(); ++i) {
+        EXPECT_EQ(RenderedNames(rendered->array[i]),
+                  engine_names(solution[i]))
+            << "solution[" << i << "]";
+      }
+      return;
+    }
+    ASSERT_EQ(op, "snapshot");
+    ASSERT_EQ(classifiers->array.size(), solution.size());
+    for (size_t i = 0; i < solution.size(); ++i) {
+      const obs::JsonValue& entry = classifiers->array[i];
+      EXPECT_EQ(RenderedNames(*entry.Find("properties")),
+                engine_names(solution[i]))
+          << "classifiers[" << i << "]";
+      EXPECT_EQ(entry.Find("cost")->number, engine.CostOf(solution[i]))
+          << "classifiers[" << i << "]";
+    }
+    const online::EngineCounters counters = engine.counters();
+    const obs::JsonValue* rendered = response.Find("counters");
+    ASSERT_NE(rendered, nullptr);
+    EXPECT_EQ(rendered->Find("updates")->number,
+              static_cast<double>(counters.updates));
+    EXPECT_EQ(rendered->Find("queries_added")->number,
+              static_cast<double>(counters.queries_added));
+    EXPECT_EQ(rendered->Find("queries_removed")->number,
+              static_cast<double>(counters.queries_removed));
+    EXPECT_EQ(rendered->Find("components_resolved")->number,
+              static_cast<double>(counters.components_resolved));
+    EXPECT_EQ(rendered->Find("queries_touched")->number,
+              static_cast<double>(counters.queries_touched));
+  });
+}
+
+TEST(ConcurrencyLockFreeReadTest, ReadsMatchEngineAfterEveryStep) {
+  // Reads render from published views, never from the engine itself, so
+  // after every step of a mixed script each solve and snapshot must equal
+  // what the engine's accessors report at that point, sharded or not.
+  const std::string solve_line = R"({"op":"solve","id":8,"solution":true})";
+  const std::string snapshot_line = R"({"op":"snapshot","id":9})";
+  for (const uint32_t shards : {uint32_t{1}, uint32_t{2}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ServerOptions options = TestOptions();
+    options.shards = shards;
+    Server server(options);
+    ASSERT_TRUE(server.Start(BaseInstance()).ok());
+    TestClient client(server.port());
+    ASSERT_TRUE(client.connected());
 
     const std::vector<std::string> script = {
         R"({"op":"solve","id":1,"solution":true})",
@@ -410,13 +467,19 @@ TEST(ConcurrencyLockFreeReadTest, QueuedFallbackAnswersByteIdentically) {
         R"({"op":"solve","id":7})",
     };
     for (const std::string& line : script) {
-      EXPECT_EQ(lockfree_client.CallRaw(line), queued_client.CallRaw(line))
-          << "shards=" << shards << " line=" << line;
+      SCOPED_TRACE(line);
+      const obs::JsonValue response = client.Call(line);
+      ASSERT_EQ(CodeOf(response), 200);
+      if (response.Find("op")->string != "update") {
+        ExpectReadMatchesEngine(server, response);
+      }
+      const obs::JsonValue solve = client.Call(solve_line);
+      ASSERT_NE(solve.Find("solution"), nullptr);
+      ExpectReadMatchesEngine(server, solve);
+      ExpectReadMatchesEngine(server, client.Call(snapshot_line));
     }
-    lockfree_server.RequestDrain();
-    queued_server.RequestDrain();
-    lockfree_server.Join();
-    queued_server.Join();
+    server.RequestDrain();
+    server.Join();
   }
 }
 

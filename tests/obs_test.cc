@@ -352,15 +352,16 @@ TEST(ReportTest, BenchReportV2RequiresCountersAndWallTimes) {
   no_walls.replace(at, std::strlen("\"wall_seconds\""), "\"renamed\"");
   EXPECT_FALSE(obs::ValidateBenchReportJson(no_walls).ok());
 
-  // A v1 document (no counters, no machine block) stays accepted.
+  // A /1 document is rejected on its schema, even with every /2 field.
   std::string v1 = json;
   const size_t schema_at = v1.find("mc3.bench_report/2");
   ASSERT_NE(schema_at, std::string::npos);
   v1.replace(schema_at, std::strlen("mc3.bench_report/2"),
              "mc3.bench_report/1");
-  if (!obs::kObsEnabled) {
-    EXPECT_TRUE(obs::ValidateBenchReportJson(v1).ok());
-  }
+  const Status v1_status = obs::ValidateBenchReportJson(v1);
+  EXPECT_FALSE(v1_status.ok());
+  EXPECT_NE(v1_status.message().find("$.schema"), std::string::npos)
+      << v1_status.ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -356,6 +356,17 @@ ServerOptions TestOptions() {
   return options;
 }
 
+/// "<tag><client>_<slot>": a property owned by one test client. Built by
+/// appends because GCC 12 misreports `"c" + std::string&&` under
+/// -Wrestrict in Release builds.
+std::string ClientProperty(char tag, size_t client, size_t slot) {
+  std::string name(1, tag);
+  name += std::to_string(client);
+  name += '_';
+  name += std::to_string(slot);
+  return name;
+}
+
 TEST(ServerTest, HealthStatsAndSolveEndpoints) {
   Server server(TestOptions());
   ASSERT_TRUE(server.Start(BaseInstance()).ok());
@@ -456,6 +467,15 @@ TEST(ServerTest, AdmissionRejectsAboveWatermarkWithRetryHint) {
   ASSERT_NE(rejected.Find("retry_after_ms"), nullptr);
   EXPECT_GT(rejected.Find("retry_after_ms")->number, 0);
 
+  // Reads bypass admission: with the queue still at the watermark, a
+  // second connection's solve and snapshot answer 200 from the published
+  // views and never enter the queue.
+  TestClient reader(server.port());
+  ASSERT_TRUE(reader.connected());
+  EXPECT_EQ(CodeOf(reader.Call(R"({"op":"solve","id":4})")), 200);
+  EXPECT_EQ(CodeOf(reader.Call(R"({"op":"snapshot","id":5})")), 200);
+  EXPECT_EQ(server.QueueDepth(), 2u);
+
   // Draining answers the two queued updates; nothing is lost.
   server.RequestDrain();
   server.Join();
@@ -515,16 +535,14 @@ TEST(ServerTest, ConcurrentClientsMatchOfflineBatchAndNothingDrops) {
       TestClient client(port);
       ASSERT_TRUE(client.connected());
       for (size_t i = 0; i < kOpsPerClient; ++i) {
-        const std::string mine = "c" + std::to_string(c) + "_" +
-                                 std::to_string(i % 3);
+        const std::string mine = ClientProperty('c', c, i % 3);
         const std::string shared = "shared_" + std::to_string(i % 2);
         std::string line;
         if (i % 4 == 3) {
           // Remove the query added at i-1 (same (c, i%3) name).
           line = R"({"op":"update","id":)" + std::to_string(i) +
-                 R"(,"remove":[[")" + "c" + std::to_string(c) + "_" +
-                 std::to_string((i - 1) % 3) + R"(","shared_)" +
-                 std::to_string((i - 1) % 2) + R"("]]})";
+                 R"(,"remove":[[")" + ClientProperty('c', c, (i - 1) % 3) +
+                 R"(","shared_)" + std::to_string((i - 1) % 2) + R"("]]})";
         } else {
           line = R"({"op":"update","id":)" + std::to_string(i) +
                  R"(,"add":[[")" + mine + R"(",")" + shared + R"("]]})";
@@ -570,12 +588,11 @@ TEST(ServerTest, ConcurrentClientsMatchOfflineBatchAndNothingDrops) {
   for (size_t c = 0; c < kClients; ++c) {
     UpdateCoalescer coalescer;
     for (size_t i = 0; i < kOpsPerClient; ++i) {
-      const std::string mine =
-          "c" + std::to_string(c) + "_" + std::to_string(i % 3);
+      const std::string mine = ClientProperty('c', c, i % 3);
       const std::string shared = "shared_" + std::to_string(i % 2);
       if (i % 4 == 3) {
         coalescer.Remove(intern(
-            {"c" + std::to_string(c) + "_" + std::to_string((i - 1) % 3),
+            {ClientProperty('c', c, (i - 1) % 3),
              "shared_" + std::to_string((i - 1) % 2)}));
       } else {
         coalescer.Add(intern({mine, shared}));
@@ -933,8 +950,7 @@ TEST(ServerTest, ShardedServerSurvivesConcurrentClients) {
       TestClient client(port);
       ASSERT_TRUE(client.connected());
       for (size_t i = 0; i < kOpsPerClient; ++i) {
-        const std::string mine =
-            "s" + std::to_string(c) + "_" + std::to_string(i % 3);
+        const std::string mine = ClientProperty('s', c, i % 3);
         const std::string line = R"({"op":"update","id":)" +
                                  std::to_string(i) + R"(,"add":[[")" + mine +
                                  R"(","shared_)" + std::to_string(i % 2) +

@@ -50,11 +50,11 @@ std::string Render(const RoutePlan& plan) {
     for (const PropertySet& q : plan.shards[s].add) out += q.ToString() + ",";
     out += "}";
   }
-  out += "m" + std::to_string(plan.migrated);
-  out += "a" + std::to_string(plan.queries_added);
-  out += "r" + std::to_string(plan.queries_removed);
-  out += "d" + std::to_string(plan.duplicate_adds);
-  out += "x" + std::to_string(plan.missing_removes);
+  out.append("m").append(std::to_string(plan.migrated));
+  out.append("a").append(std::to_string(plan.queries_added));
+  out.append("r").append(std::to_string(plan.queries_removed));
+  out.append("d").append(std::to_string(plan.duplicate_adds));
+  out.append("x").append(std::to_string(plan.missing_removes));
   return out;
 }
 

@@ -69,18 +69,14 @@ Result<BenchData> LoadBaseline(const obs::JsonValue& root) {
   return data;
 }
 
-Result<BenchData> LoadReport(const obs::JsonValue& root,
-                             const std::string& schema) {
+Result<BenchData> LoadReport(const obs::JsonValue& root) {
   BenchData data;
-  data.schema = schema;
-  const bool v2 = schema == obs::kBenchReportSchema;
+  data.schema = obs::kBenchReportSchema;
   const obs::JsonValue* obs_flag = root.Find("obs_enabled");
   data.obs_enabled = obs_flag != nullptr && obs_flag->boolean;
-  if (v2) {
-    if (const obs::JsonValue* machine = root.Find("machine");
-        machine != nullptr && machine->is_object()) {
-      data.machine = FormatMachine(*machine);
-    }
+  if (const obs::JsonValue* machine = root.Find("machine");
+      machine != nullptr && machine->is_object()) {
+    data.machine = FormatMachine(*machine);
   }
   const obs::JsonValue* cases = root.Find("cases");
   if (cases == nullptr || !cases->is_array()) {
@@ -95,31 +91,21 @@ Result<BenchData> LoadReport(const obs::JsonValue& root,
       return Status::InvalidArgument(path + ".workload missing");
     }
     CaseData case_data;
-    if (v2) {
-      const obs::JsonValue* counters = entry.Find("counters");
-      if (counters == nullptr) {
-        return Status::InvalidArgument(path + ".counters missing");
+    const obs::JsonValue* counters = entry.Find("counters");
+    if (counters == nullptr) {
+      return Status::InvalidArgument(path + ".counters missing");
+    }
+    MC3_RETURN_IF_ERROR(
+        ParseCounters(*counters, path + ".counters", &case_data.counters));
+    const obs::JsonValue* walls = entry.Find("wall_seconds");
+    if (walls == nullptr || !walls->is_array()) {
+      return Status::InvalidArgument(path + ".wall_seconds missing");
+    }
+    for (const obs::JsonValue& w : walls->array) {
+      if (!w.is_number()) {
+        return Status::InvalidArgument(path + ".wall_seconds: not numbers");
       }
-      MC3_RETURN_IF_ERROR(
-          ParseCounters(*counters, path + ".counters", &case_data.counters));
-      const obs::JsonValue* walls = entry.Find("wall_seconds");
-      if (walls == nullptr || !walls->is_array()) {
-        return Status::InvalidArgument(path + ".wall_seconds missing");
-      }
-      for (const obs::JsonValue& w : walls->array) {
-        if (!w.is_number()) {
-          return Status::InvalidArgument(path + ".wall_seconds: not numbers");
-        }
-        case_data.wall_seconds.push_back(w.number);
-      }
-    } else {
-      // /1 reports predate counters; the single total becomes one sample.
-      const obs::JsonValue* result = entry.Find("result");
-      const obs::JsonValue* seconds =
-          result != nullptr ? result->Find("total_seconds") : nullptr;
-      if (seconds != nullptr && seconds->is_number()) {
-        case_data.wall_seconds.push_back(seconds->number);
-      }
+      case_data.wall_seconds.push_back(w.number);
     }
     data.cases.emplace_back(workload->string, std::move(case_data));
   }
@@ -219,10 +205,7 @@ Result<BenchData> LoadBenchData(const std::string& json) {
     return Status::InvalidArgument("document has no schema string");
   }
   if (schema->string == kBenchBaselineSchema) return LoadBaseline(*parsed);
-  if (schema->string == obs::kBenchReportSchema ||
-      schema->string == obs::kBenchReportSchemaV1) {
-    return LoadReport(*parsed, schema->string);
-  }
+  if (schema->string == obs::kBenchReportSchema) return LoadReport(*parsed);
   return Status::InvalidArgument("unsupported schema '" + schema->string +
                                  "'");
 }

@@ -48,9 +48,8 @@ struct BenchData {
   const CaseData* FindCase(const std::string& name) const;
 };
 
-/// Parses a mc3.bench_report/1, mc3.bench_report/2 or mc3.bench_baseline/1
-/// document. A /1 report has no counters; its per-case total_seconds becomes
-/// a single wall sample.
+/// Parses a mc3.bench_report/2 or mc3.bench_baseline/1 document; any other
+/// schema, mc3.bench_report/1 included, is an InvalidArgument.
 Result<BenchData> LoadBenchData(const std::string& json);
 
 struct DiffOptions {

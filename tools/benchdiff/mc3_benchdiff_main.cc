@@ -4,8 +4,8 @@
 //   mc3_benchdiff <baseline.json> <current.json> [--counters-only]
 //                 [--counter-tolerance PCT] [--wall-tolerance PCT]
 //                 [--min-wall-ms MS] [--json out.json]
-//       Diffs `current` against `baseline` (each a mc3.bench_report/1, /2
-//       or mc3.bench_baseline/1 document). Prints a findings table;
+//       Diffs `current` against `baseline` (each a mc3.bench_report/2 or
+//       mc3.bench_baseline/1 document). Prints a findings table;
 //       --json additionally writes a validated mc3.bench_diff/1 document.
 //       Tolerances are percentages (default: counters 0, wall 25).
 //

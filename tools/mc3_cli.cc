@@ -125,7 +125,6 @@ int Usage() {
       "            [--queue-capacity N] [--watermark N] [--max-batch N]\n"
       "            [--workers N] [--solver NAME] [--threads N]\n"
       "            [--shards N] [--pin-cores]\n"
-      "            [--read-path lockfree|queued]\n"
       "            [--default-cost D] [--data-dir DIR]\n"
       "            [--wal-sync grouped|immediate|none] [--wal-group-ms MS]\n"
       "            [--checkpoint-every N] [--checkpoint-interval SECS]\n"
@@ -1249,8 +1248,8 @@ int main(int argc, char** argv) {
            args[i - 1] == "--port-file" || args[i - 1] == "--queue-capacity" ||
            args[i - 1] == "--watermark" || args[i - 1] == "--max-batch" ||
            args[i - 1] == "--workers" || args[i - 1] == "--shards" ||
-           args[i - 1] == "--read-path" || args[i - 1] == "--data-dir" ||
-           args[i - 1] == "--wal-sync" || args[i - 1] == "--wal-group-ms" ||
+           args[i - 1] == "--data-dir" || args[i - 1] == "--wal-sync" ||
+           args[i - 1] == "--wal-group-ms" ||
            args[i - 1] == "--checkpoint-every" ||
            args[i - 1] == "--checkpoint-interval" ||
            args[i - 1] == "--record-trace" ||
@@ -1359,14 +1358,6 @@ int main(int argc, char** argv) {
                        "(at most 1024)\n",
                        v->c_str());
           return Usage();
-        }
-      }
-      if (const std::string* v = flag_value("--read-path")) {
-        if (!server::ParseReadPath(*v, &server_options.read_path)) {
-          std::fprintf(stderr,
-                       "unknown --read-path '%s': need lockfree or queued\n",
-                       v->c_str());
-          return 2;
         }
       }
       server_options.pin_cores = has_flag("--pin-cores");

@@ -257,7 +257,8 @@ std::vector<PlannedRequest> PlanRequests(const LoadGenOptions& options) {
       for (size_t p = 0; p < pool.size(); ++p) pool[p] = p;
       for (size_t l = 0; l < options.query_length && !pool.empty(); ++l) {
         const size_t pick = rng() % pool.size();
-        query.push_back("p" + std::to_string(offset + pool[pick]));
+        query.push_back(std::string("p").append(
+            std::to_string(offset + pool[pick])));
         pool.erase(pool.begin() + static_cast<ptrdiff_t>(pick));
       }
       writer.Key("add").BeginArray();

@@ -44,7 +44,7 @@ struct LoadGenOptions {
   size_t solve_every = 16;
   /// Every Nth update also removes a previously added query; 0 = never.
   size_t remove_every = 3;
-  /// Mixed read/write mode (read_sweep.sh, docs/serving.md#lock-free-reads):
+  /// Mixed read/write mode (docs/serving.md#lock-free-reads):
   /// when in [0,1], each operation is independently a solve with this
   /// probability (seeded, deterministic) instead of the solve_every cadence,
   /// and the report splits latencies into read/write summaries. Negative

@@ -22,9 +22,8 @@
 // the final server counters disagree with client-side accounting;
 // --scrape-out dumps the final raw exposition text for artifact upload.
 // --read-ratio R (in [0,1]) switches to mixed mode: each operation is
-// independently a solve with probability R (deterministic per seed), the
-// report splits read-vs-write latency summaries, and the sweep line gains
-// read/write p99s — the knob behind scripts/read_sweep.sh.
+// independently a solve with probability R (deterministic per seed) and
+// the report splits read-vs-write latency summaries.
 //
 // Exit codes: 0 success, 1 runtime/gate failure, 2 usage error.
 #include <cstdio>
@@ -237,20 +236,6 @@ int main(int argc, char** argv) {
               report->wall_seconds > 0
                   ? static_cast<double>(committed_ops) / report->wall_seconds
                   : 0.0);
-  // Mixed-mode sweep line (scripts/read_sweep.sh): per-verb p99s under the
-  // planned read ratio, in microseconds for stable parsing.
-  if (options.read_ratio >= 0) {
-    std::printf("read_sweep: read_ratio=%.2f reads=%llu writes=%llu "
-                "read_p50_us=%.1f read_p99_us=%.1f write_p50_us=%.1f "
-                "write_p99_us=%.1f\n",
-                options.read_ratio,
-                static_cast<unsigned long long>(report->read_latency.count),
-                static_cast<unsigned long long>(report->write_latency.count),
-                report->read_latency.p50 * 1e6,
-                report->read_latency.p99 * 1e6,
-                report->write_latency.p50 * 1e6,
-                report->write_latency.p99 * 1e6);
-  }
 
   if (report->lost > 0) {
     std::fprintf(stderr, "error: %llu accepted requests got no response\n",
