@@ -5,8 +5,10 @@
 // every workload the paper considers.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/instance.h"
@@ -18,6 +20,17 @@ struct QueryCover {
   Cost cost = 0;
   std::vector<PropertySet> classifiers;
 };
+
+/// The mask DP under MinCostQueryCover: a cheapest cover of all `k`
+/// positions of a query (k <= kMaxQueryLength) by candidate position masks
+/// priced by `costs`. Fills `picks` with the indices of the chosen
+/// candidates, from the last pick back to the first, and returns the cover's
+/// cost; returns kInfiniteCost (and no picks) when no finite-cost cover
+/// exists. Among equal-cost covers the candidate met first, in candidate
+/// order, wins.
+Cost MinCostMaskCover(size_t k, std::span<const uint32_t> masks,
+                      std::span<const Cost> costs,
+                      std::vector<size_t>* picks);
 
 /// Returns a cheapest cover of `query` using classifiers priced by
 /// `cost_fn` (kInfiniteCost = unavailable), or nullopt when no finite-cost

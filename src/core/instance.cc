@@ -5,6 +5,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "core/classifier_table.h"
 #include "util/float_cmp.h"
 
 namespace mc3 {
@@ -64,6 +65,7 @@ Status Instance::Validate() const {
     std::unordered_set<PropertySet, PropertySetHash> seen;
     for (const auto& q : queries_) {
       if (q.empty()) return Status::InvalidArgument("empty query");
+      MC3_RETURN_IF_ERROR(CheckQueryLength(q, property_names_));
       if (!seen.insert(q).second) {
         return Status::InvalidArgument("duplicate query " + q.ToString());
       }
@@ -103,35 +105,23 @@ Status Instance::Validate() const {
 }
 
 bool Instance::IsFeasible() const {
-  // Allocation-free: enumerate each query's subsets through a reused probe
-  // and OR position masks until the query is covered.
-  PropertySet probe;
-  std::vector<PropertyId> scratch;
-  for (const auto& q : queries_) {
-    const auto& ids = q.ids();
-    const size_t len = ids.size();
-    if (len > 25) return false;  // out of scope for this library
-    const uint32_t full = (1u << len) - 1;
-    uint32_t covered = 0;
-    for (uint32_t mask = 1; mask <= full && covered != full; ++mask) {
-      if ((mask | covered) == covered) continue;  // adds nothing new
-      scratch.clear();
-      for (size_t i = 0; i < len; ++i) {
-        if (mask & (1u << i)) scratch.push_back(ids[i]);
-      }
-      probe.AssignSortedForProbe(scratch.data(), scratch.size());
-      if (costs_.count(probe) > 0) covered |= mask;
-    }
-    if (covered != full) return false;
-  }
-  return true;
+  return ClassifierTable(queries_, costs_).CoversAll();
+}
+
+Status CheckQueryLength(const PropertySet& query,
+                        const std::vector<std::string>& names) {
+  if (query.size() <= kMaxQueryLength) return Status::OK();
+  return Status::InvalidArgument(
+      "query " + (names.empty() ? query.ToString() : query.ToString(names)) +
+      " has " + std::to_string(query.size()) + " properties; at most " +
+      std::to_string(kMaxQueryLength) + " are supported");
 }
 
 void ForEachNonEmptySubset(
     const PropertySet& set,
     const std::function<void(const PropertySet&)>& fn) {
   const auto& ids = set.ids();
-  assert(ids.size() <= 25 && "subset enumeration would explode");
+  assert(ids.size() <= kMaxQueryLength && "subset enumeration would explode");
   const uint32_t limit = 1u << ids.size();
   std::vector<PropertyId> scratch;
   for (uint32_t mask = 1; mask < limit; ++mask) {

@@ -71,9 +71,10 @@ class Instance {
     return property_names_;
   }
 
-  /// Structural validation: non-empty distinct queries, non-negative costs,
-  /// every priced classifier non-empty and relevant (a subset of at least
-  /// one query, i.e. a member of C_Q).
+  /// Structural validation: non-empty distinct queries of at most
+  /// kMaxQueryLength properties, non-negative costs, every priced classifier
+  /// non-empty and relevant (a subset of at least one query, i.e. a member
+  /// of C_Q).
   Status Validate() const;
 
   /// True iff every query can be covered at finite cost (using only
@@ -86,8 +87,20 @@ class Instance {
   std::vector<std::string> property_names_;
 };
 
+/// The longest query this library accepts. Every subset lattice walk (and
+/// the 32-bit position masks over a query) is exponential in the query
+/// length, so longer queries are rejected as InvalidArgument at every input
+/// boundary: Instance::Validate, the protocol, the update-trace parser and
+/// the online engine.
+inline constexpr size_t kMaxQueryLength = 25;
+
+/// InvalidArgument naming `query` (through `names`, when given) if it is
+/// longer than kMaxQueryLength; OK otherwise.
+Status CheckQueryLength(const PropertySet& query,
+                        const std::vector<std::string>& names = {});
+
 /// Calls `fn` for every non-empty subset of `set` (including `set` itself).
-/// Set size must be <= 25 (the enumeration is 2^|set|).
+/// Set size must be <= kMaxQueryLength (the enumeration is 2^|set|).
 void ForEachNonEmptySubset(const PropertySet& set,
                            const std::function<void(const PropertySet&)>& fn);
 

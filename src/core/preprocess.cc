@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/classifier_table.h"
 #include "core/instance_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -65,70 +66,25 @@ void RecordPreprocessMetrics(const PreprocessStats& stats, double seconds) {
 
 enum class CState : uint8_t { kPresent, kSelected, kRemoved };
 
-struct CEntry {
-  Cost cost = kInfiniteCost;
-  /// For kRemoved entries: the cost of the cheapest recorded decomposition,
-  /// substituted whenever the classifier appears in a later decomposition.
-  Cost replacement = kInfiniteCost;
-  CState state = CState::kPresent;
-  /// Step-3 pass stamp, so a classifier shared by several queries is
-  /// examined once per pass.
-  uint32_t stamp = 0;
-};
-
-using Table = std::unordered_map<PropertySet, CEntry, PropertySetHash>;
-
-/// A priced classifier as seen from one query: its table entry, its key, and
-/// its bitmask over the query's (sorted) property positions.
-struct SubsetRef {
-  CEntry* entry;
-  const PropertySet* set;
-  uint32_t mask;
-};
-
+/// The generic procedure, over an interned classifier table: per-query
+/// subset lists come from the table and per-classifier state lives in
+/// arrays indexed by classifier id.
 class Worker {
  public:
-  Worker(const Instance& instance, const PreprocessOptions& options)
-      : input_(instance), options_(options) {
-    queries_ = instance.queries();
+  Worker(const Instance& instance, const ClassifierTable& table,
+         const PreprocessOptions& options)
+      : input_(instance),
+        queries_(instance.queries()),
+        table_(table),
+        options_(options) {
     const size_t n = queries_.size();
     alive_.assign(n, true);
     covered_mask_.assign(n, 0);
-    full_mask_.resize(n);
-    refs_.resize(n);
-
-    table_.reserve(instance.costs().size());
-    // mc3-lint: unordered-ok(keyed inserts building the table)
-    for (const auto& [classifier, cost] : instance.costs()) {
-      table_.emplace(classifier,
-                     CEntry{cost, kInfiniteCost, CState::kPresent, 0});
-    }
-
-    // Per-query cache of priced subsets (entry pointer + position mask);
-    // all later passes run off this cache, with no hashing. Lookups go
-    // through a reused probe key, so the cache build allocates nothing per
-    // subset.
-    std::vector<PropertyId> scratch;
-    PropertySet probe;
+    state_.assign(table.size(), CState::kPresent);
+    replacement_.assign(table.size(), kInfiniteCost);
+    stamp_.assign(table.size(), 0);
     for (size_t qi = 0; qi < n; ++qi) {
-      const auto& ids = queries_[qi].ids();
-      const size_t len = ids.size();
-      assert(len <= 25 && "query too long for mask-based preprocessing");
-      full_mask_[qi] = (len >= 32) ? 0 : ((1u << len) - 1);
-      const uint32_t limit = 1u << len;
-      refs_[qi].reserve(len < 4 ? limit - 1 : 8);
-      for (uint32_t mask = 1; mask < limit; ++mask) {
-        scratch.clear();
-        for (size_t i = 0; i < len; ++i) {
-          if (mask & (1u << i)) scratch.push_back(ids[i]);
-        }
-        probe.AssignSortedForProbe(scratch.data(), scratch.size());
-        const auto it = table_.find(probe);
-        if (it != table_.end()) {
-          refs_[qi].push_back(SubsetRef{&it->second, &it->first, mask});
-        }
-      }
-      for (PropertyId p : ids) {
+      for (PropertyId p : queries_[qi]) {
         if (p >= by_prop_.size()) by_prop_.resize(p + 1);
         by_prop_[p].push_back(qi);
       }
@@ -136,7 +92,6 @@ class Worker {
   }
 
   Result<PreprocessResult> Run() {
-    obs::ScopedSpan span("preprocess");
     MC3_RETURN_IF_ERROR(CheckFeasible());
     if (options_.step1_forced_singletons) {
       obs::ScopedSpan step("step1");
@@ -172,44 +127,47 @@ class Worker {
       step.AddStat("remaining_queries",
                    static_cast<double>(result_.stats.remaining_queries));
     }
-    span.AddStat("queries_covered",
-                 static_cast<double>(result_.stats.queries_covered));
     return std::move(result_);
   }
 
  private:
-  /// Every query must be coverable by finite-weight classifiers.
+  uint32_t FullMaskOf(size_t qi) const {
+    return FullMask(queries_[qi].size());
+  }
+
+  /// Every query must be short enough for mask-based preprocessing and
+  /// coverable by finite-weight classifiers.
   Status CheckFeasible() const {
     for (size_t qi = 0; qi < queries_.size(); ++qi) {
-      uint32_t coverable = 0;
-      for (const SubsetRef& ref : refs_[qi]) coverable |= ref.mask;
-      if (coverable != full_mask_[qi]) {
+      const PropertySet& q = queries_[qi];
+      MC3_RETURN_IF_ERROR(CheckQueryLength(q, input_.property_names()));
+      if (!table_.Covers(qi)) {
         return Status::Infeasible(
-            "query " + queries_[qi].ToString(input_.property_names()) +
+            "query " + q.ToString(input_.property_names()) +
             " cannot be covered by finite-weight classifiers");
       }
     }
     return Status::OK();
   }
 
-  Cost Effective(const CEntry& entry) const {
-    switch (entry.state) {
+  Cost Effective(ClassifierId id) const {
+    switch (state_[id]) {
       case CState::kPresent:
-        return entry.cost;
+        return table_.cost(id);
       case CState::kSelected:
         return 0;
       case CState::kRemoved:
-        return entry.replacement;
+        return replacement_[id];
     }
     return kInfiniteCost;
   }
 
-  void Select(const SubsetRef& ref) {
-    assert(ref.entry->state == CState::kPresent);
-    ref.entry->state = CState::kSelected;
-    result_.forced.Add(*ref.set);
-    result_.forced_cost += ref.entry->cost;
-    for (PropertyId p : *ref.set) touched_props_.push_back(p);
+  void Select(ClassifierId id) {
+    assert(state_[id] == CState::kPresent);
+    state_[id] = CState::kSelected;
+    result_.forced.Add(table_.classifier(id));
+    result_.forced_cost += table_.cost(id);
+    for (PropertyId p : table_.classifier(id)) touched_props_.push_back(p);
   }
 
   /// Recomputes coverage of the queries containing any recently-touched
@@ -225,11 +183,11 @@ class Worker {
       for (size_t qi : by_prop_[p]) {
         if (!alive_[qi]) continue;
         uint32_t covered = 0;
-        for (const SubsetRef& ref : refs_[qi]) {
-          if (ref.entry->state == CState::kSelected) covered |= ref.mask;
+        for (const QuerySubset& s : table_.subsets(qi)) {
+          if (state_[s.id] == CState::kSelected) covered |= s.mask;
         }
         covered_mask_[qi] = covered;
-        if (covered == full_mask_[qi]) {
+        if (covered == FullMaskOf(qi)) {
           alive_[qi] = false;
           ++result_.stats.queries_covered;
         }
@@ -243,28 +201,29 @@ class Worker {
     for (size_t qi = 0; qi < queries_.size(); ++qi) {
       if (queries_[qi].size() != 1) continue;
       // CheckFeasible guarantees the singleton classifier is priced.
-      for (const SubsetRef& ref : refs_[qi]) {
-        if (ref.entry->state == CState::kPresent) {
-          Select(ref);
+      for (const QuerySubset& s : table_.subsets(qi)) {
+        if (state_[s.id] == CState::kPresent) {
+          Select(s.id);
           ++result_.stats.singleton_queries_selected;
         }
       }
     }
     // Selection order reaches the forced Solution and the touched-property
     // list, so pick zero-cost classifiers in canonical order.
-    std::vector<std::pair<const PropertySet*, CEntry*>> zero_cost;
-    // mc3-lint: unordered-ok(candidates are sorted canonically below)
-    for (auto& [classifier, entry] : table_) {
-      if (entry.state == CState::kPresent && IsZeroCost(entry.cost)) {
-        zero_cost.emplace_back(&classifier, &entry);
+    std::vector<ClassifierId> zero_cost;
+    for (ClassifierId id = 0; id < table_.size(); ++id) {
+      if (state_[id] == CState::kPresent && IsZeroCost(table_.cost(id))) {
+        zero_cost.push_back(id);
       }
     }
     std::sort(zero_cost.begin(), zero_cost.end(),
-              [](const auto& a, const auto& b) { return *a.first < *b.first; });
-    for (auto& [classifier, entry] : zero_cost) {
-      entry->state = CState::kSelected;
-      result_.forced.Add(*classifier);
-      for (PropertyId p : *classifier) touched_props_.push_back(p);
+              [&](ClassifierId a, ClassifierId b) {
+                return table_.classifier(a) < table_.classifier(b);
+              });
+    for (ClassifierId id : zero_cost) {
+      state_[id] = CState::kSelected;
+      result_.forced.Add(table_.classifier(id));
+      for (PropertyId p : table_.classifier(id)) touched_props_.push_back(p);
       ++result_.stats.zero_weight_selected;
     }
     RefreshCoverage();
@@ -318,20 +277,20 @@ class Worker {
       for (size_t qi : work) {
         if (!alive_[qi] || queries_[qi].size() < len) continue;
         // Effective costs over this query's subset lattice.
-        eff_q.assign(full_mask_[qi] + 1, kInfiniteCost);
-        for (const SubsetRef& ref : refs_[qi]) {
-          eff_q[ref.mask] = Effective(*ref.entry);
+        eff_q.assign(FullMaskOf(qi) + 1, kInfiniteCost);
+        for (const QuerySubset& s : table_.subsets(qi)) {
+          eff_q[s.mask] = Effective(s.id);
         }
-        for (const SubsetRef& ref : refs_[qi]) {
-          if (ref.entry->state != CState::kPresent) continue;
-          if (static_cast<size_t>(std::popcount(ref.mask)) != len) continue;
-          if (ref.entry->stamp == pass_) continue;
-          ref.entry->stamp = pass_;
+        for (const QuerySubset& s : table_.subsets(qi)) {
+          if (state_[s.id] != CState::kPresent) continue;
+          if (static_cast<size_t>(std::popcount(s.mask)) != len) continue;
+          if (stamp_[s.id] == pass_) continue;
+          stamp_[s.id] = pass_;
 
           // Remap the sublattice of this classifier to dense local bits.
           bit_positions.clear();
           for (int b = 0; b < 32; ++b) {
-            if (ref.mask & (1u << b)) bit_positions.push_back(b);
+            if (s.mask & (1u << b)) bit_positions.push_back(b);
           }
           const uint32_t local_full = (1u << len) - 1;
           eff_local.assign(local_full + 1, kInfiniteCost);
@@ -359,10 +318,10 @@ class Worker {
             if (IsInfiniteCost(eff_local[a])) continue;
             best = std::min(best, eff_local[a] + min_superset[local_full ^ a]);
           }
-          if (best <= ref.entry->cost) {
-            ref.entry->state = CState::kRemoved;
-            ref.entry->replacement = best;
-            eff_q[ref.mask] = best;  // visible to longer classifiers here
+          if (best <= table_.cost(s.id)) {
+            state_[s.id] = CState::kRemoved;
+            replacement_[s.id] = best;
+            eff_q[s.mask] = best;  // visible to longer classifiers here
             ++result_.stats.classifiers_removed_step3;
           }
         }
@@ -377,23 +336,22 @@ class Worker {
                           std::vector<PropertyId>* selected_props) {
     for (size_t qi : work) {
       if (!alive_[qi]) continue;
-      const auto& ids = queries_[qi].ids();
-      const size_t len = ids.size();
       uint32_t candidate_once = 0;   // positions seen in >= 1 classifier
       uint32_t candidate_multi = 0;  // positions seen in >= 2 classifiers
-      std::array<const SubsetRef*, 32> unique_ref{};
-      for (const SubsetRef& ref : refs_[qi]) {
-        if (ref.entry->state == CState::kRemoved) continue;
-        candidate_multi |= candidate_once & ref.mask;
-        candidate_once |= ref.mask;
-        uint32_t fresh = ref.mask & ~candidate_multi;
+      std::array<ClassifierId, 32> unique_id;
+      unique_id.fill(ClassifierTable::kNotFound);
+      for (const QuerySubset& s : table_.subsets(qi)) {
+        if (state_[s.id] == CState::kRemoved) continue;
+        candidate_multi |= candidate_once & s.mask;
+        candidate_once |= s.mask;
+        uint32_t fresh = s.mask & ~candidate_multi;
         while (fresh != 0) {
           const int bit = std::countr_zero(fresh);
           fresh &= fresh - 1;
-          unique_ref[bit] = &ref;
+          unique_id[bit] = s.id;
         }
       }
-      const uint32_t uncovered = full_mask_[qi] & ~covered_mask_[qi];
+      const uint32_t uncovered = FullMaskOf(qi) & ~covered_mask_[qi];
       if ((candidate_once & uncovered) != uncovered) {
         return Status::Infeasible(
             "property of query " +
@@ -404,14 +362,16 @@ class Worker {
       while (forced != 0) {
         const int bit = std::countr_zero(forced);
         forced &= forced - 1;
-        const SubsetRef* ref = unique_ref[bit];
-        if (ref != nullptr && ref->entry->state == CState::kPresent) {
-          Select(*ref);
+        const ClassifierId id = unique_id[bit];
+        if (id != ClassifierTable::kNotFound &&
+            state_[id] == CState::kPresent) {
+          Select(id);
           ++result_.stats.forced_selections_step3;
-          for (PropertyId p : *ref->set) selected_props->push_back(p);
+          for (PropertyId p : table_.classifier(id)) {
+            selected_props->push_back(p);
+          }
         }
       }
-      (void)len;
     }
     return Status::OK();
   }
@@ -438,8 +398,9 @@ class Worker {
     while (!worklist.empty()) {
       const PropertyId x = worklist.back();
       worklist.pop_back();
-      const auto xit = table_.find(PropertySet::Of({x}));
-      if (xit == table_.end() || xit->second.state != CState::kPresent) {
+      const ClassifierId xid = SingletonId(x);
+      if (xid == ClassifierTable::kNotFound ||
+          state_[xid] != CState::kPresent) {
         continue;
       }
       // Sum the effective costs of the pair classifiers of all alive
@@ -449,36 +410,39 @@ class Worker {
       for (size_t qi : by_prop_[x]) {
         if (!alive_[qi]) continue;
         if (queries_[qi].size() != 2) continue;  // singletons died in step 1
-        Cost pair_cost = kInfiniteCost;
-        for (const SubsetRef& ref : refs_[qi]) {
-          if (ref.mask == full_mask_[qi]) {
-            pair_cost = Effective(*ref.entry);
-            break;
-          }
-        }
-        sum += pair_cost;
+        const ClassifierId pair = table_.FindSubset(qi, FullMaskOf(qi));
+        sum += pair == ClassifierTable::kNotFound ? kInfiniteCost
+                                                  : Effective(pair);
         pair_queries.push_back(qi);
         if (IsInfiniteCost(sum)) break;
       }
-      if (pair_queries.empty() || sum > xit->second.cost) continue;
+      if (pair_queries.empty() || sum > table_.cost(xid)) continue;
       // Select every pair, drop X, and recheck the other endpoints.
       for (size_t qi : pair_queries) {
-        for (const SubsetRef& ref : refs_[qi]) {
-          if (ref.mask != full_mask_[qi]) continue;
-          if (ref.entry->state == CState::kPresent) {
-            Select(ref);
-            ++result_.stats.selections_step4;
-          }
+        const ClassifierId pair = table_.FindSubset(qi, FullMaskOf(qi));
+        if (pair != ClassifierTable::kNotFound &&
+            state_[pair] == CState::kPresent) {
+          Select(pair);
+          ++result_.stats.selections_step4;
         }
         for (PropertyId y : queries_[qi]) {
           if (y != x) worklist.push_back(y);
         }
       }
-      xit->second.state = CState::kRemoved;
-      xit->second.replacement = sum;
+      state_[xid] = CState::kRemoved;
+      replacement_[xid] = sum;
       ++result_.stats.singletons_removed_step4;
       RefreshCoverage();
     }
+  }
+
+  /// Id of the singleton classifier {x}, found through the subset list of
+  /// a query containing x; kNotFound when {x} is unpriced.
+  ClassifierId SingletonId(PropertyId x) const {
+    const size_t qi = by_prop_[x].front();
+    const auto& ids = queries_[qi].ids();
+    const auto pos = std::lower_bound(ids.begin(), ids.end(), x) - ids.begin();
+    return table_.FindSubset(qi, uint32_t{1} << pos);
   }
 
   // ---- Step 2: partition into independent sub-instances. ----
@@ -510,13 +474,13 @@ class Worker {
       Instance& component = result_.components[component_of[idx]];
       const size_t qi = alive_ids[idx];
       component.AddQuery(queries_[qi]);
-      for (const SubsetRef& ref : refs_[qi]) {
-        switch (ref.entry->state) {
+      for (const QuerySubset& s : table_.subsets(qi)) {
+        switch (state_[s.id]) {
           case CState::kPresent:
-            component.SetCost(*ref.set, ref.entry->cost);
+            component.SetCost(table_.classifier(s.id), table_.cost(s.id));
             break;
           case CState::kSelected:
-            component.SetCost(*ref.set, 0);
+            component.SetCost(table_.classifier(s.id), 0);
             break;
           case CState::kRemoved:
             break;  // omitted (weight infinity)
@@ -529,15 +493,22 @@ class Worker {
   }
 
   const Instance& input_;
+  const std::vector<PropertySet>& queries_;
+  const ClassifierTable& table_;
   const PreprocessOptions& options_;
-  std::vector<PropertySet> queries_;
   std::vector<bool> alive_;
   std::vector<uint32_t> covered_mask_;
-  std::vector<uint32_t> full_mask_;
-  std::vector<std::vector<SubsetRef>> refs_;
   std::vector<std::vector<size_t>> by_prop_;  // dense by property id
   std::vector<PropertyId> touched_props_;
-  Table table_;
+  // Per-classifier state, by id.
+  std::vector<CState> state_;
+  /// For kRemoved classifiers: the cost of the cheapest recorded
+  /// decomposition, substituted whenever the classifier appears in a later
+  /// decomposition.
+  std::vector<Cost> replacement_;
+  /// Step-3 pass stamp, so a classifier shared by several queries is
+  /// examined once per pass.
+  std::vector<uint32_t> stamp_;
   uint32_t pass_ = 0;
   PreprocessResult result_;
 };
@@ -578,7 +549,6 @@ class K2Worker {
   }
 
   Result<PreprocessResult> Run() {
-    obs::ScopedSpan span("preprocess");
     MC3_RETURN_IF_ERROR(CheckFeasible());
     if (options_.step1_forced_singletons) {
       obs::ScopedSpan step("step1");
@@ -614,8 +584,6 @@ class K2Worker {
       step.AddStat("remaining_queries",
                    static_cast<double>(result_.stats.remaining_queries));
     }
-    span.AddStat("queries_covered",
-                 static_cast<double>(result_.stats.queries_covered));
     return std::move(result_);
   }
 
@@ -872,11 +840,24 @@ class K2Worker {
 Result<PreprocessResult> Preprocess(const Instance& instance,
                                     const PreprocessOptions& options) {
   Timer timer;
-  Result<PreprocessResult> result =
-      (instance.MaxQueryLength() <= 2 && !options.force_generic_path)
-          ? K2Worker(instance, options).Run()
-          : Worker(instance, options).Run();
-  if (result.ok()) RecordPreprocessMetrics(result->stats, timer.Seconds());
+  // Opened before any set-up, so the span covers everything the histogram
+  // times, the table build and teardown included.
+  obs::ScopedSpan span("preprocess");
+  Result<PreprocessResult> result = [&]() -> Result<PreprocessResult> {
+    if (instance.MaxQueryLength() <= 2 && !options.force_generic_path) {
+      return K2Worker(instance, options).Run();
+    }
+    const ClassifierTable table = [&] {
+      obs::ScopedSpan build("classifier_table");
+      return ClassifierTable(instance.queries(), instance.costs());
+    }();
+    return Worker(instance, table, options).Run();
+  }();
+  if (result.ok()) {
+    span.AddStat("queries_covered",
+                 static_cast<double>(result->stats.queries_covered));
+    RecordPreprocessMetrics(result->stats, timer.Seconds());
+  }
   return result;
 }
 

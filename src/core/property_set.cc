@@ -26,13 +26,6 @@ PropertySet PropertySet::FromSorted(std::vector<PropertyId> ids) {
   return s;
 }
 
-void PropertySet::AssignSortedForProbe(const PropertyId* data, size_t size) {
-#ifndef NDEBUG
-  for (size_t i = 1; i < size; ++i) assert(data[i - 1] < data[i]);
-#endif
-  ids_.assign(data, data + size);
-}
-
 bool PropertySet::Contains(PropertyId id) const {
   return std::binary_search(ids_.begin(), ids_.end(), id);
 }

@@ -34,11 +34,6 @@ class PropertySet {
   /// From ids already sorted and unique (checked by assertion).
   static PropertySet FromSorted(std::vector<PropertyId> ids);
 
-  /// Reuses this object's storage to hold the given sorted-unique ids: an
-  /// allocation-free probe key for hash lookups in hot paths (the ids are
-  /// copied into existing capacity).
-  void AssignSortedForProbe(const PropertyId* data, size_t size);
-
   /// Number of properties; the paper calls this the *length* of the
   /// query/classifier.
   size_t size() const { return ids_.size(); }

@@ -1,6 +1,10 @@
 #include "core/solution.h"
 
 #include <algorithm>
+#include <span>
+
+#include "core/classifier_table.h"
+#include "core/cover_dp.h"
 #include "util/float_cmp.h"
 
 namespace mc3 {
@@ -41,19 +45,15 @@ std::string Solution::ToString(const Instance& instance) const {
 
 CoverageReport VerifyCoverage(const Instance& instance,
                               const Solution& solution) {
+  const ClassifierTable table(instance, solution.classifiers());
   CoverageReport report;
   report.covers_all = true;
   report.witnesses.resize(instance.NumQueries());
   for (size_t i = 0; i < instance.NumQueries(); ++i) {
-    const PropertySet& q = instance.queries()[i];
-    PropertySet covered;
-    ForEachNonEmptySubset(q, [&](const PropertySet& sub) {
-      if (solution.Contains(sub)) {
-        report.witnesses[i].push_back(sub);
-        covered = covered.UnionWith(sub);
-      }
-    });
-    if (!(covered == q)) {
+    for (const QuerySubset& s : table.subsets(i)) {
+      report.witnesses[i].push_back(table.classifier(s.id));
+    }
+    if (!table.Covers(i)) {
       report.covers_all = false;
       report.uncovered_queries.push_back(i);
     }
@@ -62,82 +62,45 @@ CoverageReport VerifyCoverage(const Instance& instance,
 }
 
 bool Covers(const Instance& instance, const Solution& solution) {
-  PropertySet probe;
-  std::vector<PropertyId> scratch;
-  for (const PropertySet& q : instance.queries()) {
-    const auto& ids = q.ids();
-    const size_t len = ids.size();
-    if (len > 25) return false;
-    const uint32_t full = (1u << len) - 1;
-    uint32_t covered = 0;
-    for (uint32_t mask = 1; mask <= full && covered != full; ++mask) {
-      if ((mask | covered) == covered) continue;
-      scratch.clear();
-      for (size_t i = 0; i < len; ++i) {
-        if (mask & (1u << i)) scratch.push_back(ids[i]);
-      }
-      probe.AssignSortedForProbe(scratch.data(), scratch.size());
-      if (solution.Contains(probe)) covered |= mask;
-    }
-    if (covered != full) return false;
-  }
-  return true;
+  return ClassifierTable(instance, solution.classifiers()).CoversAll();
 }
 
 Solution PruneUnusedClassifiers(const Instance& instance,
                                 const Solution& solution) {
+  return PruneUnusedClassifiers(
+      instance, ClassifierTable(instance, solution.classifiers()), solution);
+}
+
+Solution PruneUnusedClassifiers(const Instance& instance,
+                                const ClassifierTable& table,
+                                const Solution& solution) {
   // For each query, a cheapest witness cover among the selected classifiers
-  // via DP over property-subset masks (k <= ~10 in every workload).
-  std::unordered_set<PropertySet, PropertySetHash> used;
-  for (const auto& q : instance.queries()) {
-    const auto& ids = q.ids();
-    const size_t k = ids.size();
-    // Selected classifiers that are subsets of q, as bitmasks over q.
-    std::vector<uint32_t> cand_masks;
-    std::vector<PropertySet> cand_sets;
-    std::vector<Cost> cand_costs;
-    ForEachNonEmptySubset(q, [&](const PropertySet& sub) {
-      if (solution.Contains(sub)) {
-        uint32_t mask = 0;
-        for (size_t i = 0; i < k; ++i) {
-          if (sub.Contains(ids[i])) mask |= 1u << i;
-        }
-        cand_masks.push_back(mask);
-        cand_sets.push_back(sub);
-        cand_costs.push_back(instance.CostOf(sub));
-      }
-    });
-    const uint32_t full = (1u << k) - 1;
-    std::vector<Cost> dp(full + 1, kInfiniteCost);
-    std::vector<int32_t> parent(full + 1, -1);
-    std::vector<uint32_t> parent_mask(full + 1, 0);
-    dp[0] = 0;
-    for (uint32_t mask = 0; mask <= full; ++mask) {
-      if (IsInfiniteCost(dp[mask])) continue;
-      for (size_t c = 0; c < cand_masks.size(); ++c) {
-        const uint32_t next = mask | cand_masks[c];
-        if (next == mask) continue;
-        const Cost cost = dp[mask] + cand_costs[c];
-        if (cost < dp[next]) {
-          dp[next] = cost;
-          parent[next] = static_cast<int32_t>(c);
-          parent_mask[next] = mask;
-        }
-      }
+  // that are subsets of it.
+  std::vector<bool> used(table.size(), false);
+  std::vector<uint32_t> masks;
+  std::vector<Cost> costs;
+  std::vector<size_t> picks;
+  for (size_t i = 0; i < instance.NumQueries(); ++i) {
+    const size_t k = instance.queries()[i].size();
+    const std::span<const QuerySubset> subsets = table.subsets(i);
+    masks.clear();
+    costs.clear();
+    for (const QuerySubset& s : subsets) {
+      masks.push_back(s.mask);
+      costs.push_back(table.cost(s.id));
     }
-    if (IsInfiniteCost(dp[full])) {
-      // Solution does not cover q (or only via unpriced classifiers);
-      // pruning is not safe — return the input untouched.
+    if (k > kMaxQueryLength ||
+        IsInfiniteCost(MinCostMaskCover(k, masks, costs, &picks))) {
+      // Solution does not cover the query (or only via unpriced
+      // classifiers); pruning is not safe — return the input untouched.
       return solution;
     }
-    for (uint32_t mask = full; mask != 0;) {
-      used.insert(cand_sets[parent[mask]]);
-      mask = parent_mask[mask];
-    }
+    for (size_t pick : picks) used[subsets[pick].id] = true;
   }
   Solution pruned;
-  for (const auto& c : solution.classifiers()) {
-    if (used.count(c) > 0) pruned.Add(c);
+  for (const PropertySet& c : solution.classifiers()) {
+    const ClassifierId id = table.Find(c);
+    if (id != ClassifierTable::kNotFound && used[id]) pruned.Add(c);
   }
   return pruned;
 }

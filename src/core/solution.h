@@ -16,6 +16,8 @@
 
 namespace mc3 {
 
+class ClassifierTable;
+
 /// Set of distinct classifiers forming a solution.
 class Solution {
  public:
@@ -69,6 +71,14 @@ bool Covers(const Instance& instance, const Solution& solution);
 /// classifiers and keeps only classifiers used by some query. Never breaks
 /// coverage and never increases cost (it can only remove classifiers).
 Solution PruneUnusedClassifiers(const Instance& instance,
+                                const Solution& solution);
+
+/// PruneUnusedClassifiers over `table`, the solution's classifiers already
+/// interned against `instance` (ClassifierTable(instance,
+/// solution.classifiers())), so the table that verified a solution can
+/// also prune it.
+Solution PruneUnusedClassifiers(const Instance& instance,
+                                const ClassifierTable& table,
                                 const Solution& solution);
 
 }  // namespace mc3

@@ -1,8 +1,10 @@
 #include "core/wsc_reduction.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include "util/float_cmp.h"
+#include <bit>
+#include <numeric>
+
+#include "core/classifier_table.h"
 
 namespace mc3 {
 
@@ -19,49 +21,41 @@ WscReduction ReduceToWsc(const Instance& instance) {
   }
   reduction.wsc.num_elements = next;
 
-  // Gather, per classifier, the elements it covers, by enumerating each
-  // query's priced subsets (this touches exactly the classifiers relevant
-  // to each query, i.e. those with S subseteq q).
-  std::unordered_map<PropertySet, std::vector<setcover::ElementId>,
-                     PropertySetHash>
-      covered;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const PropertySet& q = queries[qi];
-    const auto& ids = q.ids();
-    ForEachNonEmptySubset(q, [&](const PropertySet& sub) {
-      if (IsInfiniteCost(instance.CostOf(sub))) return;
-      auto& elements = covered[sub];
-      size_t pos = 0;
-      for (PropertyId p : sub) {
-        while (ids[pos] != p) ++pos;  // sub is sorted, so pos only advances
-        elements.push_back(reduction.element_offset[qi] +
-                           static_cast<setcover::ElementId>(pos));
-      }
-    });
-  }
+  // The priced classifiers relevant to some query (S subseteq q) and, per
+  // query, which of them are its subsets.
+  const ClassifierTable table(queries, instance.costs());
 
   // Canonical set order for determinism.
-  std::vector<const PropertySet*> order;
-  order.reserve(covered.size());
-  // mc3-lint: unordered-ok(sorted into the canonical order just below)
-  for (const auto& [classifier, elements] : covered) {
-    order.push_back(&classifier);
-  }
-  std::sort(order.begin(), order.end(),
-            [](const PropertySet* a, const PropertySet* b) {
-              if (a->size() != b->size()) return a->size() < b->size();
-              return *a < *b;
-            });
-
-  reduction.wsc.sets.reserve(order.size());
+  std::vector<ClassifierId> order(table.size());
+  std::iota(order.begin(), order.end(), ClassifierId{0});
+  std::sort(order.begin(), order.end(), [&](ClassifierId a, ClassifierId b) {
+    const PropertySet& x = table.classifier(a);
+    const PropertySet& y = table.classifier(b);
+    if (x.size() != y.size()) return x.size() < y.size();
+    return x < y;
+  });
+  std::vector<setcover::SetId> set_of(table.size());
+  reduction.wsc.sets.resize(order.size());
   reduction.set_to_classifier.reserve(order.size());
-  for (const PropertySet* classifier : order) {
-    setcover::WscSet set;
-    set.elements = std::move(covered[*classifier]);
-    std::sort(set.elements.begin(), set.elements.end());
-    set.cost = instance.CostOf(*classifier);
-    reduction.wsc.sets.push_back(std::move(set));
-    reduction.set_to_classifier.push_back(*classifier);
+  for (size_t i = 0; i < order.size(); ++i) {
+    const ClassifierId id = order[i];
+    set_of[id] = static_cast<setcover::SetId>(i);
+    reduction.wsc.sets[i].cost = table.cost(id);
+    reduction.set_to_classifier.push_back(table.classifier(id));
+  }
+
+  // Elements p_q of each set. Queries are walked in order and each mask's
+  // positions ascending, so every element list comes out sorted.
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    for (const QuerySubset& s : table.subsets(qi)) {
+      std::vector<setcover::ElementId>& elements =
+          reduction.wsc.sets[set_of[s.id]].elements;
+      for (uint32_t rest = s.mask; rest != 0; rest &= rest - 1) {
+        elements.push_back(reduction.element_offset[qi] +
+                           static_cast<setcover::ElementId>(
+                               std::countr_zero(rest)));
+      }
+    }
   }
   return reduction;
 }

@@ -130,6 +130,7 @@ Result<UpdateStats> OnlineEngine::ApplyUpdate(
     if (q.empty()) {
       return Status::InvalidArgument("cannot add the empty query");
     }
+    MC3_RETURN_IF_ERROR(CheckQueryLength(q, names_));
     const auto it = slot_of_.find(q);
     if ((it != slot_of_.end() && live_[it->second]) ||
         !to_add_set.insert(q).second) {

@@ -73,6 +73,7 @@ Status ShardedEngine::ValidateAdds(
     if (q.empty()) {
       return Status::InvalidArgument("cannot add the empty query");
     }
+    MC3_RETURN_IF_ERROR(CheckQueryLength(q, names_));
     // Duplicates (already live, or repeated in the batch) are skipped
     // without further checks, exactly as the engine skips them.
     if (router_.IsLive(q) || !seen.insert(q).second) continue;

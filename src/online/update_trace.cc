@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <unordered_map>
 
+#include "core/instance.h"
+
 namespace mc3::online {
 namespace {
 
@@ -94,6 +96,10 @@ Result<UpdateTrace> ParseUpdateTrace(const std::vector<std::string>& lines,
       ids.push_back(it->second);
     }
     op.query = PropertySet::FromUnsorted(std::move(ids));
+    if (Status status = CheckQueryLength(op.query, trace.property_names);
+        !status.ok()) {
+      return LineError(ln, status.message());
+    }
     op.line = ln + 1;
     trace.ops.push_back(std::move(op));
   }

@@ -1,7 +1,9 @@
 #include "server/protocol.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "core/instance.h"
 #include "obs/json.h"
 
 namespace mc3::server {
@@ -48,6 +50,18 @@ Status ParseQueryLists(const obs::JsonValue& value, const char* key,
             "\" must not be a bare '+' or '-' marker");
       }
       names.push_back(name.string);
+    }
+    if (names.size() > kMaxQueryLength) {
+      std::vector<std::string> distinct = names;
+      std::sort(distinct.begin(), distinct.end());
+      const auto length = static_cast<size_t>(
+          std::unique(distinct.begin(), distinct.end()) - distinct.begin());
+      if (length > kMaxQueryLength) {
+        return Status::InvalidArgument(
+            std::string("a query in \"") + key + "\" has " +
+            std::to_string(length) + " properties; at most " +
+            std::to_string(kMaxQueryLength) + " are supported");
+      }
     }
     out->push_back(std::move(names));
   }

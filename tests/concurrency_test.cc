@@ -583,14 +583,21 @@ TEST(ConcurrencyLockFreeReadTest, MidChurnSolvesEqualSomePrefixOfAckedUpdates) {
   ASSERT_TRUE(server.Start(BaseInstance()).ok());
 
   std::atomic<bool> done{false};
+  // Set once the reader has its first answer, so the updates cannot all be
+  // acknowledged before the reader sends anything.
+  std::atomic<bool> reading{false};
   std::vector<std::string> observed;
-  std::thread reader_thread([&server, &done, &observed, &solve_line] {
-    TestClient reader(server.port());
-    ASSERT_TRUE(reader.connected());
-    while (!done.load(std::memory_order_acquire)) {
-      observed.push_back(reader.CallRaw(solve_line));
-    }
-  });
+  std::thread reader_thread(
+      [&server, &done, &reading, &observed, &solve_line] {
+        TestClient reader(server.port());
+        if (reader.connected()) observed.push_back(reader.CallRaw(solve_line));
+        reading.store(true, std::memory_order_release);
+        ASSERT_TRUE(reader.connected());
+        while (!done.load(std::memory_order_acquire)) {
+          observed.push_back(reader.CallRaw(solve_line));
+        }
+      });
+  while (!reading.load(std::memory_order_acquire)) std::this_thread::yield();
   {
     TestClient writer(server.port());
     ASSERT_TRUE(writer.connected());

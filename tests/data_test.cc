@@ -220,6 +220,28 @@ TEST(IoTest, RejectsInvalidInstance) {
   EXPECT_FALSE(loaded.ok());
 }
 
+TEST(IoTest, RejectsQueriesLongerThanTheLimit) {
+  // Every singleton is priced, so each query is coverable; only its length
+  // is out of range (33 once shifted a 32-bit mask out of range, 26 once
+  // enumerated 2^26 subsets).
+  for (const size_t length : {size_t{26}, size_t{33}}) {
+    std::string csv = "Q";
+    for (size_t p = 0; p < length; ++p) csv += ",p" + std::to_string(p);
+    csv += "\n";
+    for (size_t p = 0; p < length; ++p) {
+      csv += "C,1,p" + std::to_string(p) + "\n";
+    }
+    auto loaded = InstanceFromCsv(csv);
+    ASSERT_FALSE(loaded.ok()) << length;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(
+                  "has " + std::to_string(length) +
+                  " properties; at most 25 are supported"),
+              std::string::npos)
+        << loaded.status().message();
+  }
+}
+
 TEST(IoTest, MissingFileIsNotFound) {
   auto loaded = LoadInstance("/nonexistent/instance.csv");
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);

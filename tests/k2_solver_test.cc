@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "core/exact_solver.h"
 #include "tests/test_util.h"
 
@@ -134,18 +136,23 @@ TEST(K2SolverTest, DisconnectedComponentsSolvedIndependently) {
 
 // The cross-check battery: exact optimality on random k <= 2 instances, for
 // every max-flow engine, with and without preprocessing.
+// gtest names each case by the parameter's raw bytes, so the struct has no
+// padding: an int flag instead of a bool keeps every byte initialized and
+// the test names stable across runs.
 struct K2Sweep {
   int seed;
-  bool preprocess;
+  int preprocess;  ///< 0 or 1
   flow::MaxFlowAlgorithm algorithm;
 };
+static_assert(std::has_unique_object_representations_v<K2Sweep>,
+              "K2Sweep must have no padding bytes");
 
 class K2OptimalityTest : public ::testing::TestWithParam<K2Sweep> {};
 
 std::vector<K2Sweep> MakeSweeps() {
   std::vector<K2Sweep> sweeps;
   for (int seed = 0; seed < 15; ++seed) {
-    for (bool preprocess : {true, false}) {
+    for (int preprocess : {1, 0}) {
       for (auto algorithm :
            {flow::MaxFlowAlgorithm::kDinic, flow::MaxFlowAlgorithm::kPushRelabel,
             flow::MaxFlowAlgorithm::kEdmondsKarp}) {
@@ -168,7 +175,7 @@ TEST_P(K2OptimalityTest, MatchesExactSolver) {
   const Instance inst = RandomInstance(config, sweep.seed * 997 + 11);
 
   SolverOptions options;
-  options.preprocess = sweep.preprocess;
+  options.preprocess = sweep.preprocess != 0;
   options.max_flow = sweep.algorithm;
   const K2ExactSolver solver(options);
   auto result = solver.Solve(inst);

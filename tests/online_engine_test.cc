@@ -172,6 +172,18 @@ TEST(OnlineEngineTest, InfeasibleAddRejectedWithoutMutation) {
   auto empty = engine.AddQueries({PropertySet{}});
   EXPECT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+
+  // A query over the length limit is refused as such (every singleton is
+  // priced, so it would be coverable), before any subset enumeration.
+  std::vector<PropertyId> ids;
+  for (PropertyId p = 100; p < 140; ++p) {
+    ASSERT_TRUE(engine.SetCost(PS({p}), 1).ok());
+    ids.push_back(p);
+  }
+  auto too_long = engine.ApplyUpdate({PropertySet::FromSorted(ids)}, {});
+  EXPECT_EQ(too_long.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.TotalCost(), before);
+  EXPECT_EQ(engine.NumComponents(), components);
 }
 
 TEST(OnlineEngineTest, RepricingAppliesOnNextResolve) {

@@ -91,13 +91,6 @@ TEST_P(PropertySetFuzzTest, MatchesReferenceModel) {
     } else {
       EXPECT_EQ(a, b);
     }
-
-    // Probe assignment mirrors FromSorted.
-    PropertySet probe;
-    const auto sorted = AsVector(model_a);
-    probe.AssignSortedForProbe(sorted.data(), sorted.size());
-    EXPECT_EQ(probe, a);
-    EXPECT_EQ(probe.Hash(), a.Hash());
   }
 }
 

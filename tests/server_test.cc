@@ -235,6 +235,29 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
   EXPECT_FALSE(ParseRequest(R"({"op":"solve","solution":1})").ok());
 }
 
+/// An update request adding one query over `names` distinct properties,
+/// the last `repeats` of them named twice.
+std::string UpdateAddingQuery(size_t names, size_t repeats) {
+  std::string line = R"({"op":"update","id":1,"add":[[)";
+  for (size_t p = 0; p < names + repeats; ++p) {
+    if (p > 0) line += ',';
+    line += "\"p" + std::to_string(p < names ? p : p - repeats) + "\"";
+  }
+  line += "]]}";
+  return line;
+}
+
+TEST(ProtocolTest, RejectsQueriesLongerThanTheLimit) {
+  auto over = ParseRequest(UpdateAddingQuery(26, 0));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(over.status().message().find("26 properties; at most 25"),
+            std::string::npos)
+      << over.status().message();
+  // Length counts distinct properties: 27 names, 25 distinct, is accepted.
+  EXPECT_TRUE(ParseRequest(UpdateAddingQuery(25, 2)).ok());
+}
+
 TEST(ProtocolTest, ErrorResponseCarriesCodeAndRetryHint) {
   const std::string line =
       RenderErrorResponse(9, Request::Op::kUpdate, 429, "busy", 50);
@@ -440,6 +463,30 @@ TEST(ServerTest, UncoverableAddGets400WithoutDefaultCost) {
   EXPECT_EQ(solve.Find("queries")->number, 2);
   server.RequestDrain();
   server.Join();
+}
+
+TEST(ServerTest, OverLongAddGets400BeforeTheEngine) {
+  Server server(TestOptions());  // default cost 2: every classifier priced
+  ASSERT_TRUE(server.Start(BaseInstance()).ok());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  const obs::JsonValue before = client.Call(R"({"op":"solve","id":1})");
+  ASSERT_EQ(CodeOf(before), 200);
+
+  const obs::JsonValue response = client.Call(UpdateAddingQuery(26, 0));
+  EXPECT_EQ(CodeOf(response), 400);
+  EXPECT_NE(response.Find("error")->string.find("at most 25"),
+            std::string::npos)
+      << response.Find("error")->string;
+  const obs::JsonValue after = client.Call(R"({"op":"solve","id":2})");
+  ASSERT_EQ(CodeOf(after), 200);
+  EXPECT_EQ(after.Find("queries")->number, before.Find("queries")->number);
+  EXPECT_EQ(after.Find("cost")->number, before.Find("cost")->number);
+  server.RequestDrain();
+  server.Join();
+  // Refused by the parser: the engine never saw an update.
+  EXPECT_EQ(server.GetStats().malformed, 1u);
+  EXPECT_EQ(server.GetStats().batches, 0u);
 }
 
 TEST(ServerTest, AdmissionRejectsAboveWatermarkWithRetryHint) {

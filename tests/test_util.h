@@ -6,6 +6,7 @@
 
 #include "core/instance.h"
 #include "core/property_set.h"
+#include "core/solution.h"
 #include "util/rng.h"
 #include "util/float_cmp.h"
 
@@ -131,6 +132,104 @@ inline Cost BruteForceOptimum(const Instance& instance) {
   };
   search(search, 0);
   return best;
+}
+
+// Reference oracles for the coverage checks: the direct definitions over
+// ForEachNonEmptySubset and Solution::Contains that Covers, VerifyCoverage
+// and PruneUnusedClassifiers implemented before they moved onto
+// ClassifierTable. Tests compare the library against these.
+
+/// Reference Covers: the union of the solution's subsets of each query is
+/// the query.
+inline bool ReferenceCovers(const Instance& instance,
+                            const Solution& solution) {
+  for (const PropertySet& q : instance.queries()) {
+    if (q.size() > kMaxQueryLength) return false;
+    PropertySet covered;
+    ForEachNonEmptySubset(q, [&](const PropertySet& sub) {
+      if (solution.Contains(sub)) covered = covered.UnionWith(sub);
+    });
+    if (!(covered == q)) return false;
+  }
+  return true;
+}
+
+/// Reference VerifyCoverage.
+inline CoverageReport ReferenceVerifyCoverage(const Instance& instance,
+                                              const Solution& solution) {
+  CoverageReport report;
+  report.covers_all = true;
+  report.witnesses.resize(instance.NumQueries());
+  for (size_t i = 0; i < instance.NumQueries(); ++i) {
+    const PropertySet& q = instance.queries()[i];
+    PropertySet covered;
+    ForEachNonEmptySubset(q, [&](const PropertySet& sub) {
+      if (solution.Contains(sub)) {
+        report.witnesses[i].push_back(sub);
+        covered = covered.UnionWith(sub);
+      }
+    });
+    if (!(covered == q)) {
+      report.covers_all = false;
+      report.uncovered_queries.push_back(i);
+    }
+  }
+  return report;
+}
+
+/// Reference PruneUnusedClassifiers: per query, a cheapest cover by the
+/// selected subsets of the query (mask DP, candidates in enumeration
+/// order); keeps the classifiers some query's cover uses, in solution
+/// order, or returns the solution untouched when a query has no
+/// finite-cost cover.
+inline Solution ReferencePrune(const Instance& instance,
+                               const Solution& solution) {
+  std::unordered_set<PropertySet, PropertySetHash> used;
+  for (const PropertySet& q : instance.queries()) {
+    const auto& ids = q.ids();
+    const size_t k = ids.size();
+    std::vector<uint32_t> cand_masks;
+    std::vector<PropertySet> cand_sets;
+    std::vector<Cost> cand_costs;
+    ForEachNonEmptySubset(q, [&](const PropertySet& sub) {
+      if (!solution.Contains(sub)) return;
+      uint32_t mask = 0;
+      for (size_t i = 0; i < k; ++i) {
+        if (sub.Contains(ids[i])) mask |= 1u << i;
+      }
+      cand_masks.push_back(mask);
+      cand_sets.push_back(sub);
+      cand_costs.push_back(instance.CostOf(sub));
+    });
+    const uint32_t full = (1u << k) - 1;
+    std::vector<Cost> dp(full + 1, kInfiniteCost);
+    std::vector<int32_t> parent(full + 1, -1);
+    std::vector<uint32_t> parent_mask(full + 1, 0);
+    dp[0] = 0;
+    for (uint32_t mask = 0; mask <= full; ++mask) {
+      if (IsInfiniteCost(dp[mask])) continue;
+      for (size_t c = 0; c < cand_masks.size(); ++c) {
+        const uint32_t next = mask | cand_masks[c];
+        if (next == mask) continue;
+        const Cost cost = dp[mask] + cand_costs[c];
+        if (cost < dp[next]) {
+          dp[next] = cost;
+          parent[next] = static_cast<int32_t>(c);
+          parent_mask[next] = mask;
+        }
+      }
+    }
+    if (IsInfiniteCost(dp[full])) return solution;
+    for (uint32_t mask = full; mask != 0;) {
+      used.insert(cand_sets[parent[mask]]);
+      mask = parent_mask[mask];
+    }
+  }
+  Solution pruned;
+  for (const PropertySet& c : solution.classifiers()) {
+    if (used.count(c) > 0) pruned.Add(c);
+  }
+  return pruned;
 }
 
 /// The running example of the paper (Example 1.1): two soccer-shirt queries

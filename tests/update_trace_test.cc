@@ -40,6 +40,18 @@ TEST(UpdateTraceTest, EmptyOperationNamesLineAndMarker) {
   EXPECT_NE(message.find("without a query"), std::string::npos) << message;
 }
 
+TEST(UpdateTraceTest, OverLongQueryNamesItsLine) {
+  std::string line = "+";
+  for (int p = 0; p < 26; ++p) line += " p" + std::to_string(p);
+  auto trace = ParseUpdateTrace({"+ red shirt", line}, {});
+  ASSERT_FALSE(trace.ok());
+  EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = trace.status().message();
+  EXPECT_NE(message.find("trace line 2"), std::string::npos) << message;
+  EXPECT_NE(message.find("has 26 properties; at most 25"), std::string::npos)
+      << message;
+}
+
 TEST(UpdateTraceTest, StrayMarkerMidLineIsRejected) {
   // Two operations joined on one line: the classic corrupted-trace shape.
   auto trace = ParseUpdateTrace({"+ red shirt + blue"}, {});
