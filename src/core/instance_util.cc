@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
+#include <ranges>
 
 #include "util/rng.h"
 #include "util/union_find.h"
@@ -43,24 +43,48 @@ Instance RandomSubInstance(const Instance& instance, size_t count,
   return SubInstance(instance, indices);
 }
 
+void PropertyIndex::Build() {
+  if (ids_.empty()) return;
+  const auto [lo, hi] = std::minmax_element(ids_.begin(), ids_.end());
+  const PropertyId min = *lo;
+  const size_t span = size_t{*hi} - min + 1;
+  if (span > 2 * ids_.size() + 64) {
+    std::sort(ids_.begin(), ids_.end());
+    ids_.erase(std::unique(ids_.begin(), ids_.end()), ids_.end());
+    return;
+  }
+  // Compact: mark the present ids, then number them in ascending order.
+  direct_.assign(span, 0);
+  for (PropertyId p : ids_) direct_[p - min] = 1;
+  ids_.clear();
+  for (size_t offset = 0; offset < span; ++offset) {
+    if (direct_[offset] == 0) continue;
+    direct_[offset] = static_cast<uint32_t>(ids_.size());
+    ids_.push_back(static_cast<PropertyId>(min + offset));
+  }
+}
+
 ComponentPartition PartitionQueries(const std::vector<PropertySet>& queries,
                                     const std::vector<size_t>& query_indices) {
   ComponentPartition partition;
   partition.component_of.assign(query_indices.size(), 0);
   if (query_indices.empty()) return partition;
 
+  auto query = [&](size_t qi) -> const PropertySet& { return queries[qi]; };
+  const PropertyIndex index(std::views::transform(query_indices, query));
   UnionFind uf;
   for (size_t qi : query_indices) {
     const auto& ids = queries[qi].ids();
-    for (size_t j = 1; j < ids.size(); ++j) uf.Union(ids[j - 1], ids[j]);
+    for (size_t j = 1; j < ids.size(); ++j) {
+      uf.Union(index(ids[j - 1]), index(ids[j]));
+    }
   }
-  std::unordered_map<PropertyId, size_t> root_to_component;
+  std::vector<size_t> component_of_root(index.size(), SIZE_MAX);
   for (size_t idx = 0; idx < query_indices.size(); ++idx) {
-    const PropertyId root = uf.Find(*queries[query_indices[idx]].begin());
-    const auto [it, inserted] =
-        root_to_component.emplace(root, partition.num_components);
-    if (inserted) ++partition.num_components;
-    partition.component_of[idx] = it->second;
+    const uint32_t root = uf.Find(index(*queries[query_indices[idx]].begin()));
+    size_t& component = component_of_root[root];
+    if (component == SIZE_MAX) component = partition.num_components++;
+    partition.component_of[idx] = component;
   }
   return partition;
 }

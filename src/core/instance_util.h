@@ -1,6 +1,7 @@
 // Instance manipulation helpers shared by solvers, generators and benches.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +26,37 @@ Instance RandomSubInstance(const Instance& instance, size_t count,
 /// (the "bounded classifiers" regime of Section 5.3, k' < k), keeping
 /// singletons so feasibility is preserved whenever singletons are priced.
 Instance BoundClassifierLength(const Instance& instance, size_t max_length);
+
+/// Dense indices 0..size()-1 for the properties of some queries, in
+/// ascending id order and sized by the number of distinct properties
+/// however large the ids are: a direct table over a compact id range,
+/// binary search over a sparse one.
+class PropertyIndex {
+ public:
+  /// Indexes the properties of `queries`, a range of PropertySets.
+  template <typename Queries>
+  explicit PropertyIndex(const Queries& queries) {
+    for (const PropertySet& q : queries) {
+      ids_.insert(ids_.end(), q.begin(), q.end());
+    }
+    Build();
+  }
+
+  size_t size() const { return ids_.size(); }
+  PropertyId id(uint32_t index) const { return ids_[index]; }
+  /// The index of `p`, which must be a property of an indexed query.
+  uint32_t operator()(PropertyId p) const {
+    if (!direct_.empty()) return direct_[p - ids_.front()];
+    return static_cast<uint32_t>(
+        std::lower_bound(ids_.begin(), ids_.end(), p) - ids_.begin());
+  }
+
+ private:
+  void Build();  ///< turns the collected ids into the index
+
+  std::vector<PropertyId> ids_;   ///< ascending
+  std::vector<uint32_t> direct_;  ///< by p - ids_.front(); empty if sparse
+};
 
 /// Assignment of queries to connected components of the shared-property
 /// graph (paper Section 3, Observation 3.2): two queries are connected iff

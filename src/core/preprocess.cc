@@ -4,11 +4,6 @@
 #include <array>
 #include <bit>
 #include <cassert>
-#include <cmath>
-#include <limits>
-#include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/classifier_table.h"
 #include "core/instance_util.h"
@@ -20,8 +15,8 @@
 namespace mc3 {
 namespace {
 
-/// Cumulative registry counters shared by both preprocessing workers; the
-/// span stats cover the per-solve view, these cover the process lifetime.
+/// Cumulative registry counters of every preprocessing run; the span stats
+/// cover the per-solve view, these cover the process lifetime.
 void RecordPreprocessMetrics(const PreprocessStats& stats, double seconds) {
   auto& registry = obs::MetricsRegistry::Global();
   static obs::Counter& runs = registry.GetCounter("preprocess.runs");
@@ -66,9 +61,9 @@ void RecordPreprocessMetrics(const PreprocessStats& stats, double seconds) {
 
 enum class CState : uint8_t { kPresent, kSelected, kRemoved };
 
-/// The generic procedure, over an interned classifier table: per-query
-/// subset lists come from the table and per-classifier state lives in
-/// arrays indexed by classifier id.
+/// Algorithm 1, for every k, over an interned classifier table: per-query
+/// subset lists come from the table; per-classifier and per-property state
+/// lives in arrays indexed by classifier id and dense property index.
 class Worker {
  public:
   Worker(const Instance& instance, const ClassifierTable& table,
@@ -76,18 +71,17 @@ class Worker {
       : input_(instance),
         queries_(instance.queries()),
         table_(table),
-        options_(options) {
+        options_(options),
+        props_(queries_) {
     const size_t n = queries_.size();
     alive_.assign(n, true);
     covered_mask_.assign(n, 0);
     state_.assign(table.size(), CState::kPresent);
     replacement_.assign(table.size(), kInfiniteCost);
     stamp_.assign(table.size(), 0);
+    by_prop_.resize(props_.size());
     for (size_t qi = 0; qi < n; ++qi) {
-      for (PropertyId p : queries_[qi]) {
-        if (p >= by_prop_.size()) by_prop_.resize(p + 1);
-        by_prop_[p].push_back(qi);
-      }
+      for (PropertyId p : queries_[qi]) by_prop_[props_(p)].push_back(qi);
     }
   }
 
@@ -179,8 +173,7 @@ class Worker {
         std::unique(touched_props_.begin(), touched_props_.end()),
         touched_props_.end());
     for (PropertyId p : touched_props_) {
-      if (p >= by_prop_.size()) continue;
-      for (size_t qi : by_prop_[p]) {
+      for (size_t qi : by_prop_[props_(p)]) {
         if (!alive_[qi]) continue;
         uint32_t covered = 0;
         for (const QuerySubset& s : table_.subsets(qi)) {
@@ -221,9 +214,7 @@ class Worker {
                 return table_.classifier(a) < table_.classifier(b);
               });
     for (ClassifierId id : zero_cost) {
-      state_[id] = CState::kSelected;
-      result_.forced.Add(table_.classifier(id));
-      for (PropertyId p : table_.classifier(id)) touched_props_.push_back(p);
+      Select(id);  // adds exactly zero to forced_cost
       ++result_.stats.zero_weight_selected;
     }
     RefreshCoverage();
@@ -252,7 +243,7 @@ class Worker {
           std::unique(selected_props.begin(), selected_props.end()),
           selected_props.end());
       for (PropertyId p : selected_props) {
-        for (size_t qi : by_prop_[p]) {
+        for (size_t qi : by_prop_[props_(p)]) {
           if (alive_[qi]) work.push_back(qi);
         }
       }
@@ -384,8 +375,9 @@ class Worker {
     }
     if (max_len > 2 || max_len == 0) return;
 
-    std::vector<PropertyId> worklist;
-    for (PropertyId p = 0; p < by_prop_.size(); ++p) {
+    // Dense indices ascend with the ids: the worklist pops in id order.
+    std::vector<uint32_t> worklist;
+    for (auto p = static_cast<uint32_t>(by_prop_.size()); p-- > 0;) {
       for (size_t qi : by_prop_[p]) {
         if (alive_[qi]) {
           worklist.push_back(p);
@@ -393,10 +385,9 @@ class Worker {
         }
       }
     }
-    std::sort(worklist.begin(), worklist.end(), std::greater<PropertyId>());
 
     while (!worklist.empty()) {
-      const PropertyId x = worklist.back();
+      const uint32_t x = worklist.back();
       worklist.pop_back();
       const ClassifierId xid = SingletonId(x);
       if (xid == ClassifierTable::kNotFound ||
@@ -426,7 +417,7 @@ class Worker {
           ++result_.stats.selections_step4;
         }
         for (PropertyId y : queries_[qi]) {
-          if (y != x) worklist.push_back(y);
+          if (props_(y) != x) worklist.push_back(props_(y));
         }
       }
       state_[xid] = CState::kRemoved;
@@ -436,12 +427,13 @@ class Worker {
     }
   }
 
-  /// Id of the singleton classifier {x}, found through the subset list of
-  /// a query containing x; kNotFound when {x} is unpriced.
-  ClassifierId SingletonId(PropertyId x) const {
+  /// Id of the singleton classifier of dense property x, found through a
+  /// query containing it; kNotFound when it is unpriced.
+  ClassifierId SingletonId(uint32_t x) const {
     const size_t qi = by_prop_[x].front();
     const auto& ids = queries_[qi].ids();
-    const auto pos = std::lower_bound(ids.begin(), ids.end(), x) - ids.begin();
+    const auto pos =
+        std::lower_bound(ids.begin(), ids.end(), props_.id(x)) - ids.begin();
     return table_.FindSubset(qi, uint32_t{1} << pos);
   }
 
@@ -496,9 +488,10 @@ class Worker {
   const std::vector<PropertySet>& queries_;
   const ClassifierTable& table_;
   const PreprocessOptions& options_;
+  const PropertyIndex props_;
   std::vector<bool> alive_;
   std::vector<uint32_t> covered_mask_;
-  std::vector<std::vector<size_t>> by_prop_;  // dense by property id
+  std::vector<std::vector<size_t>> by_prop_;  // by dense property index
   std::vector<PropertyId> touched_props_;
   // Per-classifier state, by id.
   std::vector<CState> state_;
@@ -513,328 +506,6 @@ class Worker {
   PreprocessResult result_;
 };
 
-// ---------------------------------------------------------------------------
-// Fast path for k <= 2 instances (the Algorithm 2 pipeline). Classifiers are
-// only singletons and the per-query pairs, so the whole procedure runs on
-// flat arrays: two hash probes per query to set up, none afterwards. This is
-// what makes preprocessing pay off inside the exact k = 2 solver, whose
-// max-flow phase is itself nearly linear (Figure 3c).
-class K2Worker {
- public:
-  K2Worker(const Instance& instance, const PreprocessOptions& options)
-      : input_(instance), options_(options) {
-    const size_t n = instance.NumQueries();
-    queries_.reserve(n);
-    // Dense remap of property ids.
-    auto local = [&](PropertyId p) {
-      const auto [it, inserted] =
-          remap_.emplace(p, static_cast<int32_t>(props_.size()));
-      if (inserted) {
-        props_.push_back(PropState{
-            p, instance.CostOf(PropertySet::Of({p})), CState::kPresent});
-        prop_queries_.emplace_back();
-      }
-      return it->second;
-    };
-    for (size_t qi = 0; qi < n; ++qi) {
-      const PropertySet& q = instance.queries()[qi];
-      QueryState state;
-      state.a = local(*q.begin());
-      state.b = q.size() == 2 ? local(*(q.begin() + 1)) : state.a;
-      state.pair_cost = q.size() == 2 ? instance.CostOf(q) : kInfiniteCost;
-      queries_.push_back(state);
-      prop_queries_[state.a].push_back(qi);
-      if (state.b != state.a) prop_queries_[state.b].push_back(qi);
-    }
-  }
-
-  Result<PreprocessResult> Run() {
-    MC3_RETURN_IF_ERROR(CheckFeasible());
-    if (options_.step1_forced_singletons) {
-      obs::ScopedSpan step("step1");
-      StepOne();
-      step.AddStat("singleton_queries",
-                   static_cast<double>(
-                       result_.stats.singleton_queries_selected));
-      step.AddStat("zero_weight",
-                   static_cast<double>(result_.stats.zero_weight_selected));
-    }
-    if (options_.step3_decompositions) {
-      obs::ScopedSpan step("step3");
-      StepThree();
-      step.AddStat("passes", result_.stats.step3_passes);
-      step.AddStat("removed", static_cast<double>(
-                                  result_.stats.classifiers_removed_step3));
-      step.AddStat("forced", static_cast<double>(
-                                 result_.stats.forced_selections_step3));
-    }
-    if (options_.step4_k2_singleton_prune) {
-      obs::ScopedSpan step("step4");
-      StepFour();
-      step.AddStat("singletons_removed",
-                   static_cast<double>(result_.stats.singletons_removed_step4));
-      step.AddStat("selections",
-                   static_cast<double>(result_.stats.selections_step4));
-    }
-    {
-      obs::ScopedSpan step("partition");
-      StepTwoPartition();
-      step.AddStat("components",
-                   static_cast<double>(result_.stats.num_components));
-      step.AddStat("remaining_queries",
-                   static_cast<double>(result_.stats.remaining_queries));
-    }
-    return std::move(result_);
-  }
-
- private:
-  struct PropState {
-    PropertyId id;
-    Cost cost;  // singleton classifier cost (infinite when unpriced)
-    CState state;
-  };
-  struct QueryState {
-    int32_t a, b;  // local property indices; a == b for singleton queries
-    Cost pair_cost;
-    CState pair_state = CState::kPresent;
-    bool alive = true;
-  };
-
-  Cost EffSingle(int32_t p) const {
-    const PropState& prop = props_[p];
-    if (prop.state == CState::kSelected) return 0;
-    if (prop.state == CState::kRemoved) return kInfiniteCost;
-    return prop.cost;
-  }
-  Cost EffPair(const QueryState& q) const {
-    if (q.pair_state == CState::kSelected) return 0;
-    if (q.pair_state == CState::kRemoved) return kInfiniteCost;
-    return q.pair_cost;
-  }
-
-  Status CheckFeasible() const {
-    for (size_t qi = 0; qi < queries_.size(); ++qi) {
-      const QueryState& q = queries_[qi];
-      const bool singles =
-          !IsInfiniteCost(props_[q.a].cost) &&
-          (q.a == q.b || !IsInfiniteCost(props_[q.b].cost));
-      if (!singles && IsInfiniteCost(q.pair_cost)) {
-        return Status::Infeasible(
-            "query " +
-            input_.queries()[qi].ToString(input_.property_names()) +
-            " cannot be covered by finite-weight classifiers");
-      }
-    }
-    return Status::OK();
-  }
-
-  void SelectSingle(int32_t p) {
-    PropState& prop = props_[p];
-    assert(prop.state == CState::kPresent);
-    prop.state = CState::kSelected;
-    result_.forced.Add(PropertySet::Of({prop.id}));
-    result_.forced_cost += prop.cost;
-    RefreshAround(p);
-  }
-
-  void SelectPair(size_t qi) {
-    QueryState& q = queries_[qi];
-    assert(q.pair_state == CState::kPresent);
-    q.pair_state = CState::kSelected;
-    result_.forced.Add(input_.queries()[qi]);
-    result_.forced_cost += q.pair_cost;
-    if (q.alive) {
-      q.alive = false;
-      ++result_.stats.queries_covered;
-    }
-  }
-
-  /// Re-checks coverage of queries touching local property p.
-  void RefreshAround(int32_t p) {
-    for (size_t qi : prop_queries_[p]) {
-      QueryState& q = queries_[qi];
-      if (!q.alive) continue;
-      const bool covered =
-          q.pair_state == CState::kSelected ||
-          (props_[q.a].state == CState::kSelected &&
-           props_[q.b].state == CState::kSelected);
-      if (covered) {
-        q.alive = false;
-        ++result_.stats.queries_covered;
-      }
-    }
-  }
-
-  // Step 1: singleton queries force their classifier; zero weights selected.
-  void StepOne() {
-    for (size_t qi = 0; qi < queries_.size(); ++qi) {
-      const QueryState& q = queries_[qi];
-      if (q.a == q.b && props_[q.a].state == CState::kPresent) {
-        SelectSingle(q.a);
-        ++result_.stats.singleton_queries_selected;
-      }
-    }
-    for (int32_t p = 0; p < static_cast<int32_t>(props_.size()); ++p) {
-      if (props_[p].state == CState::kPresent && IsZeroCost(props_[p].cost)) {
-        SelectSingle(p);
-        ++result_.stats.zero_weight_selected;
-      }
-    }
-    for (size_t qi = 0; qi < queries_.size(); ++qi) {
-      if (queries_[qi].alive && IsZeroCost(queries_[qi].pair_cost) &&
-          queries_[qi].pair_state == CState::kPresent) {
-        SelectPair(qi);
-        ++result_.stats.zero_weight_selected;
-      }
-    }
-  }
-
-  // Step 3 for k = 2: a pair's only decomposition is its two singletons;
-  // remove dominated pairs, then force unique candidates to a fixpoint.
-  void StepThree() {
-    ++result_.stats.step3_passes;
-    std::vector<size_t> work(queries_.size());
-    std::iota(work.begin(), work.end(), size_t{0});
-    while (!work.empty()) {
-      std::vector<size_t> next;
-      for (size_t qi : work) {
-        QueryState& q = queries_[qi];
-        if (!q.alive || q.a == q.b) continue;
-        if (q.pair_state == CState::kPresent &&
-            EffSingle(q.a) + EffSingle(q.b) <= q.pair_cost) {
-          q.pair_state = CState::kRemoved;
-          ++result_.stats.classifiers_removed_step3;
-        }
-        // Forcing: when one cover side is gone, the other is mandatory.
-        const bool pair_gone = IsInfiniteCost(EffPair(q));
-        if (pair_gone) {
-          for (int32_t p : {q.a, q.b}) {
-            if (props_[p].state == CState::kPresent) {
-              SelectSingle(p);
-              ++result_.stats.forced_selections_step3;
-              for (size_t other : prop_queries_[p]) next.push_back(other);
-            }
-          }
-        } else if (IsInfiniteCost(props_[q.a].cost) ||
-                   IsInfiniteCost(props_[q.b].cost)) {
-          if (q.pair_state == CState::kPresent) {
-            SelectPair(qi);
-            ++result_.stats.forced_selections_step3;
-          }
-        }
-      }
-      std::sort(next.begin(), next.end());
-      next.erase(std::unique(next.begin(), next.end()), next.end());
-      work = std::move(next);
-      if (!work.empty()) ++result_.stats.step3_passes;
-    }
-  }
-
-  // Step 4: Observation 3.4 with the chain reaction of line 13.
-  void StepFour() {
-    std::vector<int32_t> worklist(props_.size());
-    std::iota(worklist.begin(), worklist.end(), 0);
-    while (!worklist.empty()) {
-      const int32_t x = worklist.back();
-      worklist.pop_back();
-      if (props_[x].state != CState::kPresent) continue;
-      Cost sum = 0;
-      bool any = false;
-      for (size_t qi : prop_queries_[x]) {
-        const QueryState& q = queries_[qi];
-        if (!q.alive || q.a == q.b) continue;
-        sum += EffPair(q);
-        any = true;
-        if (IsInfiniteCost(sum)) break;
-      }
-      if (!any || sum > props_[x].cost) continue;
-      for (size_t qi : prop_queries_[x]) {
-        QueryState& q = queries_[qi];
-        if (!q.alive || q.a == q.b) continue;
-        const int32_t other = q.a == x ? q.b : q.a;
-        if (q.pair_state == CState::kPresent) {
-          SelectPair(qi);
-          ++result_.stats.selections_step4;
-        }
-        worklist.push_back(other);
-      }
-      props_[x].state = CState::kRemoved;
-      ++result_.stats.singletons_removed_step4;
-    }
-  }
-
-  void StepTwoPartition() {
-    std::vector<size_t> alive_ids;
-    for (size_t qi = 0; qi < queries_.size(); ++qi) {
-      if (queries_[qi].alive) alive_ids.push_back(qi);
-    }
-    result_.stats.remaining_queries = alive_ids.size();
-    if (alive_ids.empty()) {
-      result_.stats.num_components = 0;
-      return;
-    }
-    std::vector<size_t> component_of(alive_ids.size(), 0);
-    size_t num_components = 1;
-    if (options_.step2_partition) {
-      ComponentPartition partition =
-          PartitionQueries(input_.queries(), alive_ids);
-      num_components = partition.num_components;
-      component_of = std::move(partition.component_of);
-    }
-    result_.stats.num_components = num_components;
-    result_.components.assign(num_components, Instance{});
-    for (auto& component : result_.components) {
-      component.set_property_names(input_.property_names());
-    }
-    auto emit_single = [&](Instance* component, int32_t p) {
-      const PropState& prop = props_[p];
-      switch (prop.state) {
-        case CState::kPresent:
-          if (!IsInfiniteCost(prop.cost)) {
-            component->SetCost(PropertySet::Of({prop.id}), prop.cost);
-          }
-          break;
-        case CState::kSelected:
-          component->SetCost(PropertySet::Of({prop.id}), 0);
-          break;
-        case CState::kRemoved:
-          break;
-      }
-    };
-    for (size_t idx = 0; idx < alive_ids.size(); ++idx) {
-      Instance& component = result_.components[component_of[idx]];
-      const size_t qi = alive_ids[idx];
-      const QueryState& q = queries_[qi];
-      component.AddQuery(input_.queries()[qi]);
-      emit_single(&component, q.a);
-      if (q.b != q.a) emit_single(&component, q.b);
-      switch (q.pair_state) {
-        case CState::kPresent:
-          if (!IsInfiniteCost(q.pair_cost)) {
-            component.SetCost(input_.queries()[qi], q.pair_cost);
-          }
-          break;
-        case CState::kSelected:
-          component.SetCost(input_.queries()[qi], 0);
-          break;
-        case CState::kRemoved:
-          break;
-      }
-    }
-    for (const auto& component : result_.components) {
-      result_.stats.remaining_classifiers += component.costs().size();
-    }
-  }
-
-  const Instance& input_;
-  const PreprocessOptions& options_;
-  std::vector<QueryState> queries_;
-  std::vector<PropState> props_;
-  std::vector<std::vector<size_t>> prop_queries_;  // by local property
-  std::unordered_map<PropertyId, int32_t> remap_;
-  PreprocessResult result_;
-};
-
 }  // namespace
 
 Result<PreprocessResult> Preprocess(const Instance& instance,
@@ -844,9 +515,6 @@ Result<PreprocessResult> Preprocess(const Instance& instance,
   // times, the table build and teardown included.
   obs::ScopedSpan span("preprocess");
   Result<PreprocessResult> result = [&]() -> Result<PreprocessResult> {
-    if (instance.MaxQueryLength() <= 2 && !options.force_generic_path) {
-      return K2Worker(instance, options).Run();
-    }
     const ClassifierTable table = [&] {
       obs::ScopedSpan build("classifier_table");
       return ClassifierTable(instance.queries(), instance.costs());

@@ -48,10 +48,6 @@ struct PreprocessOptions {
   /// Safety bound on step-3 fixpoint passes (each pass removes or selects at
   /// least one classifier, so the bound is never hit in practice).
   int max_step3_passes = 64;
-  /// Testing hook: run the generic implementation even on k <= 2 instances
-  /// (which normally take a specialized fast path). The two paths are
-  /// cross-checked for equivalence in the test suite.
-  bool force_generic_path = false;
 };
 
 /// Counters describing what the procedure did.

@@ -58,6 +58,38 @@ TEST(EdgeCaseTest, LargePropertyIds) {
   auto k2 = K2ExactSolver().Solve(inst);
   ASSERT_TRUE(k2.ok());
   EXPECT_EQ(k2->cost, 3);
+
+  // A k = 2 instance preprocessing cannot finish, so the residual reaches
+  // the component partition and the solvers.
+  Instance residual;
+  residual.AddQuery(PS({big, big - 7}));
+  residual.AddQuery(PS({big - 7, big - 9}));
+  for (PropertyId p : {big, big - 7, big - 9}) residual.SetCost(PS({p}), 2);
+  residual.SetCost(PS({big, big - 7}), 3);
+  residual.SetCost(PS({big - 7, big - 9}), 3);
+  ASSERT_TRUE(residual.Validate().ok());
+  auto pre = Preprocess(residual);
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  EXPECT_EQ(pre->stats.remaining_queries, 2u);
+  for (auto solve :
+       {+[](const Instance& i) { return K2ExactSolver().Solve(i); },
+        +[](const Instance& i) { return GeneralSolver().Solve(i); }}) {
+    auto solved = solve(residual);
+    ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+    EXPECT_EQ(solved->cost, 6);
+    EXPECT_TRUE(Covers(residual, solved->solution));
+  }
+
+  // A k = 3 query, on Algorithm 1's general steps.
+  Instance triple;
+  triple.AddQuery(PS({big, big - 7, big - 9}));
+  triple.SetCost(PS({big}), 1);
+  triple.SetCost(PS({big - 7}), 2);
+  triple.SetCost(PS({big - 9}), 3);
+  auto general = GeneralSolver().Solve(triple);
+  ASSERT_TRUE(general.ok()) << general.status().ToString();
+  EXPECT_EQ(general->cost, 6);
+  EXPECT_TRUE(Covers(triple, general->solution));
 }
 
 TEST(EdgeCaseTest, AllZeroCosts) {

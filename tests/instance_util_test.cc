@@ -60,13 +60,16 @@ TEST(RandomSubInstanceTest, SampledInstancesSolvable) {
 }
 
 TEST(PartitionQueriesTest, SplitsOnSharedProperties) {
-  const std::vector<PropertySet> queries = {PS({0, 1}), PS({2, 3}),
-                                            PS({1, 4}), PS({5})};
-  const ComponentPartition partition = PartitionQueries(queries);
-  EXPECT_EQ(partition.num_components, 3u);
-  // Ids in first-appearance order.
-  EXPECT_EQ(partition.component_of,
-            (std::vector<size_t>{0, 1, 0, 2}));
+  const PropertyId big = 4'000'000'000u;  // ids near 2^32 partition alike
+  for (const std::vector<PropertySet>& queries :
+       {std::vector<PropertySet>{PS({0, 1}), PS({2, 3}), PS({1, 4}), PS({5})},
+        std::vector<PropertySet>{PS({big, big - 7}), PS({5}),
+                                 PS({big - 7, big - 9}), PS({big - 100})}}) {
+    const ComponentPartition partition = PartitionQueries(queries);
+    EXPECT_EQ(partition.num_components, 3u);
+    // Ids in first-appearance order.
+    EXPECT_EQ(partition.component_of, (std::vector<size_t>{0, 1, 0, 2}));
+  }
 }
 
 TEST(PartitionQueriesTest, SubsetOfQueries) {
@@ -79,6 +82,29 @@ TEST(PartitionQueriesTest, SubsetOfQueries) {
 
   const ComponentPartition empty = PartitionQueries(queries, {});
   EXPECT_EQ(empty.num_components, 0u);
+}
+
+TEST(PropertyIndexTest, DenseInAscendingIdOrder) {
+  // A compact id range (a direct table) and a sparse one (binary search)
+  // index alike.
+  const PropertyId big = 4'000'000'000u;
+  for (const std::vector<PropertyId>& ids :
+       {std::vector<PropertyId>{0, 5, 9, 12},
+        std::vector<PropertyId>{3, 70'000, big - 7, big}}) {
+    const std::vector<PropertySet> queries = {
+        PS({ids[2], ids[3]}), PS({ids[1]}), PS({ids[0], ids[2]})};
+    const PropertyIndex index(queries);
+    ASSERT_EQ(index.size(), 4u);
+    for (uint32_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(index.id(i), ids[i]);
+      EXPECT_EQ(index(ids[i]), i);
+    }
+    const PropertyIndex some(std::vector<PropertySet>{queries[0], queries[1]});
+    ASSERT_EQ(some.size(), 3u);
+    EXPECT_EQ(some(ids[1]), 0u);
+    EXPECT_EQ(some(ids[3]), 2u);
+  }
+  EXPECT_EQ(PropertyIndex(std::vector<PropertySet>{}).size(), 0u);
 }
 
 TEST(DecomposeComponentsTest, ComponentsSolveIndependently) {

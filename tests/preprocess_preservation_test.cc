@@ -3,8 +3,7 @@
 // of the original instance must equal the forced-selection cost plus the
 // sum of the optima of the residual components — with each pruning step
 // enabled individually (step 4 together with its step-1 precondition), with
-// all of them combined, and with all disabled (partition only), on both the
-// generic and the k <= 2 fast path.
+// all of them combined, and with all disabled (partition only).
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,14 +50,11 @@ std::vector<StepConfig> StepConfigs() {
 }
 
 /// optimum(instance) must equal forced_cost + sum of component optima.
-void CheckPreservation(const Instance& instance, uint64_t seed,
-                       bool force_generic) {
+void CheckPreservation(const Instance& instance, uint64_t seed) {
   const Cost optimum = BruteForceOptimum(instance);
   ASSERT_NE(optimum, kInfiniteCost) << "seed " << seed;
   for (const StepConfig& config : StepConfigs()) {
-    PreprocessOptions options = config.options;
-    options.force_generic_path = force_generic;
-    auto pre = Preprocess(instance, options);
+    auto pre = Preprocess(instance, config.options);
     ASSERT_TRUE(pre.ok()) << "seed " << seed << " config " << config.name
                           << ": " << pre.status().ToString();
     Cost residual_total = pre->forced_cost;
@@ -69,8 +65,8 @@ void CheckPreservation(const Instance& instance, uint64_t seed,
       residual_total += component_optimum;
     }
     EXPECT_NEAR(residual_total, optimum, 1e-9)
-        << "seed " << seed << " config " << config.name << " generic "
-        << force_generic << ": preprocessing changed the optimum";
+        << "seed " << seed << " config " << config.name
+        << ": preprocessing changed the optimum";
   }
 }
 
@@ -80,11 +76,12 @@ TEST(PreprocessPreservationTest, MixedLengthInstances) {
   config.pool = 7;
   config.max_query_length = 3;
   for (uint64_t seed = 0; seed < 100; ++seed) {
-    CheckPreservation(RandomInstance(config, seed), seed,
-                      /*force_generic=*/false);
+    CheckPreservation(RandomInstance(config, seed), seed);
   }
 }
 
+// k <= 2 instances, where step 4 applies. The name dates from a separate
+// k <= 2 worker and is kept so the test id stays stable.
 TEST(PreprocessPreservationTest, K2InstancesBothPaths) {
   RandomInstanceConfig config;
   config.num_queries = 7;
@@ -93,18 +90,12 @@ TEST(PreprocessPreservationTest, K2InstancesBothPaths) {
   for (uint64_t seed = 0; seed < 100; ++seed) {
     const Instance instance = RandomInstance(config, seed);
     ASSERT_LE(instance.MaxQueryLength(), 2u);
-    // The specialized k <= 2 worker and the generic worker must both
-    // preserve the optimum (they are separately implemented).
-    CheckPreservation(instance, seed, /*force_generic=*/false);
-    CheckPreservation(instance, seed, /*force_generic=*/true);
+    CheckPreservation(instance, seed);
   }
 }
 
 TEST(PreprocessPreservationTest, PaperExample) {
-  CheckPreservation(mc3::testing::PaperExample(), 0,
-                    /*force_generic=*/false);
-  CheckPreservation(mc3::testing::PaperExample(), 0,
-                    /*force_generic=*/true);
+  CheckPreservation(mc3::testing::PaperExample(), 0);
 }
 
 }  // namespace

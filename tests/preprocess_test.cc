@@ -4,6 +4,8 @@
 
 #include "core/exact_solver.h"
 #include "core/general_solver.h"
+#include "core/instance_util.h"
+#include "core/k2_solver.h"
 #include "tests/test_util.h"
 
 namespace mc3 {
@@ -283,6 +285,141 @@ TEST_P(PreprocessOptimalityTest, EveryQueryCoveredOrInExactlyOneComponent) {
   // rest appear exactly once.
   EXPECT_EQ(covered, pre->stats.queries_covered);
   EXPECT_EQ(residual_queries + covered, inst.NumQueries());
+}
+
+// k <= 2 instances, where step 4 applies. The FastPath suite names date from
+// a separate k <= 2 worker and are kept so the test ids stay stable.
+class FastPathEquivalenceTest : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Seeds, FastPathEquivalenceTest,
+                         ::testing::Range(0, 30));
+
+TEST_P(FastPathEquivalenceTest, SameForcedCostAndResidualOptimum) {
+  RandomInstanceConfig config;
+  config.num_queries = 8;
+  config.pool = 8;
+  config.max_query_length = 2;
+  config.zero_probability = 0.1;
+  const Instance inst = RandomInstance(config, GetParam() * 271 + 3);
+
+  auto pre = Preprocess(inst);
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  // Forced cost + optimal residual cost must equal the true optimum.
+  const ExactSolver exact;
+  Cost total = pre->forced_cost;
+  for (const Instance& comp : pre->components) {
+    auto result = exact.Solve(comp);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    total += result->cost;
+  }
+  auto whole = exact.Solve(inst);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_DOUBLE_EQ(total, whole->cost);
+}
+
+TEST_P(FastPathEquivalenceTest, SameCoveredQueryCount) {
+  RandomInstanceConfig config;
+  config.num_queries = 10;
+  config.pool = 9;
+  config.max_query_length = 2;
+  const Instance inst = RandomInstance(config, GetParam() * 389 + 7);
+  auto pre = Preprocess(inst);
+  ASSERT_TRUE(pre.ok());
+  // The stats agree with a recount of the result: the forced set covers
+  // exactly the covered queries, and the components hold the rest, each
+  // connected and sharing no property with another.
+  size_t covered = 0;
+  for (const PropertySet& q : inst.queries()) {
+    Instance single;
+    single.AddQuery(q);
+    if (Covers(single, pre->forced)) ++covered;
+  }
+  EXPECT_EQ(pre->stats.queries_covered, covered);
+  size_t remaining = 0;
+  std::vector<int> owner(config.pool, -1);
+  for (size_t c = 0; c < pre->components.size(); ++c) {
+    const Instance& comp = pre->components[c];
+    remaining += comp.NumQueries();
+    EXPECT_EQ(PartitionQueries(comp.queries()).num_components, 1u);
+    for (const PropertySet& q : comp.queries()) {
+      for (PropertyId p : q) {
+        EXPECT_TRUE(owner[p] == -1 || owner[p] == static_cast<int>(c));
+        owner[p] = static_cast<int>(c);
+      }
+    }
+  }
+  EXPECT_EQ(pre->stats.remaining_queries, remaining);
+  EXPECT_EQ(pre->stats.num_components, pre->components.size());
+  EXPECT_EQ(covered + remaining, inst.NumQueries());
+}
+
+TEST(FastPathTest, InfeasibleMatchesGeneric) {
+  Instance inst;
+  inst.AddQuery(PS({0, 1}));
+  inst.SetCost(PS({0}), 1);
+  EXPECT_EQ(Preprocess(inst).status().code(), StatusCode::kInfeasible);
+}
+
+TEST(FastPathTest, SingletonQueryForcedBothPaths) {
+  Instance inst;
+  inst.AddQuery(PS({3}));
+  inst.SetCost(PS({3}), 2);
+  auto pre = Preprocess(inst);
+  ASSERT_TRUE(pre.ok());
+  EXPECT_EQ(pre->forced_cost, 2);
+  EXPECT_TRUE(pre->components.empty());
+}
+
+TEST(FastPathTest, StepTogglesHonored) {
+  Instance inst;
+  inst.AddQuery(PS({0, 1}));
+  inst.SetCost(PS({0}), 1);
+  inst.SetCost(PS({1}), 1);
+  inst.SetCost(PS({0, 1}), 5);
+  PreprocessOptions off;
+  off.step1_forced_singletons = false;
+  off.step3_decompositions = false;
+  off.step4_k2_singleton_prune = false;
+  auto pre = Preprocess(inst, off);
+  ASSERT_TRUE(pre.ok());
+  // Nothing selected or removed: everything survives to the residual.
+  EXPECT_EQ(pre->forced_cost, 0);
+  ASSERT_EQ(pre->components.size(), 1u);
+  EXPECT_EQ(pre->components[0].costs().size(), 3u);
+}
+
+TEST(SolverOptionTest, VerificationOffStillSolvesCorrectly) {
+  RandomInstanceConfig config;
+  config.num_queries = 8;
+  config.pool = 8;
+  config.max_query_length = 2;
+  const Instance inst = RandomInstance(config, 77);
+  SolverOptions options;
+  options.verify_solution = false;
+  options.prune_unused = false;
+  auto result = K2ExactSolver(options).Solve(inst);
+  auto verified = K2ExactSolver().Solve(inst);
+  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(verified.ok());
+  EXPECT_TRUE(Covers(inst, result->solution));
+  EXPECT_DOUBLE_EQ(result->cost, verified->cost);
+}
+
+TEST(SolverOptionTest, PruneNeverIncreasesCost) {
+  for (int seed = 0; seed < 10; ++seed) {
+    RandomInstanceConfig config;
+    config.num_queries = 7;
+    config.pool = 7;
+    config.max_query_length = 3;
+    const Instance inst = RandomInstance(config, seed * 37 + 5);
+    SolverOptions no_prune;
+    no_prune.prune_unused = false;
+    auto pruned = GeneralSolver().Solve(inst);
+    auto raw = GeneralSolver(no_prune).Solve(inst);
+    ASSERT_TRUE(pruned.ok());
+    ASSERT_TRUE(raw.ok());
+    EXPECT_LE(pruned->cost, raw->cost + 1e-9);
+    EXPECT_TRUE(Covers(inst, pruned->solution));
+  }
 }
 
 }  // namespace
