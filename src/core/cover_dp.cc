@@ -1,6 +1,9 @@
 #include "core/cover_dp.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+
 #include "util/float_cmp.h"
 
 namespace mc3 {
@@ -33,6 +36,48 @@ Cost MinCostMaskCover(size_t k, std::span<const uint32_t> masks,
     picks->push_back(static_cast<size_t>(via[mask]));
   }
   return dp[full];
+}
+
+// The sub-masks of `mask` are walked in ascending order, so the i-th one is
+// local mask i and the mask's lowest bit is local bit 0. One part of every
+// pair holds that bit (IEEE addition is commutative, so which one is named A
+// does not change a sum), so the superset-min DP runs over the 2^(L-1) local
+// masks without it and the pair loop over the 2^(L-1) with it.
+Cost MinTwoPartCover(uint32_t mask, std::span<const Cost> costs,
+                     std::vector<Cost>* scratch) {
+  const int len = std::popcount(mask);
+  assert(static_cast<size_t>(len) <= kMaxQueryLength);
+  if (len < 2) return kInfiniteCost;
+  const uint32_t low = mask & (~mask + 1);
+  const uint32_t rest = mask ^ low;
+  const uint32_t half = uint32_t{1} << (len - 1);
+  scratch->resize(size_t{2} * half);
+  // with_low[j]: the cost of local mask 2j+1. min_superset[j]: first the
+  // cheaper of local masks 2j and 2j+1; after the DP, the least cost of a
+  // proper sub-mask of `mask` whose local mask contains 2j.
+  Cost* const with_low = scratch->data();
+  Cost* const min_superset = with_low + half;
+  uint32_t sub = 0;  // local mask 2j: the j-th sub-mask of `rest`
+  for (uint32_t j = 0; j < half; ++j) {
+    with_low[j] = costs[sub | low];
+    min_superset[j] = std::min(costs[sub], with_low[j]);
+    sub = (sub - rest) & rest;
+  }
+  min_superset[half - 1] = costs[rest];  // B = `mask` itself is not proper
+  for (uint32_t bit = 1; bit < half; bit <<= 1) {
+    for (uint32_t base = 0; base < half; base += 2 * bit) {
+      for (uint32_t j = base; j < base + bit; ++j) {
+        min_superset[j] = std::min(min_superset[j], min_superset[j + bit]);
+      }
+    }
+  }
+  // A = local 2j+1 ranges over the proper sub-masks holding the lowest bit;
+  // B must contain the rest of `mask`, local 2((half-1) ^ j).
+  Cost best = kInfiniteCost;
+  for (uint32_t j = 0; j + 1 < half; ++j) {
+    best = std::min(best, with_low[j] + min_superset[(half - 1) ^ j]);
+  }
+  return best;
 }
 
 std::optional<QueryCover> MinCostQueryCover(

@@ -1,8 +1,11 @@
-// Exact minimum-cost cover of a single query by dynamic programming over
-// property-subset masks. Used by the Local-Greedy baseline (its per-query
-// "least costly cover" step), by the exact branch-and-bound oracle, and by
-// solution post-processing. Cost is O(4^|q|); query lengths are <= ~10 in
-// every workload the paper considers.
+// Exact minimum-cost covers of a single query by dynamic programming over
+// property-subset masks. MinCostMaskCover / MinCostQueryCover are used by the
+// Local-Greedy baseline (its per-query "least costly cover" step), by the
+// exact branch-and-bound oracle, and by solution post-processing; their cost
+// is O(4^|q|), and query lengths are <= ~10 in every workload the paper
+// considers. MinTwoPartCover is Algorithm 1 step 3's decision (Observation
+// 3.3): the cheapest two-part decomposition of one classifier, in
+// O(|c| * 2^|c|) over the query's cost lattice.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +34,15 @@ struct QueryCover {
 Cost MinCostMaskCover(size_t k, std::span<const uint32_t> masks,
                       std::span<const Cost> costs,
                       std::vector<size_t>* picks);
+
+/// The cheapest cover of `mask` by two proper sub-masks A and B of it with
+/// A | B == mask, each priced by `costs`, an array indexed by query-lattice
+/// mask (kInfiniteCost = unavailable; the entries at 0 and at `mask` itself
+/// are ignored). Returns kInfiniteCost when no such pair has a finite cost,
+/// and for a mask of fewer than two bits. O(L * 2^L) for L = popcount(mask);
+/// `scratch` is resized to 2^L and may be reused across calls.
+Cost MinTwoPartCover(uint32_t mask, std::span<const Cost> costs,
+                     std::vector<Cost>* scratch);
 
 /// Returns a cheapest cover of `query` using classifiers priced by
 /// `cost_fn` (kInfiniteCost = unavailable), or nullopt when no finite-cost

@@ -6,6 +6,7 @@
 #include <cassert>
 
 #include "core/classifier_table.h"
+#include "core/cover_dp.h"
 #include "core/instance_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -253,68 +254,50 @@ class Worker {
     return Status::OK();
   }
 
-  /// Examines, by increasing length, every present classifier of the worked
-  /// queries; removes those whose cheapest two-part decomposition does not
-  /// cost more (Observation 3.3).
+  /// Decides, by increasing length, every present classifier of the worked
+  /// queries once; removes those whose cheapest two-part decomposition does
+  /// not cost more (Observation 3.3). A length-L decision reads only strictly
+  /// shorter subsets, which are final before level L starts, and every query
+  /// holding a classifier gives it the same sublattice of ids. So each
+  /// classifier is decided through the first alive worked query holding it,
+  /// and that query's lattice of effective costs is built once per level.
   void Decompose(const std::vector<size_t>& work) {
-    size_t max_len = 0;
-    for (size_t qi : work) max_len = std::max(max_len, queries_[qi].size());
-
-    std::vector<Cost> eff_q;      // effective cost per mask, current query
-    std::vector<Cost> eff_local;  // remapped to the classifier's own bits
-    std::vector<Cost> min_superset;
-    std::vector<int> bit_positions;
-    for (size_t len = 2; len <= max_len; ++len) {
-      for (size_t qi : work) {
-        if (!alive_[qi] || queries_[qi].size() < len) continue;
-        // Effective costs over this query's subset lattice.
-        eff_q.assign(FullMaskOf(qi) + 1, kInfiniteCost);
-        for (const QuerySubset& s : table_.subsets(qi)) {
-          eff_q[s.mask] = Effective(s.id);
+    struct Owned {
+      size_t query;
+      QuerySubset subset;
+    };
+    // levels[L]: the classifiers of length L, grouped by owning query.
+    std::vector<std::vector<Owned>> levels(kMaxQueryLength + 1);
+    for (size_t qi : work) {
+      if (!alive_[qi]) continue;
+      for (const QuerySubset& s : table_.subsets(qi)) {
+        const auto len = static_cast<size_t>(std::popcount(s.mask));
+        if (len < 2 || state_[s.id] != CState::kPresent ||
+            stamp_[s.id] == pass_) {
+          continue;
         }
-        for (const QuerySubset& s : table_.subsets(qi)) {
-          if (state_[s.id] != CState::kPresent) continue;
-          if (static_cast<size_t>(std::popcount(s.mask)) != len) continue;
-          if (stamp_[s.id] == pass_) continue;
-          stamp_[s.id] = pass_;
+        stamp_[s.id] = pass_;
+        levels[len].push_back({qi, s});
+      }
+    }
 
-          // Remap the sublattice of this classifier to dense local bits.
-          bit_positions.clear();
-          for (int b = 0; b < 32; ++b) {
-            if (s.mask & (1u << b)) bit_positions.push_back(b);
+    std::vector<Cost> eff;  // effective cost per mask of the owning query
+    std::vector<Cost> scratch;
+    for (const std::vector<Owned>& level : levels) {
+      size_t owner = SIZE_MAX;
+      for (const Owned& c : level) {
+        if (c.query != owner) {
+          owner = c.query;
+          eff.assign(FullMaskOf(owner) + 1, kInfiniteCost);
+          for (const QuerySubset& s : table_.subsets(owner)) {
+            eff[s.mask] = Effective(s.id);
           }
-          const uint32_t local_full = (1u << len) - 1;
-          eff_local.assign(local_full + 1, kInfiniteCost);
-          for (uint32_t x = 1; x < local_full; ++x) {
-            uint32_t global = 0;
-            for (size_t i = 0; i < len; ++i) {
-              if (x & (1u << i)) global |= 1u << bit_positions[i];
-            }
-            eff_local[x] = eff_q[global];
-          }
-          // min_superset[t] = min effective cost over proper subsets B of
-          // the classifier with B superseteq t.
-          min_superset = eff_local;
-          for (size_t i = 0; i < len; ++i) {
-            const uint32_t bit = 1u << i;
-            for (uint32_t mask = 0; mask <= local_full; ++mask) {
-              if (!(mask & bit)) {
-                min_superset[mask] =
-                    std::min(min_superset[mask], min_superset[mask | bit]);
-              }
-            }
-          }
-          Cost best = kInfiniteCost;
-          for (uint32_t a = 1; a < local_full; ++a) {
-            if (IsInfiniteCost(eff_local[a])) continue;
-            best = std::min(best, eff_local[a] + min_superset[local_full ^ a]);
-          }
-          if (best <= table_.cost(s.id)) {
-            state_[s.id] = CState::kRemoved;
-            replacement_[s.id] = best;
-            eff_q[s.mask] = best;  // visible to longer classifiers here
-            ++result_.stats.classifiers_removed_step3;
-          }
+        }
+        const Cost best = MinTwoPartCover(c.subset.mask, eff, &scratch);
+        if (best <= table_.cost(c.subset.id)) {
+          state_[c.subset.id] = CState::kRemoved;
+          replacement_[c.subset.id] = best;
+          ++result_.stats.classifiers_removed_step3;
         }
       }
     }

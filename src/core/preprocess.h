@@ -21,6 +21,13 @@
 //    partition (step 2) last: steps 3/4 never merge components, and step 3's
 //    forced selections can cover whole queries, only refining the partition.
 //    Each sub-instance is thus final when emitted.
+//  * Step 3 decides each present classifier once per pass, by increasing
+//    length, through the first alive worked query holding it: that query's
+//    lattice of effective costs is built once per length level and
+//    MinTwoPartCover (core/cover_dp.h) prices the classifier's cheapest
+//    two-part decomposition from it. A length-L decision reads only shorter
+//    subsets, final before level L starts, so the order of decisions within
+//    a level does not matter.
 //  * The "only one cover possibility" test of line 10 is implemented as the
 //    sound per-property rule: if an uncovered property p of query q has
 //    exactly one available classifier C (p in C, C subseteq q), then C is in

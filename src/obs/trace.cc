@@ -76,11 +76,22 @@ void Trace::Render(JsonWriter* writer) const {
 
 TraceContext CurrentTraceContext() { return g_ambient; }
 
-ScopedTraceActivation::ScopedTraceActivation(Trace* trace) : saved_(g_ambient) {
+ScopedTraceActivation::ScopedTraceActivation(Trace* trace)
+    : trace_(trace),
+      saved_(g_ambient),
+      start_(std::chrono::steady_clock::now()) {
   g_ambient = TraceContext{trace, trace != nullptr ? trace->root() : nullptr};
 }
 
-ScopedTraceActivation::~ScopedTraceActivation() { g_ambient = saved_; }
+ScopedTraceActivation::~ScopedTraceActivation() {
+  if (trace_ != nullptr) {
+    trace_->root()->seconds +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start_)
+            .count();
+  }
+  g_ambient = saved_;
+}
 
 ScopedSpanAdoption::ScopedSpanAdoption(const TraceContext& context)
     : saved_(g_ambient) {

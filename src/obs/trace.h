@@ -85,8 +85,9 @@ struct TraceContext {
 TraceContext CurrentTraceContext();
 
 /// Activates `trace` on this thread for the scope's lifetime: subsequent
-/// ScopedSpans attach under the trace's root. Restores the previous ambient
-/// context on destruction.
+/// ScopedSpans attach under the trace's root. On destruction adds the
+/// scope's wall time to the root's seconds and restores the previous ambient
+/// context.
 class ScopedTraceActivation {
  public:
   explicit ScopedTraceActivation(Trace* trace);
@@ -95,7 +96,9 @@ class ScopedTraceActivation {
   ScopedTraceActivation& operator=(const ScopedTraceActivation&) = delete;
 
  private:
+  Trace* trace_;
   TraceContext saved_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 /// Re-installs a captured context on a worker thread (RAII).

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace mc3 {
 namespace {
@@ -87,6 +91,59 @@ TEST(CoverDpTest, CoverUnionEqualsQuery) {
     unioned = unioned.UnionWith(c);
   }
   EXPECT_EQ(unioned, PS({0, 1, 2}));
+}
+
+/// Every pair of proper sub-masks A, B of `mask` with A | B == mask.
+Cost BruteForceTwoPartCover(uint32_t mask, const std::vector<Cost>& lattice) {
+  Cost best = kInfiniteCost;
+  for (uint32_t a = (mask - 1) & mask; a != 0; a = (a - 1) & mask) {
+    for (uint32_t b = (mask - 1) & mask; b != 0; b = (b - 1) & mask) {
+      if ((a | b) == mask) best = std::min(best, lattice[a] + lattice[b]);
+    }
+  }
+  return best;
+}
+
+TEST(TwoPartCoverTest, MatchesBruteForceOnRandomLattices) {
+  Rng rng(20261017);
+  std::vector<Cost> scratch;  // reused across calls, as step 3 does
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t n = rng.UniformInt(2, 16);
+    const size_t len = rng.UniformInt(2, std::min<size_t>(n, 12));
+    uint32_t mask = 0;
+    while (static_cast<size_t>(std::popcount(mask)) < len) {
+      mask |= uint32_t{1} << rng.UniformInt(0, n - 1);
+    }
+    // Entries from {inf, 0, 1..5}: unpriced subsets, zero costs and ties.
+    std::vector<Cost> lattice(size_t{1} << n);
+    for (Cost& cost : lattice) {
+      const uint64_t draw = rng.UniformInt(0, 6);
+      cost = draw == 0 ? kInfiniteCost : static_cast<Cost>(draw - 1);
+    }
+    lattice[mask] = 0;  // the classifier itself is never one of its parts
+    EXPECT_EQ(MinTwoPartCover(mask, lattice, &scratch),
+              BruteForceTwoPartCover(mask, lattice))
+        << "trial " << trial << ", mask " << mask;
+  }
+}
+
+TEST(TwoPartCoverTest, PairIsTheSumOfItsSingletons) {
+  std::vector<Cost> lattice(16, kInfiniteCost);
+  lattice[0b0010] = 2.5;
+  lattice[0b1000] = 4;
+  lattice[0b1010] = 1;
+  std::vector<Cost> scratch;
+  EXPECT_EQ(MinTwoPartCover(0b1010, lattice, &scratch), 6.5);
+}
+
+TEST(TwoPartCoverTest, NoPricedProperSubsetGivesInfinity) {
+  std::vector<Cost> lattice(64, 1);
+  const uint32_t mask = 0b110101;
+  for (uint32_t sub = (mask - 1) & mask; sub != 0; sub = (sub - 1) & mask) {
+    lattice[sub] = kInfiniteCost;
+  }
+  std::vector<Cost> scratch;
+  EXPECT_EQ(MinTwoPartCover(mask, lattice, &scratch), kInfiniteCost);
 }
 
 }  // namespace

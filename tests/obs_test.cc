@@ -251,6 +251,21 @@ TEST(TraceTest, SolverSolvePopulatesPhases) {
   EXPECT_NE(root.FindSpan("partition"), nullptr);
 }
 
+TEST(TraceTest, ActivationTimesTheRoot) {
+  obs::Trace trace("solve");
+  {
+    obs::ScopedTraceActivation activate(&trace);
+    GeneralSolver solver{SolverOptions{}};
+    ASSERT_TRUE(solver.Solve(mc3::testing::PaperExample()).ok());
+  }
+  const obs::SpanNode& root = *trace.root();
+  ASSERT_FALSE(root.children.empty());
+  double children = 0;
+  for (const auto& child : root.children) children += child->seconds;
+  EXPECT_GT(root.seconds, 0);
+  EXPECT_GE(root.seconds, children);
+}
+
 #endif  // !MC3_OBS_DISABLED
 
 obs::SolveReportMeta TestMeta() {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "core/exact_solver.h"
 #include "core/general_solver.h"
 #include "core/instance_util.h"
@@ -232,6 +235,83 @@ TEST(PreprocessTest, StatsCountRemainingClassifiers) {
   ASSERT_TRUE(pre.ok());
   EXPECT_EQ(pre->stats.remaining_queries, 1u);
   EXPECT_EQ(pre->stats.remaining_classifiers, 3u);
+}
+
+// Step 3's first pass against Observation 3.3 applied by definition: by
+// increasing length, a classifier is removed when some pair of its proper
+// subsets whose union it is costs no more, each removed part priced at its
+// recorded decomposition.
+class Step3DefinitionTest : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Seeds, Step3DefinitionTest, ::testing::Range(0, 100));
+
+TEST_P(Step3DefinitionTest, FirstPassRemovesExactlyTheDominatedClassifiers) {
+  RandomInstanceConfig config;
+  config.num_queries = 12;
+  config.pool = 10;
+  config.max_query_length = 7;
+  config.cost_min = 1;
+  config.cost_max = 6;  // a narrow range, so ties occur
+  config.priced_probability = 0.7;
+  config.zero_probability = 0.03;
+  const Instance inst = RandomInstance(config, GetParam() * 131 + 17);
+
+  // The priced classifiers that are a subset of some query, by length.
+  std::vector<std::set<PropertySet>> by_length(config.max_query_length + 1);
+  for (const PropertySet& q : inst.queries()) {
+    ForEachNonEmptySubset(q, [&](const PropertySet& c) {
+      if (!IsInfiniteCost(inst.CostOf(c))) by_length[c.size()].insert(c);
+    });
+  }
+  std::map<PropertySet, Cost> removed;  // -> recorded decomposition cost
+  for (size_t len = 2; len < by_length.size(); ++len) {
+    const uint32_t full = (uint32_t{1} << len) - 1;
+    for (const PropertySet& c : by_length[len]) {
+      std::vector<Cost> part_cost(full);  // by mask over c's properties
+      for (uint32_t m = 1; m < full; ++m) {
+        std::vector<PropertyId> ids;
+        for (size_t i = 0; i < len; ++i) {
+          if (m & (uint32_t{1} << i)) ids.push_back(c.ids()[i]);
+        }
+        const PropertySet part = PropertySet::FromSorted(std::move(ids));
+        const auto it = removed.find(part);
+        part_cost[m] = it != removed.end() ? it->second : inst.CostOf(part);
+      }
+      Cost best = kInfiniteCost;
+      for (uint32_t a = 1; a < full; ++a) {
+        for (uint32_t b = 1; b < full; ++b) {
+          if ((a | b) == full) {
+            best = std::min(best, part_cost[a] + part_cost[b]);
+          }
+        }
+      }
+      if (best <= inst.CostOf(c)) removed.emplace(c, best);
+    }
+  }
+
+  PreprocessOptions options;
+  options.step1_forced_singletons = false;
+  options.step4_k2_singleton_prune = false;
+  options.step2_partition = false;
+  options.max_step3_passes = 1;
+  auto pre = Preprocess(inst, options);
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  EXPECT_EQ(pre->stats.step3_passes, 1);
+  EXPECT_EQ(pre->stats.classifiers_removed_step3, removed.size());
+  for (const Instance& residual : pre->components) {
+    for (const PropertySet& q : residual.queries()) {
+      ForEachNonEmptySubset(q, [&](const PropertySet& c) {
+        const Cost original = inst.CostOf(c);
+        if (IsInfiniteCost(original)) return;
+        if (removed.count(c) != 0) {
+          EXPECT_TRUE(IsInfiniteCost(residual.CostOf(c))) << c.ToString();
+        } else {
+          EXPECT_EQ(residual.CostOf(c),
+                    pre->forced.Contains(c) ? 0 : original)
+              << c.ToString();
+        }
+      });
+    }
+  }
 }
 
 // Property-based: preprocessing preserves the optimal cost.

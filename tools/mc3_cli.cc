@@ -80,6 +80,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -589,7 +590,9 @@ int CmdServe(const std::string& workload_path, const std::string& trace_path,
 
   online::OnlineEngine engine(options);
   obs::Trace obs_trace("serve");
-  obs::ScopedTraceActivation activate(&obs_trace);
+  // Ends before the report renders, so the root span times the whole run.
+  std::optional<obs::ScopedTraceActivation> activate(std::in_place,
+                                                     &obs_trace);
   Timer total_timer;
   auto init = engine.Initialize(*instance);
   if (!init.ok()) return Fail(init.status());
@@ -711,6 +714,7 @@ int CmdServe(const std::string& workload_path, const std::string& trace_path,
                 config.solution_out.c_str(),
                 engine.CurrentSolution().classifiers().size());
   }
+  activate.reset();
   if (!config.report.empty()) {
     obs::SolveReportMeta meta;
     meta.tool = "serve";
