@@ -128,6 +128,10 @@ fi
 # data dir must recover (snapshot + WAL replay) rather than start fresh.
 DATA_DIR="$ART_DIR/data"
 run_pass durable --data-dir "$DATA_DIR" --checkpoint-every 16
+# The durable pass commits a timing-dependent number of batches; when it is
+# a multiple of 16 its last checkpoint empties the WAL. A second pass on the
+# same data dir without checkpoints appends a tail the restart must replay.
+run_pass durable_tail --data-dir "$DATA_DIR"
 "$MC3" wal stats --data-dir "$DATA_DIR" >"$ART_DIR/wal_stats.txt"
 if ! grep -q '^records:    [1-9]' "$ART_DIR/wal_stats.txt"; then
   echo "serve_smoke: the durable pass left no WAL records" >&2

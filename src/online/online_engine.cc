@@ -15,6 +15,22 @@
 #include "util/timer.h"
 
 namespace mc3::online {
+namespace {
+
+/// Sorts `entries` by classifier, drops repeated classifiers and freezes
+/// the result as a piece.
+std::shared_ptr<const SolutionPiece> MakePiece(SolutionPiece entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  entries.erase(std::unique(entries.begin(), entries.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first == b.first;
+                            }),
+                entries.end());
+  return std::make_shared<const SolutionPiece>(std::move(entries));
+}
+
+}  // namespace
 
 OnlineEngine::OnlineEngine(EngineOptions options)
     : options_(std::move(options)) {}
@@ -40,6 +56,23 @@ Status OnlineEngine::SetCost(const PropertySet& classifier, Cost cost) {
         "added or re-priced, never removed)");
   }
   costs_[classifier] = cost;
+
+  // A component that bought `classifier` owns all of its properties, so
+  // the owner of the first one is the only piece that can hold it.
+  const auto owner = component_of_prop_.find(classifier.ids().front());
+  if (owner == component_of_prop_.end()) return Status::OK();
+  Component& component = components_.at(owner->second);
+  const SolutionPiece& piece = *component.piece;
+  const auto it = std::lower_bound(
+      piece.begin(), piece.end(), classifier,
+      [](const auto& entry, const PropertySet& key) {
+        return entry.first < key;
+      });
+  if (it == piece.end() || it->first != classifier) return Status::OK();
+  // Published views may hold the old piece: re-price a copy.
+  auto repriced = std::make_shared<SolutionPiece>(piece);
+  (*repriced)[static_cast<size_t>(it - piece.begin())].second = cost;
+  component.piece = std::move(repriced);
   return Status::OK();
 }
 
@@ -96,7 +129,12 @@ Status OnlineEngine::SolveComponent(const Instance& sub,
     return GeneralSolver(inner).Solve(sub);
   }();
   if (!solved.ok()) return solved.status();
-  out->solution = std::move(solved->solution);
+  SolutionPiece entries;
+  entries.reserve(solved->solution.size());
+  for (const PropertySet& classifier : solved->solution.classifiers()) {
+    entries.emplace_back(classifier, CostOf(classifier));
+  }
+  out->piece = MakePiece(std::move(entries));
   out->cost = solved->cost;
   return Status::OK();
 }
@@ -269,7 +307,7 @@ Result<UpdateStats> OnlineEngine::ApplyUpdate(
     // an infinite cost so the structural index stays consistent.
     if (!statuses[i].ok()) {
       if (first_error.ok()) first_error = statuses[i];
-      fresh[i].solution = Solution{};
+      fresh[i].piece = MakePiece({});
       fresh[i].cost = kInfiniteCost;
     }
     const size_t cid = next_component_id_++;
@@ -278,7 +316,7 @@ Result<UpdateStats> OnlineEngine::ApplyUpdate(
       for (PropertyId p : queries_[slot]) component_of_prop_[p] = cid;
     }
     total_cost_ += fresh[i].cost;
-    components_.emplace(cid, std::move(fresh[i]));
+    components_.emplace_hint(components_.end(), cid, std::move(fresh[i]));
   }
   stats.components_resolved = fresh.size();
   stats.resolve_seconds = timer.Seconds();
@@ -330,14 +368,21 @@ Result<UpdateStats> OnlineEngine::RemoveQueries(
 }
 
 Solution OnlineEngine::CurrentSolution() const {
-  std::vector<size_t> ids;
-  ids.reserve(components_.size());
-  // mc3-lint: unordered-ok(ids are sorted before any order-sensitive use)
-  for (const auto& [cid, component] : components_) ids.push_back(cid);
-  std::sort(ids.begin(), ids.end());
   Solution merged;
-  for (size_t cid : ids) merged.Merge(components_.at(cid).solution);
+  for (const auto& [cid, component] : components_) {
+    for (const auto& entry : *component.piece) merged.Add(entry.first);
+  }
   return merged;
+}
+
+std::vector<std::shared_ptr<const SolutionPiece>>
+OnlineEngine::SolutionPieces() const {
+  std::vector<std::shared_ptr<const SolutionPiece>> pieces;
+  pieces.reserve(components_.size());
+  for (const auto& [cid, component] : components_) {
+    pieces.push_back(component.piece);
+  }
+  return pieces;
 }
 
 Instance OnlineEngine::LiveInstance() const {
@@ -358,20 +403,17 @@ EngineState OnlineEngine::ExportState() const {
   EngineState state;
   state.property_names = names_;
   state.costs = SortedCostEntries(costs_);
-  std::vector<size_t> ids;
-  ids.reserve(components_.size());
-  // mc3-lint: unordered-ok(ids are sorted before any order-sensitive use)
-  for (const auto& [cid, component] : components_) ids.push_back(cid);
-  std::sort(ids.begin(), ids.end());
-  state.components.reserve(ids.size());
-  for (size_t cid : ids) {
-    const Component& component = components_.at(cid);
+  state.components.reserve(components_.size());
+  for (const auto& [cid, component] : components_) {
     EngineState::Component out;
     std::vector<size_t> slots = component.queries;
     std::sort(slots.begin(), slots.end());
     out.queries.reserve(slots.size());
     for (size_t slot : slots) out.queries.push_back(queries_[slot]);
-    out.solution = component.solution.Sorted();
+    out.solution.reserve(component.piece->size());
+    for (const auto& entry : *component.piece) {
+      out.solution.push_back(entry.first);
+    }
     out.cost = component.cost;
     state.components.push_back(std::move(out));
   }
@@ -420,12 +462,25 @@ Status OnlineEngine::ImportState(const EngineState& state) {
         }
       }
     }
+    SolutionPiece entries;
+    entries.reserve(in.solution.size());
     for (const PropertySet& classifier : in.solution) {
-      component.solution.Add(classifier);
+      if (classifier.empty()) {
+        return Status::InvalidArgument("snapshot buys the empty classifier");
+      }
+      for (PropertyId p : classifier) {
+        const auto it = component_of_prop_.find(p);
+        if (it == component_of_prop_.end() || it->second != cid) {
+          return Status::InvalidArgument(
+              "snapshot component buys a classifier outside its properties");
+        }
+      }
+      entries.emplace_back(classifier, CostOf(classifier));
     }
+    component.piece = MakePiece(std::move(entries));
     component.cost = in.cost;
     total_cost_ += component.cost;
-    components_.emplace(cid, std::move(component));
+    components_.emplace_hint(components_.end(), cid, std::move(component));
   }
   return Status::OK();
 }
@@ -443,10 +498,19 @@ Status OnlineEngine::CheckInvariants() const {
   size_t partitioned = 0;
   std::unordered_map<PropertyId, size_t> expected_props;
   Cost component_sum = 0;
-  // mc3-lint: unordered-ok(invariant scan; every failure is the same error)
   for (const auto& [cid, component] : components_) {
     if (component.queries.empty()) {
       return Status::Internal("empty component in the registry");
+    }
+    const SolutionPiece& piece = *component.piece;
+    for (size_t i = 0; i < piece.size(); ++i) {
+      if (i > 0 && !(piece[i - 1].first < piece[i].first)) {
+        return Status::Internal("solution piece not strictly sorted");
+      }
+      // mc3-lint: float-eq-ok(a piece copies the table price bit for bit)
+      if (piece[i].second != CostOf(piece[i].first)) {
+        return Status::Internal("solution piece price differs from the table");
+      }
     }
     for (size_t slot : component.queries) {
       if (slot >= queries_.size() || !live_[slot]) {

@@ -18,7 +18,10 @@
 //   * each dirty component is re-solved from scratch through the existing
 //     batch machinery (GeneralSolver / K2ExactSolver / ShortFirstSolver),
 //     dirty components in parallel via SolverOptions::num_threads;
-//   * untouched components keep their stored Solution verbatim.
+//   * each component stores its solution as one immutable piece (its
+//     classifiers, sorted, with their prices), built when the component is
+//     solved; untouched components keep their piece verbatim, and read
+//     views (online/read_view.h) share the pieces instead of copying them.
 //
 // Work per update is proportional to the dirty region, not the universe —
 // the same observation sub-linear Set Cover algorithms build on (Indyk et
@@ -26,8 +29,11 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
@@ -36,6 +42,13 @@
 #include "util/status.h"
 
 namespace mc3::online {
+
+/// One component's solution as the engine stores and publishes it: the
+/// classifiers the component bought, sorted by classifier and without
+/// duplicates, each with its table price when the piece was built (a
+/// re-price through OnlineEngine::SetCost builds a fresh piece). Never
+/// mutated once built, so engine copies and read views share it.
+using SolutionPiece = std::vector<std::pair<PropertySet, Cost>>;
 
 /// Engine configuration.
 struct EngineOptions {
@@ -112,7 +125,8 @@ class OnlineEngine {
   /// added or re-priced but never removed: `cost` must be finite and
   /// non-negative, and re-pricing does not re-solve components that already
   /// bought the classifier (their stored cost keeps the old price until
-  /// something else dirties them).
+  /// something else dirties them). Such a component's piece is replaced by
+  /// a re-priced copy, so a view built afterwards shows the new price.
   Status SetCost(const PropertySet& classifier, Cost cost);
 
   /// Price of `classifier` in the engine's table; +infinity when absent.
@@ -134,8 +148,14 @@ class OnlineEngine {
   /// per-component solve costs).
   Cost TotalCost() const { return total_cost_; }
 
-  /// Union of the per-component solutions: the classifiers to keep trained.
+  /// Union of the per-component solutions: the classifiers to keep trained,
+  /// component by component in id order, each component's sorted.
   Solution CurrentSolution() const;
+
+  /// The per-component pieces in component-id order (shared, not copied).
+  /// Their sizes sum to CurrentSolution().size(): components share no
+  /// property, so no classifier is in two pieces.
+  std::vector<std::shared_ptr<const SolutionPiece>> SolutionPieces() const;
 
   /// Materializes the current instance: live queries plus the relevant
   /// finite-cost classifiers.
@@ -160,20 +180,22 @@ class OnlineEngine {
   /// Restores an exported state into this engine, which must be untouched
   /// (no costs, no queries). Validates structural integrity — non-empty
   /// distinct queries, finite non-negative costs, components that partition
-  /// their properties — but not coverage; run CheckInvariants afterwards
-  /// for the full O(instance) audit.
+  /// their properties, solutions that buy only classifiers over their
+  /// component's properties — but not coverage; run CheckInvariants
+  /// afterwards for the full O(instance) audit.
   Status ImportState(const EngineState& state);
 
   /// Invariant checker (O(instance)): the maintained cover passes
   /// VerifyCoverage on the live instance, the component index partitions
-  /// the live queries and their properties exactly, and the cached
-  /// aggregate cost matches the per-component solutions.
+  /// the live queries and their properties exactly, every piece is sorted
+  /// and carries the table's current prices, and the cached aggregate cost
+  /// matches the per-component solutions.
   Status CheckInvariants() const;
 
  private:
   struct Component {
     std::vector<size_t> queries;  ///< live query slots of this component
-    Solution solution;
+    std::shared_ptr<const SolutionPiece> piece;  ///< never null
     Cost cost = 0;
   };
 
@@ -184,8 +206,8 @@ class OnlineEngine {
   /// Builds the sub-instance over the live queries in `slots`.
   Instance BuildSubInstance(const std::vector<size_t>& slots) const;
 
-  /// Solves `sub` with the configured solver. On success stores solution
-  /// and cost into `out`.
+  /// Solves `sub` with the configured solver. On success stores the
+  /// solution's piece and cost into `out`.
   Status SolveComponent(const Instance& sub, Component* out) const;
 
   EngineOptions options_;
@@ -200,8 +222,9 @@ class OnlineEngine {
   CostMap costs_;
   std::vector<std::string> names_;
 
-  /// Component registry; ids are never reused.
-  std::unordered_map<size_t, Component> components_;
+  /// Component registry, ordered by id; ids only grow and are never
+  /// reused, so a new component goes at the end.
+  std::map<size_t, Component> components_;
   size_t next_component_id_ = 0;
   /// Slot -> owning component id (valid for live slots only).
   std::vector<size_t> component_of_slot_;

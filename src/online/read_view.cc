@@ -1,7 +1,5 @@
 #include "online/read_view.h"
 
-#include "core/solution.h"
-
 namespace mc3::online {
 
 EngineReadView BuildReadView(const OnlineEngine& engine, uint64_t version) {
@@ -10,13 +8,8 @@ EngineReadView BuildReadView(const OnlineEngine& engine, uint64_t version) {
   view.total_cost = engine.TotalCost();
   view.num_queries = engine.NumQueries();
   view.num_components = engine.NumComponents();
-  const Solution solution = engine.CurrentSolution();
-  std::vector<PropertySet> sorted = solution.Sorted();
-  view.classifiers.reserve(sorted.size());
-  for (PropertySet& classifier : sorted) {
-    const Cost cost = engine.CostOf(classifier);
-    view.classifiers.emplace_back(std::move(classifier), cost);
-  }
+  view.pieces = engine.SolutionPieces();
+  for (const auto& piece : view.pieces) view.num_classifiers += piece->size();
   return view;
 }
 

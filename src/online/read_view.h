@@ -3,11 +3,16 @@
 // After every applied batch the serving layer builds one EngineReadView per
 // touched shard — a plain value object holding everything the read verbs
 // (`solve`, `snapshot`, `stats`) render: the shard's running total cost,
-// live-query and component counts, and the current solution in canonical
-// (sorted) order with each classifier's table price. The view is published
-// through a concurrency::VersionedPublisher and reclaimed through the
-// concurrency::EpochManager, so readers dereference it without locks,
-// refcounts or copies (docs/serving.md, "Lock-free reads").
+// live-query, component and classifier counts, and the current solution as
+// the engine's per-component pieces (online_engine.h, SolutionPiece). A
+// piece is immutable and shared by the engine and every view that names it,
+// so a view costs one pointer per component plus the pieces the batch
+// re-solved; nothing of an untouched component is copied, priced or freed.
+// The view is published through a concurrency::VersionedPublisher and
+// reclaimed through the concurrency::EpochManager, so readers dereference
+// it and its pieces without locks, refcounts or copies (docs/serving.md,
+// "Lock-free reads"). Reclaiming a view frees its pointer vector and any
+// piece no engine component or other view still holds.
 //
 // The numeric fields snapshot the engine accessors verbatim (TotalCost is
 // the engine's own double running total, not a canonical re-sum), so a
@@ -18,7 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <memory>
 #include <vector>
 
 #include "core/instance.h"
@@ -36,9 +41,13 @@ struct EngineReadView {
   Cost total_cost = 0;
   size_t num_queries = 0;
   size_t num_components = 0;
-  /// The shard's current solution, canonically sorted, each classifier
-  /// paired with its price in the (replicated) cost table at publish time.
-  std::vector<std::pair<PropertySet, Cost>> classifiers;
+  /// Classifiers in the shard's solution: the sum of the pieces' sizes.
+  size_t num_classifiers = 0;
+  /// The shard's solution, one piece per component in component-id order.
+  /// Each piece is sorted and pairs every classifier with its price in the
+  /// (replicated) cost table at publish time; merging the pieces in
+  /// classifier order gives CurrentSolution().Sorted().
+  std::vector<std::shared_ptr<const SolutionPiece>> pieces;
 };
 
 /// Snapshots `engine` into a view stamped with `version`. Caller holds

@@ -51,33 +51,34 @@ void RecordReadStageSeconds(const char* stage, Request::Op op,
       .Record(seconds);
 }
 
-/// Merges the per-shard view solutions into the canonical cross-shard
+using PieceEntry = online::SolutionPiece::value_type;
+
+/// Merges the pieces of every shard view into the canonical cross-shard
 /// sequence: exactly the contents and order of
-/// ShardedEngine::CurrentSolution().Sorted() (concatenate in shard order,
-/// sort, drop duplicates). Each classifier keeps the price captured at
-/// publish time, so snapshot renders never consult a cost table.
-std::vector<std::pair<PropertySet, Cost>> MergeViewClassifiers(
+/// ShardedEngine::CurrentSolution().Sorted() (sort by classifier, drop
+/// duplicates). It points into the pinned pieces instead of copying them;
+/// each entry keeps the price captured at publish time, so renders never
+/// consult a cost table.
+std::vector<const PieceEntry*> MergeViewClassifiers(
     const std::vector<const online::EngineReadView*>& shards) {
-  if (shards.size() == 1) return shards.front()->classifiers;
-  std::vector<std::pair<PropertySet, Cost>> merged;
+  std::vector<const PieceEntry*> merged;
   size_t total = 0;
   for (const online::EngineReadView* view : shards) {
-    total += view->classifiers.size();
+    total += view->num_classifiers;
   }
   merged.reserve(total);
   for (const online::EngineReadView* view : shards) {
-    merged.insert(merged.end(), view->classifiers.begin(),
-                  view->classifiers.end());
+    for (const auto& piece : view->pieces) {
+      for (const PieceEntry& entry : *piece) merged.push_back(&entry);
+    }
   }
   std::sort(merged.begin(), merged.end(),
-            [](const std::pair<PropertySet, Cost>& a,
-               const std::pair<PropertySet, Cost>& b) {
-              return a.first < b.first;
+            [](const PieceEntry* a, const PieceEntry* b) {
+              return a->first < b->first;
             });
   merged.erase(std::unique(merged.begin(), merged.end(),
-                           [](const std::pair<PropertySet, Cost>& a,
-                              const std::pair<PropertySet, Cost>& b) {
-                             return a.first == b.first;
+                           [](const PieceEntry* a, const PieceEntry* b) {
+                             return a->first == b->first;
                            }),
                merged.end());
   return merged;
@@ -739,7 +740,10 @@ uint64_t Server::PersistApplied(const std::vector<PropertySet>& add,
 
 void Server::MaybeCheckpoint() {
   if (durability_ == nullptr || !durability_->ShouldCheckpoint()) return;
+  Timer checkpoint_timer;
   auto info = durability_->Checkpoint(engine_.ExportSharded());
+  RecordStageSeconds("checkpoint", Request::Op::kUpdate,
+                     checkpoint_timer.Seconds());
   if (!info.ok()) wal_errors_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -864,7 +868,14 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
     }
     // Publish before the lock drops (and so before any ack is written):
     // a client that saw its ack reads its write on the lock-free path.
-    if (any_applied) PublishReadViews(touched);
+    if (any_applied) {
+      Timer publish_timer;
+      const double publish_start_us = tracing ? telemetry_.NowUs() : 0;
+      PublishReadViews(touched);
+      RecordStageSeconds("publish", Request::Op::kUpdate,
+                         publish_timer.Seconds());
+      telemetry_.Span("publish", publish_start_us, sampled_ids);
+    }
     MaybeCheckpoint();
   }
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -925,7 +936,15 @@ void Server::HandleCheckpoint(const PendingRequest& pending) {
   obs::JsonWriter writer(/*compact=*/true);
   {
     util::MutexLock lock(engine_mu_);
+    Timer checkpoint_timer;
+    const double checkpoint_start_us =
+        pending.sampled ? telemetry_.NowUs() : 0;
     auto info = durability_->Checkpoint(engine_.ExportSharded());
+    RecordStageSeconds("checkpoint", Request::Op::kCheckpoint,
+                       checkpoint_timer.Seconds());
+    if (pending.sampled) {
+      telemetry_.Span("checkpoint", checkpoint_start_us, pending.trace_id);
+    }
     if (!info.ok()) {
       WriteResponse(pending.conn,
                     RenderErrorResponse(pending.request.id,
@@ -1050,8 +1069,10 @@ std::string Server::RenderSolveFromIndex(const Request& request,
                                          uint64_t trace_id,
                                          const ReadIndex& index) {
   // Every field equals the engine's at the published state: sums run in
-  // shard order (ShardedEngine::TotalCost), the solution is merged
-  // canonically (MergeViewClassifiers above).
+  // shard order (ShardedEngine::TotalCost), and the classifier count is the
+  // sum of the views' counts — shards share no property and neither do the
+  // components within one, so no classifier is counted twice. Only a
+  // request for the solution merges it (MergeViewClassifiers above).
   obs::JsonWriter writer(/*compact=*/true);
   writer.BeginObject();
   writer.Key("id").Int(request.id);
@@ -1061,23 +1082,23 @@ std::string Server::RenderSolveFromIndex(const Request& request,
   Cost total = 0;
   size_t queries = 0;
   size_t components = 0;
+  size_t classifiers = 0;
   for (const online::EngineReadView* view : index.shards) {
     total += view->total_cost;
     queries += view->num_queries;
     components += view->num_components;
+    classifiers += view->num_classifiers;
   }
   writer.Key("cost").Number(total);
   writer.Key("queries").Int(queries);
   writer.Key("components").Int(components);
-  const std::vector<std::pair<PropertySet, Cost>> merged =
-      MergeViewClassifiers(index.shards);
-  writer.Key("classifiers").Int(merged.size());
+  writer.Key("classifiers").Int(classifiers);
   if (request.include_solution) {
     const std::vector<std::string>& names = *index.names;
     writer.Key("solution").BeginArray();
-    for (const auto& entry : merged) {
+    for (const PieceEntry* entry : MergeViewClassifiers(index.shards)) {
       writer.BeginArray();
-      for (const PropertyId id : entry.first) {
+      for (const PropertyId id : entry->first) {
         writer.String(id < names.size() ? names[id] : std::to_string(id));
       }
       writer.EndArray();
@@ -1111,18 +1132,16 @@ std::string Server::RenderSnapshotFromIndex(const Request& request,
   writer.Key("cost").Number(total);
   writer.Key("queries").Int(queries);
   writer.Key("components").Int(components);
-  const std::vector<std::pair<PropertySet, Cost>> merged =
-      MergeViewClassifiers(index.shards);
   const std::vector<std::string>& names = *index.names;
   writer.Key("classifiers").BeginArray();
-  for (const auto& entry : merged) {
+  for (const PieceEntry* entry : MergeViewClassifiers(index.shards)) {
     writer.BeginObject();
     writer.Key("properties").BeginArray();
-    for (const PropertyId id : entry.first) {
+    for (const PropertyId id : entry->first) {
       writer.String(id < names.size() ? names[id] : std::to_string(id));
     }
     writer.EndArray();
-    writer.Key("cost").Number(entry.second);
+    writer.Key("cost").Number(entry->second);
     writer.EndObject();
   }
   writer.EndArray();

@@ -3,9 +3,10 @@
 //
 // Two layers, both owned by ServingTelemetry:
 //   * always-on per-stage histograms `server.stage.<stage>.<verb>`
-//     (queue_wait, coalesce, shard_apply, wal_durable, serialize) recorded
-//     through RecordStageSeconds — relaxed atomic ops, surfaced as
-//     p50/p95/p99 by the `stats` verb and the `metrics` exposition;
+//     (queue_wait, coalesce, shard_apply, publish, checkpoint, wal_durable,
+//     serialize) recorded through RecordStageSeconds — relaxed atomic ops,
+//     surfaced as p50/p95/p99 by the `stats` verb and the `metrics`
+//     exposition;
 //   * sampled trace export (`mc3 serve --trace-sample N --trace-out DIR`):
 //     every Nth request gets a trace id whose spans are recorded into an
 //     obs::TraceEventSink and written as Chrome trace-event JSON on

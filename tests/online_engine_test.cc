@@ -9,6 +9,7 @@
 #include "core/k2_solver.h"
 #include "data/synthetic.h"
 #include "online/churn.h"
+#include "online/read_view.h"
 #include "online/update_trace.h"
 #include "tests/test_util.h"
 
@@ -197,6 +198,49 @@ TEST(OnlineEngineTest, RepricingAppliesOnNextResolve) {
   OnlineEngine engine(GeneralEngineOptions());
   ASSERT_TRUE(engine.Initialize(inst).ok());
   EXPECT_EQ(engine.TotalCost(), 10);  // two singletons
+
+  // Re-pricing a bought classifier: a view built afterwards shows the new
+  // table price, one built before keeps the old, and the component's
+  // stored cost keeps the old price until the component is re-solved.
+  const PropertySet single_a = PS({0});
+  const PropertySet single_b = PS({1});
+  const online::EngineReadView before = online::BuildReadView(engine, 1);
+  ASSERT_TRUE(engine.SetCost(single_a, 7).ok());
+  const online::EngineReadView after = online::BuildReadView(engine, 2);
+  ASSERT_EQ(before.pieces.size(), 1u);
+  ASSERT_EQ(after.pieces.size(), 1u);
+  EXPECT_EQ(*before.pieces[0], (online::SolutionPiece{{single_a, 5}, {single_b, 5}}));
+  EXPECT_EQ(*after.pieces[0], (online::SolutionPiece{{single_a, 7}, {single_b, 5}}));
+  EXPECT_EQ(after.pieces[0]->front().second, engine.CostOf(single_a));
+  EXPECT_EQ(engine.TotalCost(), 10);
+  const online::EngineState exported = engine.ExportState();
+  ASSERT_EQ(exported.components.size(), 1u);
+  EXPECT_EQ(exported.components[0].cost, 10);
+  EXPECT_TRUE(engine.CheckInvariants().ok());
+
+  // The re-priced state round-trips, and the imported engine publishes the
+  // same view.
+  OnlineEngine imported(GeneralEngineOptions());
+  ASSERT_TRUE(imported.ImportState(exported).ok());
+  EXPECT_TRUE(imported.CheckInvariants().ok());
+  const online::EngineState reexported = imported.ExportState();
+  EXPECT_EQ(reexported.property_names, exported.property_names);
+  EXPECT_EQ(reexported.costs, exported.costs);
+  ASSERT_EQ(reexported.components.size(), exported.components.size());
+  for (size_t i = 0; i < exported.components.size(); ++i) {
+    EXPECT_EQ(reexported.components[i].queries, exported.components[i].queries);
+    EXPECT_EQ(reexported.components[i].solution,
+              exported.components[i].solution);
+    EXPECT_EQ(reexported.components[i].cost, exported.components[i].cost);
+  }
+  const online::EngineReadView imported_view =
+      online::BuildReadView(imported, 2);
+  EXPECT_EQ(imported_view.total_cost, after.total_cost);
+  EXPECT_EQ(imported_view.num_queries, after.num_queries);
+  EXPECT_EQ(imported_view.num_components, after.num_components);
+  EXPECT_EQ(imported_view.num_classifiers, after.num_classifiers);
+  ASSERT_EQ(imported_view.pieces.size(), 1u);
+  EXPECT_EQ(*imported_view.pieces[0], *after.pieces[0]);
 
   // Cheaper pair price takes effect when the component is next re-solved.
   ASSERT_TRUE(engine.SetCost(inst.queries()[0], 3).ok());

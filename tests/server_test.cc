@@ -941,14 +941,21 @@ TEST(ServerTest, ShardedServerMatchesSingleShardResponses) {
                 single_ack.Find(field)->number)
           << field << " after " << update;
     }
-    // Read-your-writes equivalence after every step, byte for byte.
-    const std::string solve = R"({"op":"solve","id":)" +
-                              std::to_string(step++) +
-                              R"(,"solution":true})";
-    single_client.Send(solve);
-    sharded_client.Send(solve);
-    EXPECT_EQ(sharded_client.ReadLine(), single_client.ReadLine())
-        << "after " << update;
+    // Read-your-writes equivalence after every step, byte for byte: the
+    // solution, the count-only solve (a sum of per-shard counts, not a
+    // merge) and the priced snapshot.
+    for (const char* read : {R"(,"op":"solve","solution":true})",
+                             R"(,"op":"solve"})", R"(,"op":"snapshot"})"}) {
+      const std::string request =
+          R"({"id":)" + std::to_string(step++) + read;
+      single_client.Send(request);
+      sharded_client.Send(request);
+      const std::string single_line = single_client.ReadLine();
+      EXPECT_EQ(sharded_client.ReadLine(), single_line)
+          << request << " after " << update;
+      EXPECT_NE(single_line.find(R"("code":200)"), std::string::npos)
+          << single_line;
+    }
   }
 
   // The stats verb exposes the sharded layout: one entry per shard, and
@@ -1138,6 +1145,41 @@ TEST(ServerTelemetryTest, MetricsVerbAgreesWithStats) {
     EXPECT_NE(obs::FindSample(*samples,
                               "mc3_server_stage_queue_wait_update_count"),
               nullptr);
+    // The applied update republished the read views.
+    EXPECT_NE(obs::FindSample(*samples,
+                              "mc3_server_stage_publish_update_count"),
+              nullptr);
+  }
+
+  server.RequestDrain();
+  server.Join();
+}
+
+TEST(ServerTelemetryTest, CheckpointsRecordTheirStage) {
+  if (!obs::kObsEnabled) return;  // stage histograms compile away
+  DurableDir dir("checkpoint_stage");
+  ServerOptions options = DurableOptions(dir.path);
+  // An update past this count checkpoints inside its batch.
+  options.durability.checkpoint_every_updates = 1;
+  Server server(options);
+  ASSERT_TRUE(server.Start(BaseInstance()).ok());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  ASSERT_EQ(CodeOf(client.Call(R"({"op":"checkpoint","id":1})")), 200);
+  ASSERT_EQ(CodeOf(client.Call(
+                R"({"op":"update","id":2,"add":[["blue","sofa"]]})")),
+            200);
+  const obs::JsonValue metrics = client.Call(R"({"op":"metrics","id":3})");
+  ASSERT_EQ(CodeOf(metrics), 200);
+  auto samples = obs::ParseExposition(metrics.Find("body")->string);
+  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
+  // The checkpoint verb's own stage, then the one an update batch ran.
+  for (const char* name : {"mc3_server_stage_checkpoint_checkpoint_count",
+                           "mc3_server_stage_checkpoint_update_count"}) {
+    const obs::ParsedSample* count = obs::FindSample(*samples, name);
+    ASSERT_NE(count, nullptr) << name;
+    EXPECT_GE(count->value, 1) << name;
   }
 
   server.RequestDrain();
@@ -1182,8 +1224,9 @@ TEST(ServerTelemetryTest, ShardedMetricsExposePerShardSeries) {
 
 // The acceptance-criteria run: a sharded durable server with every request
 // sampled produces a trace file in which one update's spans connect parse ->
-// queue_wait -> coalesce -> shard_apply -> wal_durable -> serialize with
-// flow events across connection, engine/shard and WAL-committer threads.
+// queue_wait -> coalesce -> shard_apply -> publish -> wal_durable ->
+// serialize with flow events across connection, engine/shard and
+// WAL-committer threads.
 TEST(ServerTelemetryTest, ShardedDurableRunConnectsSpansAcrossThreads) {
   if (!obs::kObsEnabled) return;  // tracing compiles away under MC3_OBS=OFF
   DurableDir dir("trace");
@@ -1269,7 +1312,7 @@ TEST(ServerTelemetryTest, ShardedDurableRunConnectsSpansAcrossThreads) {
 
   // Every pipeline stage produced a span for this request.
   for (const char* stage : {"parse", "queue_wait", "coalesce", "shard_apply",
-                            "wal_durable", "serialize"}) {
+                            "publish", "wal_durable", "serialize"}) {
     EXPECT_EQ(span_names.count(stage), 1u) << stage;
   }
   // The journey crossed at least three threads, and the flow chain is
