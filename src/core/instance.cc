@@ -65,7 +65,7 @@ Status Instance::Validate() const {
     std::unordered_set<PropertySet, PropertySetHash> seen;
     for (const auto& q : queries_) {
       if (q.empty()) return Status::InvalidArgument("empty query");
-      MC3_RETURN_IF_ERROR(CheckQueryLength(q, property_names_));
+      MC3_RETURN_IF_ERROR(CheckQueryLength(q, property_names()));
       if (!seen.insert(q).second) {
         return Status::InvalidArgument("duplicate query " + q.ToString());
       }
@@ -133,15 +133,6 @@ void ForEachNonEmptySubset(
   }
 }
 
-PropertyId InstanceBuilder::Intern(const std::string& name) {
-  const auto it = interned_.find(name);
-  if (it != interned_.end()) return it->second;
-  const PropertyId id = static_cast<PropertyId>(names_.size());
-  interned_.emplace(name, id);
-  names_.push_back(name);
-  return id;
-}
-
 InstanceBuilder& InstanceBuilder::AddQuery(
     const std::vector<std::string>& names) {
   std::vector<PropertyId> ids;
@@ -173,7 +164,7 @@ InstanceBuilder& InstanceBuilder::PriceAllClassifiers(
 }
 
 Instance InstanceBuilder::Build() && {
-  instance_.set_property_names(std::move(names_));
+  instance_.share_property_names(names_.names());
   return std::move(instance_);
 }
 

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/property_names.h"
 #include "core/property_set.h"
 #include "util/status.h"
 
@@ -65,9 +66,20 @@ class Instance {
 
   /// Optional human-readable property names (index = PropertyId).
   void set_property_names(std::vector<std::string> names) {
+    property_names_ =
+        std::make_shared<const std::vector<std::string>>(std::move(names));
+  }
+  /// Names the properties through an immutable table shared with other
+  /// holders (a parent instance, an engine, an interner) instead of a copy.
+  void share_property_names(PropertyNames names) {
     property_names_ = std::move(names);
   }
+  /// The name table, empty when the instance is nameless.
   const std::vector<std::string>& property_names() const {
+    return NamesOf(property_names_);
+  }
+  /// The shared table itself (null when nameless), for handing on.
+  const PropertyNames& shared_property_names() const {
     return property_names_;
   }
 
@@ -84,7 +96,7 @@ class Instance {
  private:
   std::vector<PropertySet> queries_;
   CostMap costs_;
-  std::vector<std::string> property_names_;
+  PropertyNames property_names_;
 };
 
 /// The longest query this library accepts. Every subset lattice walk (and
@@ -112,7 +124,7 @@ void ForEachNonEmptySubset(const PropertySet& set,
 class InstanceBuilder {
  public:
   /// Interns `name`, returning its id.
-  PropertyId Intern(const std::string& name);
+  PropertyId Intern(const std::string& name) { return names_.Intern(name); }
 
   /// Adds a query over named properties.
   InstanceBuilder& AddQuery(const std::vector<std::string>& names);
@@ -131,8 +143,7 @@ class InstanceBuilder {
 
  private:
   Instance instance_;
-  std::unordered_map<std::string, PropertyId> interned_;
-  std::vector<std::string> names_;
+  PropertyInterner names_;
 };
 
 }  // namespace mc3

@@ -13,7 +13,7 @@ namespace mc3 {
 Instance SubInstance(const Instance& instance,
                      const std::vector<size_t>& query_indices) {
   Instance sub;
-  sub.set_property_names(instance.property_names());
+  sub.share_property_names(instance.shared_property_names());
   for (size_t i : query_indices) {
     sub.AddQuery(instance.queries()[i]);
   }
@@ -111,7 +111,7 @@ std::vector<Instance> DecomposeComponents(const Instance& instance) {
 
 Instance BoundClassifierLength(const Instance& instance, size_t max_length) {
   Instance bounded;
-  bounded.set_property_names(instance.property_names());
+  bounded.share_property_names(instance.shared_property_names());
   for (const PropertySet& q : instance.queries()) bounded.AddQuery(q);
   for (const auto& [classifier, cost] : SortedCostEntries(instance.costs())) {
     if (classifier.size() <= max_length) bounded.SetCost(classifier, cost);

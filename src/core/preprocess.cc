@@ -443,7 +443,7 @@ class Worker {
 
     result_.components.assign(num_components, Instance{});
     for (auto& component : result_.components) {
-      component.set_property_names(input_.property_names());
+      component.share_property_names(input_.shared_property_names());
     }
     for (size_t idx = 0; idx < alive_ids.size(); ++idx) {
       Instance& component = result_.components[component_of[idx]];

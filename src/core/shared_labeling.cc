@@ -40,7 +40,7 @@ Cost SharedLabelingModel::SetCost(const Solution& solution) const {
 Instance FlattenToIndependentCosts(const Instance& instance,
                                    const SharedLabelingModel& model) {
   Instance flat;
-  flat.set_property_names(instance.property_names());
+  flat.share_property_names(instance.shared_property_names());
   for (const PropertySet& q : instance.queries()) flat.AddQuery(q);
   for (const auto& [classifier, base] : SortedCostEntries(model.base_costs)) {
     flat.SetCost(classifier, model.StandaloneCost(classifier));

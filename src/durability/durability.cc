@@ -35,16 +35,14 @@ std::vector<std::string> SplitLines(const std::string& text) {
   return lines;
 }
 
-/// Prices classifiers the engine does not know yet, exactly mirroring the
-/// live server's admission pricing (Server::PriceUnknown) so replay
-/// reproduces the same cost table. Templated over the engine type: the
-/// sharded facade exposes the same pricing surface as OnlineEngine.
+}  // namespace
+
 template <typename Engine>
 Status PriceUnknown(const std::vector<PropertySet>& added, double default_cost,
                     Engine* engine) {
   if (default_cost < 0 || added.empty()) return Status::OK();
   Instance pricing;
-  pricing.set_property_names(engine->property_names());
+  pricing.share_property_names(engine->shared_property_names());
   for (const PropertySet& query : added) pricing.AddQuery(query);
   data::CostEstimatorOptions estimator;
   estimator.default_difficulty = default_cost;
@@ -56,7 +54,10 @@ Status PriceUnknown(const std::vector<PropertySet>& added, double default_cost,
   return Status::OK();
 }
 
-}  // namespace
+template Status PriceUnknown(const std::vector<PropertySet>&, double,
+                             online::OnlineEngine*);
+template Status PriceUnknown(const std::vector<PropertySet>&, double,
+                             online::ShardedEngine*);
 
 DurabilityManager::DurabilityManager(DurabilityOptions options)
     : options_(std::move(options)) {}
@@ -111,14 +112,19 @@ Result<RecoveryStats> DurabilityManager::RecoverWith(const Instance& base,
 
   auto scan = ReadWal(options_.data_dir, stats.snapshot_seq);
   if (!scan.ok()) return scan.status();
+  // One interner for the whole tail: a record costs its own names, not a
+  // re-index of the table, and the engine's table is re-made only by a
+  // record that brings a new name.
+  PropertyInterner names;
+  MC3_RETURN_IF_ERROR(names.Load(engine->shared_property_names()));
   for (const WalRecord& record : scan->records) {
-    auto trace = online::ParseUpdateTrace(SplitLines(record.payload),
-                                          engine->property_names());
+    const size_t known = names.size();
+    auto trace = online::ParseUpdateTrace(SplitLines(record.payload), names);
     if (!trace.ok()) {
       return Status::IOError("WAL record " + std::to_string(record.seq) +
                              ": " + trace.status().message());
     }
-    engine->set_property_names(trace->property_names);
+    if (names.size() != known) engine->share_property_names(names.names());
     std::vector<PropertySet> add;
     std::vector<PropertySet> remove;
     for (online::TraceOp& op : trace->ops) {

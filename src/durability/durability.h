@@ -71,6 +71,15 @@ struct CheckpointInfo {
   double seconds = 0;     ///< sync + render + publish + rotate wall time
 };
 
+/// Prices the classifiers of `added` that `engine` has no price for, at
+/// `default_cost` per-property difficulty (data::EstimateCosts); a no-op
+/// when `default_cost` is negative. The live server's admission and WAL
+/// replay both call it, so replay grows the same cost table. Instantiated
+/// in durability.cc for OnlineEngine and ShardedEngine.
+template <typename Engine>
+Status PriceUnknown(const std::vector<PropertySet>& added, double default_cost,
+                    Engine* engine);
+
 class DurabilityManager {
  public:
   /// Opens `options.data_dir` (creating it if missing) and the WAL writer,

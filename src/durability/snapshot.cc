@@ -7,7 +7,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 #include <system_error>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -181,9 +183,19 @@ Result<ParsedSnapshot> ParseSnapshot(const std::string& json) {
     return Status::InvalidArgument("property_names must be an array");
   }
   out.state.property_names.reserve(names->array.size());
+  // Every interner keeps a name's first id, so a repeated name would leave
+  // an id that no response tells apart and no client can name.
+  std::unordered_map<std::string_view, size_t> first_entry;
   for (const obs::JsonValue& name : names->array) {
     if (!name.is_string()) {
       return Status::InvalidArgument("property_names entries must be strings");
+    }
+    const size_t entry = out.state.property_names.size();
+    const auto [it, inserted] = first_entry.try_emplace(name.string, entry);
+    if (!inserted) {
+      return Status::InvalidArgument(
+          "property_names entry " + std::to_string(entry) + " repeats entry " +
+          std::to_string(it->second));
     }
     out.state.property_names.push_back(name.string);
   }

@@ -82,8 +82,8 @@ struct ParsedSnapshot {
 };
 
 /// Parses and structurally validates a snapshot document: schema string,
-/// integral non-negative seq, every property id in range of
-/// `property_names`, finite non-negative costs. Engine-level integrity
+/// integral non-negative seq, distinct `property_names`, every property id
+/// in range of them, finite non-negative costs. Engine-level integrity
 /// (disjoint components, coverage) is checked by ImportState /
 /// CheckInvariants when the state is restored.
 Result<ParsedSnapshot> ParseSnapshot(const std::string& json);

@@ -37,7 +37,7 @@ OnlineEngine::OnlineEngine(EngineOptions options)
 
 Result<UpdateStats> OnlineEngine::Initialize(const Instance& instance) {
   if (!instance.property_names().empty()) {
-    names_ = instance.property_names();
+    names_ = instance.shared_property_names();
   }
   // Sorted so a failing classifier reports the same error on every run.
   for (const auto& [classifier, cost] : SortedCostEntries(instance.costs())) {
@@ -93,7 +93,7 @@ bool OnlineEngine::Coverable(const PropertySet& query) const {
 Instance OnlineEngine::BuildSubInstance(
     const std::vector<size_t>& slots) const {
   Instance sub;
-  sub.set_property_names(names_);
+  sub.share_property_names(names_);
   for (size_t slot : slots) sub.AddQuery(queries_[slot]);
   for (const PropertySet& q : sub.queries()) {
     ForEachNonEmptySubset(q, [&](const PropertySet& classifier) {
@@ -168,7 +168,7 @@ Result<UpdateStats> OnlineEngine::ApplyUpdate(
     if (q.empty()) {
       return Status::InvalidArgument("cannot add the empty query");
     }
-    MC3_RETURN_IF_ERROR(CheckQueryLength(q, names_));
+    MC3_RETURN_IF_ERROR(CheckQueryLength(q, property_names()));
     const auto it = slot_of_.find(q);
     if ((it != slot_of_.end() && live_[it->second]) ||
         !to_add_set.insert(q).second) {
@@ -178,12 +178,12 @@ Result<UpdateStats> OnlineEngine::ApplyUpdate(
     if (options_.solver == EngineOptions::SolverKind::kK2Exact &&
         q.size() > 2) {
       return Status::InvalidArgument(
-          "query " + q.ToString(names_) +
+          "query " + q.ToString(property_names()) +
           " has length > 2 but the engine is configured for K2ExactSolver");
     }
     if (!Coverable(q)) {
       return Status::Infeasible(
-          "query " + q.ToString(names_) +
+          "query " + q.ToString(property_names()) +
           " cannot be covered by finite-cost classifiers of the engine's "
           "table");
     }
@@ -296,9 +296,14 @@ Result<UpdateStats> OnlineEngine::ApplyUpdate(
                 fresh[i].queries = std::move(groups[i]);
                 solve_span.AddStat(
                     "queries", static_cast<double>(fresh[i].queries.size()));
-                statuses[i] =
-                    SolveComponent(BuildSubInstance(fresh[i].queries),
-                                   &fresh[i]);
+                Instance sub;
+                {
+                  obs::ScopedSpan build_span("build_sub_instance");
+                  sub = BuildSubInstance(fresh[i].queries);
+                  build_span.AddStat(
+                      "classifiers", static_cast<double>(sub.costs().size()));
+                }
+                statuses[i] = SolveComponent(sub, &fresh[i]);
               });
   Status first_error;
   for (size_t i = 0; i < fresh.size(); ++i) {
@@ -401,7 +406,7 @@ size_t EngineState::NumQueries() const {
 
 EngineState OnlineEngine::ExportState() const {
   EngineState state;
-  state.property_names = names_;
+  state.property_names = property_names();
   state.costs = SortedCostEntries(costs_);
   state.components.reserve(components_.size());
   for (const auto& [cid, component] : components_) {
@@ -425,7 +430,7 @@ Status OnlineEngine::ImportState(const EngineState& state) {
     return Status::Internal(
         "ImportState requires an untouched engine (it does not merge)");
   }
-  names_ = state.property_names;
+  set_property_names(state.property_names);
   // mc3-lint: unordered-ok(EngineState.costs is a sorted vector, not a map)
   for (const auto& [classifier, cost] : state.costs) {
     MC3_RETURN_IF_ERROR(SetCost(classifier, cost));
@@ -447,7 +452,7 @@ Status OnlineEngine::ImportState(const EngineState& state) {
       const size_t slot = queries_.size();
       if (!slot_of_.emplace(query, slot).second) {
         return Status::InvalidArgument("snapshot repeats query " +
-                                       query.ToString(names_));
+                                       query.ToString(property_names()));
       }
       queries_.push_back(query);
       live_.push_back(true);

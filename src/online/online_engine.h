@@ -23,9 +23,15 @@
 //     solved; untouched components keep their piece verbatim, and read
 //     views (online/read_view.h) share the pieces instead of copying them.
 //
-// Work per update is proportional to the dirty region, not the universe —
-// the same observation sub-linear Set Cover algorithms build on (Indyk et
-// al., arXiv:1902.03534). See docs/online.md for the full model.
+// The re-solve work of an update is proportional to the dirty region, not
+// the universe — the same observation sub-linear Set Cover algorithms build
+// on (Indyk et al., arXiv:1902.03534): the repartition, the sub-instance
+// builds and the solves read only the dirty components' queries and their
+// classifiers' prices, and every sub-instance shares the engine's
+// immutable property-name table instead of copying it. Two per-batch steps
+// stay O(components), one pointer per component: SolutionPieces() and the
+// read-view build on top of it (online/read_view.h). See docs/online.md
+// for the full model.
 #pragma once
 
 #include <cstddef>
@@ -165,10 +171,25 @@ class OnlineEngine {
   size_t NumComponents() const { return components_.size(); }
   const EngineCounters& counters() const { return counters_; }
 
-  const std::vector<std::string>& property_names() const { return names_; }
-  void set_property_names(std::vector<std::string> names) {
-    names_ = std::move(names);
+  /// True iff every property of `query` is covered by some finite-cost
+  /// classifier of the table that is a subset of `query`.
+  bool Coverable(const PropertySet& query) const;
+
+  /// The name table (index = PropertyId). Every sub-instance the engine
+  /// solves shares it; nothing per update copies it.
+  const std::vector<std::string>& property_names() const {
+    return NamesOf(names_);
   }
+  const PropertyNames& shared_property_names() const { return names_; }
+  void set_property_names(std::vector<std::string> names) {
+    names_ = std::make_shared<const std::vector<std::string>>(std::move(names));
+  }
+  /// Adopts an immutable table shared with its other holders (an interner,
+  /// the other shards, published read indexes).
+  void share_property_names(PropertyNames names) { names_ = std::move(names); }
+
+  /// The classifier price table.
+  const CostMap& costs() const { return costs_; }
 
   /// Exports the full engine state (price table, live queries, stored
   /// per-component solutions) in canonical form. The inverse of
@@ -199,11 +220,8 @@ class OnlineEngine {
     Cost cost = 0;
   };
 
-  /// True iff every property of `query` is covered by some finite-cost
-  /// classifier of the table that is a subset of `query`.
-  bool Coverable(const PropertySet& query) const;
-
-  /// Builds the sub-instance over the live queries in `slots`.
+  /// Builds the sub-instance over the live queries in `slots`; it shares
+  /// the engine's name table.
   Instance BuildSubInstance(const std::vector<size_t>& slots) const;
 
   /// Solves `sub` with the configured solver. On success stores the
@@ -220,7 +238,7 @@ class OnlineEngine {
   size_t num_live_ = 0;
 
   CostMap costs_;
-  std::vector<std::string> names_;
+  PropertyNames names_;
 
   /// Component registry, ordered by id; ids only grow and are never
   /// reused, so a new component goes at the end.

@@ -35,7 +35,7 @@ ShardedEngine::ShardedEngine(uint32_t num_shards, EngineOptions options)
 
 Result<UpdateStats> ShardedEngine::Initialize(const Instance& base) {
   if (!base.property_names().empty()) {
-    set_property_names(base.property_names());
+    share_property_names(base.shared_property_names());
   }
   // Sorted so a failing classifier reports the same error on every run
   // (mirrors OnlineEngine::Initialize).
@@ -49,7 +49,6 @@ Status ShardedEngine::SetCost(const PropertySet& classifier, Cost cost) {
   for (OnlineEngine& engine : engines_) {
     MC3_RETURN_IF_ERROR(engine.SetCost(classifier, cost));
   }
-  costs_[classifier] = cost;
   return Status::OK();
 }
 
@@ -57,35 +56,27 @@ Cost ShardedEngine::CostOf(const PropertySet& classifier) const {
   return engines_.front().CostOf(classifier);
 }
 
-bool ShardedEngine::Coverable(const PropertySet& query) const {
-  std::unordered_set<PropertyId> covered;
-  ForEachNonEmptySubset(query, [&](const PropertySet& sub) {
-    if (costs_.count(sub) == 0) return;
-    for (const PropertyId p : sub) covered.insert(p);
-  });
-  return covered.size() == query.size();
-}
-
 Status ShardedEngine::ValidateAdds(
     const std::vector<PropertySet>& add) const {
+  const std::vector<std::string>& names = property_names();
   std::unordered_set<PropertySet, PropertySetHash> seen;
   for (const PropertySet& q : add) {
     if (q.empty()) {
       return Status::InvalidArgument("cannot add the empty query");
     }
-    MC3_RETURN_IF_ERROR(CheckQueryLength(q, names_));
+    MC3_RETURN_IF_ERROR(CheckQueryLength(q, names));
     // Duplicates (already live, or repeated in the batch) are skipped
     // without further checks, exactly as the engine skips them.
     if (router_.IsLive(q) || !seen.insert(q).second) continue;
     if (options_.solver == EngineOptions::SolverKind::kK2Exact &&
         q.size() > 2) {
       return Status::InvalidArgument(
-          "query " + q.ToString(names_) +
+          "query " + q.ToString(names) +
           " has length > 2 but the engine is configured for K2ExactSolver");
     }
-    if (!Coverable(q)) {
+    if (!engines_.front().Coverable(q)) {
       return Status::Infeasible(
-          "query " + q.ToString(names_) +
+          "query " + q.ToString(names) +
           " cannot be covered by finite-cost classifiers of the engine's "
           "table");
     }
@@ -215,18 +206,15 @@ EngineCounters ShardedEngine::counters() const {
   return counters_;
 }
 
-void ShardedEngine::set_property_names(std::vector<std::string> names) {
-  names_ = std::move(names);
-  for (OnlineEngine& engine : engines_) {
-    engine.set_property_names(names_);
-  }
+void ShardedEngine::share_property_names(const PropertyNames& names) {
+  for (OnlineEngine& engine : engines_) engine.share_property_names(names);
 }
 
 ShardedState ShardedEngine::ExportSharded() const {
   ShardedState out;
   out.num_shards = num_shards();
-  out.state.property_names = names_;
-  out.state.costs = SortedCostEntries(costs_);
+  out.state.property_names = property_names();
+  out.state.costs = SortedCostEntries(engines_.front().costs());
   for (uint32_t i = 0; i < engines_.size(); ++i) {
     EngineState shard_state = engines_[i].ExportState();
     for (EngineState::Component& component : shard_state.components) {
@@ -270,11 +258,8 @@ Status ShardedEngine::ImportSharded(const ShardedState& state) {
   for (uint32_t i = 0; i < engines_.size(); ++i) {
     MC3_RETURN_IF_ERROR(engines_[i].ImportState(per_shard[i]));
   }
-  names_ = state.state.property_names;
-  // mc3-lint: unordered-ok(ShardedState.costs is a sorted vector, not a map)
-  for (const auto& [classifier, cost] : state.state.costs) {
-    costs_[classifier] = cost;
-  }
+  // Each shard imported its own copy of the names; keep one.
+  share_property_names(engines_.front().shared_property_names());
   if (num_shards() > 1) {
     std::vector<std::vector<PropertySet>> live(engines_.size());
     for (size_t idx = 0; idx < state.state.components.size(); ++idx) {
@@ -299,7 +284,7 @@ Status ShardedEngine::CheckInvariants() const {
   std::unordered_map<PropertyId, uint32_t> prop_shard;
   size_t total_live = 0;
   const std::vector<std::pair<PropertySet, Cost>> table =
-      SortedCostEntries(costs_);
+      SortedCostEntries(engines_.front().costs());
   for (uint32_t i = 0; i < engines_.size(); ++i) {
     const EngineState shard_state = engines_[i].ExportState();
     for (const EngineState::Component& component : shard_state.components) {

@@ -10,7 +10,8 @@
 //     groups placed apart;
 //   * the classifier cost table is replicated to every shard, so each
 //     shard prices, validates and solves exactly as the single engine
-//     would;
+//     would; the facade keeps no copy of its own and asks shard 0;
+//   * every shard shares one immutable property-name table;
 //   * merged reads (CurrentSolution, CanonicalState, CanonicalTotalCost)
 //     combine per-shard results in canonical order, so the merged answer
 //     does not depend on which shard holds which component.
@@ -93,6 +94,7 @@ class ShardedEngine {
   /// Prices `classifier` on every shard (the table is replicated so each
   /// shard validates and solves exactly like the single engine).
   Status SetCost(const PropertySet& classifier, Cost cost);
+  /// Price in the replicated table (read from shard 0).
   Cost CostOf(const PropertySet& classifier) const;
 
   /// Applies one net update batch: validates every add up front (identical
@@ -134,9 +136,15 @@ class ShardedEngine {
   /// Routing outcome of the most recent ApplyUpdate.
   const ShardBatchStats& last_batch() const { return last_batch_; }
 
-  const std::vector<std::string>& property_names() const { return names_; }
-  /// Adopts `names` on the facade and every shard.
-  void set_property_names(std::vector<std::string> names);
+  /// The name table every shard shares (read from shard 0).
+  const std::vector<std::string>& property_names() const {
+    return engines_.front().property_names();
+  }
+  const PropertyNames& shared_property_names() const {
+    return engines_.front().shared_property_names();
+  }
+  /// Shares `names` with every shard (no copy).
+  void share_property_names(const PropertyNames& names);
 
   /// Exports the full sharded state (shard-major canonical component
   /// order, replicated cost table rendered once).
@@ -162,14 +170,10 @@ class ShardedEngine {
   /// messages) against the replicated table, so a batch the single engine
   /// would reject is rejected here before any shard or router mutation.
   Status ValidateAdds(const std::vector<PropertySet>& add) const;
-  bool Coverable(const PropertySet& query) const;
 
   EngineOptions options_;
   std::vector<OnlineEngine> engines_;
   ShardRouter router_;
-  /// Replicated table mirror (validation without poking a shard).
-  CostMap costs_;
-  std::vector<std::string> names_;
 
   size_t migrated_total_ = 0;
   ShardBatchStats last_batch_;

@@ -1,7 +1,7 @@
 #include "online/update_trace.h"
 
 #include <cstdio>
-#include <unordered_map>
+#include <memory>
 
 #include "core/instance.h"
 
@@ -50,14 +50,8 @@ Status LineError(size_t ln, const std::string& detail) {
 }  // namespace
 
 Result<UpdateTrace> ParseUpdateTrace(const std::vector<std::string>& lines,
-                                     std::vector<std::string> base_names) {
+                                     PropertyInterner& interner) {
   UpdateTrace trace;
-  trace.property_names = std::move(base_names);
-  std::unordered_map<std::string, PropertyId> interned;
-  for (PropertyId id = 0; id < trace.property_names.size(); ++id) {
-    interned.emplace(trace.property_names[id], id);
-  }
-
   for (size_t ln = 0; ln < lines.size(); ++ln) {
     std::vector<std::string> tokens = Tokenize(lines[ln]);
     if (tokens.empty() || tokens[0][0] == '#') {
@@ -90,19 +84,27 @@ Result<UpdateTrace> ParseUpdateTrace(const std::vector<std::string>& lines,
                                  Printable(token) + "' (token " +
                                  std::to_string(t + 1 - first) + ")");
       }
-      const auto [it, inserted] = interned.emplace(
-          token, static_cast<PropertyId>(trace.property_names.size()));
-      if (inserted) trace.property_names.push_back(token);
-      ids.push_back(it->second);
+      ids.push_back(interner.Intern(token));
     }
     op.query = PropertySet::FromUnsorted(std::move(ids));
-    if (Status status = CheckQueryLength(op.query, trace.property_names);
-        !status.ok()) {
-      return LineError(ln, status.message());
+    if (op.query.size() > kMaxQueryLength) {
+      // Only the error names the properties, so only it reads the table.
+      return LineError(
+          ln, CheckQueryLength(op.query, NamesOf(interner.names())).message());
     }
     op.line = ln + 1;
     trace.ops.push_back(std::move(op));
   }
+  return trace;
+}
+
+Result<UpdateTrace> ParseUpdateTrace(const std::vector<std::string>& lines,
+                                     std::vector<std::string> base_names) {
+  PropertyInterner interner;
+  MC3_RETURN_IF_ERROR(interner.Load(
+      std::make_shared<const std::vector<std::string>>(std::move(base_names))));
+  auto trace = ParseUpdateTrace(lines, interner);
+  if (trace.ok()) trace->property_names = NamesOf(interner.names());
   return trace;
 }
 

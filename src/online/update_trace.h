@@ -15,12 +15,14 @@
 // Properties are separated by whitespace or commas and are matched
 // case-sensitively against the base workload's property names (the same
 // convention as the instance CSV dialect); unseen names are interned as new
-// properties.
+// properties. Replaying many records (WAL recovery) parses them all through
+// one PropertyInterner, so no record re-indexes the whole name table.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "core/property_names.h"
 #include "core/property_set.h"
 #include "util/status.h"
 
@@ -39,18 +41,28 @@ struct TraceOp {
 /// A parsed trace plus the property-name table grown while parsing.
 struct UpdateTrace {
   std::vector<TraceOp> ops;
-  /// The base name table extended with names first seen in the trace
-  /// (index = PropertyId). Hand this to the engine via set_property_names.
+  /// Filled by the one-shot forms only: the base name table extended with
+  /// names first seen in the trace (index = PropertyId). Hand this to the
+  /// engine via set_property_names.
   std::vector<std::string> property_names;
   size_t skipped_lines = 0;  ///< comments and blank lines
 };
 
-/// Parses `lines` against the `base_names` id table (typically the base
-/// workload's property names). Fails — naming the 1-based line and the
-/// offending token — on a line whose query is empty after removing the
+/// Parses `lines`, resolving property names through `interner`, which
+/// keeps the names first seen here (read the grown table from it; the
+/// trace's property_names stays empty). Fails — naming the 1-based line and
+/// the offending token — on a line whose query is empty after removing the
 /// marker, on a stray '+'/'-' marker after the first token (almost always
-/// two operations joined on one line), and on property names containing
-/// control characters.
+/// two operations joined on one line), on property names containing
+/// control characters, and on queries longer than kMaxQueryLength. Names
+/// of the lines before a failing one stay interned.
+Result<UpdateTrace> ParseUpdateTrace(const std::vector<std::string>& lines,
+                                     PropertyInterner& interner);
+
+/// One-shot form: parses `lines` against the `base_names` id table
+/// (typically the base workload's property names) and returns the grown
+/// table in property_names. Fails as above, and with InvalidArgument when
+/// `base_names` repeats a name.
 Result<UpdateTrace> ParseUpdateTrace(const std::vector<std::string>& lines,
                                      std::vector<std::string> base_names);
 

@@ -18,14 +18,12 @@
 #include <memory>
 #include <utility>
 
-#include "data/query_log.h"
 #include "obs/exposition.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "online/update_trace.h"
 #include "server/coalescer.h"
 #include "util/build_info.h"
-#include "util/float_cmp.h"
 
 namespace mc3::server {
 namespace {
@@ -189,19 +187,14 @@ Status Server::Start(const Instance& base) {
           durability_->Recover(base, options_.default_cost, &engine_);
       if (!recovered.ok()) return recovered.status();
       MC3_RETURN_IF_ERROR(engine_.CheckInvariants());
-      // The recovered state may know properties the base workload does not
-      // (interned from WAL-logged updates): the name table comes from the
-      // engine, not the base.
-      names_ = engine_.property_names();
     } else {
       auto init = engine_.Initialize(base);
       if (!init.ok()) return init.status();
-      names_ = base.property_names();
     }
-    for (PropertyId id = 0; id < names_.size(); ++id) {
-      interned_.emplace(names_[id], id);
-    }
-    engine_.set_property_names(names_);
+    // The recovered state may know properties the base workload does not
+    // (interned from WAL-logged updates): the name table comes from the
+    // engine, not the base. The interner shares it.
+    MC3_RETURN_IF_ERROR(interner_.Load(engine_.shared_property_names()));
     if (!options_.record_trace_path.empty()) {
       trace_recorder_ = std::fopen(options_.record_trace_path.c_str(), "ab");
       if (trace_recorder_ == nullptr) {
@@ -678,35 +671,16 @@ bool Server::ProcessNext(bool drain_only) {
 PropertySet Server::InternQuery(const std::vector<std::string>& names) {
   std::vector<PropertyId> ids;
   ids.reserve(names.size());
-  for (const std::string& name : names) {
-    const auto [it, inserted] =
-        interned_.emplace(name, static_cast<PropertyId>(names_.size()));
-    if (inserted) names_.push_back(name);
-    ids.push_back(it->second);
-  }
+  for (const std::string& name : names) ids.push_back(interner_.Intern(name));
   return PropertySet::FromUnsorted(std::move(ids));
-}
-
-Status Server::PriceUnknown(const std::vector<PropertySet>& added) {
-  if (options_.default_cost < 0 || added.empty()) return Status::OK();
-  Instance pricing;
-  pricing.set_property_names(names_);
-  for (const PropertySet& query : added) pricing.AddQuery(query);
-  data::CostEstimatorOptions estimator;
-  estimator.default_difficulty = options_.default_cost;
-  MC3_RETURN_IF_ERROR(data::EstimateCosts(&pricing, estimator));
-  for (const auto& [classifier, cost] : SortedCostEntries(pricing.costs())) {
-    if (!IsInfiniteCost(engine_.CostOf(classifier))) continue;
-    MC3_RETURN_IF_ERROR(engine_.SetCost(classifier, cost));
-  }
-  return Status::OK();
 }
 
 uint64_t Server::PersistApplied(const std::vector<PropertySet>& add,
                                 const std::vector<PropertySet>& remove,
                                 const std::vector<uint64_t>& trace_ids) {
   if (durability_ == nullptr && trace_recorder_ == nullptr) return 0;
-  auto payload = online::RenderUpdateBatch(add, remove, names_);
+  auto payload =
+      online::RenderUpdateBatch(add, remove, engine_.property_names());
   if (!payload.ok()) {
     // Unreachable for admitted requests (ParseQueryLists only admits
     // serializable names), but a base workload with exotic names could
@@ -793,6 +767,7 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
     Timer coalesce_timer;
     const double coalesce_start_us = tracing ? telemetry_.NowUs() : 0;
     UpdateCoalescer coalescer;
+    const size_t known_names = interner_.size();
     for (size_t i = 0; i < batch.size(); ++i) {
       for (const auto& names : batch[i].request.add) {
         parsed[i].add.push_back(InternQuery(names));
@@ -802,13 +777,17 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
       }
       coalescer.Fold(parsed[i].add, parsed[i].remove);
     }
-    engine_.set_property_names(names_);
+    // Only a batch that brought a new name replaces the engine's table.
+    if (interner_.size() != known_names) {
+      engine_.share_property_names(interner_.names());
+    }
 
     const NetUpdate net = coalescer.Take();
     RecordStageSeconds("coalesce", Request::Op::kUpdate,
                        coalesce_timer.Seconds());
     telemetry_.Span("coalesce", coalesce_start_us, sampled_ids);
-    Status priced = PriceUnknown(net.add);
+    Status priced =
+        durability::PriceUnknown(net.add, options_.default_cost, &engine_);
     Timer apply_timer;
     Result<online::UpdateStats> applied =
         priced.ok() ? ApplyEngineUpdate(net.add, net.remove, sampled_ids)
@@ -845,7 +824,8 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
       for (size_t i = 0; i < batch.size(); ++i) {
         std::vector<uint64_t> one_ids;
         if (batch[i].sampled) one_ids.push_back(batch[i].trace_id);
-        Status fallback_priced = PriceUnknown(parsed[i].add);
+        Status fallback_priced = durability::PriceUnknown(
+            parsed[i].add, options_.default_cost, &engine_);
         Result<online::UpdateStats> one =
             fallback_priced.ok()
                 ? ApplyEngineUpdate(parsed[i].add, parsed[i].remove, one_ids)
@@ -987,11 +967,6 @@ void Server::PublishReadViews(const std::vector<bool>& touched) {
     const online::EngineReadView* old = view_publishers_[s]->Publish(view);
     if (old != nullptr) displaced.push_back(old);
   }
-  // Name-table snapshot, shared across indexes until interning grows it.
-  if (published_names_ == nullptr ||
-      published_names_->size() != names_.size()) {
-    published_names_ = std::make_shared<const std::vector<std::string>>(names_);
-  }
   // Phase 2: build and swap the cross-shard index root. One pinned load of
   // this object is a consistent cut: views, version vector, name table and
   // facade counters all captured under the same engine_mu_ hold.
@@ -1005,7 +980,7 @@ void Server::PublishReadViews(const std::vector<bool>& touched) {
     index->shards.push_back(view);
     index->versions.push_back(view->version);
   }
-  index->names = published_names_;
+  index->names = engine_.shared_property_names();
   index->counters = engine_.counters();
   const ReadIndex* old_index = index_publisher_.Publish(index);
   // Phase 3: retire in root-unreachability order — the displaced index
@@ -1094,7 +1069,7 @@ std::string Server::RenderSolveFromIndex(const Request& request,
   writer.Key("components").Int(components);
   writer.Key("classifiers").Int(classifiers);
   if (request.include_solution) {
-    const std::vector<std::string>& names = *index.names;
+    const std::vector<std::string>& names = NamesOf(index.names);
     writer.Key("solution").BeginArray();
     for (const PieceEntry* entry : MergeViewClassifiers(index.shards)) {
       writer.BeginArray();
@@ -1132,7 +1107,7 @@ std::string Server::RenderSnapshotFromIndex(const Request& request,
   writer.Key("cost").Number(total);
   writer.Key("queries").Int(queries);
   writer.Key("components").Int(components);
-  const std::vector<std::string>& names = *index.names;
+  const std::vector<std::string>& names = NamesOf(index.names);
   writer.Key("classifiers").BeginArray();
   for (const PieceEntry* entry : MergeViewClassifiers(index.shards)) {
     writer.BeginObject();

@@ -46,7 +46,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "concurrency/epoch.h"
@@ -253,8 +252,10 @@ class Server {
     /// is retired only once no published index references it.
     std::vector<const online::EngineReadView*> shards;
     std::vector<uint64_t> versions;  ///< per-shard view versions
-    /// Name table at publish time (shared: reused until interning grows it).
-    std::shared_ptr<const std::vector<std::string>> names;
+    /// The engine's name table at publish time: the same immutable table
+    /// the engine and the interner share, replaced only by a batch that
+    /// interned a new name.
+    PropertyNames names;
     online::EngineCounters counters;  ///< facade-level (not per-shard sums)
   };
 
@@ -342,12 +343,8 @@ class Server {
   /// Fires a policy-triggered checkpoint if one is due (engine_mu_ held).
   void MaybeCheckpoint() MC3_REQUIRES(engine_mu_);
 
-  /// Interns `names` into the engine's property table (engine_mu_ held).
+  /// Interns `names` into the property table (engine_mu_ held).
   PropertySet InternQuery(const std::vector<std::string>& names)
-      MC3_REQUIRES(engine_mu_);
-  /// Prices unknown classifiers of `added` at options_.default_cost
-  /// (engine_mu_ held; no-op when default_cost < 0).
-  Status PriceUnknown(const std::vector<PropertySet>& added)
       MC3_REQUIRES(engine_mu_);
 
   void WriteResponse(const std::shared_ptr<Connection>& conn,
@@ -374,9 +371,9 @@ class Server {
 
   util::Mutex engine_mu_;
   online::ShardedEngine engine_ MC3_GUARDED_BY(engine_mu_);
-  std::vector<std::string> names_ MC3_GUARDED_BY(engine_mu_);
-  std::unordered_map<std::string, PropertyId> interned_
-      MC3_GUARDED_BY(engine_mu_);
+  /// Name -> id over the engine's table; its snapshot is what the engine
+  /// and the published read indexes share.
+  PropertyInterner interner_ MC3_GUARDED_BY(engine_mu_);
 
   /// Lock-free read path (docs/serving.md#lock-free-reads): per-shard view
   /// publishers plus the cross-shard index root, reclaimed through epochs.
@@ -389,10 +386,6 @@ class Server {
       concurrency::VersionedPublisher<online::EngineReadView>>>
       view_publishers_;
   concurrency::VersionedPublisher<ReadIndex> index_publisher_;
-  /// Name-table snapshot shared by published indexes; refreshed by
-  /// PublishReadViews whenever interning grew the table.
-  std::shared_ptr<const std::vector<std::string>> published_names_
-      MC3_GUARDED_BY(engine_mu_);
 
   /// Shard workers (only with shards > 1 and live engine workers): one
   /// small job queue + thread per shard. Counters are Server-level atomics

@@ -345,6 +345,22 @@ TEST(SnapshotTest, ValidateRejectsStructuralDamage) {
   EXPECT_FALSE(ValidateSnapshotJson(json.substr(0, json.size() / 2)).ok());
 }
 
+TEST(SnapshotTest, RepeatedPropertyNameIsRejected) {
+  OnlineEngine engine = MakeEngine();
+  online::EngineState state = engine.ExportState();
+  ASSERT_GE(state.property_names.size(), 2u);
+  // Both ids would render as the same name, and no client could name the
+  // second one.
+  state.property_names.push_back(state.property_names[1]);
+  const std::string json = RenderSnapshot(state, 7);
+  auto parsed = ParseSnapshot(json);
+  ASSERT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("repeats entry 1"),
+            std::string::npos)
+      << parsed.status().message();
+  EXPECT_FALSE(ValidateSnapshotJson(json).ok());
+}
+
 TEST(SnapshotTest, LoadLatestSkipsInvalidNewerFiles) {
   ScratchDir dir("snapload");
   OnlineEngine engine = MakeEngine();
@@ -458,6 +474,60 @@ TEST(DurabilityManagerTest, SnapshotPlusWalTailReproducesTheLiveEngine) {
   ASSERT_TRUE(recovered.CheckInvariants().ok());
   EXPECT_EQ(Fingerprint(recovered), Fingerprint(live));
   EXPECT_EQ(recovered.TotalCost(), live.TotalCost());
+  EXPECT_EQ(RenderSnapshot(recovered.ExportState(), 0),
+            RenderSnapshot(live.ExportState(), 0));
+}
+
+TEST(DurabilityManagerTest, TailNamesFirstSeenMidwayRecoverInOrder) {
+  ScratchDir dir("mgr_names");
+  constexpr double kDefaultCost = 2;
+  OnlineEngine live;
+  {
+    auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE((*manager)->Recover(PaperExample(), kDefaultCost, &live).ok());
+    ASSERT_TRUE((*manager)->Checkpoint(live.ExportState()).ok());
+    // Logs each batch the way the server admits it: intern, price, apply.
+    PropertyInterner names;
+    ASSERT_TRUE(names.Load(live.shared_property_names()).ok());
+    const auto admit = [&](const std::vector<std::vector<std::string>>& adds,
+                           const std::vector<std::vector<std::string>>&
+                               removes) {
+      std::vector<PropertySet> add;
+      std::vector<PropertySet> remove;
+      for (const auto& query : adds) {
+        std::vector<PropertyId> ids;
+        for (const std::string& name : query) ids.push_back(names.Intern(name));
+        add.push_back(PropertySet::FromUnsorted(std::move(ids)));
+      }
+      for (const auto& query : removes) {
+        std::vector<PropertyId> ids;
+        for (const std::string& name : query) ids.push_back(names.Intern(name));
+        remove.push_back(PropertySet::FromUnsorted(std::move(ids)));
+      }
+      live.share_property_names(names.names());
+      ASSERT_TRUE(PriceUnknown(add, kDefaultCost, &live).ok());
+      ASSERT_TRUE(live.ApplyUpdate(add, remove).ok());
+      ASSERT_TRUE(
+          (*manager)->LogBatch(add, remove, live.property_names()).ok());
+    };
+    admit({{"chelsea", "white"}}, {});
+    admit({{"blue", "sofa"}}, {{"chelsea", "adidas"}});
+    admit({{"chelsea", "adidas"}, {"sofa", "lamp"}}, {{"blue", "sofa"}});
+    admit({}, {{"chelsea", "white"}});
+    ASSERT_TRUE((*manager)->Close().ok());
+  }
+  EXPECT_EQ(live.property_names().size(), 7u);
+
+  OnlineEngine recovered;
+  auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
+  ASSERT_TRUE(manager.ok());
+  auto recovery = (*manager)->Recover(PaperExample(), kDefaultCost, &recovered);
+  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
+  EXPECT_EQ(recovery->wal_records_replayed, 4u);
+  ASSERT_TRUE((*manager)->Close().ok());
+  ASSERT_TRUE(recovered.CheckInvariants().ok());
+  EXPECT_EQ(recovered.property_names(), live.property_names());
   EXPECT_EQ(RenderSnapshot(recovered.ExportState(), 0),
             RenderSnapshot(live.ExportState(), 0));
 }

@@ -197,5 +197,61 @@ TEST(InstanceBuilderTest, PriceAllKeepsExistingPrices) {
   EXPECT_EQ(x_cost, 100);
 }
 
+TEST(PropertyInternerTest, AssignsDenseIdsInFirstSeenOrder) {
+  PropertyInterner interner;
+  EXPECT_EQ(interner.names(), nullptr);
+  EXPECT_EQ(interner.Intern("white"), 0u);
+  EXPECT_EQ(interner.Intern("adidas"), 1u);
+  EXPECT_EQ(interner.Intern("white"), 0u);
+  EXPECT_EQ(interner.size(), 2u);
+  ASSERT_NE(interner.names(), nullptr);
+  EXPECT_EQ(*interner.names(), (std::vector<std::string>{"white", "adidas"}));
+}
+
+TEST(PropertyInternerTest, SnapshotIsRemadeOnlyWhenANameIsAdded) {
+  const PropertyNames table = std::make_shared<const std::vector<std::string>>(
+      std::vector<std::string>{"red", "shirt"});
+  PropertyInterner interner;
+  ASSERT_TRUE(interner.Load(table).ok());
+  // Loading shares the table; known names leave it in place.
+  EXPECT_EQ(interner.names(), table);
+  EXPECT_EQ(interner.Intern("shirt"), 1u);
+  EXPECT_EQ(interner.names(), table);
+  // A new name re-makes the snapshot once; the old table is untouched.
+  EXPECT_EQ(interner.Intern("tv"), 2u);
+  EXPECT_EQ(interner.Intern("sofa"), 3u);
+  const PropertyNames grown = interner.names();
+  EXPECT_NE(grown, table);
+  EXPECT_EQ(*grown,
+            (std::vector<std::string>{"red", "shirt", "tv", "sofa"}));
+  EXPECT_EQ(table->size(), 2u);
+  EXPECT_EQ(interner.names(), grown);
+}
+
+TEST(PropertyInternerTest, LoadRefusesRepeatedNames) {
+  PropertyInterner interner;
+  const Status loaded =
+      interner.Load(std::make_shared<const std::vector<std::string>>(
+          std::vector<std::string>{"a", "b", "a"}));
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.message().find("ids 0 and 2"), std::string::npos)
+      << loaded.message();
+  // Left empty, so a clean table still loads.
+  EXPECT_EQ(interner.size(), 0u);
+  ASSERT_TRUE(interner.Load(std::make_shared<const std::vector<std::string>>(
+                                std::vector<std::string>{"a", "b"}))
+                  .ok());
+  EXPECT_EQ(interner.Intern("b"), 1u);
+}
+
+TEST(InstanceTest, CopiesShareTheNameTable) {
+  const Instance inst = testing::PaperExample();
+  const Instance copy = inst;
+  EXPECT_EQ(copy.property_names().data(), inst.property_names().data());
+  Instance nameless;
+  EXPECT_TRUE(nameless.property_names().empty());
+  EXPECT_EQ(nameless.shared_property_names(), nullptr);
+}
+
 }  // namespace
 }  // namespace mc3

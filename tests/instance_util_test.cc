@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/exact_solver.h"
+#include "core/general_solver.h"
 #include "tests/test_util.h"
 
 namespace mc3 {
@@ -30,6 +31,26 @@ TEST(SubInstanceTest, CarriesPropertyNames) {
   const Instance inst = testing::PaperExample();
   const Instance sub = SubInstance(inst, {0});
   EXPECT_EQ(sub.property_names(), inst.property_names());
+  // The same storage, not an equal copy: a component costs no name copy.
+  EXPECT_EQ(sub.property_names().data(), inst.property_names().data());
+  EXPECT_EQ(BoundClassifierLength(inst, 1).property_names().data(),
+            inst.property_names().data());
+}
+
+TEST(DecomposeComponentsTest, InfeasibleComponentErrorNamesItsProperties) {
+  InstanceBuilder builder;
+  builder.AddQuery({"white", "adidas"});
+  builder.AddQuery({"sony", "tv"});
+  builder.SetCost({"white"}, 1);
+  builder.SetCost({"adidas"}, 1);
+  builder.SetCost({"sony"}, 2);  // "tv" is never priced
+  const Instance inst = std::move(builder).Build();
+  const std::vector<Instance> components = DecomposeComponents(inst);
+  ASSERT_EQ(components.size(), 2u);
+  auto solved = GeneralSolver(SolverOptions{}).Solve(components[1]);
+  ASSERT_EQ(solved.status().code(), StatusCode::kInfeasible);
+  EXPECT_NE(solved.status().message().find("sony&tv"), std::string::npos)
+      << solved.status().message();
 }
 
 TEST(RandomSubInstanceTest, DeterministicPerSeed) {

@@ -2,14 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/general_solver.h"
 #include "core/instance_util.h"
 #include "core/k2_solver.h"
 #include "data/synthetic.h"
+#include "obs/trace.h"
 #include "online/churn.h"
 #include "online/read_view.h"
+#include "online/sharded_engine.h"
 #include "online/update_trace.h"
 #include "tests/test_util.h"
 
@@ -359,6 +363,94 @@ TEST(ChurnGeneratorTest, DeterministicAndConsistent) {
   }
   EXPECT_EQ(a.NumLive() + a.NumRetired(), base.NumQueries());
 }
+
+TEST(OnlineEngineTest, ResolvesAndShardsShareOneNameTable) {
+  online::ShardedSyntheticConfig config;
+  config.num_domains = 6;
+  config.domain.num_queries = 10;
+  config.domain.seed = 2;
+  Instance inst = online::GenerateShardedSynthetic(config);
+  PropertyId max_id = 0;
+  for (const PropertySet& q : inst.queries()) {
+    max_id = std::max(max_id, q.ids().back());
+  }
+  std::vector<std::string> names;
+  for (PropertyId p = 0; p <= max_id; ++p) {
+    names.push_back(std::to_string(p));
+    names.back().insert(names.back().begin(), 'p');
+  }
+  inst.set_property_names(std::move(names));
+  const std::string* table = inst.property_names().data();
+
+  OnlineEngine engine;
+  ASSERT_TRUE(engine.Initialize(inst).ok());
+  EXPECT_EQ(engine.property_names().data(), table);
+  ASSERT_TRUE(engine.RemoveQueries({inst.queries()[0]}).ok());
+  EXPECT_EQ(engine.property_names().data(), table);
+  // LiveInstance builds through the same path as every re-solve.
+  EXPECT_EQ(engine.LiveInstance().property_names().data(), table);
+
+  online::ShardedEngine sharded(3);
+  ASSERT_TRUE(sharded.Initialize(inst).ok());
+  for (uint32_t s = 0; s < sharded.num_shards(); ++s) {
+    EXPECT_EQ(sharded.shard(s).property_names().data(), table);
+  }
+  online::ShardedEngine restored(3);
+  ASSERT_TRUE(restored.ImportSharded(sharded.ExportSharded()).ok());
+  EXPECT_EQ(restored.property_names(), inst.property_names());
+  for (uint32_t s = 0; s < restored.num_shards(); ++s) {
+    EXPECT_EQ(restored.shard(s).property_names().data(),
+              restored.property_names().data());
+  }
+}
+
+#if !defined(MC3_OBS_DISABLED)
+void CollectSpans(const obs::SpanNode& node, const std::string& name,
+                  std::vector<const obs::SpanNode*>* out) {
+  if (node.name == name) out->push_back(&node);
+  for (const auto& child : node.children) CollectSpans(*child, name, out);
+}
+
+TEST(OnlineEngineTest, TracedUpdateTimesTheSubInstanceBuild) {
+  online::ShardedSyntheticConfig config;
+  config.num_domains = 60;
+  config.domain.num_queries = 15;
+  config.domain.seed = 3;
+  const Instance inst = online::GenerateShardedSynthetic(config);
+  OnlineEngine engine;
+  ASSERT_TRUE(engine.Initialize(inst).ok());
+  ChurnGenerator churn(inst, 5);
+  // Retire a pool first, so the traced batches revive what they add.
+  const ChurnGenerator::Batch warmup = churn.Next(0, 90);
+  ASSERT_TRUE(engine.ApplyUpdate(warmup.add, warmup.remove).ok());
+  obs::Trace trace("serve");
+  {
+    obs::ScopedTraceActivation activate(&trace);
+    for (int step = 0; step < 20; ++step) {
+      const ChurnGenerator::Batch batch = churn.Next(4, 4);
+      auto applied = engine.ApplyUpdate(batch.add, batch.remove);
+      ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    }
+  }
+  std::vector<const obs::SpanNode*> solves;
+  CollectSpans(*trace.root(), "solve_component", &solves);
+  ASSERT_FALSE(solves.empty());
+  // Each component re-solve times its sub-instance build as a child, and
+  // the children (build plus solver) cover at least 90% of the re-solve.
+  double solve_seconds = 0;
+  double child_seconds = 0;
+  for (const obs::SpanNode* solve : solves) {
+    size_t builds = 0;
+    for (const auto& child : solve->children) {
+      if (child->name == "build_sub_instance") ++builds;
+      child_seconds += child->seconds;
+    }
+    EXPECT_EQ(builds, 1u);
+    solve_seconds += solve->seconds;
+  }
+  EXPECT_GE(child_seconds, 0.9 * solve_seconds);
+}
+#endif  // !MC3_OBS_DISABLED
 
 TEST(ShardedSyntheticTest, DomainsAreDisjointComponents) {
   online::ShardedSyntheticConfig config;

@@ -73,6 +73,7 @@ TEST(PreprocessTest, PartitionSplitsDisjointQueries) {
   inst.SetCost(PS({0, 1}), 7);
   inst.SetCost(PS({2, 3}), 7);
   inst.SetCost(PS({1, 4}), 7);
+  inst.set_property_names({"white", "adidas", "sony", "tv", "lamp"});
   auto pre = Preprocess(inst);
   ASSERT_TRUE(pre.ok());
   // {0,1} and {1,4} share property 1 -> one component; {2,3} another.
@@ -81,6 +82,12 @@ TEST(PreprocessTest, PartitionSplitsDisjointQueries) {
   const size_t total_queries = pre->components[0].NumQueries() +
                                pre->components[1].NumQueries();
   EXPECT_EQ(total_queries, 3u);
+  // Each residual component names its properties through the input's
+  // table itself, not a copy.
+  for (const Instance& component : pre->components) {
+    EXPECT_EQ(component.property_names().data(),
+              inst.property_names().data());
+  }
 }
 
 TEST(PreprocessTest, PartitionDisabledEmitsSingleComponent) {

@@ -447,6 +447,52 @@ TEST(ServerTest, UpdateAddsAndRemovesQueries) {
   server.Join();
 }
 
+TEST(ServerTest, OnlyABatchThatInternsReplacesTheNameTable) {
+  Server server(TestOptions());
+  const Instance base = BaseInstance();
+  ASSERT_TRUE(server.Start(base).ok());
+  const auto table = [&server] {
+    PropertyNames names;
+    server.WithShardedEngine([&names](const online::ShardedEngine& engine) {
+      names = engine.shared_property_names();
+    });
+    return names;
+  };
+  // The server, its interner and the engine share the base's table.
+  const PropertyNames at_start = table();
+  EXPECT_EQ(at_start, base.shared_property_names());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  ASSERT_EQ(CodeOf(client.Call(
+                R"({"op":"update","id":1,"remove":[["red","shirt"]]})")),
+            200);
+  EXPECT_EQ(table(), at_start);
+  ASSERT_EQ(CodeOf(client.Call(
+                R"({"op":"update","id":2,"add":[["blue","sofa"]]})")),
+            200);
+  const PropertyNames grown = table();
+  EXPECT_NE(grown, at_start);
+  EXPECT_EQ(grown->size(), at_start->size() + 2);
+  EXPECT_EQ(at_start->size(), 3u);  // the published old table is untouched
+  ASSERT_EQ(CodeOf(client.Call(
+                R"({"op":"update","id":3,"add":[["red","shirt"]]})")),
+            200);
+  EXPECT_EQ(table(), grown);
+
+  server.RequestDrain();
+  server.Join();
+}
+
+TEST(ServerTest, StartRefusesRepeatedPropertyNames) {
+  Instance base = BaseInstance();
+  std::vector<std::string> names = base.property_names();
+  names.push_back(names.front());  // a second id with the first one's name
+  base.set_property_names(std::move(names));
+  Server server(TestOptions());
+  EXPECT_EQ(server.Start(base).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ServerTest, UncoverableAddGets400WithoutDefaultCost) {
   ServerOptions options = TestOptions();
   options.default_cost = -1;  // no auto-pricing

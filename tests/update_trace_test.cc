@@ -3,6 +3,7 @@
 // token, printable masking) — the contract `mc3 serve` error messages and
 // the cli_serve_malformed_trace smoke test build on.
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,6 +98,52 @@ TEST(UpdateTraceTest, BaseNamesAreReusedNewNamesInterned) {
   EXPECT_EQ(trace->property_names[2], "novel");
   EXPECT_TRUE(trace->ops[0].query.Contains(0));  // "red" kept its base id
   EXPECT_TRUE(trace->ops[0].query.Contains(2));
+}
+
+TEST(UpdateTraceTest, OneInternerAcrossRecordsMatchesTheJoinedParse) {
+  const std::vector<std::string> base = {"red", "shirt", "tv"};
+  // A WAL tail, one record per entry; "blue" and "sofa" are first seen in
+  // the second record and "lamp" in the third.
+  const std::vector<std::vector<std::string>> records = {
+      {"+ red shirt", "- tv"},
+      {"+ blue sofa", "- red shirt"},
+      {"# comment", "+ tv blue", "- sofa lamp"},
+      {"+ red"},
+  };
+  PropertyInterner interner;
+  ASSERT_TRUE(
+      interner.Load(std::make_shared<const std::vector<std::string>>(base))
+          .ok());
+  std::vector<TraceOp> streamed;
+  std::vector<std::string> joined;
+  for (const std::vector<std::string>& record : records) {
+    const PropertyNames before = interner.names();
+    const size_t known = interner.size();
+    auto trace = ParseUpdateTrace(record, interner);
+    ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+    EXPECT_TRUE(trace->property_names.empty());
+    // Only a record that brings a new name re-makes the table.
+    EXPECT_EQ(interner.names() != before, interner.size() != known);
+    for (TraceOp& op : trace->ops) streamed.push_back(std::move(op));
+    joined.insert(joined.end(), record.begin(), record.end());
+  }
+  auto whole = ParseUpdateTrace(joined, base);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  ASSERT_EQ(streamed.size(), whole->ops.size());
+  for (size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(streamed[i].kind, whole->ops[i].kind) << i;
+    EXPECT_EQ(streamed[i].query, whole->ops[i].query) << i;
+  }
+  EXPECT_EQ(*interner.names(), whole->property_names);
+  EXPECT_EQ(whole->property_names,
+            (std::vector<std::string>{"red", "shirt", "tv", "blue", "sofa",
+                                      "lamp"}));
+}
+
+TEST(UpdateTraceTest, RepeatedBaseNameIsRejected) {
+  auto trace =
+      ParseUpdateTrace({"+ a"}, std::vector<std::string>{"a", "b", "a"});
+  EXPECT_EQ(trace.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(UpdateTraceRenderTest, RenderTraceOpIsTheParserInverse) {

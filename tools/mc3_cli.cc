@@ -604,14 +604,14 @@ int CmdServe(const std::string& workload_path, const std::string& trace_path,
   auto trace =
       online::LoadUpdateTrace(trace_path, instance->property_names());
   if (!trace.ok()) return Fail(trace.status());
-  engine.set_property_names(trace->property_names);
+  engine.set_property_names(std::move(trace->property_names));
   std::printf("trace:      %zu operations (%zu lines skipped)\n",
               trace->ops.size(), trace->skipped_lines);
 
   // Price classifiers the trace introduces but the workload doesn't know.
   if (config.default_cost >= 0) {
     Instance added;
-    added.set_property_names(trace->property_names);
+    added.share_property_names(engine.shared_property_names());
     std::unordered_set<PropertySet, PropertySetHash> seen;
     for (const online::TraceOp& op : trace->ops) {
       if (op.kind == online::TraceOp::Kind::kAdd &&
