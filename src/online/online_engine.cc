@@ -90,11 +90,23 @@ bool OnlineEngine::Coverable(const PropertySet& query) const {
   return covered.size() == query.size();
 }
 
+std::optional<size_t> OnlineEngine::ComponentOf(
+    const PropertySet& query) const {
+  if (query.empty()) return std::nullopt;
+  const auto owner = component_of_prop_.find(query.ids().front());
+  if (owner == component_of_prop_.end()) return std::nullopt;
+  const std::vector<PropertySet>& held = components_.at(owner->second).queries;
+  if (!std::binary_search(held.begin(), held.end(), query)) {
+    return std::nullopt;
+  }
+  return owner->second;
+}
+
 Instance OnlineEngine::BuildSubInstance(
-    const std::vector<size_t>& slots) const {
+    const std::vector<PropertySet>& queries) const {
   Instance sub;
   sub.share_property_names(names_);
-  for (size_t slot : slots) sub.AddQuery(queries_[slot]);
+  for (const PropertySet& q : queries) sub.AddQuery(q);
   for (const PropertySet& q : sub.queries()) {
     ForEachNonEmptySubset(q, [&](const PropertySet& classifier) {
       const auto it = costs_.find(classifier);
@@ -139,42 +151,17 @@ Status OnlineEngine::SolveComponent(const Instance& sub,
   return Status::OK();
 }
 
-Result<UpdateStats> OnlineEngine::ApplyUpdate(
+Result<std::vector<PropertySet>> OnlineEngine::ValidateAdds(
     const std::vector<PropertySet>& add,
-    const std::vector<PropertySet>& remove) {
-  UpdateStats stats;
-
-  // Resolve the batch against the live set before touching anything, so a
-  // rejected batch leaves the engine untouched. Removes apply first; a
-  // query both removed and (re-)added nets out to its prior state.
-  std::unordered_set<PropertySet, PropertySetHash> added_set(add.begin(),
-                                                             add.end());
-  std::vector<size_t> remove_slots;
-  std::unordered_set<size_t> remove_slot_set;
-  for (const PropertySet& q : remove) {
-    if (added_set.count(q) > 0) continue;  // cancelled by the add below
-    const auto it = slot_of_.find(q);
-    if (it == slot_of_.end() || !live_[it->second]) {
-      ++stats.missing_removes;
-      continue;
-    }
-    if (remove_slot_set.insert(it->second).second) {
-      remove_slots.push_back(it->second);
-    }
-  }
-  std::vector<PropertySet> to_add;
-  std::unordered_set<PropertySet, PropertySetHash> to_add_set;
+    const std::function<bool(const PropertySet&)>& is_live) const {
+  std::vector<PropertySet> fresh;
+  std::unordered_set<PropertySet, PropertySetHash> seen;
   for (const PropertySet& q : add) {
     if (q.empty()) {
       return Status::InvalidArgument("cannot add the empty query");
     }
     MC3_RETURN_IF_ERROR(CheckQueryLength(q, property_names()));
-    const auto it = slot_of_.find(q);
-    if ((it != slot_of_.end() && live_[it->second]) ||
-        !to_add_set.insert(q).second) {
-      ++stats.duplicate_adds;
-      continue;
-    }
+    if (is_live(q) || !seen.insert(q).second) continue;
     if (options_.solver == EngineOptions::SolverKind::kK2Exact &&
         q.size() > 2) {
       return Status::InvalidArgument(
@@ -187,97 +174,90 @@ Result<UpdateStats> OnlineEngine::ApplyUpdate(
           " cannot be covered by finite-cost classifiers of the engine's "
           "table");
     }
-    to_add.push_back(q);
+    fresh.push_back(q);
+  }
+  return fresh;
+}
+
+Result<UpdateStats> OnlineEngine::ApplyUpdate(
+    const std::vector<PropertySet>& add,
+    const std::vector<PropertySet>& remove) {
+  UpdateStats stats;
+
+  // Resolve the batch against the live set before touching anything, so a
+  // rejected batch leaves the engine untouched. Removes apply first; a
+  // query both removed and (re-)added nets out to its prior state.
+  Result<std::vector<PropertySet>> to_add =
+      ValidateAdds(add, [this](const PropertySet& q) {
+        return ComponentOf(q).has_value();
+      });
+  if (!to_add.ok()) return to_add.status();
+  stats.duplicate_adds = add.size() - to_add->size();
+  const std::unordered_set<PropertySet, PropertySetHash> added_set(
+      add.begin(), add.end());
+  std::unordered_set<PropertySet, PropertySetHash> removed;
+  // The dirty components: owners of removed queries and of every
+  // already-indexed property of an added query.
+  std::vector<size_t> dirty;
+  for (const PropertySet& q : remove) {
+    if (added_set.count(q) > 0) continue;  // cancelled by the add
+    const std::optional<size_t> owner = ComponentOf(q);
+    if (!owner) {
+      ++stats.missing_removes;
+    } else if (removed.insert(q).second) {
+      dirty.push_back(*owner);
+    }
   }
 
   ++counters_.updates;
-  if (to_add.empty() && remove_slots.empty()) return stats;
+  if (to_add->empty() && removed.empty()) return stats;
 
   obs::ScopedSpan span("online_update");
   Timer timer;
 
-  // Locate the dirty components: owners of removed queries and of every
-  // already-indexed property of an added query.
-  std::vector<size_t> dirty;
-  for (size_t slot : remove_slots) dirty.push_back(component_of_slot_[slot]);
-  for (const PropertySet& q : to_add) {
+  for (const PropertySet& q : *to_add) {
     for (PropertyId p : q) {
       const auto it = component_of_prop_.find(p);
       if (it != component_of_prop_.end()) dirty.push_back(it->second);
     }
   }
   // Determinism contract: dirty ids are collected from hash lookups, so sort
-  // and dedupe before anything downstream observes the order. Every later
-  // stage (region assembly, repartition, commit) iterates in this order.
+  // and dedupe before anything downstream observes the order.
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   stats.components_dirtied = dirty.size();
 
-  // Apply removals (slots are tombstoned, never erased, so a removed query
-  // can be revived in place later).
-  for (size_t slot : remove_slots) {
-    live_[slot] = false;
-    --num_live_;
-  }
-  stats.queries_removed = remove_slots.size();
-
-  // The dirty region: surviving queries of dirty components plus the adds.
-  std::vector<size_t> region;
+  // Retire the dirty components and their property-index entries (the
+  // region's new partition re-registers the properties still in use). The
+  // dirty region is their surviving queries plus the adds.
+  std::vector<PropertySet> region;
   for (size_t cid : dirty) {
-    const Component& component = components_.at(cid);
-    for (size_t slot : component.queries) {
-      if (live_[slot]) region.push_back(slot);
+    auto retired = components_.extract(cid);
+    for (PropertySet& q : retired.mapped().queries) {
+      for (PropertyId p : q) component_of_prop_.erase(p);
+      if (removed.count(q) == 0) region.push_back(std::move(q));
     }
   }
-  for (const PropertySet& q : to_add) {
-    size_t slot;
-    const auto it = slot_of_.find(q);
-    if (it != slot_of_.end()) {
-      slot = it->second;  // revive the tombstoned slot
-    } else {
-      slot = queries_.size();
-      queries_.push_back(q);
-      live_.push_back(false);
-      component_of_slot_.push_back(0);
-      slot_of_.emplace(q, slot);
-    }
-    live_[slot] = true;
-    ++num_live_;
-    region.push_back(slot);
-  }
-  stats.queries_added = to_add.size();
+  stats.queries_removed = removed.size();
+  stats.queries_added = to_add->size();
+  for (PropertySet& q : *to_add) region.push_back(std::move(q));
+  num_live_ = num_live_ - stats.queries_removed + stats.queries_added;
   stats.queries_touched = region.size();
 
-  // Retire the dirty components and their property-index entries (the
-  // region's new partition re-registers the properties still in use).
-  for (size_t cid : dirty) {
-    const Component& component = components_.at(cid);
-    for (size_t slot : component.queries) {
-      for (PropertyId p : queries_[slot]) {
-        const auto it = component_of_prop_.find(p);
-        if (it != component_of_prop_.end() && it->second == cid) {
-          component_of_prop_.erase(it);
-        }
-      }
-    }
-    total_cost_ -= component.cost;
-    components_.erase(cid);
-  }
-
   // Lazy repartition of the dirty region only (adds may have merged dirty
-  // components; removes may have split them). Sorting the region by query
-  // slot makes the re-solve order canonical: PartitionQueries numbers
-  // components by first appearance, so each fresh component is solved and
-  // committed in order of its smallest member slot regardless of the update
-  // batch's iteration history.
+  // components; removes may have split them). Sorting the region by content
+  // makes the re-solve a function of the live set: each fresh component
+  // holds its queries in ascending order, and PartitionQueries numbers
+  // components by first appearance, so they are solved and committed in
+  // order of their smallest query.
   std::sort(region.begin(), region.end());
-  std::vector<std::vector<size_t>> groups;
+  std::vector<std::vector<PropertySet>> groups;
   {
     obs::ScopedSpan repartition_span("repartition");
-    const ComponentPartition partition = PartitionQueries(queries_, region);
+    const ComponentPartition partition = PartitionQueries(region);
     groups.resize(partition.num_components);
     for (size_t idx = 0; idx < region.size(); ++idx) {
-      groups[partition.component_of[idx]].push_back(region[idx]);
+      groups[partition.component_of[idx]].push_back(std::move(region[idx]));
     }
     repartition_span.AddStat("region_queries",
                              static_cast<double>(region.size()));
@@ -316,11 +296,9 @@ Result<UpdateStats> OnlineEngine::ApplyUpdate(
       fresh[i].cost = kInfiniteCost;
     }
     const size_t cid = next_component_id_++;
-    for (size_t slot : fresh[i].queries) {
-      component_of_slot_[slot] = cid;
-      for (PropertyId p : queries_[slot]) component_of_prop_[p] = cid;
+    for (const PropertySet& q : fresh[i].queries) {
+      for (PropertyId p : q) component_of_prop_[p] = cid;
     }
-    total_cost_ += fresh[i].cost;
     components_.emplace_hint(components_.end(), cid, std::move(fresh[i]));
   }
   stats.components_resolved = fresh.size();
@@ -372,6 +350,12 @@ Result<UpdateStats> OnlineEngine::RemoveQueries(
   return ApplyUpdate({}, queries);
 }
 
+Cost OnlineEngine::TotalCost() const {
+  Cost total = 0;
+  for (const auto& [cid, component] : components_) total += component.cost;
+  return total;
+}
+
 Solution OnlineEngine::CurrentSolution() const {
   Solution merged;
   for (const auto& [cid, component] : components_) {
@@ -391,11 +375,14 @@ OnlineEngine::SolutionPieces() const {
 }
 
 Instance OnlineEngine::LiveInstance() const {
-  std::vector<size_t> slots;
-  for (size_t slot = 0; slot < queries_.size(); ++slot) {
-    if (live_[slot]) slots.push_back(slot);
+  std::vector<PropertySet> queries;
+  queries.reserve(num_live_);
+  for (const auto& [cid, component] : components_) {
+    queries.insert(queries.end(), component.queries.begin(),
+                   component.queries.end());
   }
-  return BuildSubInstance(slots);
+  std::sort(queries.begin(), queries.end());
+  return BuildSubInstance(queries);
 }
 
 size_t EngineState::NumQueries() const {
@@ -411,10 +398,7 @@ EngineState OnlineEngine::ExportState() const {
   state.components.reserve(components_.size());
   for (const auto& [cid, component] : components_) {
     EngineState::Component out;
-    std::vector<size_t> slots = component.queries;
-    std::sort(slots.begin(), slots.end());
-    out.queries.reserve(slots.size());
-    for (size_t slot : slots) out.queries.push_back(queries_[slot]);
+    out.queries = component.queries;
     out.solution.reserve(component.piece->size());
     for (const auto& entry : *component.piece) {
       out.solution.push_back(entry.first);
@@ -426,7 +410,7 @@ EngineState OnlineEngine::ExportState() const {
 }
 
 Status OnlineEngine::ImportState(const EngineState& state) {
-  if (!queries_.empty() || !components_.empty() || !costs_.empty()) {
+  if (!components_.empty() || !costs_.empty()) {
     return Status::Internal(
         "ImportState requires an untouched engine (it does not merge)");
   }
@@ -445,20 +429,18 @@ Status OnlineEngine::ImportState(const EngineState& state) {
     }
     const size_t cid = next_component_id_++;
     Component component;
-    for (const PropertySet& query : in.queries) {
+    component.queries = in.queries;
+    std::sort(component.queries.begin(), component.queries.end());
+    for (size_t i = 0; i < component.queries.size(); ++i) {
+      const PropertySet& query = component.queries[i];
       if (query.empty()) {
         return Status::InvalidArgument("snapshot contains an empty query");
       }
-      const size_t slot = queries_.size();
-      if (!slot_of_.emplace(query, slot).second) {
+      // A query in two components would share its properties across them.
+      if (i > 0 && query == component.queries[i - 1]) {
         return Status::InvalidArgument("snapshot repeats query " +
                                        query.ToString(property_names()));
       }
-      queries_.push_back(query);
-      live_.push_back(true);
-      component_of_slot_.push_back(cid);
-      ++num_live_;
-      component.queries.push_back(slot);
       for (PropertyId p : query) {
         const auto [it, inserted] = component_of_prop_.emplace(p, cid);
         if (!inserted && it->second != cid) {
@@ -484,25 +466,17 @@ Status OnlineEngine::ImportState(const EngineState& state) {
     }
     component.piece = MakePiece(std::move(entries));
     component.cost = in.cost;
-    total_cost_ += component.cost;
+    num_live_ += component.queries.size();
     components_.emplace_hint(components_.end(), cid, std::move(component));
   }
   return Status::OK();
 }
 
 Status OnlineEngine::CheckInvariants() const {
-  size_t live_count = 0;
-  for (size_t slot = 0; slot < queries_.size(); ++slot) {
-    if (live_[slot]) ++live_count;
-  }
-  if (live_count != num_live_) {
-    return Status::Internal("live-query counter out of sync");
-  }
-
-  // Components partition the live slots, and slot/property indexes agree.
+  // Components partition the live queries and their properties, and the
+  // property index agrees.
   size_t partitioned = 0;
   std::unordered_map<PropertyId, size_t> expected_props;
-  Cost component_sum = 0;
   for (const auto& [cid, component] : components_) {
     if (component.queries.empty()) {
       return Status::Internal("empty component in the registry");
@@ -517,25 +491,21 @@ Status OnlineEngine::CheckInvariants() const {
         return Status::Internal("solution piece price differs from the table");
       }
     }
-    for (size_t slot : component.queries) {
-      if (slot >= queries_.size() || !live_[slot]) {
-        return Status::Internal("component lists a dead query slot");
+    for (size_t i = 0; i < component.queries.size(); ++i) {
+      if (i > 0 && !(component.queries[i - 1] < component.queries[i])) {
+        return Status::Internal("component queries not strictly ascending");
       }
-      if (component_of_slot_[slot] != cid) {
-        return Status::Internal("slot index disagrees with the registry");
-      }
-      ++partitioned;
-      for (PropertyId p : queries_[slot]) {
+      for (PropertyId p : component.queries[i]) {
         const auto [it, inserted] = expected_props.emplace(p, cid);
         if (!inserted && it->second != cid) {
           return Status::Internal("property shared across components");
         }
       }
     }
-    component_sum += component.cost;
+    partitioned += component.queries.size();
   }
   if (partitioned != num_live_) {
-    return Status::Internal("components do not partition the live queries");
+    return Status::Internal("live-query counter out of sync");
   }
   if (expected_props.size() != component_of_prop_.size()) {
     return Status::Internal("property index size mismatch");
@@ -546,10 +516,6 @@ Status OnlineEngine::CheckInvariants() const {
     if (it == component_of_prop_.end() || it->second != cid) {
       return Status::Internal("property index entry mismatch");
     }
-  }
-  const Cost tolerance = 1e-6 * (1 + std::abs(component_sum));
-  if (std::abs(component_sum - total_cost_) > tolerance) {
-    return Status::Internal("aggregate cost out of sync with components");
   }
 
   // The maintained cover must equal VerifyCoverage on the live instance.

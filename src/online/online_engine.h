@@ -8,7 +8,8 @@
 // single update can only invalidate the components whose property sets it
 // touches. The engine exploits this:
 //
-//   * it owns a live query set and classifier cost table;
+//   * it owns a classifier cost table and the live queries, each held by its
+//     component in ascending order — nothing of a retired query is kept;
 //   * a property -> component index (components partition the properties of
 //     live queries) locates the components an update touches;
 //   * adds can merge components, removes can split them; instead of
@@ -17,7 +18,9 @@
 //     the touched components' queries);
 //   * each dirty component is re-solved from scratch through the existing
 //     batch machinery (GeneralSolver / K2ExactSolver / ShortFirstSolver),
-//     dirty components in parallel via SolverOptions::num_threads;
+//     dirty components in parallel via SolverOptions::num_threads, over its
+//     queries in content order, so the plan depends on the live set and the
+//     prices, never on the order of past updates;
 //   * each component stores its solution as one immutable piece (its
 //     classifiers, sorted, with their prices), built when the component is
 //     solved; untouched components keep their piece verbatim, and read
@@ -35,8 +38,10 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -100,15 +105,15 @@ struct EngineCounters {
 
 /// Serializable point-in-time engine state: the payload of a durability
 /// snapshot (src/durability/snapshot.h, docs/durability.md). Canonical
-/// form — costs sorted by classifier, components ordered by creation id
-/// with queries in live-slot order, solutions sorted — so exporting,
-/// importing and re-exporting yields an identical value.
+/// form — costs sorted by classifier, components ordered by creation id,
+/// queries and solutions sorted — so exporting, importing and re-exporting
+/// yields an identical value.
 struct EngineState {
   std::vector<std::string> property_names;
   /// The full classifier price table, sorted by classifier.
   std::vector<std::pair<PropertySet, Cost>> costs;
   struct Component {
-    std::vector<PropertySet> queries;   ///< live queries, slot order
+    std::vector<PropertySet> queries;   ///< live queries, sorted
     std::vector<PropertySet> solution;  ///< stored solution, sorted
     Cost cost = 0;                      ///< stored solve cost
   };
@@ -150,9 +155,18 @@ class OnlineEngine {
   Result<UpdateStats> AddQueries(const std::vector<PropertySet>& queries);
   Result<UpdateStats> RemoveQueries(const std::vector<PropertySet>& queries);
 
-  /// Aggregate construction cost of the maintained cover (sum of the
-  /// per-component solve costs).
-  Cost TotalCost() const { return total_cost_; }
+  /// The add checks of ApplyUpdate, in batch order: a query must be
+  /// non-empty and within the length limit; one that `is_live` or that
+  /// repeats an earlier add is then skipped; the rest must fit the
+  /// configured solver and be Coverable. Returns the adds not skipped, in
+  /// batch order. ShardedEngine runs it against its router's live set.
+  Result<std::vector<PropertySet>> ValidateAdds(
+      const std::vector<PropertySet>& add,
+      const std::function<bool(const PropertySet&)>& is_live) const;
+
+  /// Aggregate construction cost of the maintained cover: the
+  /// per-component solve costs summed in component-id order.
+  Cost TotalCost() const;
 
   /// Union of the per-component solutions: the classifiers to keep trained,
   /// component by component in id order, each component's sorted.
@@ -194,35 +208,42 @@ class OnlineEngine {
   /// Exports the full engine state (price table, live queries, stored
   /// per-component solutions) in canonical form. The inverse of
   /// ImportState: importing the export into a fresh engine reproduces the
-  /// live set, the solution store and every future update byte-identically
-  /// (cumulative counters are not part of the state and restart at zero).
+  /// live set, the solution store, the component order and so every future
+  /// update byte-identically (cumulative counters are not part of the state
+  /// and restart at zero).
   EngineState ExportState() const;
 
   /// Restores an exported state into this engine, which must be untouched
-  /// (no costs, no queries). Validates structural integrity — non-empty
-  /// distinct queries, finite non-negative costs, components that partition
-  /// their properties, solutions that buy only classifiers over their
-  /// component's properties — but not coverage; run CheckInvariants
-  /// afterwards for the full O(instance) audit.
+  /// (no costs, no queries). Sorts each component's queries (snapshots
+  /// from earlier builds list them in the order they were first added).
+  /// Validates structural integrity — non-empty distinct queries, finite
+  /// non-negative costs, components that partition their properties,
+  /// solutions that buy only classifiers over their component's
+  /// properties — but not coverage; run CheckInvariants afterwards for the
+  /// full O(instance) audit.
   Status ImportState(const EngineState& state);
 
   /// Invariant checker (O(instance)): the maintained cover passes
   /// VerifyCoverage on the live instance, the component index partitions
-  /// the live queries and their properties exactly, every piece is sorted
-  /// and carries the table's current prices, and the cached aggregate cost
-  /// matches the per-component solutions.
+  /// the live queries and their properties exactly, each component's
+  /// queries are strictly ascending, and every piece is sorted and carries
+  /// the table's current prices.
   Status CheckInvariants() const;
 
  private:
   struct Component {
-    std::vector<size_t> queries;  ///< live query slots of this component
+    std::vector<PropertySet> queries;  ///< live queries, strictly ascending
     std::shared_ptr<const SolutionPiece> piece;  ///< never null
     Cost cost = 0;
   };
 
-  /// Builds the sub-instance over the live queries in `slots`; it shares
-  /// the engine's name table.
-  Instance BuildSubInstance(const std::vector<size_t>& slots) const;
+  /// Id of the component holding `query`, or nullopt when it is not live:
+  /// a live query is held by the owner of its first property.
+  std::optional<size_t> ComponentOf(const PropertySet& query) const;
+
+  /// Builds the sub-instance over `queries`; it shares the engine's name
+  /// table.
+  Instance BuildSubInstance(const std::vector<PropertySet>& queries) const;
 
   /// Solves `sub` with the configured solver. On success stores the
   /// solution's piece and cost into `out`.
@@ -230,13 +251,7 @@ class OnlineEngine {
 
   EngineOptions options_;
 
-  /// Every query ever seen, with tombstones; `slot_of_` maps a query to its
-  /// slot so removed queries can be revived in place.
-  std::vector<PropertySet> queries_;
-  std::vector<bool> live_;
-  std::unordered_map<PropertySet, size_t, PropertySetHash> slot_of_;
   size_t num_live_ = 0;
-
   CostMap costs_;
   PropertyNames names_;
 
@@ -244,13 +259,10 @@ class OnlineEngine {
   /// reused, so a new component goes at the end.
   std::map<size_t, Component> components_;
   size_t next_component_id_ = 0;
-  /// Slot -> owning component id (valid for live slots only).
-  std::vector<size_t> component_of_slot_;
   /// Property -> owning component id. A property of a live query belongs to
   /// exactly one component.
   std::unordered_map<PropertyId, size_t> component_of_prop_;
 
-  Cost total_cost_ = 0;
   EngineCounters counters_;
 };
 

@@ -2,7 +2,7 @@
 //
 // After every applied batch the serving layer builds one EngineReadView per
 // touched shard — a plain value object holding everything the read verbs
-// (`solve`, `snapshot`, `stats`) render: the shard's running total cost,
+// (`solve`, `snapshot`, `stats`) render: the shard's total cost,
 // live-query, component and classifier counts, and the current solution as
 // the engine's per-component pieces (online_engine.h, SolutionPiece). A
 // piece is immutable and shared by the engine and every view that names it,
@@ -14,11 +14,11 @@
 // "Lock-free reads"). Reclaiming a view frees its pointer vector and any
 // piece no engine component or other view still holds.
 //
-// The numeric fields snapshot the engine accessors verbatim (TotalCost is
-// the engine's own double running total, not a canonical re-sum), so a
-// response rendered from views is byte-identical to one rendered under the
-// engine mutex at the same instant — the property the sharded-vs-single
-// and batched-vs-sequential determinism suites pin down.
+// The numeric fields snapshot the engine accessors verbatim (TotalCost in
+// component-id order, not a canonical re-sum), so a response rendered from
+// views is byte-identical to one rendered under the engine mutex at the
+// same instant — the property the sharded-vs-single and
+// batched-vs-sequential determinism suites pin down.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +35,7 @@ namespace mc3::online {
 struct EngineReadView {
   /// Publish count of the owning shard's publisher (monotone, 1-based).
   uint64_t version = 0;
-  /// The shard's running aggregate cost (OnlineEngine::TotalCost verbatim;
+  /// The shard's aggregate cost (OnlineEngine::TotalCost verbatim;
   /// cross-shard reads sum these in shard order, exactly like
   /// ShardedEngine::TotalCost).
   Cost total_cost = 0;

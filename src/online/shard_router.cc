@@ -53,7 +53,7 @@ RoutePlan ShardRouter::Route(const std::vector<PropertySet>& add,
 
   // Removes first (ApplyUpdate order). A remove cancelled by an add of the
   // same query nets out, exactly as the engine nets it; repeated removes of
-  // one query collapse silently, like the engine's slot dedup.
+  // one query collapse silently, as they do in the engine.
   std::unordered_set<PropertySet, PropertySetHash> removed_now;
   for (const PropertySet& q : remove) {
     if (added_set.count(q) > 0) continue;

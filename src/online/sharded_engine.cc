@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "core/instance_util.h"
@@ -11,10 +10,6 @@
 namespace mc3::online {
 
 EngineState CanonicalizeState(EngineState state) {
-  for (EngineState::Component& component : state.components) {
-    std::sort(component.queries.begin(), component.queries.end());
-    std::sort(component.solution.begin(), component.solution.end());
-  }
   std::sort(state.components.begin(), state.components.end(),
             [](const EngineState::Component& a,
                const EngineState::Component& b) {
@@ -24,8 +19,7 @@ EngineState CanonicalizeState(EngineState state) {
 }
 
 ShardedEngine::ShardedEngine(uint32_t num_shards, EngineOptions options)
-    : options_(options),
-      router_(num_shards == 0 ? 1 : num_shards) {
+    : router_(num_shards == 0 ? 1 : num_shards) {
   const uint32_t n = num_shards == 0 ? 1 : num_shards;
   engines_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) engines_.emplace_back(options);
@@ -56,34 +50,6 @@ Cost ShardedEngine::CostOf(const PropertySet& classifier) const {
   return engines_.front().CostOf(classifier);
 }
 
-Status ShardedEngine::ValidateAdds(
-    const std::vector<PropertySet>& add) const {
-  const std::vector<std::string>& names = property_names();
-  std::unordered_set<PropertySet, PropertySetHash> seen;
-  for (const PropertySet& q : add) {
-    if (q.empty()) {
-      return Status::InvalidArgument("cannot add the empty query");
-    }
-    MC3_RETURN_IF_ERROR(CheckQueryLength(q, names));
-    // Duplicates (already live, or repeated in the batch) are skipped
-    // without further checks, exactly as the engine skips them.
-    if (router_.IsLive(q) || !seen.insert(q).second) continue;
-    if (options_.solver == EngineOptions::SolverKind::kK2Exact &&
-        q.size() > 2) {
-      return Status::InvalidArgument(
-          "query " + q.ToString(names) +
-          " has length > 2 but the engine is configured for K2ExactSolver");
-    }
-    if (!engines_.front().Coverable(q)) {
-      return Status::Infeasible(
-          "query " + q.ToString(names) +
-          " cannot be covered by finite-cost classifiers of the engine's "
-          "table");
-    }
-  }
-  return Status::OK();
-}
-
 Result<UpdateStats> ShardedEngine::ApplyUpdate(
     const std::vector<PropertySet>& add,
     const std::vector<PropertySet>& remove) {
@@ -102,7 +68,10 @@ Result<UpdateStats> ShardedEngine::ApplyUpdate(
 
   // Validate before any router or shard mutation: the whole batch commits
   // or nothing does, matching the single engine's all-or-nothing contract.
-  MC3_RETURN_IF_ERROR(ValidateAdds(add));
+  // The checks and messages are the single engine's, against the
+  // replicated table and the router's live set.
+  const auto live = [this](const PropertySet& q) { return router_.IsLive(q); };
+  MC3_RETURN_IF_ERROR(engines_.front().ValidateAdds(add, live).status());
 
   const RoutePlan plan = router_.Route(add, remove);
   last_batch_.shard_ops.assign(n, 0);

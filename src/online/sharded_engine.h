@@ -52,11 +52,11 @@ struct ShardedState {
   std::vector<uint32_t> component_shards;
 };
 
-/// Canonicalizes an exported engine state independently of update history
-/// and shard placement: queries sorted within each component, components
-/// sorted by their (distinct) smallest query. Byte-identical canonical
-/// states are the sharded-vs-single equivalence oracle
-/// (tests/determinism_test.cc).
+/// Canonicalizes an exported engine state independently of shard placement
+/// and component creation order: an export already lists each component's
+/// queries and solution sorted, and this sorts the components by their
+/// (distinct) smallest query. Byte-identical canonical states are the
+/// sharded-vs-single equivalence oracle (tests/determinism_test.cc).
 EngineState CanonicalizeState(EngineState state);
 
 /// Per-batch routing outcome, for server metrics and tests.
@@ -97,9 +97,10 @@ class ShardedEngine {
   /// Price in the replicated table (read from shard 0).
   Cost CostOf(const PropertySet& classifier) const;
 
-  /// Applies one net update batch: validates every add up front (identical
-  /// checks and messages to OnlineEngine::ApplyUpdate, so a rejected batch
-  /// mutates nothing), routes it, applies per shard, and merges the stats.
+  /// Applies one net update batch: validates every add up front
+  /// (OnlineEngine::ValidateAdds against the router's live set, so a
+  /// rejected batch mutates nothing), routes it, applies per shard, and
+  /// merges the stats.
   /// queries_added/removed count the user's net effect; components_resolved
   /// and queries_touched sum the per-shard work (group migrations re-solve
   /// the moved components on both sides, so these can exceed the
@@ -111,7 +112,7 @@ class ShardedEngine {
                                   const ShardRunner& runner);
 
   /// Sum of the per-shard aggregate costs in shard order (for num_shards
-  /// == 1, exactly the single engine's running total).
+  /// == 1, exactly the single engine's TotalCost).
   Cost TotalCost() const;
   /// Shard- and history-independent total: per-component costs summed in
   /// canonical component order. Use when comparing across shard layouts
@@ -166,12 +167,6 @@ class ShardedEngine {
   const ShardRouter& router() const { return router_; }
 
  private:
-  /// Mirrors OnlineEngine::ApplyUpdate's add validation (same order, same
-  /// messages) against the replicated table, so a batch the single engine
-  /// would reject is rejected here before any shard or router mutation.
-  Status ValidateAdds(const std::vector<PropertySet>& add) const;
-
-  EngineOptions options_;
   std::vector<OnlineEngine> engines_;
   ShardRouter router_;
 

@@ -31,6 +31,7 @@
 namespace mc3 {
 namespace {
 
+using testing::CostBytes;
 using testing::RandomInstanceConfig;
 
 /// The sorted (query, cost-entry) content of a seeded random instance:
@@ -329,13 +330,6 @@ std::vector<NetBatch> ChurnBatches(const std::vector<PropertySet>& qs) {
   };
 }
 
-/// "%.17g" rendering — bitwise cost comparison across engines.
-std::string CostBytes(Cost cost) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", cost);
-  return buffer;
-}
-
 TEST(DeterminismTest, ShardedEngineMatchesSingleEngineByteForByte) {
   const InstanceContent content = SeededContent(97, /*num_queries=*/12);
   const Instance base = BuildShuffled(content, 13, /*shuffle_queries=*/false);
@@ -375,7 +369,7 @@ TEST(DeterminismTest, ShardedEngineMatchesSingleEngineByteForByte) {
 
 TEST(DeterminismTest, OneShardFacadeIsATransparentPassThrough) {
   // num_shards == 1 must be the legacy engine byte for byte, including the
-  // non-canonical (history-ordered) export and the running total cost.
+  // non-canonical (creation-ordered) export and the id-order total cost.
   const InstanceContent content = SeededContent(103, /*num_queries=*/10);
   const Instance base = BuildShuffled(content, 19, /*shuffle_queries=*/false);
   const std::vector<NetBatch> batches = ChurnBatches(content.queries);
@@ -399,10 +393,10 @@ TEST(DeterminismTest, OneShardFacadeIsATransparentPassThrough) {
 }
 
 TEST(DeterminismTest, ShardedCanonicalCostIsLayoutIndependent) {
-  // TotalCost sums per-shard running totals, so its low bits may depend on
-  // the layout (float addition is not associative); CanonicalTotalCost
-  // must not — it is the cost the sharded snapshot/stats verbs expose for
-  // cross-layout comparison.
+  // TotalCost sums per-shard totals in shard order, so its low bits may
+  // depend on the layout (float addition is not associative);
+  // CanonicalTotalCost must not — it is the cost the sharded snapshot/stats
+  // verbs expose for cross-layout comparison.
   const InstanceContent content = SeededContent(109, /*num_queries=*/12);
   const Instance base = BuildShuffled(content, 23, /*shuffle_queries=*/false);
   const std::vector<NetBatch> batches = ChurnBatches(content.queries);

@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,11 +21,13 @@
 #include "online/online_engine.h"
 #include "online/sharded_engine.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace mc3::durability {
 namespace {
 
 namespace fs = std::filesystem;
+using mc3::testing::CostBytes;
 using mc3::testing::PaperExample;
 using online::OnlineEngine;
 
@@ -723,14 +727,164 @@ TEST(DurabilityManagerTest, ShardedSnapshotPlusWalTailRecovers) {
   ASSERT_TRUE((*manager)->Close().ok());
 
   ASSERT_TRUE(recovered.CheckInvariants().ok());
-  // Canonical byte equality. (Raw export order is slot order, which
-  // depends on where the checkpoint fell inside the remove/re-add cycle —
-  // the live engine reuses the freed slot, the recovered one packs the
-  // snapshot first — so the canonical form is the equivalence oracle,
-  // exactly as in tests/determinism_test.cc.)
+  // Canonical byte equality. (The raw export lists components shard by
+  // shard, and a recovered router knows only the live queries' groups
+  // while the live one also remembers emptied groups, so a query re-added
+  // after the checkpoint may land on another shard; the canonical form is
+  // the equivalence oracle, exactly as in tests/determinism_test.cc.)
   EXPECT_EQ(recovered.NumQueries(), live.NumQueries());
   EXPECT_EQ(RenderSnapshot(recovered.CanonicalState(), 0),
             RenderSnapshot(live.CanonicalState(), 0));
+}
+
+// ---------------------------------------------------------------------------
+// Restoring mid-history. A snapshot holds only the live queries, so an
+// engine restored from it must re-solve every later batch exactly as the
+// live engine does, whatever was retired before the snapshot and revived
+// after it.
+
+struct ScriptBatch {
+  std::vector<PropertySet> add;
+  std::vector<PropertySet> remove;
+};
+
+/// A seeded retire/revive/merge script over `base`'s queries. The first
+/// half retires a quarter of them in batches of three, each batch also
+/// adding a query that bridges two live queries (merging their components
+/// when they differ); the second half revives the retired queries in
+/// batches of three, each batch also retiring one bridge.
+std::vector<ScriptBatch> RetireReviveScript(const Instance& base,
+                                            uint64_t seed) {
+  Rng rng(seed);
+  std::vector<PropertySet> live = base.queries();
+  std::set<PropertySet> live_set(live.begin(), live.end());
+  std::vector<PropertySet> retired;
+  std::vector<PropertySet> bridges;
+  std::vector<ScriptBatch> script;
+  const auto draw = [&rng](std::vector<PropertySet>* pool) {
+    const size_t at = rng.UniformInt(0, pool->size() - 1);
+    std::swap((*pool)[at], pool->back());
+    PropertySet drawn = std::move(pool->back());
+    pool->pop_back();
+    return drawn;
+  };
+  for (size_t round = 0; round < base.NumQueries() / 12; ++round) {
+    ScriptBatch batch;
+    for (int i = 0; i < 3; ++i) {
+      batch.remove.push_back(draw(&live));
+      live_set.erase(batch.remove.back());
+      retired.push_back(batch.remove.back());
+    }
+    const PropertySet& a = live[rng.UniformInt(0, live.size() - 1)];
+    const PropertySet& b = live[rng.UniformInt(0, live.size() - 1)];
+    const PropertySet bridge =
+        PropertySet::Of({a.ids().front(), b.ids().back()});
+    if (live_set.insert(bridge).second) {
+      batch.add.push_back(bridge);
+      bridges.push_back(bridge);
+    }
+    script.push_back(std::move(batch));
+  }
+  while (!retired.empty()) {
+    ScriptBatch batch;
+    for (int i = 0; i < 3 && !retired.empty(); ++i) {
+      batch.add.push_back(draw(&retired));
+    }
+    if (!bridges.empty()) batch.remove.push_back(draw(&bridges));
+    script.push_back(std::move(batch));
+  }
+  return script;
+}
+
+/// Applies `script` to a `shards`-way engine over `base`. After every
+/// batch it renders the engine's snapshot document, imports it into a
+/// fresh engine, replays the rest of the script there and compares the
+/// cost bytes and sorted solution with the live engine after each batch
+/// (and, on one shard, the whole snapshot). Returns the first divergence,
+/// or "" when there is none.
+std::string FirstRestoreDivergence(const Instance& base,
+                                   const std::vector<ScriptBatch>& script,
+                                   uint32_t shards) {
+  ShardedEngine live(shards);
+  if (!live.Initialize(base).ok()) return "initialize failed";
+  // Indexed by the number of batches applied.
+  std::vector<std::string> snapshots, totals;
+  std::vector<std::vector<PropertySet>> solutions;
+  const auto record = [&] {
+    snapshots.push_back(RenderShardedSnapshot(live.ExportSharded(), 0));
+    totals.push_back(CostBytes(live.TotalCost()));
+    solutions.push_back(live.CurrentSolution().Sorted());
+  };
+  record();
+  for (const ScriptBatch& batch : script) {
+    if (!live.ApplyUpdate(batch.add, batch.remove).ok()) return "live apply";
+    record();
+  }
+  for (size_t restored_at = 0; restored_at < script.size(); ++restored_at) {
+    const std::string where =
+        "restored after batch " + std::to_string(restored_at);
+    auto parsed = ParseSnapshot(snapshots[restored_at]);
+    if (!parsed.ok()) return where + ": " + parsed.status().ToString();
+    ShardedEngine restored(shards);
+    if (Status s = restored.ImportSharded(parsed->ToShardedState()); !s.ok()) {
+      return where + ": " + s.ToString();
+    }
+    for (size_t step = restored_at + 1; step <= script.size(); ++step) {
+      const ScriptBatch& batch = script[step - 1];
+      if (!restored.ApplyUpdate(batch.add, batch.remove).ok()) {
+        return where + ": apply failed";
+      }
+      const std::string at = where + ", batch " + std::to_string(step) + ": ";
+      const std::string total = CostBytes(restored.TotalCost());
+      if (total != totals[step]) {
+        return at + "cost " + total + " vs " + totals[step];
+      }
+      if (restored.CurrentSolution().Sorted() != solutions[step]) {
+        return at + "solution differs";
+      }
+      if (shards == 1 &&
+          RenderShardedSnapshot(restored.ExportSharded(), 0) !=
+              snapshots[step]) {
+        return at + "snapshot differs";
+      }
+    }
+    if (Status s = restored.CheckInvariants(); !s.ok()) {
+      return where + ": " + s.ToString();
+    }
+  }
+  return "";
+}
+
+TEST(DurabilityManagerTest, RestoreAtEveryStepReplaysLikeTheLiveEngine) {
+  for (const uint32_t shards : {1u, 4u}) {
+    for (const uint64_t seed : {44u, 68u}) {
+      const Instance base = testing::NamedShardedSynthetic(seed, 15);
+      EXPECT_EQ(
+          FirstRestoreDivergence(base, RetireReviveScript(base, seed), shards),
+          "")
+          << "seed " << seed << ", " << shards << " shard(s)";
+    }
+  }
+}
+
+TEST(DurabilityManagerTest, RestoredFractionalCostsSumLikeTheLiveEngine) {
+  // 0.1 + 0.2 + 0.3 - 0.1 is not 0.2 + 0.3 in binary floating point: the
+  // total must be a function of the live components, not of the history.
+  InstanceBuilder builder;
+  const std::vector<std::pair<std::string, Cost>> priced = {
+      {"a", 0.1}, {"b", 0.2}, {"c", 0.3}};
+  for (const auto& [name, cost] : priced) {
+    builder.AddQuery({name});
+    builder.SetCost({name}, cost);
+  }
+  const Instance base = std::move(builder).Build();
+  const auto q = [&base](size_t i) { return base.queries()[i]; };
+  const std::vector<ScriptBatch> script = {
+      {{}, {q(0)}}, {{q(0)}, {}}, {{}, {q(1)}}, {{q(1)}, {q(2)}}, {{q(2)}, {}}};
+  for (const uint32_t shards : {1u, 4u}) {
+    EXPECT_EQ(FirstRestoreDivergence(base, script, shards), "")
+        << shards << " shard(s)";
+  }
 }
 
 TEST(DurabilityManagerTest, ShardedRecoveryRejectsLayoutMismatch) {

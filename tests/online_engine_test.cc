@@ -259,6 +259,42 @@ TEST(OnlineEngineTest, RepricingAppliesOnNextResolve) {
   EXPECT_FALSE(engine.SetCost(inst.queries()[0], -1).ok());
 }
 
+TEST(OnlineEngineTest, ImportSortsAComponentsQueriesAndRejectsARepeat) {
+  InstanceBuilder b;
+  b.AddQuery({"a", "b"});
+  b.AddQuery({"b", "c"});
+  b.AddQuery({"c"});
+  b.PriceAllClassifiers([](const PropertySet& c) { return c.size() + 1.0; });
+  OnlineEngine engine;
+  ASSERT_TRUE(engine.Initialize(std::move(b).Build()).ok());
+  const online::EngineState exported = engine.ExportState();
+  ASSERT_EQ(exported.components.size(), 1u);
+  ASSERT_EQ(exported.components[0].queries.size(), 3u);
+  ASSERT_TRUE(std::is_sorted(exported.components[0].queries.begin(),
+                             exported.components[0].queries.end()));
+
+  // Snapshots from builds that kept a slot table list a component's
+  // queries in the order they were first added, not sorted.
+  online::EngineState old = exported;
+  std::reverse(old.components[0].queries.begin(),
+               old.components[0].queries.end());
+  OnlineEngine restored;
+  ASSERT_TRUE(restored.ImportState(old).ok());
+  EXPECT_TRUE(restored.CheckInvariants().ok());
+  EXPECT_EQ(restored.ExportState().components[0].queries,
+            exported.components[0].queries);
+
+  online::EngineState repeated = old;
+  repeated.components[0].queries.push_back(
+      repeated.components[0].queries.front());
+  OnlineEngine rejected;
+  const Status status = rejected.ImportState(repeated);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("snapshot repeats query"),
+            std::string::npos)
+      << status.message();
+}
+
 TEST(OnlineEngineTest, K2AutoMatchesExactSolver) {
   testing::RandomInstanceConfig config;
   config.num_queries = 30;

@@ -15,7 +15,9 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -39,6 +41,8 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/worker_pool.h"
+#include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace mc3::server {
 namespace {
@@ -920,6 +924,168 @@ TEST(ServerDurabilityTest, RestartOnSameDataDirResumesAcknowledgedState) {
   EXPECT_EQ(next.Find("wal_seq")->number, 4);
   server.RequestDrain();
   server.Join();
+}
+
+/// The `solve` response (with the solution) a server holding `engine`'s
+/// state renders, in the server's own field order and number format.
+std::string ExpectedSolve(int64_t id, const online::OnlineEngine& engine) {
+  const std::vector<PropertySet> solution = engine.CurrentSolution().Sorted();
+  obs::JsonWriter writer(/*compact=*/true);
+  writer.BeginObject();
+  writer.Key("id").Int(id);
+  writer.Key("op").String("solve");
+  writer.Key("code").Int(200);
+  writer.Key("cost").Number(engine.TotalCost());
+  writer.Key("queries").Int(engine.NumQueries());
+  writer.Key("components").Int(engine.NumComponents());
+  writer.Key("classifiers").Int(solution.size());
+  writer.Key("solution").BeginArray();
+  for (const PropertySet& classifier : solution) {
+    writer.BeginArray();
+    for (const PropertyId p : classifier) {
+      writer.String(engine.property_names()[p]);
+    }
+    writer.EndArray();
+  }
+  writer.EndArray();
+  writer.EndObject();
+  return writer.Take();
+}
+
+/// The `update` request that adds `add` and removes `remove`.
+std::string UpdateRequest(int64_t id, const std::vector<PropertySet>& add,
+                          const std::vector<PropertySet>& remove,
+                          const std::vector<std::string>& names) {
+  obs::JsonWriter writer(/*compact=*/true);
+  writer.BeginObject();
+  writer.Key("op").String("update");
+  writer.Key("id").Int(id);
+  for (const auto& [key, queries] : {std::pair{"add", &add},
+                                     std::pair{"remove", &remove}}) {
+    writer.Key(key).BeginArray();
+    for (const PropertySet& q : *queries) {
+      writer.BeginArray();
+      for (const PropertyId p : q) writer.String(names[p]);
+      writer.EndArray();
+    }
+    writer.EndArray();
+  }
+  writer.EndObject();
+  return writer.Take();
+}
+
+/// Runs one seeded history against a durable `shards`-way server: updates
+/// that add new queries, retire live ones and revive retired ones, solves,
+/// checkpoints taken while queries are retired, and drain+restart cycles
+/// followed by revivals. Every acknowledged update is applied to an offline
+/// engine, and every solve response must equal the one that engine's state
+/// renders.
+void RunModelHistory(uint64_t seed, uint32_t shards) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(shards) +
+               " shard(s)");
+  // Every singleton is priced, so every query over known properties is
+  // coverable.
+  const Instance base = testing::NamedShardedSynthetic(seed, 15);
+  const std::vector<std::string>& names = base.property_names();
+  online::OnlineEngine oracle;
+  ASSERT_TRUE(oracle.Initialize(base).ok());
+  DurableDir dir("model");
+  ServerOptions options = DurableOptions(dir.path);
+  options.shards = shards;
+  options.default_cost = -1;  // base prices cover every query the test adds
+  auto server = std::make_unique<Server>(options);
+  ASSERT_TRUE(server->Start(base).ok());
+  auto client = std::make_unique<TestClient>(server->port());
+  ASSERT_TRUE(client->connected());
+
+  Rng rng(seed);
+  std::set<PropertySet> live(base.queries().begin(), base.queries().end());
+  std::set<PropertySet> retired;
+  const auto pick = [&rng](const std::set<PropertySet>& pool) {
+    return *std::next(pool.begin(),
+                      static_cast<long>(rng.UniformInt(0, pool.size() - 1)));
+  };
+  bool revive_next = false;  // set by a restart
+  int64_t id = 0;
+  bool same = true;  // stop at the first divergence
+  const auto solve = [&] {
+    ++id;
+    client->Send(R"({"op":"solve","solution":true,"id":)" +
+                 std::to_string(id) + "}");
+    const std::string response = client->ReadLine();
+    const std::string expected = ExpectedSolve(id, oracle);
+    same = response == expected;
+    EXPECT_EQ(response, expected) << "request " << id;
+  };
+  for (int step = 0; step < 40 && same; ++step) {
+    const uint64_t action = rng.UniformInt(0, 9);
+    if (action < 6) {
+      std::vector<PropertySet> add, remove;
+      const size_t ops = rng.UniformInt(1, 3);
+      const uint64_t kind =
+          revive_next && !retired.empty() ? 2 : rng.UniformInt(0, 2);
+      for (size_t i = 0; i < ops; ++i) {
+        if (kind == 0) {  // a new query bridging two live ones
+          const PropertySet a = pick(live);
+          const PropertySet b = pick(live);
+          const PropertySet bridge =
+              PropertySet::Of({a.ids().front(), b.ids().back()});
+          if (live.count(bridge) > 0 || retired.count(bridge) > 0) continue;
+          live.insert(bridge);
+          add.push_back(bridge);
+        } else if (kind == 1 || retired.empty()) {  // retire
+          if (live.size() <= 8) break;
+          const PropertySet q = pick(live);
+          live.erase(q);
+          retired.insert(q);
+          remove.push_back(q);
+        } else {  // revive
+          const PropertySet q = pick(retired);
+          retired.erase(q);
+          live.insert(q);
+          add.push_back(q);
+        }
+        if (retired.empty()) revive_next = false;
+      }
+      if (add.empty() && remove.empty()) continue;
+      ++id;
+      const obs::JsonValue ack =
+          client->Call(UpdateRequest(id, add, remove, names));
+      ASSERT_EQ(CodeOf(ack), 200) << "request " << id;
+      ASSERT_TRUE(oracle.ApplyUpdate(add, remove).ok());
+      solve();
+    } else if (action < 8) {
+      // Checkpoint only while queries are retired, so a snapshot omits
+      // queries that later batches revive.
+      if (retired.empty()) continue;
+      ++id;
+      ASSERT_EQ(CodeOf(client->Call(R"({"op":"checkpoint","id":)" +
+                                    std::to_string(id) + "}")),
+                200);
+    } else {
+      client.reset();
+      server->RequestDrain();
+      server->Join();
+      server = std::make_unique<Server>(options);
+      ASSERT_TRUE(server->Start(base).ok());
+      client = std::make_unique<TestClient>(server->port());
+      ASSERT_TRUE(client->connected());
+      revive_next = !retired.empty();
+      solve();
+    }
+  }
+  ASSERT_TRUE(oracle.CheckInvariants().ok());
+  client.reset();
+  server->RequestDrain();
+  server->Join();
+}
+
+TEST(ServerDurabilityTest, SeededHistoriesMatchAnOfflineEngineAcrossRestarts) {
+  for (const uint32_t shards : {1u, 4u}) {
+    for (const uint64_t seed : {23u, 40u}) {
+      RunModelHistory(seed, shards);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

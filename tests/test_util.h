@@ -1,12 +1,16 @@
 // Shared helpers for the MC3 test suite.
 #pragma once
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "core/instance.h"
 #include "core/property_set.h"
 #include "core/solution.h"
+#include "online/churn.h"
 #include "util/rng.h"
 #include "util/float_cmp.h"
 
@@ -15,6 +19,13 @@ namespace mc3::testing {
 /// Shorthand: PS({1, 2, 3}).
 inline PropertySet PS(std::initializer_list<PropertyId> ids) {
   return PropertySet::Of(ids);
+}
+
+/// "%.17g" rendering — bitwise cost comparison across engines.
+inline std::string CostBytes(Cost cost) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", cost);
+  return buffer;
 }
 
 /// Configuration for random instances used in property-based sweeps.
@@ -249,6 +260,26 @@ inline Instance PaperExample() {
   b.SetCost({"juventus", "white"}, 4);
   b.SetCost({"juventus", "adidas", "white"}, 5);
   return std::move(b).Build();
+}
+
+/// Four synthetic domains of `per_domain` queries (k <= 4) with their
+/// properties named "p<id>", so snapshot documents and protocol requests
+/// can carry them.
+inline Instance NamedShardedSynthetic(uint64_t seed, size_t per_domain) {
+  online::ShardedSyntheticConfig config;
+  config.num_domains = 4;
+  config.domain.num_queries = per_domain;
+  config.domain.max_query_length = 4;
+  config.domain.seed = seed;
+  Instance base = online::GenerateShardedSynthetic(config);
+  PropertyId max_id = 0;
+  for (const PropertySet& q : base.queries()) {
+    max_id = std::max(max_id, q.ids().back());
+  }
+  std::vector<std::string> names(max_id + 1, "p");
+  for (PropertyId p = 0; p <= max_id; ++p) names[p] += std::to_string(p);
+  base.set_property_names(std::move(names));
+  return base;
 }
 
 }  // namespace mc3::testing
