@@ -82,10 +82,13 @@ void SharedLabelingComparison() {
       }
     }
   }
-  for (const auto& [classifier, cost] : SortedCostEntries(instance.costs())) {
+  for (ClassifierId id : instance.costs().ids()) {
     Cost labels = 0;
-    for (PropertyId p : classifier) labels += model.label_costs[p];
-    model.base_costs[classifier] = std::max(0.0, cost - 0.6 * labels);
+    for (PropertyId p : instance.costs().key(id)) {
+      labels += model.label_costs[p];
+    }
+    const Cost base = std::max(0.0, instance.costs().cost(id) - 0.6 * labels);
+    model.base_costs.Set(instance.costs().key(id), base);
   }
 
   // Pipeline A (the paper's model): flatten to independent costs, run

@@ -35,11 +35,12 @@ int main() {
   const AttributeId kTeam = 0, kColor = 1, kBrand = 2;
   const std::vector<AttributeId> property_attribute = {kTeam, kTeam, kColor,
                                                        kBrand};
-  CostMap attribute_costs;
-  attribute_costs[PropertySet::Of({kTeam})] = 6;   // one team classifier
-  attribute_costs[PropertySet::Of({kColor})] = 2;
-  attribute_costs[PropertySet::Of({kBrand})] = 5;
-  attribute_costs[PropertySet::Of({kTeam, kBrand})] = 8;
+  ClassifierStore attribute_costs;
+  // One team classifier.
+  attribute_costs.Set(PropertySet::Of({kTeam}).ids(), 6);
+  attribute_costs.Set(PropertySet::Of({kColor}).ids(), 2);
+  attribute_costs.Set(PropertySet::Of({kBrand}).ids(), 5);
+  attribute_costs.Set(PropertySet::Of({kTeam, kBrand}).ids(), 8);
 
   auto merged = MergeToAttributes(instance, property_attribute,
                                   attribute_costs);

@@ -1,56 +1,37 @@
-// ClassifierTable: a classifier set interned once against a query list.
+// ClassifierTable: a classifier store interned once against a query list.
 //
 // Algorithm 1, the Section 5 WSC reduction, coverage verification and
 // pruning all ask the same question of every query q: which subsets of q
-// are classifiers of the set, and at what cost. The table answers it once.
-// Each query's subset lattice is hashed incrementally — a set hashes to a
-// mix of the sum of per-property terms, and walking the masks in ascending
-// order updates that sum by two terms on average, so each subset costs one
-// mix — and probed against a flat open-addressing index whose every hit is
-// confirmed against the exact key. No PropertySet is built or hashed per
-// subset. The answers are kept as a per-query CSR list of (subset mask, id)
-// pairs in ascending mask order, the visit order of ForEachNonEmptySubset,
-// and per-classifier state lives in arrays indexed by the dense ids.
+// are classifiers of the set, and at what cost. The store's lattice walk
+// (core/classifier_store.h) answers it per query; the table keeps the
+// answers for one solve as a per-query CSR list of (subset mask, id) pairs
+// in ascending mask order, the visit order of ForEachNonEmptySubset, and
+// renumbers the classifiers it meets densely so per-classifier state lives
+// in arrays indexed by id.
 //
-// Keys are not copied: they point at the PropertySets of the owner the
-// table was built from (an Instance's cost map or a Solution's classifier
-// list), which must outlive the table and stay unmodified while it is used.
+// Keys are not copied: they live in the store the table was built from (an
+// Instance's prices, or a small store of a Solution's classifiers the table
+// owns), which must outlive the table and stay unmodified while it is used.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "core/classifier_store.h"
 #include "core/instance.h"
 
 namespace mc3 {
 
-/// Dense classifier handle: 0..ClassifierTable::size()-1, assigned in order
-/// of first appearance over the queries (in order) and each query's subsets
-/// (ascending mask), so ids depend on the query list alone.
-using ClassifierId = uint32_t;
-
-/// A classifier of the table that is a subset of one query: its bitmask
-/// over the query's sorted property positions, and its id.
-struct QuerySubset {
-  uint32_t mask;
-  ClassifierId id;
-};
-
-/// The mask of every position of a query with `length` properties
-/// (length <= kMaxQueryLength).
-inline uint32_t FullMask(size_t length) {
-  return (uint32_t{1} << length) - 1;
-}
-
 class ClassifierTable {
  public:
-  static constexpr ClassifierId kNotFound = UINT32_MAX;
+  static constexpr ClassifierId kNotFound = ClassifierStore::kNotFound;
 
-  /// Interns the classifiers priced in `costs` against `queries`.
+  /// Interns the classifiers priced in `store` against `queries`.
   ClassifierTable(const std::vector<PropertySet>& queries,
-                  const CostMap& costs);
+                  const ClassifierStore& store);
 
   /// Interns `classifiers` (pairwise distinct) against `instance`'s
   /// queries, each priced by `instance` (kInfiniteCost when unpriced).
@@ -58,9 +39,13 @@ class ClassifierTable {
                   const std::vector<PropertySet>& classifiers);
 
   /// Number of interned classifiers: those that are a subset of at least
-  /// one query. Classifiers of the input that are not are left out.
-  size_t size() const { return keys_.size(); }
-  const PropertySet& classifier(ClassifierId id) const { return *keys_[id]; }
+  /// one query. Ids 0..size()-1 are assigned in order of first appearance
+  /// over the queries (in order) and each query's subsets (ascending mask),
+  /// so they depend on the query list alone.
+  size_t size() const { return store_ids_.size(); }
+  ClassifierKey classifier(ClassifierId id) const {
+    return store_->key(store_ids_[id]);
+  }
   Cost cost(ClassifierId id) const { return costs_[id]; }
 
   /// The interned subsets of query `query`, in ascending mask order. Empty
@@ -83,32 +68,23 @@ class ClassifierTable {
   /// Id of `classifier`, or kNotFound when it is not interned.
   ClassifierId Find(const PropertySet& classifier) const;
 
+  /// Id of the store's classifier `store_id`, or kNotFound when no query
+  /// contains it.
+  ClassifierId FromStore(ClassifierId store_id) const {
+    return id_of_[store_id];
+  }
+
  private:
-  struct Candidate {
-    const PropertySet* key;
-    Cost cost;
-    uint64_t hash;  ///< taken while the key is in cache
-  };
-  /// One index cell: `ref` is 0 when empty, kTombstone for an input
-  /// classifier that no query contains, else id + 1. `tag` holds the high
-  /// hash bits, so most mismatches are rejected without touching the key.
-  struct Slot {
-    uint32_t tag = 0;
-    uint32_t ref = 0;
-  };
-  static constexpr uint32_t kTombstone = UINT32_MAX;
-
+  /// Walks every query over `store`; `prices`, when given, overrides the
+  /// store's costs (indexed by store id).
   void Build(const std::vector<PropertySet>& queries,
-             const std::vector<Candidate>& candidates);
+             const ClassifierStore& store, const std::vector<Cost>* prices);
 
-  /// Probes for hash `hash`; returns the ref of the first live slot with a
-  /// matching tag for which `same(ref)` holds, or 0.
-  template <typename Same>
-  uint32_t Probe(uint64_t hash, const Same& same) const;
-
-  std::vector<Slot> slots_;  ///< power-of-two open-addressing index
-  std::vector<const PropertySet*> keys_;
-  std::vector<Cost> costs_;
+  std::unique_ptr<ClassifierStore> owned_;  ///< a solution's classifiers
+  const ClassifierStore* store_ = nullptr;
+  std::vector<ClassifierId> store_ids_;  ///< by id
+  std::vector<Cost> costs_;              ///< by id
+  std::vector<ClassifierId> id_of_;      ///< by store id
   std::vector<size_t> offsets_;  ///< CSR row starts, one per query + 1
   std::vector<QuerySubset> entries_;
   std::vector<bool> covers_;  ///< by query

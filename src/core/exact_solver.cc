@@ -14,9 +14,8 @@ class BranchAndBound {
       : instance_(instance), max_nodes_(max_nodes) {
     // All finite-cost classifiers, cheapest first (finds good incumbents
     // early, tightening the bound).
-    // mc3-lint: unordered-ok(sorted below with a total-order comparator)
-    for (const auto& [classifier, cost] : instance.costs()) {
-      classifiers_.push_back(classifier);
+    for (ClassifierId id : instance.costs().ids()) {
+      classifiers_.push_back(instance.costs().Classifier(id));
     }
     std::sort(classifiers_.begin(), classifiers_.end(),
               [&](const PropertySet& a, const PropertySet& b) {

@@ -1,6 +1,7 @@
 #include "core/instance.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
@@ -9,28 +10,6 @@
 #include "util/float_cmp.h"
 
 namespace mc3 {
-
-std::vector<std::pair<PropertySet, Cost>> SortedCostEntries(
-    const CostMap& costs) {
-  std::vector<std::pair<PropertySet, Cost>> entries(costs.begin(),
-                                                    costs.end());
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return entries;
-}
-
-void Instance::SetCost(const PropertySet& classifier, Cost cost) {
-  if (IsInfiniteCost(cost)) {
-    costs_.erase(classifier);
-  } else {
-    costs_[classifier] = cost;
-  }
-}
-
-Cost Instance::CostOf(const PropertySet& classifier) const {
-  const auto it = costs_.find(classifier);
-  return it == costs_.end() ? kInfiniteCost : it->second;
-}
 
 size_t Instance::MaxQueryLength() const {
   size_t k = 0;
@@ -46,18 +25,14 @@ size_t Instance::NumProperties() const {
 
 size_t Instance::Incidence() const {
   // I(S) = |{q : S subseteq q}| for finite-weight S; I = max I(S).
-  std::unordered_map<PropertySet, size_t, PropertySetHash> counts;
+  std::vector<size_t> counts(costs_.id_bound(), 0);
+  std::vector<QuerySubset> subsets;
   for (const auto& q : queries_) {
-    ForEachNonEmptySubset(q, [&](const PropertySet& sub) {
-      if (costs_.count(sub) > 0) ++counts[sub];
-    });
+    subsets.clear();
+    costs_.AppendSubsets(q.ids(), &subsets);
+    for (const QuerySubset& s : subsets) ++counts[s.id];
   }
-  size_t incidence = 0;
-  // mc3-lint: unordered-ok(max over all entries is visit-order independent)
-  for (const auto& [classifier, count] : counts) {
-    incidence = std::max(incidence, count);
-  }
-  return incidence;
+  return counts.empty() ? 0 : *std::max_element(counts.begin(), counts.end());
 }
 
 Status Instance::Validate() const {
@@ -71,33 +46,20 @@ Status Instance::Validate() const {
       }
     }
   }
-  // property -> query ids containing it, for relevance checks.
-  std::unordered_map<PropertyId, std::vector<size_t>> prop_queries;
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    for (PropertyId p : queries_[i]) prop_queries[p].push_back(i);
-  }
-  // Sorted so the first reported validation error is deterministic.
-  for (const auto& [classifier, cost] : SortedCostEntries(costs_)) {
-    if (classifier.empty()) {
+  // A classifier is relevant iff some query's lattice walk meets it.
+  const ClassifierTable relevant(queries_, costs_);
+  for (ClassifierId id : costs_.ids()) {
+    if (costs_.key(id).empty()) {
       return Status::InvalidArgument("priced empty classifier");
     }
+    const Cost cost = costs_.cost(id);
     if (cost < 0 || std::isnan(cost)) {
       return Status::InvalidArgument("invalid cost for classifier " +
-                                     classifier.ToString());
+                                     costs_.Classifier(id).ToString());
     }
-    const auto it = prop_queries.find(*classifier.begin());
-    bool relevant = false;
-    if (it != prop_queries.end()) {
-      for (size_t qi : it->second) {
-        if (classifier.IsSubsetOf(queries_[qi])) {
-          relevant = true;
-          break;
-        }
-      }
-    }
-    if (!relevant) {
+    if (relevant.FromStore(id) == ClassifierTable::kNotFound) {
       return Status::InvalidArgument(
-          "classifier " + classifier.ToString() +
+          "classifier " + costs_.Classifier(id).ToString() +
           " is not a subset of any query (not in C_Q)");
     }
   }
@@ -105,7 +67,14 @@ Status Instance::Validate() const {
 }
 
 bool Instance::IsFeasible() const {
-  return ClassifierTable(queries_, costs_).CoversAll();
+  std::vector<QuerySubset> subsets;
+  for (const PropertySet& q : queries_) {
+    if (q.size() > kMaxQueryLength) return false;
+    subsets.clear();
+    const uint32_t covered = costs_.AppendSubsets(q.ids(), &subsets);
+    if (covered != FullMask(q.size())) return false;
+  }
+  return true;
 }
 
 Status CheckQueryLength(const PropertySet& query,
@@ -151,15 +120,41 @@ InstanceBuilder& InstanceBuilder::SetCost(
   return *this;
 }
 
+void PriceUnpricedSubsets(
+    Instance* instance,
+    const std::function<Cost(const PropertySet& classifier,
+                             const PropertySet& query)>& cost_fn) {
+  std::vector<QuerySubset> priced;
+  std::vector<PropertyId> scratch;
+  for (const PropertySet& q : instance->queries()) {
+    const std::vector<PropertyId>& ids = q.ids();
+    if (ids.size() > kMaxQueryLength) continue;
+    // The query's distinct subsets do not price each other, so one walk
+    // before pricing any of them lists the priced ones.
+    priced.clear();
+    instance->costs().AppendSubsets(ids, &priced);
+    auto next = priced.begin();
+    for (uint32_t mask = 1; mask <= FullMask(ids.size()); ++mask) {
+      if (next != priced.end() && next->mask == mask) {
+        ++next;
+        continue;
+      }
+      scratch.clear();
+      for (uint32_t rest = mask; rest != 0; rest &= rest - 1) {
+        scratch.push_back(ids[std::countr_zero(rest)]);
+      }
+      const PropertySet classifier = PropertySet::FromSorted(scratch);
+      instance->SetCost(classifier, cost_fn(classifier, q));
+    }
+  }
+}
+
 InstanceBuilder& InstanceBuilder::PriceAllClassifiers(
     const std::function<Cost(const PropertySet&)>& cost_fn) {
-  for (const auto& q : instance_.queries()) {
-    ForEachNonEmptySubset(q, [&](const PropertySet& sub) {
-      if (IsInfiniteCost(instance_.CostOf(sub))) {
-        instance_.SetCost(sub, cost_fn(sub));
-      }
-    });
-  }
+  PriceUnpricedSubsets(&instance_,
+                       [&](const PropertySet& classifier, const PropertySet&) {
+                         return cost_fn(classifier);
+                       });
   return *this;
 }
 

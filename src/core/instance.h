@@ -8,33 +8,16 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "core/classifier_store.h"
 #include "core/property_names.h"
 #include "core/property_set.h"
 #include "util/status.h"
 
 namespace mc3 {
-
-/// Classifier construction cost. The paper's unit N may stand for dollars,
-/// labeled examples, or expert hours.
-using Cost = double;
-
-/// Weight of classifiers omitted from the input.
-inline constexpr Cost kInfiniteCost = std::numeric_limits<Cost>::infinity();
-
-/// Map from classifier (property set) to its construction cost.
-using CostMap = std::unordered_map<PropertySet, Cost, PropertySetHash>;
-
-/// The entries of `costs` as a vector sorted by classifier (PropertySet's
-/// lexicographic order). Iterating a CostMap directly is order-unstable
-/// across platforms and insertion histories (lint rule R1); every loop whose
-/// effect can depend on visit order must go through this instead.
-std::vector<std::pair<PropertySet, Cost>> SortedCostEntries(
-    const CostMap& costs);
 
 /// An MC3 instance.
 class Instance {
@@ -44,15 +27,25 @@ class Instance {
   void AddQuery(PropertySet query) { queries_.push_back(std::move(query)); }
 
   /// Sets the construction cost of `classifier` (overwriting any previous
-  /// cost). Setting kInfiniteCost erases the entry.
-  void SetCost(const PropertySet& classifier, Cost cost);
+  /// cost). Setting kInfiniteCost unprices it.
+  void SetCost(const PropertySet& classifier, Cost cost) {
+    costs_.Set(classifier.ids(), cost);
+  }
+  /// The same for a classifier given by its sorted, distinct ids.
+  void SetCost(ClassifierKey classifier, Cost cost) {
+    costs_.Set(classifier, cost);
+  }
 
   /// Cost of `classifier`; +infinity when absent from the table.
-  Cost CostOf(const PropertySet& classifier) const;
+  Cost CostOf(const PropertySet& classifier) const {
+    return costs_.CostOf(classifier.ids());
+  }
 
   const std::vector<PropertySet>& queries() const { return queries_; }
   size_t NumQueries() const { return queries_.size(); }
-  const CostMap& costs() const { return costs_; }
+  /// The price table: every priced classifier once, numbered in the order
+  /// it was first priced (file order for a loaded CSV).
+  const ClassifierStore& costs() const { return costs_; }
 
   /// k: the maximal query length (0 for an empty instance).
   size_t MaxQueryLength() const;
@@ -86,7 +79,8 @@ class Instance {
   /// Structural validation: non-empty distinct queries of at most
   /// kMaxQueryLength properties, non-negative costs, every priced classifier
   /// non-empty and relevant (a subset of at least one query, i.e. a member
-  /// of C_Q).
+  /// of C_Q). A query error comes first; otherwise the error names the
+  /// first bad classifier in price-table order.
   Status Validate() const;
 
   /// True iff every query can be covered at finite cost (using only
@@ -95,26 +89,32 @@ class Instance {
 
  private:
   std::vector<PropertySet> queries_;
-  CostMap costs_;
+  ClassifierStore costs_;
   PropertyNames property_names_;
 };
-
-/// The longest query this library accepts. Every subset lattice walk (and
-/// the 32-bit position masks over a query) is exponential in the query
-/// length, so longer queries are rejected as InvalidArgument at every input
-/// boundary: Instance::Validate, the protocol, the update-trace parser and
-/// the online engine.
-inline constexpr size_t kMaxQueryLength = 25;
 
 /// InvalidArgument naming `query` (through `names`, when given) if it is
 /// longer than kMaxQueryLength; OK otherwise.
 Status CheckQueryLength(const PropertySet& query,
                         const std::vector<std::string>& names = {});
 
-/// Calls `fn` for every non-empty subset of `set` (including `set` itself).
+/// Calls `fn` for every non-empty subset of `set` (including `set` itself),
+/// in ascending mask order: C_Q by definition, one subset at a time. The
+/// library walks only the priced subsets, through
+/// ClassifierStore::AppendSubsets; the tests check that walk against this.
 /// Set size must be <= kMaxQueryLength (the enumeration is 2^|set|).
 void ForEachNonEmptySubset(const PropertySet& set,
                            const std::function<void(const PropertySet&)>& fn);
+
+/// Prices every classifier of C_Q that `instance` leaves unpriced, walking
+/// the queries in order and each query's subsets by ascending mask:
+/// `cost_fn(classifier, query)` is called once per unpriced subset, and a
+/// kInfiniteCost answer leaves the subset unpriced. Queries longer than
+/// kMaxQueryLength are skipped.
+void PriceUnpricedSubsets(
+    Instance* instance,
+    const std::function<Cost(const PropertySet& classifier,
+                             const PropertySet& query)>& cost_fn);
 
 /// Convenience builder interning string property names to dense ids:
 ///   InstanceBuilder b;

@@ -1,14 +1,28 @@
 #include "core/instance_util.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <ranges>
 
 #include "util/rng.h"
 #include "util/union_find.h"
-#include "util/float_cmp.h"
 
 namespace mc3 {
+
+void CopySubsetPrices(const ClassifierStore& from, Instance* to,
+                      size_t max_length) {
+  std::vector<QuerySubset> subsets;
+  for (const PropertySet& q : to->queries()) {
+    subsets.clear();
+    from.AppendSubsets(q.ids(), &subsets);
+    for (const QuerySubset& s : subsets) {
+      if (static_cast<size_t>(std::popcount(s.mask)) <= max_length) {
+        to->SetCost(from.key(s.id), from.cost(s.id));
+      }
+    }
+  }
+}
 
 Instance SubInstance(const Instance& instance,
                      const std::vector<size_t>& query_indices) {
@@ -17,12 +31,7 @@ Instance SubInstance(const Instance& instance,
   for (size_t i : query_indices) {
     sub.AddQuery(instance.queries()[i]);
   }
-  for (const PropertySet& q : sub.queries()) {
-    ForEachNonEmptySubset(q, [&](const PropertySet& classifier) {
-      const Cost cost = instance.CostOf(classifier);
-      if (!IsInfiniteCost(cost)) sub.SetCost(classifier, cost);
-    });
-  }
+  CopySubsetPrices(instance.costs(), &sub);
   return sub;
 }
 
@@ -113,9 +122,7 @@ Instance BoundClassifierLength(const Instance& instance, size_t max_length) {
   Instance bounded;
   bounded.share_property_names(instance.shared_property_names());
   for (const PropertySet& q : instance.queries()) bounded.AddQuery(q);
-  for (const auto& [classifier, cost] : SortedCostEntries(instance.costs())) {
-    if (classifier.size() <= max_length) bounded.SetCost(classifier, cost);
-  }
+  CopySubsetPrices(instance.costs(), &bounded, max_length);
   return bounded;
 }
 

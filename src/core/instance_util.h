@@ -9,6 +9,12 @@
 
 namespace mc3 {
 
+/// Prices every subset of `to`'s queries of length at most `max_length`
+/// that `from` prices, at that price, queries in order and each query's
+/// subsets by ascending mask.
+void CopySubsetPrices(const ClassifierStore& from, Instance* to,
+                      size_t max_length = kMaxQueryLength);
+
 /// Builds the sub-instance over the queries at `query_indices`, restricting
 /// the cost table to classifiers relevant to those queries (members of the
 /// sub-instance's C_Q). Property names are carried over.
@@ -22,9 +28,10 @@ Instance SubInstance(const Instance& instance,
 Instance RandomSubInstance(const Instance& instance, size_t count,
                            uint64_t seed);
 
-/// Restricts the cost table to classifiers of length at most `max_length`
-/// (the "bounded classifiers" regime of Section 5.3, k' < k), keeping
-/// singletons so feasibility is preserved whenever singletons are priced.
+/// Restricts the cost table to the relevant classifiers (members of C_Q) of
+/// length at most `max_length` (the "bounded classifiers" regime of
+/// Section 5.3, k' < k), keeping singletons so feasibility is preserved
+/// whenever singletons are priced.
 Instance BoundClassifierLength(const Instance& instance, size_t max_length);
 
 /// Dense indices 0..size()-1 for the properties of some queries, in

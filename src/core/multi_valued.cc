@@ -13,7 +13,7 @@ namespace mc3 {
 Result<Instance> MergeToAttributes(
     const Instance& instance,
     const std::vector<AttributeId>& property_attribute,
-    const CostMap& attribute_costs) {
+    const ClassifierStore& attribute_costs) {
   Instance merged;
   std::unordered_set<PropertySet, PropertySetHash> seen;
   for (const PropertySet& q : instance.queries()) {
@@ -32,8 +32,8 @@ Result<Instance> MergeToAttributes(
       merged.AddQuery(std::move(attr_query));
     }
   }
-  for (const auto& [classifier, cost] : SortedCostEntries(attribute_costs)) {
-    merged.SetCost(classifier, cost);
+  for (ClassifierId id : attribute_costs.ids()) {
+    merged.SetCost(attribute_costs.key(id), attribute_costs.cost(id));
   }
   return merged;
 }

@@ -33,7 +33,7 @@ using AttributeId = uint32_t;
 Result<Instance> MergeToAttributes(
     const Instance& instance,
     const std::vector<AttributeId>& property_attribute,
-    const CostMap& attribute_costs);
+    const ClassifierStore& attribute_costs);
 
 /// A multi-valued classifier: resolves, for every item, which of
 /// `value_properties` hold (e.g. a "team" classifier resolves the

@@ -136,9 +136,8 @@ class BudgetedSearch {
  public:
   BudgetedSearch(const BudgetedInstance& input, uint64_t max_nodes)
       : input_(input), max_nodes_(max_nodes) {
-    // mc3-lint: unordered-ok(sorted into canonical order just below)
-    for (const auto& [classifier, cost] : input.instance.costs()) {
-      classifiers_.push_back(classifier);
+    for (ClassifierId id : input.instance.costs().ids()) {
+      classifiers_.push_back(input.instance.costs().Classifier(id));
     }
     std::sort(classifiers_.begin(), classifiers_.end());
     suffix_weight_.resize(input.query_weights.size() + 1, 0);

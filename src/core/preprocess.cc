@@ -160,7 +160,7 @@ class Worker {
   void Select(ClassifierId id) {
     assert(state_[id] == CState::kPresent);
     state_[id] = CState::kSelected;
-    result_.forced.Add(table_.classifier(id));
+    result_.forced.Add(PropertySet::FromSorted(table_.classifier(id)));
     result_.forced_cost += table_.cost(id);
     for (PropertyId p : table_.classifier(id)) touched_props_.push_back(p);
   }
@@ -212,7 +212,8 @@ class Worker {
     }
     std::sort(zero_cost.begin(), zero_cost.end(),
               [&](ClassifierId a, ClassifierId b) {
-                return table_.classifier(a) < table_.classifier(b);
+                return std::ranges::lexicographical_compare(
+                    table_.classifier(a), table_.classifier(b));
               });
     for (ClassifierId id : zero_cost) {
       Select(id);  // adds exactly zero to forced_cost

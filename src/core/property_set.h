@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,9 @@ class PropertySet {
 
   /// From ids already sorted and unique (checked by assertion).
   static PropertySet FromSorted(std::vector<PropertyId> ids);
+  static PropertySet FromSorted(std::span<const PropertyId> ids) {
+    return FromSorted(std::vector<PropertyId>(ids.begin(), ids.end()));
+  }
 
   /// Number of properties; the paper calls this the *length* of the
   /// query/classifier.

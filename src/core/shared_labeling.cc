@@ -10,9 +10,8 @@
 namespace mc3 {
 
 Cost SharedLabelingModel::StandaloneCost(const PropertySet& classifier) const {
-  const auto it = base_costs.find(classifier);
-  if (it == base_costs.end()) return kInfiniteCost;
-  Cost total = it->second;
+  Cost total = base_costs.CostOf(classifier.ids());
+  if (IsInfiniteCost(total)) return kInfiniteCost;
   for (PropertyId p : classifier) {
     const auto lit = label_costs.find(p);
     if (lit != label_costs.end()) total += lit->second;
@@ -24,9 +23,9 @@ Cost SharedLabelingModel::SetCost(const Solution& solution) const {
   Cost total = 0;
   std::unordered_set<PropertyId> labeled;
   for (const PropertySet& c : solution.classifiers()) {
-    const auto it = base_costs.find(c);
-    if (it == base_costs.end()) return kInfiniteCost;
-    total += it->second;
+    const Cost base = base_costs.CostOf(c.ids());
+    if (IsInfiniteCost(base)) return kInfiniteCost;
+    total += base;
     for (PropertyId p : c) {
       if (labeled.insert(p).second) {
         const auto lit = label_costs.find(p);
@@ -42,7 +41,8 @@ Instance FlattenToIndependentCosts(const Instance& instance,
   Instance flat;
   flat.share_property_names(instance.shared_property_names());
   for (const PropertySet& q : instance.queries()) flat.AddQuery(q);
-  for (const auto& [classifier, base] : SortedCostEntries(model.base_costs)) {
+  for (ClassifierId id : model.base_costs.ids()) {
+    const PropertySet classifier = model.base_costs.Classifier(id);
     flat.SetCost(classifier, model.StandaloneCost(classifier));
   }
   return flat;
@@ -51,8 +51,8 @@ Instance FlattenToIndependentCosts(const Instance& instance,
 namespace {
 
 Status ValidateModel(const SharedLabelingModel& model) {
-  // mc3-lint: unordered-ok(every violating entry yields the identical error)
-  for (const auto& [classifier, base] : model.base_costs) {
+  for (ClassifierId id : model.base_costs.ids()) {
+    const Cost base = model.base_costs.cost(id);
     if (base < 0 || std::isnan(base)) {
       return Status::InvalidArgument("negative base cost");
     }
@@ -78,9 +78,8 @@ Result<SharedLabelingResult> SolveSharedLabelingGreedy(
   // Marginal cost: unpaid base plus unpaid labels.
   const auto marginal = [&](const PropertySet& c) -> Cost {
     if (selected.count(c) > 0) return 0;
-    const auto it = model.base_costs.find(c);
-    if (it == model.base_costs.end()) return kInfiniteCost;
-    Cost cost = it->second;
+    Cost cost = model.base_costs.CostOf(c.ids());
+    if (IsInfiniteCost(cost)) return kInfiniteCost;
     for (PropertyId p : c) {
       if (labeled.count(p) > 0) continue;
       const auto lit = model.label_costs.find(p);
@@ -148,9 +147,8 @@ class SharedSearch {
   SharedSearch(const Instance& instance, const SharedLabelingModel& model,
                uint64_t max_nodes)
       : instance_(instance), model_(model), max_nodes_(max_nodes) {
-    // mc3-lint: unordered-ok(sorted below with a total-order comparator)
-    for (const auto& [classifier, base] : model.base_costs) {
-      classifiers_.push_back(classifier);
+    for (ClassifierId id : model.base_costs.ids()) {
+      classifiers_.push_back(model.base_costs.Classifier(id));
     }
     std::sort(classifiers_.begin(), classifiers_.end(),
               [&](const PropertySet& a, const PropertySet& b) {

@@ -30,7 +30,7 @@ namespace mc3 {
 /// The decomposed cost model.
 struct SharedLabelingModel {
   /// Classifier-specific cost; classifiers absent here are unavailable.
-  CostMap base_costs;
+  ClassifierStore base_costs;
   /// Per-property labeling cost, paid once across the whole solution.
   std::unordered_map<PropertyId, Cost> label_costs;
 

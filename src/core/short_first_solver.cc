@@ -31,12 +31,18 @@ Result<SolveResult> ShortFirstSolver::Solve(const Instance& instance) const {
   // for free; the paper's SF prices the residual with original costs.
   Instance long_part = SubInstance(instance, long_idx);
   if (options_.short_first_reuse_selections) {
+    // Walk the long queries over a store of the phase-1 classifiers.
+    ClassifierStore selected;
+    for (const PropertySet& c : short_result->solution.classifiers()) {
+      selected.Set(c.ids(), 0);
+    }
+    std::vector<QuerySubset> reused;
     for (const PropertySet& q : long_part.queries()) {
-      ForEachNonEmptySubset(q, [&](const PropertySet& classifier) {
-        if (short_result->solution.Contains(classifier)) {
-          long_part.SetCost(classifier, 0);
-        }
-      });
+      reused.clear();
+      selected.AppendSubsets(q.ids(), &reused);
+      for (const QuerySubset& s : reused) {
+        long_part.SetCost(selected.key(s.id), 0);
+      }
     }
   }
   auto long_result = GeneralSolver(options_).Solve(long_part);

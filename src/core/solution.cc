@@ -51,7 +51,8 @@ CoverageReport VerifyCoverage(const Instance& instance,
   report.witnesses.resize(instance.NumQueries());
   for (size_t i = 0; i < instance.NumQueries(); ++i) {
     for (const QuerySubset& s : table.subsets(i)) {
-      report.witnesses[i].push_back(table.classifier(s.id));
+      report.witnesses[i].push_back(
+          PropertySet::FromSorted(table.classifier(s.id)));
     }
     if (!table.Covers(i)) {
       report.covers_all = false;

@@ -24,8 +24,8 @@ InstanceStats ComputeStats(const Instance& instance) {
           : static_cast<double>(short_queries) / stats.num_queries;
 
   bool first = true;
-  // mc3-lint: unordered-ok(count/min/max aggregation is order-independent)
-  for (const auto& [classifier, cost] : instance.costs()) {
+  for (ClassifierId id : instance.costs().ids()) {
+    const Cost cost = instance.costs().cost(id);
     if (!std::isfinite(cost)) continue;
     ++stats.num_classifiers;
     if (first) {

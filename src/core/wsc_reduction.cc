@@ -29,10 +29,10 @@ WscReduction ReduceToWsc(const Instance& instance) {
   std::vector<ClassifierId> order(table.size());
   std::iota(order.begin(), order.end(), ClassifierId{0});
   std::sort(order.begin(), order.end(), [&](ClassifierId a, ClassifierId b) {
-    const PropertySet& x = table.classifier(a);
-    const PropertySet& y = table.classifier(b);
+    const ClassifierKey x = table.classifier(a);
+    const ClassifierKey y = table.classifier(b);
     if (x.size() != y.size()) return x.size() < y.size();
-    return x < y;
+    return std::ranges::lexicographical_compare(x, y);
   });
   std::vector<setcover::SetId> set_of(table.size());
   reduction.wsc.sets.resize(order.size());
@@ -41,7 +41,8 @@ WscReduction ReduceToWsc(const Instance& instance) {
     const ClassifierId id = order[i];
     set_of[id] = static_cast<setcover::SetId>(i);
     reduction.wsc.sets[i].cost = table.cost(id);
-    reduction.set_to_classifier.push_back(table.classifier(id));
+    reduction.set_to_classifier.push_back(
+        PropertySet::FromSorted(table.classifier(id)));
   }
 
   // Elements p_q of each set. Queries are walked in order and each mask's

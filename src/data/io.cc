@@ -26,20 +26,17 @@ std::string InstanceToCsv(const Instance& instance) {
     for (PropertyId p : q) row.push_back(PropertyName(instance, p));
     rows.push_back(std::move(row));
   }
-  // Deterministic classifier order.
-  std::vector<const PropertySet*> order;
-  // mc3-lint: unordered-ok(sorted into the canonical order just below)
-  for (const auto& [classifier, cost] : instance.costs()) {
-    order.push_back(&classifier);
-  }
-  std::sort(order.begin(), order.end(),
-            [](const PropertySet* a, const PropertySet* b) { return *a < *b; });
-  for (const PropertySet* c : order) {
+  // Canonical classifier order, so loading the file numbers the price
+  // table in that order.
+  const ClassifierStore& costs = instance.costs();
+  for (ClassifierId id : costs.SortedIds()) {
     std::vector<std::string> row{"C"};
     std::ostringstream cost;
-    cost << instance.CostOf(*c);
+    cost << costs.cost(id);
     row.push_back(cost.str());
-    for (PropertyId p : *c) row.push_back(PropertyName(instance, p));
+    for (PropertyId p : costs.key(id)) {
+      row.push_back(PropertyName(instance, p));
+    }
     rows.push_back(std::move(row));
   }
   return FormatCsv(rows);

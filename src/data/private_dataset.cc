@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "util/rng.h"
-#include "util/float_cmp.h"
 
 namespace mc3::data {
 namespace {
@@ -127,51 +126,46 @@ PrivateDataset GeneratePrivate(const PrivateConfig& config) {
                           std::max<Cost>(static_cast<Cost>(config.cost_min),
                                          std::floor(c + 0.5)));
   };
-  for (const PropertySet& q : instance.queries()) {
-    ForEachNonEmptySubset(q, [&](const PropertySet& classifier) {
-      if (!IsInfiniteCost(instance.CostOf(classifier))) return;
-      if (classifier.size() == 1) {
-        instance.SetCost(classifier, singleton(*classifier.begin()));
-        return;
-      }
-      // Only small building blocks (length <= 3) and the dedicated
-      // full-query classifier are priced; other long conjunctions are
-      // omitted (not enough training data to cost them in advance — the
-      // "bounded classifiers" practice of Section 5.3).
-      const bool is_full_query = classifier.size() == q.size();
-      if (classifier.size() > 3 && !is_full_query) return;
+  PriceUnpricedSubsets(&instance, [&](const PropertySet& classifier,
+                                      const PropertySet& q) -> Cost {
+    if (classifier.size() == 1) return singleton(*classifier.begin());
+    // Only small building blocks (length <= 3) and the dedicated
+    // full-query classifier are priced; other long conjunctions are
+    // omitted (not enough training data to cost them in advance — the
+    // "bounded classifiers" practice of Section 5.3).
+    const bool is_full_query = classifier.size() == q.size();
+    if (classifier.size() > 3 && !is_full_query) return kInfiniteCost;
 
-      Cost sum = 0;
-      Cost min_part = kInfiniteCost;
-      Cost max_part = 0;
-      for (PropertyId p : classifier) {
-        const Cost c = singleton(p);
-        sum += c;
-        min_part = std::min(min_part, c);
-        max_part = std::max(max_part, c);
-      }
-      // Conjunctions containing a hard property are easy more often (few
-      // product variants satisfy the whole conjunction), and the effect
-      // strengthens with length (more specific conjunctions).
-      const bool contains_hard = max_part >= std::min(hi, lo + 14);
-      const double boost =
-          (contains_hard ? 2.6 : 0.3) * (classifier.size() >= 3 ? 1.4 : 1.0);
-      const double easy_probability =
-          std::min(boost * config.easy_conjunction_probability, 0.95);
-      Cost cost;
-      if (rng.Bernoulli(easy_probability)) {
-        cost = clamp_cost(1 + 4 * rng.UniformDouble() +
-                          0.1 * min_part * rng.UniformDouble());
-      } else if (!contains_hard && classifier.size() == 2) {
-        // All-easy pairs are barely sub-additive: both properties are
-        // simple, so conjoining them saves little labeling work.
-        cost = clamp_cost(sum * (0.78 + 0.18 * rng.UniformDouble()));
-      } else {
-        cost = clamp_cost(sum * (0.55 + 0.4 * rng.UniformDouble()));
-      }
-      instance.SetCost(classifier, cost);
-    });
-  }
+    Cost sum = 0;
+    Cost min_part = kInfiniteCost;
+    Cost max_part = 0;
+    for (PropertyId p : classifier) {
+      const Cost c = singleton(p);
+      sum += c;
+      min_part = std::min(min_part, c);
+      max_part = std::max(max_part, c);
+    }
+    // Conjunctions containing a hard property are easy more often (few
+    // product variants satisfy the whole conjunction), and the effect
+    // strengthens with length (more specific conjunctions).
+    const bool contains_hard = max_part >= std::min(hi, lo + 14);
+    const double boost =
+        (contains_hard ? 2.6 : 0.3) * (classifier.size() >= 3 ? 1.4 : 1.0);
+    const double easy_probability =
+        std::min(boost * config.easy_conjunction_probability, 0.95);
+    Cost cost;
+    if (rng.Bernoulli(easy_probability)) {
+      cost = clamp_cost(1 + 4 * rng.UniformDouble() +
+                        0.1 * min_part * rng.UniformDouble());
+    } else if (!contains_hard && classifier.size() == 2) {
+      // All-easy pairs are barely sub-additive: both properties are
+      // simple, so conjoining them saves little labeling work.
+      cost = clamp_cost(sum * (0.78 + 0.18 * rng.UniformDouble()));
+    } else {
+      cost = clamp_cost(sum * (0.55 + 0.4 * rng.UniformDouble()));
+    }
+    return cost;
+  });
   return dataset;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <unordered_set>
-#include "util/float_cmp.h"
 
 namespace mc3::data {
 namespace {
@@ -90,21 +89,19 @@ Status EstimateCosts(Instance* instance,
     }
     return options.default_difficulty;
   };
-  for (const PropertySet& q : instance->queries()) {
-    ForEachNonEmptySubset(q, [&](const PropertySet& classifier) {
-      if (!IsInfiniteCost(instance->CostOf(classifier))) return;
-      Cost sum = 0;
-      Cost min_part = kInfiniteCost;
-      for (PropertyId p : classifier) {
-        const Cost d = difficulty(p);
-        sum += d;
-        min_part = std::min(min_part, d);
-      }
-      Cost cost = classifier.size() == 1 ? sum : options.subadditivity * sum;
-      cost = std::max(cost, options.floor_factor * min_part);
-      instance->SetCost(classifier, cost);
-    });
-  }
+  PriceUnpricedSubsets(instance, [&](const PropertySet& classifier,
+                                     const PropertySet&) {
+    Cost sum = 0;
+    Cost min_part = kInfiniteCost;
+    for (PropertyId p : classifier) {
+      const Cost d = difficulty(p);
+      sum += d;
+      min_part = std::min(min_part, d);
+    }
+    const Cost cost =
+        classifier.size() == 1 ? sum : options.subadditivity * sum;
+    return std::max(cost, options.floor_factor * min_part);
+  });
   return Status::OK();
 }
 

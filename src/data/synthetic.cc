@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "util/rng.h"
-#include "util/float_cmp.h"
 
 namespace mc3::data {
 
@@ -52,15 +51,9 @@ Instance GenerateSynthetic(const SyntheticConfig& config) {
   }
 
   // Price every classifier in C_Q uniformly from [cost_min, cost_max].
-  for (const PropertySet& q : instance.queries()) {
-    ForEachNonEmptySubset(q, [&](const PropertySet& classifier) {
-      if (IsInfiniteCost(instance.CostOf(classifier))) {
-        instance.SetCost(classifier,
-                         static_cast<Cost>(rng.UniformInt(
-                             config.cost_min, config.cost_max)));
-      }
-    });
-  }
+  PriceUnpricedSubsets(&instance, [&](const PropertySet&, const PropertySet&) {
+    return static_cast<Cost>(rng.UniformInt(config.cost_min, config.cost_max));
+  });
   return instance;
 }
 

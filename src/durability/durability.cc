@@ -47,9 +47,11 @@ Status PriceUnknown(const std::vector<PropertySet>& added, double default_cost,
   data::CostEstimatorOptions estimator;
   estimator.default_difficulty = default_cost;
   MC3_RETURN_IF_ERROR(data::EstimateCosts(&pricing, estimator));
-  for (const auto& [classifier, cost] : SortedCostEntries(pricing.costs())) {
+  const ClassifierStore& costs = pricing.costs();
+  for (ClassifierId id : costs.ids()) {
+    const PropertySet classifier = costs.Classifier(id);
     if (!IsInfiniteCost(engine->CostOf(classifier))) continue;
-    MC3_RETURN_IF_ERROR(engine->SetCost(classifier, cost));
+    MC3_RETURN_IF_ERROR(engine->SetCost(classifier, costs.cost(id)));
   }
   return Status::OK();
 }

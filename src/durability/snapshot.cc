@@ -96,7 +96,6 @@ std::string RenderSnapshotDoc(const online::EngineState& state, uint64_t seq,
   for (const std::string& name : state.property_names) writer.String(name);
   writer.EndArray();
   writer.Key("costs").BeginArray();
-  // mc3-lint: unordered-ok(EngineState.costs is a sorted vector, not a map)
   for (const auto& [classifier, cost] : state.costs) {
     writer.BeginObject();
     writer.Key("classifier");

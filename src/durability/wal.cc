@@ -335,7 +335,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& dir,
 
 WalWriter::~WalWriter() {
   const Status closed = Close();
-  (void)closed;  // mc3-lint: status-ok(destructor cannot propagate)
+  (void)closed;  // a destructor cannot propagate it
 }
 
 Status WalWriter::OpenSegment(uint64_t first_seq) {

@@ -193,7 +193,7 @@ class WalWriter {
   uint64_t durable_seq_ MC3_GUARDED_BY(mu_) = 0;
   WalWriterStats stats_ MC3_GUARDED_BY(mu_);
 
-  // mc3-lint: guard-ok(started once by Open, joined only by Close)
+  // Started once by Open, joined only by Close.
   std::thread committer_;
 };
 

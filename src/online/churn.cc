@@ -27,8 +27,9 @@ Instance GenerateShardedSynthetic(const ShardedSyntheticConfig& config) {
       merged.AddQuery(OffsetSet(q, offset));
       max_id = std::max(max_id, *(q.end() - 1));
     }
-    for (const auto& [classifier, cost] : SortedCostEntries(shard.costs())) {
-      merged.SetCost(OffsetSet(classifier, offset), cost);
+    for (ClassifierId id : shard.costs().ids()) {
+      merged.SetCost(OffsetSet(shard.costs().Classifier(id), offset),
+                     shard.costs().cost(id));
     }
     offset += max_id + 1;
   }

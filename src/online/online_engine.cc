@@ -39,9 +39,11 @@ Result<UpdateStats> OnlineEngine::Initialize(const Instance& instance) {
   if (!instance.property_names().empty()) {
     names_ = instance.shared_property_names();
   }
-  // Sorted so a failing classifier reports the same error on every run.
-  for (const auto& [classifier, cost] : SortedCostEntries(instance.costs())) {
-    MC3_RETURN_IF_ERROR(SetCost(classifier, cost));
+  // In price-table order, so a failing classifier reports the same error
+  // on every run.
+  const ClassifierStore& costs = instance.costs();
+  for (ClassifierId id : costs.ids()) {
+    MC3_RETURN_IF_ERROR(SetCost(costs.Classifier(id), costs.cost(id)));
   }
   return ApplyUpdate(instance.queries(), {});
 }
@@ -55,7 +57,7 @@ Status OnlineEngine::SetCost(const PropertySet& classifier, Cost cost) {
         "classifier cost must be finite and non-negative (costs can be "
         "added or re-priced, never removed)");
   }
-  costs_[classifier] = cost;
+  costs_.Set(classifier.ids(), cost);
 
   // A component that bought `classifier` owns all of its properties, so
   // the owner of the first one is the only piece that can hold it.
@@ -77,17 +79,14 @@ Status OnlineEngine::SetCost(const PropertySet& classifier, Cost cost) {
 }
 
 Cost OnlineEngine::CostOf(const PropertySet& classifier) const {
-  const auto it = costs_.find(classifier);
-  return it == costs_.end() ? kInfiniteCost : it->second;
+  return costs_.CostOf(classifier.ids());
 }
 
 bool OnlineEngine::Coverable(const PropertySet& query) const {
-  std::unordered_set<PropertyId> covered;
-  ForEachNonEmptySubset(query, [&](const PropertySet& sub) {
-    if (costs_.count(sub) == 0) return;
-    for (PropertyId p : sub) covered.insert(p);
-  });
-  return covered.size() == query.size();
+  if (query.size() > kMaxQueryLength) return false;
+  std::vector<QuerySubset> subsets;
+  const uint32_t covered = costs_.AppendSubsets(query.ids(), &subsets);
+  return covered == FullMask(query.size());
 }
 
 std::optional<size_t> OnlineEngine::ComponentOf(
@@ -107,12 +106,7 @@ Instance OnlineEngine::BuildSubInstance(
   Instance sub;
   sub.share_property_names(names_);
   for (const PropertySet& q : queries) sub.AddQuery(q);
-  for (const PropertySet& q : sub.queries()) {
-    ForEachNonEmptySubset(q, [&](const PropertySet& classifier) {
-      const auto it = costs_.find(classifier);
-      if (it != costs_.end()) sub.SetCost(classifier, it->second);
-    });
-  }
+  CopySubsetPrices(costs_, &sub);
   return sub;
 }
 
@@ -415,7 +409,6 @@ Status OnlineEngine::ImportState(const EngineState& state) {
         "ImportState requires an untouched engine (it does not merge)");
   }
   set_property_names(state.property_names);
-  // mc3-lint: unordered-ok(EngineState.costs is a sorted vector, not a map)
   for (const auto& [classifier, cost] : state.costs) {
     MC3_RETURN_IF_ERROR(SetCost(classifier, cost));
   }

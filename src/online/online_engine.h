@@ -202,8 +202,8 @@ class OnlineEngine {
   /// the other shards, published read indexes).
   void share_property_names(PropertyNames names) { names_ = std::move(names); }
 
-  /// The classifier price table.
-  const CostMap& costs() const { return costs_; }
+  /// The classifier price table, numbered in the order prices arrived.
+  const ClassifierStore& costs() const { return costs_; }
 
   /// Exports the full engine state (price table, live queries, stored
   /// per-component solutions) in canonical form. The inverse of
@@ -252,7 +252,7 @@ class OnlineEngine {
   EngineOptions options_;
 
   size_t num_live_ = 0;
-  CostMap costs_;
+  ClassifierStore costs_;
   PropertyNames names_;
 
   /// Component registry, ordered by id; ids only grow and are never

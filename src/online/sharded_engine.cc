@@ -31,10 +31,11 @@ Result<UpdateStats> ShardedEngine::Initialize(const Instance& base) {
   if (!base.property_names().empty()) {
     share_property_names(base.shared_property_names());
   }
-  // Sorted so a failing classifier reports the same error on every run
-  // (mirrors OnlineEngine::Initialize).
-  for (const auto& [classifier, cost] : SortedCostEntries(base.costs())) {
-    MC3_RETURN_IF_ERROR(SetCost(classifier, cost));
+  // In price-table order, so a failing classifier reports the same error
+  // on every run (mirrors OnlineEngine::Initialize).
+  const ClassifierStore& costs = base.costs();
+  for (ClassifierId id : costs.ids()) {
+    MC3_RETURN_IF_ERROR(SetCost(costs.Classifier(id), costs.cost(id)));
   }
   return ApplyUpdate(base.queries(), {});
 }
@@ -252,8 +253,7 @@ Status ShardedEngine::CheckInvariants() const {
   // table is replicated bit-exactly.
   std::unordered_map<PropertyId, uint32_t> prop_shard;
   size_t total_live = 0;
-  const std::vector<std::pair<PropertySet, Cost>> table =
-      SortedCostEntries(engines_.front().costs());
+  const ClassifierStore& table = engines_.front().costs();
   for (uint32_t i = 0; i < engines_.size(); ++i) {
     const EngineState shard_state = engines_[i].ExportState();
     for (const EngineState::Component& component : shard_state.components) {
@@ -272,12 +272,12 @@ Status ShardedEngine::CheckInvariants() const {
         }
       }
     }
-    if (shard_state.costs.size() != table.size()) {
+    if (engines_[i].costs().size() != table.size()) {
       return Status::Internal("cost table not fully replicated to a shard");
     }
-    for (const auto& [classifier, cost] : table) {
+    for (ClassifierId id : table.ids()) {
       // mc3-lint: float-eq-ok(replication is bit-exact: same SetCost values)
-      if (engines_[i].CostOf(classifier) != cost) {
+      if (engines_[i].costs().CostOf(table.key(id)) != table.cost(id)) {
         return Status::Internal("cost table diverged on a shard");
       }
     }

@@ -362,11 +362,10 @@ class Server {
   int wake_pipe_[2] = {-1, -1};
 
   BoundedQueue<PendingRequest> queue_;
-  // mc3-lint: guard-ok(created in Start before the acceptor that uses it)
+  // Created in Start before the acceptor that uses it.
   std::unique_ptr<WorkerPool> pool_;
-  // mc3-lint: guard-ok(launched in Start, joined only by Join)
+  // Launched in Start, joined only by Join.
   std::thread acceptor_;
-  // mc3-lint: guard-ok(launched in Start, joined only by Join)
   std::vector<std::thread> engine_threads_;
 
   util::Mutex engine_mu_;
@@ -394,10 +393,10 @@ class Server {
     std::atomic<uint64_t> batches{0};
     std::atomic<uint64_t> ops{0};
   };
-  // mc3-lint: guard-ok(filled in Start before the shard workers launch, immutable after)
+  // Filled in Start before the shard workers launch, immutable after.
   std::vector<std::unique_ptr<BoundedQueue<std::function<void()>>>>
       shard_queues_;
-  // mc3-lint: guard-ok(launched in Start, joined only by Join)
+  // Launched in Start, joined only by Join.
   std::vector<std::thread> shard_threads_;
   // mc3-lint: guard-ok(sized by the constructor; elements are atomics)
   std::vector<ShardCounters> shard_counters_;

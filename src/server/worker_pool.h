@@ -87,7 +87,6 @@ class WorkerPool {
   bool shutdown_ MC3_GUARDED_BY(mu_) = false;
   // Written only by the constructor, joined by Shutdown on the control
   // thread; never touched from pool threads.
-  // mc3-lint: guard-ok(constructed once, joined only by Shutdown on the control thread)
   std::vector<std::thread> workers_;
 };
 

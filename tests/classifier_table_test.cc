@@ -75,7 +75,7 @@ void ExpectCsrMatchesCostOf(const Instance& instance,
       ASSERT_LT(next, row.size()) << "query " << qi << " mask " << mask;
       const QuerySubset entry = row[next++];
       EXPECT_EQ(entry.mask, mask);
-      EXPECT_EQ(table.classifier(entry.id), sub);
+      EXPECT_EQ(PropertySet::FromSorted(table.classifier(entry.id)), sub);
       EXPECT_EQ(table.cost(entry.id), cost);
       EXPECT_EQ(table.FindSubset(qi, mask), entry.id);
       EXPECT_EQ(table.Find(sub), entry.id);
@@ -100,8 +100,10 @@ void ExpectDenseFirstAppearanceIds(const Instance& instance,
   EXPECT_EQ(next, table.size());
   std::set<PropertySet> distinct;
   for (ClassifierId id = 0; id < table.size(); ++id) {
-    distinct.insert(table.classifier(id));
-    EXPECT_EQ(table.Find(table.classifier(id)), id);
+    const PropertySet classifier =
+        PropertySet::FromSorted(table.classifier(id));
+    distinct.insert(classifier);
+    EXPECT_EQ(table.Find(classifier), id);
   }
   EXPECT_EQ(distinct.size(), table.size());
 }
@@ -158,7 +160,8 @@ TEST(ClassifierTableTest, SolutionTablePricesByTheInstance) {
   const ClassifierTable table(instance, solution.classifiers());
   EXPECT_EQ(table.size(), solution.size());
   for (ClassifierId id = 0; id < table.size(); ++id) {
-    EXPECT_EQ(table.cost(id), instance.CostOf(table.classifier(id)));
+    EXPECT_EQ(table.cost(id),
+              instance.CostOf(PropertySet::FromSorted(table.classifier(id))));
   }
 }
 

@@ -136,8 +136,7 @@ TEST(PrivateTest, ConjunctionSometimesCheaperThanParts) {
   const Instance& inst = dataset.instance;
   size_t cheaper_than_min_part = 0;
   size_t examined = 0;
-  // mc3-lint: unordered-ok(counting aggregation is order-independent)
-  for (const auto& [classifier, cost] : inst.costs()) {
+  for (const auto& [classifier, cost] : SortedCostEntries(inst.costs())) {
     if (classifier.size() < 2) continue;
     Cost min_part = kInfiniteCost;
     for (PropertyId p : classifier) {
@@ -218,6 +217,56 @@ TEST(IoTest, RejectsInvalidInstance) {
   // Duplicate queries fail Validate on load.
   auto loaded = InstanceFromCsv("Q,a,b\nQ,b,a\nC,1,a\nC,1,b\n");
   EXPECT_FALSE(loaded.ok());
+}
+
+TEST(IoTest, ValidationNamesTheFirstBadClassifierInFileOrder) {
+  // a=0, b=1, c=2, d=3. Two classifiers no query contains and one NaN
+  // price; in classifier order the NaN one ({0}) would come first.
+  const std::string queries = "Q,a,b\nQ,c,d\n";
+  auto loaded = InstanceFromCsv(queries + "C,1,b,c\nC,nan,a\nC,1,a,d\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.status().message(),
+            "classifier {1,2} is not a subset of any query (not in C_Q)");
+
+  loaded = InstanceFromCsv(queries + "C,nan,a\nC,1,b,c\nC,1,a,d\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(), "invalid cost for classifier {0}");
+
+  loaded = InstanceFromCsv(queries + "C,1,a,d\nC,1,b,c\nC,nan,a\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().message(),
+            "classifier {0,3} is not a subset of any query (not in C_Q)");
+
+  // A negative price never reaches validation: the parser names its row.
+  loaded = InstanceFromCsv(queries + "C,1,b,c\nC,-1,a\nC,1,a,d\n");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(loaded.status().message(), "row 3: bad cost '-1'");
+
+  // Built in code, a negative price is validated in price-table order too.
+  InstanceBuilder builder;
+  builder.AddQuery({"a", "b"});
+  builder.AddQuery({"c", "d"});
+  builder.SetCost({"b", "c"}, 1);
+  builder.SetCost({"a"}, -1);
+  const Instance built = std::move(builder).Build();
+  EXPECT_EQ(built.Validate().message(),
+            "classifier {1,2} is not a subset of any query (not in C_Q)");
+}
+
+TEST(IoTest, SavedInstancesLoadInClassifierOrder) {
+  auto loaded = InstanceFromCsv("Q,a,b,c\nC,2,b,c\nC,1,c\nC,3,a\nC,1,b\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  // File order numbers the table...
+  EXPECT_EQ(loaded->costs().Classifier(0), PropertySet::Of({1, 2}));
+  // ...and a saved file lists it canonically, so a reload numbers it in
+  // classifier order.
+  auto reloaded = InstanceFromCsv(InstanceToCsv(*loaded));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded->costs().SortedIds(),
+            (std::vector<ClassifierId>{0, 1, 2, 3}));
+  EXPECT_EQ(InstanceToCsv(*reloaded), InstanceToCsv(*loaded));
 }
 
 TEST(IoTest, RejectsQueriesLongerThanTheLimit) {

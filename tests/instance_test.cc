@@ -190,8 +190,7 @@ TEST(InstanceBuilderTest, PriceAllKeepsExistingPrices) {
   const Instance inst = std::move(b).Build();
   // The explicit price survives; everything else got the default.
   Cost x_cost = kInfiniteCost;
-  // mc3-lint: unordered-ok(searching for one key; order-independent)
-  for (const auto& [c, cost] : inst.costs()) {
+  for (const auto& [c, cost] : SortedCostEntries(inst.costs())) {
     if (c.size() == 1 && ApproxEq(cost, 100)) x_cost = cost;
   }
   EXPECT_EQ(x_cost, 100);

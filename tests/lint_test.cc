@@ -670,6 +670,57 @@ TEST(LintWaivers, MalformedWaiversAreFindings) {
             0u);  // well-formed
 }
 
+TEST(LintWaivers, StaleWaiversAreFindings) {
+  const std::string map = "std::unordered_map<int, int> m;\n";
+  // Suppressing, on the line and on the line before: not stale.
+  EXPECT_EQ(CountRule(Lint(map +
+                           "void F() {\n"
+                           "  for (auto& [k, v] : m) {  // mc3-lint: "
+                           "unordered-ok(agg)\n"
+                           "  }\n"
+                           "  // mc3-lint: unordered-ok(agg)\n"
+                           "  for (auto& [k, v] : m) {\n"
+                           "  }\n"
+                           "}\n"),
+                      "W1"),
+            0u);
+  // Over a loop that iterates nothing unordered, and with the wrong tag:
+  // both suppress nothing.
+  const auto stale = Lint(
+      "std::vector<int> v;\n"
+      "void F() {\n"
+      "  // mc3-lint: unordered-ok(was a map once)\n"
+      "  for (int x : v) {\n"
+      "  }\n"
+      "  int y = 0;  // mc3-lint: print-ok(nothing prints here)\n"
+      "}\n");
+  ASSERT_EQ(CountRule(stale, "W1"), 2u);
+  EXPECT_EQ(stale[0].line, 3);
+  EXPECT_NE(stale[0].message.find("unordered-ok"), std::string::npos);
+  EXPECT_EQ(stale[1].line, 6);
+  // A wrong-tag waiver is stale and leaves the finding standing.
+  const auto wrong = Lint(map +
+                          "void F() {\n"
+                          "  for (auto& [k, v] : m) {  // mc3-lint: "
+                          "print-ok(not the tag)\n"
+                          "  }\n"
+                          "}\n");
+  EXPECT_EQ(CountRule(wrong, "R1"), 1u);
+  EXPECT_EQ(CountRule(wrong, "W1"), 1u);
+  // lock-order waivers belong to the project-wide R10 pass, and a waiver
+  // covering no code is prose quoting the syntax: neither is checked here.
+  EXPECT_EQ(CountRule(Lint("// mc3-lint: lock-order-ok(single-threaded)\n"
+                           "int x;\n"),
+                      "W1"),
+            0u);
+  EXPECT_EQ(CountRule(Lint("// Waivers look like\n"
+                           "//   // mc3-lint: unordered-ok(reason)\n"
+                           "//\n"
+                           "int x;\n"),
+                      "W1"),
+            0u);
+}
+
 // ------------------------------------------------------------- report
 
 TEST(LintReport, RendersValidSchemaJson) {
@@ -693,7 +744,7 @@ TEST(LintReport, RendersValidSchemaJson) {
   ASSERT_TRUE(by_rule != nullptr && by_rule->is_object());
   EXPECT_EQ(by_rule->Find("R1")->number, 1);
   for (const char* rule : {"R2", "R3", "R5", "R6", "R7", "R8", "R9", "R10",
-                           "W0"}) {
+                           "W0", "W1"}) {
     const obs::JsonValue* count = by_rule->Find(rule);
     ASSERT_TRUE(count != nullptr) << rule;
     EXPECT_EQ(count->number, 0) << rule;

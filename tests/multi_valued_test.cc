@@ -27,10 +27,10 @@ Instance BinaryInstance() {
 
 TEST(MergeToAttributesTest, MergesQueries) {
   const std::vector<AttributeId> mapping = {kTeam, kColor, kBrand, kTeam};
-  CostMap costs;
-  costs[PS({kTeam})] = 4;
-  costs[PS({kColor})] = 2;
-  costs[PS({kBrand})] = 3;
+  ClassifierStore costs;
+  costs.Set(PS({kTeam}).ids(), 4);
+  costs.Set(PS({kColor}).ids(), 2);
+  costs.Set(PS({kBrand}).ids(), 3);
   auto merged = MergeToAttributes(BinaryInstance(), mapping, costs);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(merged->NumQueries(), 2u);
@@ -44,8 +44,8 @@ TEST(MergeToAttributesTest, DeduplicatesCollapsedQueries) {
   inst.AddQuery(PS({0}));  // color=red
   inst.AddQuery(PS({1}));  // color=blue
   const std::vector<AttributeId> mapping = {0, 0};
-  CostMap costs;
-  costs[PS({0})] = 1;
+  ClassifierStore costs;
+  costs.Set(PS({0}).ids(), 1);
   auto merged = MergeToAttributes(inst, mapping, costs);
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(merged->NumQueries(), 1u);
@@ -53,18 +53,18 @@ TEST(MergeToAttributesTest, DeduplicatesCollapsedQueries) {
 
 TEST(MergeToAttributesTest, RejectsUnmappedProperty) {
   const std::vector<AttributeId> mapping = {kTeam};  // too short
-  auto merged = MergeToAttributes(BinaryInstance(), mapping, CostMap{});
+  auto merged = MergeToAttributes(BinaryInstance(), mapping, ClassifierStore{});
   EXPECT_FALSE(merged.ok());
   EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(MergeToAttributesTest, MergedInstanceSolvable) {
   const std::vector<AttributeId> mapping = {kTeam, kColor, kBrand, kTeam};
-  CostMap costs;
-  costs[PS({kTeam})] = 4;
-  costs[PS({kColor})] = 2;
-  costs[PS({kBrand})] = 3;
-  costs[PS({kTeam, kBrand})] = 5;
+  ClassifierStore costs;
+  costs.Set(PS({kTeam}).ids(), 4);
+  costs.Set(PS({kColor}).ids(), 2);
+  costs.Set(PS({kBrand}).ids(), 3);
+  costs.Set(PS({kTeam, kBrand}).ids(), 5);
   auto merged = MergeToAttributes(BinaryInstance(), mapping, costs);
   ASSERT_TRUE(merged.ok());
   auto exact = ExactSolver().Solve(*merged);

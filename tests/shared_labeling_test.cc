@@ -15,11 +15,11 @@ using testing::RandomInstanceConfig;
 
 SharedLabelingModel SmallModel() {
   SharedLabelingModel model;
-  model.base_costs[PS({0})] = 1;
-  model.base_costs[PS({1})] = 1;
-  model.base_costs[PS({0, 1})] = 1;
-  model.base_costs[PS({1, 2})] = 1;
-  model.base_costs[PS({2})] = 1;
+  model.base_costs.Set(PS({0}).ids(), 1);
+  model.base_costs.Set(PS({1}).ids(), 1);
+  model.base_costs.Set(PS({0, 1}).ids(), 1);
+  model.base_costs.Set(PS({1, 2}).ids(), 1);
+  model.base_costs.Set(PS({2}).ids(), 1);
   model.label_costs[0] = 4;
   model.label_costs[1] = 4;
   model.label_costs[2] = 4;
@@ -120,7 +120,7 @@ TEST_P(SharedLabelingSweepTest, GreedyCoversAndExactIsNoWorse) {
   Rng rng(GetParam() + 500);
   // Sorted: random draws consumed in iteration order must be stable.
   for (const auto& [classifier, cost] : SortedCostEntries(inst.costs())) {
-    model.base_costs[classifier] = double(rng.UniformInt(0, 5));
+    model.base_costs.Set(classifier.ids(), double(rng.UniformInt(0, 5)));
   }
   for (const PropertySet& q : inst.queries()) {
     for (PropertyId p : q) {
@@ -151,7 +151,7 @@ TEST_P(SharedLabelingSweepTest, SharedNeverCostsMoreThanFlatOptimum) {
   Rng rng(GetParam() + 900);
   // Sorted: random draws consumed in iteration order must be stable.
   for (const auto& [classifier, cost] : SortedCostEntries(inst.costs())) {
-    model.base_costs[classifier] = double(rng.UniformInt(0, 5));
+    model.base_costs.Set(classifier.ids(), double(rng.UniformInt(0, 5)));
   }
   for (const PropertySet& q : inst.queries()) {
     for (PropertyId p : q) {

@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
@@ -87,12 +89,11 @@ inline Instance RandomInstance(const RandomInstanceConfig& config,
 /// Returns kInfiniteCost when no finite-cost cover exists.
 inline Cost BruteForceOptimum(const Instance& instance) {
   // Priced classifiers, deduplicated (selected ones are reused for free).
-  std::vector<const PropertySet*> classifiers;
+  std::vector<PropertySet> classifiers;
   std::vector<Cost> costs;
-  // mc3-lint: unordered-ok(only the optimal cost is returned; order-free)
-  for (const auto& [classifier, cost] : instance.costs()) {
-    classifiers.push_back(&classifier);
-    costs.push_back(cost);
+  for (ClassifierId id : instance.costs().ids()) {
+    classifiers.push_back(instance.costs().Classifier(id));
+    costs.push_back(instance.costs().cost(id));
   }
   std::vector<bool> selected(classifiers.size(), false);
   Cost best = kInfiniteCost;
@@ -111,8 +112,8 @@ inline Cost BruteForceOptimum(const Instance& instance) {
       for (PropertyId p : q) {
         bool covered = false;
         for (size_t ci = 0; ci < classifiers.size() && !covered; ++ci) {
-          covered = selected[ci] && classifiers[ci]->Contains(p) &&
-                    classifiers[ci]->IsSubsetOf(q);
+          covered = selected[ci] && classifiers[ci].Contains(p) &&
+                    classifiers[ci].IsSubsetOf(q);
         }
         if (!covered) {
           result = {qi, p, true};
@@ -132,8 +133,8 @@ inline Cost BruteForceOptimum(const Instance& instance) {
     }
     const PropertySet& q = instance.queries()[gap.query];
     for (size_t ci = 0; ci < classifiers.size(); ++ci) {
-      if (selected[ci] || !classifiers[ci]->Contains(gap.property) ||
-          !classifiers[ci]->IsSubsetOf(q) || IsInfiniteCost(costs[ci])) {
+      if (selected[ci] || !classifiers[ci].Contains(gap.property) ||
+          !classifiers[ci].IsSubsetOf(q) || IsInfiniteCost(costs[ci])) {
         continue;
       }
       selected[ci] = true;
@@ -143,6 +144,55 @@ inline Cost BruteForceOptimum(const Instance& instance) {
   };
   search(search, 0);
   return best;
+}
+
+// The per-subset definition of the store's lattice walk, which every
+// caller of ClassifierStore::AppendSubsets replaced: enumerate each subset
+// of a query with ForEachNonEmptySubset and look its price up. The lookup
+// goes through a sorted map of the store's entries, not the store's index.
+
+/// The priced entries of `store`, by classifier.
+inline std::map<PropertySet, Cost> ReferencePrices(
+    const ClassifierStore& store) {
+  std::map<PropertySet, Cost> prices;
+  for (ClassifierId id : store.ids()) {
+    prices.emplace(store.Classifier(id), store.cost(id));
+  }
+  return prices;
+}
+
+/// One priced subset of a query: its mask over the query's positions, the
+/// classifier and its price.
+struct PricedSubset {
+  uint32_t mask;
+  PropertySet classifier;
+  Cost cost;
+  bool operator==(const PricedSubset&) const = default;
+};
+
+/// The priced subsets of `query` in ForEachNonEmptySubset order (ascending
+/// mask); none for a query longer than kMaxQueryLength.
+inline std::vector<PricedSubset> ReferencePricedSubsets(
+    const std::map<PropertySet, Cost>& prices, const PropertySet& query) {
+  std::vector<PricedSubset> out;
+  if (query.size() > kMaxQueryLength) return out;
+  uint32_t mask = 0;
+  ForEachNonEmptySubset(query, [&](const PropertySet& sub) {
+    ++mask;  // the walk visits masks 1, 2, 3, ... in order
+    const auto it = prices.find(sub);
+    if (it != prices.end()) out.push_back({mask, sub, it->second});
+  });
+  return out;
+}
+
+/// The entries of `store` in id order (hidden ones left out).
+inline std::vector<std::pair<PropertySet, Cost>> EntriesInIdOrder(
+    const ClassifierStore& store) {
+  std::vector<std::pair<PropertySet, Cost>> entries;
+  for (ClassifierId id : store.ids()) {
+    entries.emplace_back(store.Classifier(id), store.cost(id));
+  }
+  return entries;
 }
 
 // Reference oracles for the coverage checks: the direct definitions over

@@ -626,9 +626,12 @@ int CmdServe(const std::string& workload_path, const std::string& trace_path,
       return Fail(status);
     }
     size_t priced = 0;
-    for (const auto& [classifier, cost] : SortedCostEntries(added.costs())) {
+    const ClassifierStore& costs = added.costs();
+    for (ClassifierId id : costs.ids()) {
+      const PropertySet classifier = costs.Classifier(id);
       if (!IsInfiniteCost(engine.CostOf(classifier))) continue;
-      if (Status status = engine.SetCost(classifier, cost); !status.ok()) {
+      if (Status status = engine.SetCost(classifier, costs.cost(id));
+          !status.ok()) {
         return Fail(status);
       }
       ++priced;

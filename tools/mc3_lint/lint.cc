@@ -489,9 +489,14 @@ class Linter {
     // A waiver on a comment-only line covers the next line of code.
     for (const auto& [line, tags] : waivers.by_line) {
       const int target = CodeLineBlank(code_, line) ? line + 1 : line;
-      waived_[target].insert(tags.begin(), tags.end());
-      if (target != line) {
-        waived_[line].insert(tags.begin(), tags.end());
+      for (const std::string& tag : tags) {
+        waived_[target][tag].insert(line);
+        if (target != line) waived_[line][tag].insert(line);
+        // lock-order waivers belong to the whole-project R10 pass, and a
+        // waiver covering no code is prose quoting the syntax.
+        if (tag != "lock-order" && !CodeLineBlank(code_, target)) {
+          unused_.emplace(line, tag);
+        }
       }
     }
     for (Finding& f : waivers.malformed) findings_.push_back(std::move(f));
@@ -507,6 +512,11 @@ class Linter {
     RuleCvWait();
     RuleGuardedMembers();
     RuleThreadDetach();
+    for (const auto& [line, tag] : unused_) {
+      findings_.push_back({path_, line, "W1", "",
+                           "stale waiver '" + tag +
+                               "-ok' suppresses nothing; delete it"});
+    }
     std::sort(findings_.begin(), findings_.end(),
               [](const Finding& a, const Finding& b) {
                 if (a.line != b.line) return a.line < b.line;
@@ -520,7 +530,15 @@ class Linter {
               std::string message) {
     const int line = LineOf(code_, pos);
     const auto it = waived_.find(line);
-    if (it != waived_.end() && it->second.count(tag) > 0) return;
+    if (it != waived_.end()) {
+      const auto by_tag = it->second.find(tag);
+      if (by_tag != it->second.end()) {
+        for (int waiver_line : by_tag->second) {
+          unused_.erase({waiver_line, tag});
+        }
+        return;
+      }
+    }
     findings_.push_back({path_, line, rule, tag, std::move(message)});
   }
 
@@ -1140,7 +1158,10 @@ class Linter {
   const std::string code_;
   const SymbolIndex& index_;
   const FileConfig& config_;
-  std::map<int, std::set<std::string>> waived_;
+  /// Code line -> waived tag -> the lines of the waivers covering it.
+  std::map<int, std::map<std::string, std::set<int>>> waived_;
+  /// Per-file waivers (line, tag) that have not suppressed a finding yet.
+  std::set<std::pair<int, std::string>> unused_;
   std::vector<Finding> findings_;
 };
 
@@ -1752,7 +1773,7 @@ std::string FindingsToJson(const std::vector<Finding>& findings,
   // can distinguish "clean" from "rule did not run".
   std::map<std::string, uint64_t> by_rule;
   for (const char* rule : {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
-                           "R9", "R10", "W0"}) {
+                           "R9", "R10", "W0", "W1"}) {
     by_rule[rule] = 0;
   }
   for (const Finding& f : findings) ++by_rule[f.rule];

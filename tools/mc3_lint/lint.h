@@ -47,7 +47,8 @@
 // i.e. a rule tag (unordered, float-eq, pragma-once, print, new-delete,
 // rand, time, status, capture, cv-wait, guard, detach, lock-order) followed
 // by "-ok" and a non-empty parenthesized reason. A malformed waiver (unknown
-// tag, empty reason) is itself a finding.
+// tag, empty reason) is itself a finding (W0), and so is a waiver for a
+// per-file rule (R1-R9) that suppresses nothing in its file (W1).
 #pragma once
 
 #include <map>
@@ -61,7 +62,8 @@ namespace mc3::lint {
 struct Finding {
   std::string file;
   int line = 0;           ///< 1-based
-  std::string rule;       ///< "R1".."R10" or "W0" (malformed waiver)
+  /// "R1".."R10", "W0" (malformed waiver) or "W1" (stale waiver)
+  std::string rule;
   std::string tag;        ///< waiver tag that would suppress it
   std::string message;
 };
@@ -96,7 +98,7 @@ struct LockCycle {
 /// Symbols collected in the indexing pass over every scanned file. All
 /// containers are ordered so lint output is deterministic by construction.
 struct SymbolIndex {
-  /// Type aliases resolving to unordered containers (e.g. CostMap).
+  /// Type aliases resolving to unordered containers.
   std::set<std::string> unordered_aliases;
   /// Variables, members, parameters and accessor functions whose type (or
   /// return type) is an unordered container.

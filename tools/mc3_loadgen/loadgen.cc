@@ -65,7 +65,7 @@ struct ConnState {
   std::string stats_json MC3_GUARDED_BY(scrape_mu);
   /// Shutdown ack, when requested.
   std::string shutdown_json MC3_GUARDED_BY(scrape_mu);
-  // mc3-lint: guard-ok(launched by the connector, joined only by the harvester)
+  // Launched by the connector, joined only by the harvester.
   std::thread reader;
 
   std::string StatsJson() {
