@@ -11,9 +11,6 @@
 # between iterations (recovery chains across crashes), the server keeps
 # checkpointing (--checkpoint-every), and --keep-wal-segments preserves the
 # full history so the offline replay can start from the base workload.
-# A second chain repeats the drill with a 4-way sharded server
-# (--shards 4): sharded recovery — explicit layout and snapshot-probed —
-# must land on the same bytes as the single-engine offline replay.
 # A final clean restart + drain checks the recovered server still serves.
 #
 # Usage: scripts/recover_smoke.sh [build-dir] [iterations]
@@ -121,56 +118,6 @@ for i in $(seq 1 "$ITERATIONS"); do
   echo "recover_smoke: iteration $i OK (kill after ${DELAY}s, $RECORDS)"
 done
 
-# Sharded chain (docs/serving.md#sharded-serving): the same crash-recovery
-# invariant with a 4-way sharded server under multi-tenant churn. The
-# offline replay stays single-engine — sharded recovery must reconstruct
-# the byte-identical canonical solution. Both recovery modes are checked:
-# an explicit --shards 4 and the probe (no --shards) that adopts whatever
-# layout the latest snapshot records.
-SHARD_ITERATIONS=5
-for i in $(seq 1 "$SHARD_ITERATIONS"); do
-  if [ "$i" -eq 1 ]; then rm -rf "$DATA_DIR"; fi
-  LOG="$ART_DIR/server_sharded_$i.log"
-  start_server "$LOG" --shards 4
-
-  "$LOADGEN" --port-file "$PORT_FILE" --qps 2000 --ops 5000 \
-    --seed "$((100 + i))" --remove-every 3 --tenants 6 \
-    >"$ART_DIR/loadgen_sharded_$i.log" 2>&1 &
-  LOADGEN_PID=$!
-
-  DELAY=$(awk "BEGIN{printf \"%.3f\", 0.05 + (($i * 7919) % 400) / 1000}")
-  sleep "$DELAY"
-  kill -9 "$SERVER_PID" 2>/dev/null || true
-  wait "$SERVER_PID" 2>/dev/null || true
-  SERVER_PID=""
-  kill -9 "$LOADGEN_PID" 2>/dev/null || true
-  wait "$LOADGEN_PID" 2>/dev/null || true
-  LOADGEN_PID=""
-
-  DUMP="$ART_DIR/wal_dump_sharded_$i.txt"
-  "$MC3" wal dump --data-dir "$DATA_DIR" -o "$DUMP" \
-    2>"$ART_DIR/wal_dump_sharded_$i.log"
-  "$MC3" serve "$WORKLOAD" --trace "$DUMP" --default-cost 2 \
-    --solution-out "$ART_DIR/expected_sharded_$i.txt" \
-    >"$ART_DIR/replay_sharded_$i.log" 2>&1
-  "$MC3" recover "$WORKLOAD" --data-dir "$DATA_DIR" --default-cost 2 \
-    --shards 4 --solution-out "$ART_DIR/recovered_sharded_$i.txt" \
-    >"$ART_DIR/recover_sharded_$i.log" 2>&1
-  "$MC3" recover "$WORKLOAD" --data-dir "$DATA_DIR" --default-cost 2 \
-    --solution-out "$ART_DIR/recovered_probe_$i.txt" \
-    >"$ART_DIR/recover_probe_$i.log" 2>&1
-
-  for recovered in "recovered_sharded_$i" "recovered_probe_$i"; do
-    if ! cmp -s "$ART_DIR/expected_sharded_$i.txt" "$ART_DIR/$recovered.txt"; then
-      echo "recover_smoke: sharded iteration $i: $recovered differs from" \
-           "the offline WAL replay (kill after ${DELAY}s)" >&2
-      diff "$ART_DIR/expected_sharded_$i.txt" "$ART_DIR/$recovered.txt" >&2 || true
-      exit 1
-    fi
-  done
-  echo "recover_smoke: sharded iteration $i OK (kill after ${DELAY}s)"
-done
-
 # The WAL must have actually seen traffic, or the loop proved nothing.
 FINAL_RECORDS=$("$MC3" wal stats --data-dir "$DATA_DIR" |
   sed -n 's/^records:[[:space:]]*\([0-9]*\).*/\1/p')
@@ -181,10 +128,8 @@ if [ "${FINAL_RECORDS:-0}" -eq 0 ]; then
 fi
 
 # Final life: a clean restart must report recovery and then serve + drain.
-# The data dir now holds 4-shard snapshots, so the restart keeps the layout
-# (a 1-shard server would — by design — refuse the mismatched snapshot).
 LOG="$ART_DIR/server_final.log"
-start_server "$LOG" --shards 4
+start_server "$LOG"
 "$LOADGEN" --quick --port-file "$PORT_FILE" --shutdown \
   --report "$ART_DIR/load_report.json" >"$ART_DIR/loadgen_final.log" 2>&1
 if ! wait "$SERVER_PID"; then

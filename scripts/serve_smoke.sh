@@ -5,7 +5,7 @@
 #
 #   * zero lost requests (every admitted request was answered),
 #   * at least one coalesced batch of size >= 2 (batching engaged),
-#   * a schema-valid mc3.load_report/1 document,
+#   * a schema-valid mc3.load_report/2 document,
 #   * a clean (exit 0) server drain with passing engine invariants.
 #
 # A second pass repeats the run with durability on (--data-dir, see
@@ -86,20 +86,11 @@ run_pass() {
     exit 1
   fi
 
-  grep -q '"schema": "mc3.load_report/1"' "$report"
+  grep -q '"schema": "mc3.load_report/2"' "$report"
   grep -q '^drained:' "$server_log"
 }
 
 run_pass plain
-
-# Sharded pass (docs/serving.md#sharded-serving): four engine shards behind
-# the same wire protocol, fed a multi-tenant churn mix so coalesced batches
-# split across shards. The loadgen gates stay identical — sharding must not
-# lose requests or break coalescing — and the server must announce the
-# layout both in its own log and through the stats verb the report scrapes.
-LOADGEN_EXTRA="--tenants 6" run_pass sharded --shards 4
-grep -q '^sharded:    4 engine shards' "$ART_DIR/server_sharded.log"
-grep -q '"engine_shards": 4' "$ART_DIR/load_report_sharded.json"
 
 # Read-heavy pass (docs/serving.md#lock-free-reads): 90% of the ops are
 # solves answered on the lock-free read path while the remaining writes
@@ -110,7 +101,7 @@ grep -q '"engine_shards": 4' "$ART_DIR/load_report_sharded.json"
 # lock-free path populates.
 LOADGEN_EXTRA="--read-ratio 0.9 --ops 400 --qps 2000 \
   --scrape-interval 0.02 --scrape-out $ART_DIR/exposition_readheavy.txt" \
-  run_pass readheavy --shards 2
+  run_pass readheavy
 grep -q '"read_ratio": 0.9' "$ART_DIR/load_report_readheavy.json"
 grep -q '"read_latency_seconds"' "$ART_DIR/load_report_readheavy.json"
 grep -q '"write_latency_seconds"' "$ART_DIR/load_report_readheavy.json"
@@ -145,7 +136,7 @@ if ! grep -q '^recovered:  snapshot' "$ART_DIR/server_restart.log"; then
   exit 1
 fi
 
-# Telemetry pass: sharded + durable with every request traced, while the
+# Telemetry pass: durable with every request traced, while the
 # loadgen scrapes the metrics exposition mid-run. The loadgen itself gates
 # the counter reconcile (exit 1 on drift between the exposition and its own
 # accounting) and validates the embedded telemetry block; here we addition-
@@ -153,14 +144,15 @@ fi
 # that the exported Chrome trace stitched request flows across threads.
 TRACE_DIR="$ART_DIR/traces"
 LOADGEN_EXTRA="--scrape-interval 0.02 --scrape-out $ART_DIR/exposition.txt" \
-  run_pass telemetry --shards 2 --data-dir "$ART_DIR/data_telemetry" \
+  run_pass telemetry --data-dir "$ART_DIR/data_telemetry" \
   --trace-sample 1 --trace-out "$TRACE_DIR"
 grep -q '^mc3_server_requests_total ' "$ART_DIR/exposition.txt"
 grep -q '^mc3_server_queue_depth_max ' "$ART_DIR/exposition.txt"
-grep -q '^mc3_server_shard_ops{shard="1"}' "$ART_DIR/exposition.txt"
 grep -q '^mc3_build_info{' "$ART_DIR/exposition.txt"
 grep -q '"telemetry"' "$ART_DIR/load_report_telemetry.json"
 if grep -q 'obs="on"' "$ART_DIR/exposition.txt"; then
+  # The engine's apply stage histogram lives in the metrics registry.
+  grep -q '^mc3_server_stage_shard_apply_update' "$ART_DIR/exposition.txt"
   # Trace export is compiled in: the server announced the file on drain and
   # it must contain complete spans plus a connected flow (start + finish
   # bound to the enclosing slice) for at least one sampled request.

@@ -1,6 +1,6 @@
 // Property names: one immutable name table (index = PropertyId) shared by
-// every Instance, engine, shard and read view that names the same
-// properties, and the one append-only interner that grows it.
+// every Instance, engine and read view that names the same properties, and
+// the one append-only interner that grows it.
 //
 // A published table is never mutated. Interning a new name re-makes the
 // interner's snapshot (one copy of the table) the next time it is asked

@@ -37,10 +37,9 @@ std::vector<std::string> SplitLines(const std::string& text) {
 
 }  // namespace
 
-template <typename Engine>
-Status PriceUnknown(const std::vector<PropertySet>& added, double default_cost,
-                    Engine* engine) {
-  if (default_cost < 0 || added.empty()) return Status::OK();
+Result<size_t> PriceUnknown(const std::vector<PropertySet>& added,
+                            double default_cost, online::OnlineEngine* engine) {
+  if (default_cost < 0 || added.empty()) return size_t{0};
   Instance pricing;
   pricing.share_property_names(engine->shared_property_names());
   for (const PropertySet& query : added) pricing.AddQuery(query);
@@ -48,18 +47,15 @@ Status PriceUnknown(const std::vector<PropertySet>& added, double default_cost,
   estimator.default_difficulty = default_cost;
   MC3_RETURN_IF_ERROR(data::EstimateCosts(&pricing, estimator));
   const ClassifierStore& costs = pricing.costs();
+  size_t priced = 0;
   for (ClassifierId id : costs.ids()) {
     const PropertySet classifier = costs.Classifier(id);
     if (!IsInfiniteCost(engine->CostOf(classifier))) continue;
     MC3_RETURN_IF_ERROR(engine->SetCost(classifier, costs.cost(id)));
+    ++priced;
   }
-  return Status::OK();
+  return priced;
 }
-
-template Status PriceUnknown(const std::vector<PropertySet>&, double,
-                             online::OnlineEngine*);
-template Status PriceUnknown(const std::vector<PropertySet>&, double,
-                             online::ShardedEngine*);
 
 DurabilityManager::DurabilityManager(DurabilityOptions options)
     : options_(std::move(options)) {}
@@ -79,11 +75,8 @@ Result<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
   return manager;
 }
 
-template <typename Engine, typename ImportFn>
-Result<RecoveryStats> DurabilityManager::RecoverWith(const Instance& base,
-                                                     double default_cost,
-                                                     Engine* engine,
-                                                     const ImportFn& import) {
+Result<RecoveryStats> DurabilityManager::Recover(
+    const Instance& base, double default_cost, online::OnlineEngine* engine) {
   if (recovered_) return Status::Internal("Recover called twice");
   const double started = NowSeconds();
 
@@ -97,7 +90,7 @@ Result<RecoveryStats> DurabilityManager::RecoverWith(const Instance& base,
     stats.snapshot_loaded = true;
     stats.snapshot_seq = snapshot->seq;
     stats.snapshots_skipped = snapshot->skipped_invalid;
-    MC3_RETURN_IF_ERROR(import(*snapshot));
+    MC3_RETURN_IF_ERROR(engine->ImportState(snapshot->state));
   } else if (snapshot.status().code() == StatusCode::kNotFound) {
     auto initialized = engine->Initialize(base);
     if (!initialized.ok()) return initialized.status();
@@ -136,7 +129,8 @@ Result<RecoveryStats> DurabilityManager::RecoverWith(const Instance& base,
         remove.push_back(std::move(op.query));
       }
     }
-    MC3_RETURN_IF_ERROR(PriceUnknown(add, default_cost, engine));
+    auto priced = PriceUnknown(add, default_cost, engine);
+    if (!priced.ok()) return priced.status();
     auto applied = engine->ApplyUpdate(add, remove);
     if (!applied.ok()) {
       return Status::IOError("WAL record " + std::to_string(record.seq) +
@@ -160,22 +154,6 @@ Result<RecoveryStats> DurabilityManager::RecoverWith(const Instance& base,
       .GetGauge("durability.recovery_ms")
       .Set(stats.recovery_seconds * 1e3);
   return stats;
-}
-
-Result<RecoveryStats> DurabilityManager::Recover(
-    const Instance& base, double default_cost, online::OnlineEngine* engine) {
-  return RecoverWith(base, default_cost, engine,
-                     [engine](const LoadedSnapshot& snapshot) {
-                       return engine->ImportState(snapshot.state);
-                     });
-}
-
-Result<RecoveryStats> DurabilityManager::Recover(
-    const Instance& base, double default_cost, online::ShardedEngine* engine) {
-  return RecoverWith(base, default_cost, engine,
-                     [engine](const LoadedSnapshot& snapshot) {
-                       return engine->ImportSharded(snapshot.ToShardedState());
-                     });
 }
 
 Result<uint64_t> DurabilityManager::LogBatch(
@@ -205,8 +183,8 @@ bool DurabilityManager::ShouldCheckpoint() const {
   return false;
 }
 
-template <typename StateT>
-Result<CheckpointInfo> DurabilityManager::CheckpointWith(const StateT& state) {
+Result<CheckpointInfo> DurabilityManager::Checkpoint(
+    const online::EngineState& state) {
   const double started = NowSeconds();
   // Barrier: everything logged so far must be durable before the snapshot
   // that supersedes it is published — otherwise a crash after rotation
@@ -234,16 +212,6 @@ Result<CheckpointInfo> DurabilityManager::CheckpointWith(const StateT& state) {
       .GetGauge("durability.snapshot_seq")
       .Set(static_cast<double>(seq));
   return info;
-}
-
-Result<CheckpointInfo> DurabilityManager::Checkpoint(
-    const online::EngineState& state) {
-  return CheckpointWith(state);
-}
-
-Result<CheckpointInfo> DurabilityManager::Checkpoint(
-    const online::ShardedState& state) {
-  return CheckpointWith(state);
 }
 
 WalWriterStats DurabilityManager::GetWalStats() const { return wal_->Stats(); }

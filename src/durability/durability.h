@@ -27,7 +27,6 @@
 #include "durability/snapshot.h"
 #include "durability/wal.h"
 #include "online/online_engine.h"
-#include "online/sharded_engine.h"
 #include "util/status.h"
 
 namespace mc3::durability {
@@ -73,12 +72,11 @@ struct CheckpointInfo {
 
 /// Prices the classifiers of `added` that `engine` has no price for, at
 /// `default_cost` per-property difficulty (data::EstimateCosts); a no-op
-/// when `default_cost` is negative. The live server's admission and WAL
-/// replay both call it, so replay grows the same cost table. Instantiated
-/// in durability.cc for OnlineEngine and ShardedEngine.
-template <typename Engine>
-Status PriceUnknown(const std::vector<PropertySet>& added, double default_cost,
-                    Engine* engine);
+/// when `default_cost` is negative. The live server's admission, WAL
+/// replay and `mc3 serve --trace` all call it, so replay grows the same
+/// cost table. Returns how many classifiers it priced.
+Result<size_t> PriceUnknown(const std::vector<PropertySet>& added,
+                            double default_cost, online::OnlineEngine* engine);
 
 class DurabilityManager {
  public:
@@ -98,16 +96,6 @@ class DurabilityManager {
   Result<RecoveryStats> Recover(const Instance& base, double default_cost,
                                 online::OnlineEngine* engine);
 
-  /// Same recovery contract for a sharded engine: the snapshot's recorded
-  /// shard layout is restored verbatim (InvalidArgument when it disagrees
-  /// with `engine->num_shards()` — restart with a matching --shards or let
-  /// `mc3 recover` probe the snapshot), then the WAL tail replays through
-  /// the shard router. The WAL itself is shard-agnostic (docs/durability.md
-  /// explains why a single log is kept), so the same log replays
-  /// byte-identically into any shard layout.
-  Result<RecoveryStats> Recover(const Instance& base, double default_cost,
-                                online::ShardedEngine* engine);
-
   /// Appends one admitted update batch; returns its sequence number.
   Result<uint64_t> LogBatch(const std::vector<PropertySet>& add,
                             const std::vector<PropertySet>& remove,
@@ -125,9 +113,6 @@ class DurabilityManager {
   /// engine's export under the same exclusion that serializes LogBatch
   /// (the engine worker), so the captured WAL sequence is exact.
   Result<CheckpointInfo> Checkpoint(const online::EngineState& state);
-  /// Same, for a sharded export: writes mc3.snapshot/2 with shard tags
-  /// (plain v1 when the layout has a single shard).
-  Result<CheckpointInfo> Checkpoint(const online::ShardedState& state);
 
   WalWriterStats GetWalStats() const;
   const RecoveryStats& recovery() const { return recovery_; }
@@ -138,19 +123,6 @@ class DurabilityManager {
 
  private:
   explicit DurabilityManager(DurabilityOptions options);
-
-  /// Shared recovery core: `import` restores a loaded snapshot into
-  /// `engine`; the rest (initialize-from-base, seq floor, WAL replay,
-  /// pricing) is identical for single and sharded engines. Defined in
-  /// durability.cc; instantiated only there.
-  template <typename Engine, typename ImportFn>
-  Result<RecoveryStats> RecoverWith(const Instance& base, double default_cost,
-                                    Engine* engine, const ImportFn& import);
-
-  /// Shared checkpoint core (the WriteSnapshotFile overload picks the
-  /// schema).
-  template <typename StateT>
-  Result<CheckpointInfo> CheckpointWith(const StateT& state);
 
   DurabilityOptions options_;
   std::unique_ptr<WalWriter> wal_;

@@ -79,19 +79,11 @@ std::string SnapshotFileName(uint64_t seq) {
   return buf;
 }
 
-namespace {
-
-/// Shared v1/v2 renderer: `component_shards` == nullptr renders the legacy
-/// mc3.snapshot/1 document, otherwise mc3.snapshot/2 with shard tags.
-std::string RenderSnapshotDoc(const online::EngineState& state, uint64_t seq,
-                              uint32_t num_shards,
-                              const std::vector<uint32_t>* component_shards) {
+std::string RenderSnapshot(const online::EngineState& state, uint64_t seq) {
   obs::JsonWriter writer;
   writer.BeginObject();
-  writer.Key("schema").String(component_shards == nullptr ? kSnapshotSchema
-                                                          : kSnapshotSchemaV2);
+  writer.Key("schema").String(kSnapshotSchema);
   writer.Key("seq").Int(seq);
-  if (component_shards != nullptr) writer.Key("shards").Int(num_shards);
   writer.Key("property_names").BeginArray();
   for (const std::string& name : state.property_names) writer.String(name);
   writer.EndArray();
@@ -105,8 +97,7 @@ std::string RenderSnapshotDoc(const online::EngineState& state, uint64_t seq,
   }
   writer.EndArray();
   writer.Key("components").BeginArray();
-  for (size_t i = 0; i < state.components.size(); ++i) {
-    const online::EngineState::Component& component = state.components[i];
+  for (const online::EngineState::Component& component : state.components) {
     writer.BeginObject();
     writer.Key("queries").BeginArray();
     for (const PropertySet& query : component.queries) {
@@ -119,27 +110,11 @@ std::string RenderSnapshotDoc(const online::EngineState& state, uint64_t seq,
     }
     writer.EndArray();
     writer.Key("cost").Number(component.cost);
-    if (component_shards != nullptr) {
-      writer.Key("shard").Int((*component_shards)[i]);
-    }
     writer.EndObject();
   }
   writer.EndArray();
   writer.EndObject();
   return writer.Take() + "\n";
-}
-
-}  // namespace
-
-std::string RenderSnapshot(const online::EngineState& state, uint64_t seq) {
-  return RenderSnapshotDoc(state, seq, 1, nullptr);
-}
-
-std::string RenderShardedSnapshot(const online::ShardedState& state,
-                                  uint64_t seq) {
-  if (state.num_shards == 1) return RenderSnapshot(state.state, seq);
-  return RenderSnapshotDoc(state.state, seq, state.num_shards,
-                           &state.component_shards);
 }
 
 Result<ParsedSnapshot> ParseSnapshot(const std::string& json) {
@@ -166,6 +141,9 @@ Result<ParsedSnapshot> ParseSnapshot(const std::string& json) {
   ParsedSnapshot out;
   out.seq = *seq_value;
 
+  // A /2 layout is validated, then dropped: its components restore into
+  // the one engine in document order.
+  double num_shards = 1;
   if (sharded_schema) {
     const obs::JsonValue* shards = root.Find("shards");
     if (shards == nullptr || !shards->is_number() ||
@@ -174,7 +152,7 @@ Result<ParsedSnapshot> ParseSnapshot(const std::string& json) {
       return Status::InvalidArgument(
           "shards must be an integer in [1, 65536]");
     }
-    out.num_shards = static_cast<uint32_t>(shards->number);
+    num_shards = shards->number;
   }
 
   const obs::JsonValue* names = root.Find("property_names");
@@ -243,17 +221,14 @@ Result<ParsedSnapshot> ParseSnapshot(const std::string& json) {
           "components entries must be {queries, solution, cost} with a "
           "finite non-negative cost");
     }
-    uint32_t shard = 0;
     if (sharded_schema) {
       const obs::JsonValue* shard_tag = entry.Find("shard");
       if (shard_tag == nullptr || !shard_tag->is_number() ||
           shard_tag->number != std::floor(shard_tag->number) ||
-          shard_tag->number < 0 ||
-          shard_tag->number >= static_cast<double>(out.num_shards)) {
+          shard_tag->number < 0 || shard_tag->number >= num_shards) {
         return Status::InvalidArgument(
             "components entries must carry a shard index below 'shards'");
       }
-      shard = static_cast<uint32_t>(shard_tag->number);
     }
     online::EngineState::Component component;
     component.cost = cost->number;
@@ -270,7 +245,6 @@ Result<ParsedSnapshot> ParseSnapshot(const std::string& json) {
       component.solution.push_back(std::move(*set));
     }
     out.state.components.push_back(std::move(component));
-    out.component_shards.push_back(shard);
   }
   return out;
 }
@@ -293,12 +267,6 @@ Result<uint64_t> WriteSnapshotFile(const std::string& dir,
                                    const online::EngineState& state,
                                    uint64_t seq) {
   return PublishSnapshotDocument(dir, RenderSnapshot(state, seq), seq);
-}
-
-Result<uint64_t> WriteSnapshotFile(const std::string& dir,
-                                   const online::ShardedState& state,
-                                   uint64_t seq) {
-  return PublishSnapshotDocument(dir, RenderShardedSnapshot(state, seq), seq);
 }
 
 namespace {
@@ -399,18 +367,10 @@ Result<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir) {
     }
     out.seq = parsed->seq;
     out.state = std::move(parsed->state);
-    out.num_shards = parsed->num_shards;
-    out.component_shards = std::move(parsed->component_shards);
     out.path = path;
     return out;
   }
   return Status::NotFound("no valid snapshot in " + dir);
-}
-
-Result<uint32_t> ProbeSnapshotShardCount(const std::string& dir) {
-  auto loaded = LoadLatestSnapshot(dir);
-  if (!loaded.ok()) return loaded.status();
-  return loaded->num_shards;
 }
 
 }  // namespace mc3::durability

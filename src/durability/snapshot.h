@@ -20,13 +20,13 @@
 // an imported snapshot reproduces it byte for byte (json_test and
 // durability_test pin this).
 //
-// A sharded engine (src/online/sharded_engine.h) snapshots through the
-// `mc3.snapshot/2` schema, which is v1 plus a top-level `"shards": N` and a
-// per-component `"shard": s` tag recording the owning engine shard, so
-// recovery restores the exact same placement. A 1-shard engine keeps
-// writing plain v1 documents — its snapshots stay byte-identical to the
-// pre-sharding format — and the loader accepts either schema (a v1
-// document is a 1-shard layout with every component on shard 0).
+// Earlier builds could serve one engine split into shards and snapshot it
+// through the `mc3.snapshot/2` schema: v1 plus a top-level `"shards": N`
+// and a per-component `"shard": s` tag naming the owning shard. Nothing
+// writes /2 any more, but the loader still reads it, so a data directory
+// checkpointed by a sharded server recovers after an upgrade: it validates
+// the layout (N in [1, 65536], every tag below N), drops it, and restores
+// the components, in document order, into the one engine.
 //
 // Files are named `snapshot-<20-digit seq>.json`. Writing goes through a
 // `.tmp` sibling + fsync + rename + directory fsync; loading picks the
@@ -35,17 +35,16 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "online/online_engine.h"
-#include "online/sharded_engine.h"
 #include "util/status.h"
 
 namespace mc3::durability {
 
-/// Schema identifier embedded in every single-engine snapshot document.
+/// Schema identifier embedded in every snapshot document written.
 inline constexpr char kSnapshotSchema[] = "mc3.snapshot/1";
-/// Schema identifier for sharded-layout snapshots (shards > 1).
+/// Schema identifier of the sharded-layout documents earlier builds wrote
+/// (read, never written).
 inline constexpr char kSnapshotSchemaV2[] = "mc3.snapshot/2";
 
 /// File name for the snapshot at `seq` (no directory).
@@ -55,37 +54,18 @@ std::string SnapshotFileName(uint64_t seq);
 /// newline). Deterministic: equal states render to equal bytes.
 std::string RenderSnapshot(const online::EngineState& state, uint64_t seq);
 
-/// Renders a sharded export: the legacy v1 document when
-/// `state.num_shards == 1` (byte-identical to RenderSnapshot), an
-/// mc3.snapshot/2 document with shard tags otherwise.
-std::string RenderShardedSnapshot(const online::ShardedState& state,
-                                  uint64_t seq);
-
-/// A parsed snapshot document. A v1 document parses as a 1-shard layout
-/// with every component on shard 0, so `num_shards`/`component_shards`
-/// are meaningful for either schema.
+/// A parsed snapshot document.
 struct ParsedSnapshot {
   uint64_t seq = 0;
   online::EngineState state;
-  uint32_t num_shards = 1;
-  /// Owning shard per state.components entry (parallel array).
-  std::vector<uint32_t> component_shards;
-
-  /// The parsed layout as a sharded-engine import.
-  online::ShardedState ToShardedState() const {
-    online::ShardedState out;
-    out.num_shards = num_shards;
-    out.state = state;
-    out.component_shards = component_shards;
-    return out;
-  }
 };
 
-/// Parses and structurally validates a snapshot document: schema string,
-/// integral non-negative seq, distinct `property_names`, every property id
-/// in range of them, finite non-negative costs. Engine-level integrity
-/// (disjoint components, coverage) is checked by ImportState /
-/// CheckInvariants when the state is restored.
+/// Parses and structurally validates a snapshot document of either schema:
+/// schema string, integral non-negative seq, distinct `property_names`,
+/// every property id in range of them, finite non-negative costs, and for
+/// /2 the shard layout (then dropped). Engine-level integrity (disjoint
+/// components, coverage) is checked by ImportState / CheckInvariants when
+/// the state is restored.
 Result<ParsedSnapshot> ParseSnapshot(const std::string& json);
 
 /// Schema validation only (a parse whose value is discarded); the writer
@@ -98,39 +78,19 @@ Status ValidateSnapshotJson(const std::string& json);
 Result<uint64_t> WriteSnapshotFile(const std::string& dir,
                                    const online::EngineState& state,
                                    uint64_t seq);
-/// Same, for a sharded export (v1 document when num_shards == 1).
-Result<uint64_t> WriteSnapshotFile(const std::string& dir,
-                                   const online::ShardedState& state,
-                                   uint64_t seq);
 
 /// A snapshot loaded from disk.
 struct LoadedSnapshot {
   uint64_t seq = 0;
   online::EngineState state;
-  uint32_t num_shards = 1;
-  std::vector<uint32_t> component_shards;
   std::string path;
   /// Newer snapshot files that failed to parse/validate and were skipped
   /// (a crash mid-rename cannot produce these, but disk rot can).
   size_t skipped_invalid = 0;
-
-  /// The loaded layout as a sharded-engine import.
-  online::ShardedState ToShardedState() const {
-    online::ShardedState out;
-    out.num_shards = num_shards;
-    out.state = state;
-    out.component_shards = component_shards;
-    return out;
-  }
 };
 
 /// Loads the newest valid snapshot of `dir`; NotFound when the directory
 /// holds no (valid) snapshot.
 Result<LoadedSnapshot> LoadLatestSnapshot(const std::string& dir);
-
-/// Shard count recorded by the newest valid snapshot of `dir` (1 for v1
-/// documents); NotFound when no valid snapshot exists. `mc3 recover` uses
-/// this to adopt the snapshot's layout when --shards is not forced.
-Result<uint32_t> ProbeSnapshotShardCount(const std::string& dir);
 
 }  // namespace mc3::durability

@@ -1,12 +1,12 @@
 // Prometheus text exposition for the metrics registry (the serving `metrics`
 // verb; docs/observability.md "Serving telemetry"). Renders a
-// MetricsSnapshot plus caller-supplied labeled samples (server/shard stats,
-// build info) in the text exposition format:
+// MetricsSnapshot plus caller-supplied labeled samples (server stats, build
+// info) in the text exposition format:
 //
 //   # HELP mc3_server_requests_total ...
 //   # TYPE mc3_server_requests_total counter
 //   mc3_server_requests_total 42
-//   mc3_server_shard_queue_depth{shard="3"} 1
+//   mc3_build_info{build_type="Release",compiler="gcc 12.2.0",obs="on"} 1
 //
 // Counters get a `_total` suffix, histograms render as cumulative
 // `_bucket{le="..."}` series plus `_sum`/`_count`. A small parser for the
@@ -26,7 +26,7 @@
 namespace mc3::obs {
 
 /// One labeled sample merged into the exposition output alongside the
-/// registry (used for per-shard stats and `mc3_build_info`).
+/// registry (used for server stats and `mc3_build_info`).
 struct ExpositionSample {
   std::string name;  ///< raw dotted name; sanitized via PrometheusName
   std::string type;  ///< "counter" or "gauge"

@@ -4,7 +4,7 @@
 // ({"traceEvents": [...]}) loadable in Perfetto / chrome://tracing.
 //
 // A request's journey crosses threads (connection worker -> engine worker ->
-// shard workers -> WAL committer), so spans alone do not show causality. Each
+// WAL committer), so spans alone do not show causality. Each
 // span may therefore carry one or more trace IDs; at render time the sink
 // stitches every ID's spans together with flow events ('s' -> 't' -> 'f'),
 // ordered by timestamp. Phases are assigned at render time rather than at

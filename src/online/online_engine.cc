@@ -146,8 +146,7 @@ Status OnlineEngine::SolveComponent(const Instance& sub,
 }
 
 Result<std::vector<PropertySet>> OnlineEngine::ValidateAdds(
-    const std::vector<PropertySet>& add,
-    const std::function<bool(const PropertySet&)>& is_live) const {
+    const std::vector<PropertySet>& add) const {
   std::vector<PropertySet> fresh;
   std::unordered_set<PropertySet, PropertySetHash> seen;
   for (const PropertySet& q : add) {
@@ -155,7 +154,7 @@ Result<std::vector<PropertySet>> OnlineEngine::ValidateAdds(
       return Status::InvalidArgument("cannot add the empty query");
     }
     MC3_RETURN_IF_ERROR(CheckQueryLength(q, property_names()));
-    if (is_live(q) || !seen.insert(q).second) continue;
+    if (ComponentOf(q).has_value() || !seen.insert(q).second) continue;
     if (options_.solver == EngineOptions::SolverKind::kK2Exact &&
         q.size() > 2) {
       return Status::InvalidArgument(
@@ -181,10 +180,7 @@ Result<UpdateStats> OnlineEngine::ApplyUpdate(
   // Resolve the batch against the live set before touching anything, so a
   // rejected batch leaves the engine untouched. Removes apply first; a
   // query both removed and (re-)added nets out to its prior state.
-  Result<std::vector<PropertySet>> to_add =
-      ValidateAdds(add, [this](const PropertySet& q) {
-        return ComponentOf(q).has_value();
-      });
+  Result<std::vector<PropertySet>> to_add = ValidateAdds(add);
   if (!to_add.ok()) return to_add.status();
   stats.duplicate_adds = add.size() - to_add->size();
   const std::unordered_set<PropertySet, PropertySetHash> added_set(

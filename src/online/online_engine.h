@@ -38,7 +38,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -155,15 +154,6 @@ class OnlineEngine {
   Result<UpdateStats> AddQueries(const std::vector<PropertySet>& queries);
   Result<UpdateStats> RemoveQueries(const std::vector<PropertySet>& queries);
 
-  /// The add checks of ApplyUpdate, in batch order: a query must be
-  /// non-empty and within the length limit; one that `is_live` or that
-  /// repeats an earlier add is then skipped; the rest must fit the
-  /// configured solver and be Coverable. Returns the adds not skipped, in
-  /// batch order. ShardedEngine runs it against its router's live set.
-  Result<std::vector<PropertySet>> ValidateAdds(
-      const std::vector<PropertySet>& add,
-      const std::function<bool(const PropertySet&)>& is_live) const;
-
   /// Aggregate construction cost of the maintained cover: the
   /// per-component solve costs summed in component-id order.
   Cost TotalCost() const;
@@ -199,7 +189,7 @@ class OnlineEngine {
     names_ = std::make_shared<const std::vector<std::string>>(std::move(names));
   }
   /// Adopts an immutable table shared with its other holders (an interner,
-  /// the other shards, published read indexes).
+  /// published read roots).
   void share_property_names(PropertyNames names) { names_ = std::move(names); }
 
   /// The classifier price table, numbered in the order prices arrived.
@@ -240,6 +230,14 @@ class OnlineEngine {
   /// Id of the component holding `query`, or nullopt when it is not live:
   /// a live query is held by the owner of its first property.
   std::optional<size_t> ComponentOf(const PropertySet& query) const;
+
+  /// The add checks of ApplyUpdate, in batch order: a query must be
+  /// non-empty and within the length limit; one already live or that
+  /// repeats an earlier add is then skipped; the rest must fit the
+  /// configured solver and be Coverable. Returns the adds not skipped, in
+  /// batch order.
+  Result<std::vector<PropertySet>> ValidateAdds(
+      const std::vector<PropertySet>& add) const;
 
   /// Builds the sub-instance over `queries`; it shares the engine's name
   /// table.

@@ -7,11 +7,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
@@ -37,10 +32,6 @@ void CountEndpoint(const char* which, Request::Op op) {
       .Add();
 }
 
-std::string ShardMetric(size_t shard, const char* name) {
-  return "server.shard." + std::to_string(shard) + "." + name;
-}
-
 /// Lock-free read stage histogram: server.read.<stage>.<verb>.
 void RecordReadStageSeconds(const char* stage, Request::Op op,
                             double seconds) {
@@ -51,67 +42,27 @@ void RecordReadStageSeconds(const char* stage, Request::Op op,
 
 using PieceEntry = online::SolutionPiece::value_type;
 
-/// Merges the pieces of every shard view into the canonical cross-shard
-/// sequence: exactly the contents and order of
-/// ShardedEngine::CurrentSolution().Sorted() (sort by classifier, drop
-/// duplicates). It points into the pinned pieces instead of copying them;
-/// each entry keeps the price captured at publish time, so renders never
-/// consult a cost table.
+/// Merges the view's pieces into the sequence of
+/// OnlineEngine::CurrentSolution().Sorted(): components share no property,
+/// so no classifier is in two pieces and a sort by classifier suffices. It
+/// points into the pinned pieces instead of copying them; each entry keeps
+/// the price captured at publish time, so renders never consult a cost
+/// table.
 std::vector<const PieceEntry*> MergeViewClassifiers(
-    const std::vector<const online::EngineReadView*>& shards) {
+    const online::EngineReadView& view) {
   std::vector<const PieceEntry*> merged;
-  size_t total = 0;
-  for (const online::EngineReadView* view : shards) {
-    total += view->num_classifiers;
-  }
-  merged.reserve(total);
-  for (const online::EngineReadView* view : shards) {
-    for (const auto& piece : view->pieces) {
-      for (const PieceEntry& entry : *piece) merged.push_back(&entry);
-    }
+  merged.reserve(view.num_classifiers);
+  for (const auto& piece : view.pieces) {
+    for (const PieceEntry& entry : *piece) merged.push_back(&entry);
   }
   std::sort(merged.begin(), merged.end(),
             [](const PieceEntry* a, const PieceEntry* b) {
               return a->first < b->first;
             });
-  merged.erase(std::unique(merged.begin(), merged.end(),
-                           [](const PieceEntry* a, const PieceEntry* b) {
-                             return a->first == b->first;
-                           }),
-               merged.end());
   return merged;
 }
 
-/// Best-effort pin of `thread` to core `index % cores` (--pin-cores).
-/// Linux-only; a no-op elsewhere and when the affinity call fails.
-void PinThreadToCore(std::thread* thread, size_t index) {
-#ifdef __linux__
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(index % cores, &set);
-  (void)pthread_setaffinity_np(thread->native_handle(), sizeof(set), &set);
-#else
-  (void)thread;
-  (void)index;
-#endif
-}
-
 }  // namespace
-
-bool ParseShards(const std::string& text, uint32_t* shards) {
-  if (text.empty()) return false;
-  uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-    if (value > 1024) return false;
-  }
-  if (value == 0) return false;
-  *shards = static_cast<uint32_t>(value);
-  return true;
-}
 
 Admission AdmitAt(size_t depth, size_t watermark, double base_retry_ms) {
   Admission admission;
@@ -133,16 +84,8 @@ Server::Connection::~Connection() {
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       queue_(options_.queue_capacity),
-      engine_(options_.shards == 0 ? 1 : options_.shards, options_.engine),
-      shard_counters_(options_.shards == 0 ? 1 : options_.shards),
+      engine_(options_.engine),
       telemetry_({options_.trace_sample, options_.trace_out_dir}) {
-  const uint32_t view_shards = options_.shards == 0 ? 1 : options_.shards;
-  view_publishers_.reserve(view_shards);
-  for (uint32_t s = 0; s < view_shards; ++s) {
-    view_publishers_.push_back(
-        std::make_unique<
-            concurrency::VersionedPublisher<online::EngineReadView>>());
-  }
   if (options_.admission_watermark == 0) {
     options_.admission_watermark =
         std::max<size_t>(1, options_.queue_capacity * 3 / 4);
@@ -202,9 +145,9 @@ Status Server::Start(const Instance& base) {
                                options_.record_trace_path);
       }
     }
-    // Publish the initial (post-init / post-recovery) views before any
-    // socket exists: every connection ever accepted finds a live index.
-    PublishReadViews({});
+    // Publish the initial (post-init / post-recovery) root before any
+    // socket exists: every connection ever accepted finds a live one.
+    PublishReadRoot();
   }
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -243,24 +186,6 @@ Status Server::Start(const Instance& base) {
 
   pool_ = std::make_unique<WorkerPool>(
       std::max<size_t>(1, options_.connection_workers));
-  // Shard workers before engine workers: the engine workers dispatch apply
-  // jobs to the shard queues and must never find them missing. With 0
-  // engine workers (embedding mode) batches apply serially inline, so no
-  // shard threads are needed.
-  if (engine_.num_shards() > 1 && options_.engine_workers > 0) {
-    const uint32_t num_shards = engine_.num_shards();
-    shard_queues_.reserve(num_shards);
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      // One dispatcher holds engine_mu_ per batch and each batch posts at
-      // most one job per shard, so a tiny queue never fills.
-      shard_queues_.push_back(
-          std::make_unique<BoundedQueue<std::function<void()>>>(4));
-    }
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      shard_threads_.emplace_back([this, s] { ShardWorkerLoop(s); });
-      if (options_.pin_cores) PinThreadToCore(&shard_threads_.back(), s);
-    }
-  }
   for (size_t w = 0; w < options_.engine_workers; ++w) {
     engine_threads_.emplace_back([this] { EngineWorkerLoop(); });
   }
@@ -294,12 +219,6 @@ void Server::Join() {
   if (acceptor_.joinable()) acceptor_.join();
   if (options_.engine_workers == 0) ProcessQueuedNow();
   for (std::thread& worker : engine_threads_) {
-    if (worker.joinable()) worker.join();
-  }
-  // Engine workers (the only producers of shard jobs) are gone: the shard
-  // queues can close and their workers drain out.
-  for (const auto& shard_queue : shard_queues_) shard_queue->Close();
-  for (std::thread& worker : shard_threads_) {
     if (worker.joinable()) worker.join();
   }
   // Unblock connection readers so their pool tasks finish; everything
@@ -521,117 +440,15 @@ void Server::EngineWorkerLoop() {
   }
 }
 
-void Server::ShardWorkerLoop(size_t index) {
-  telemetry_.NameThread("shard-" + std::to_string(index));
-  BoundedQueue<std::function<void()>>& shard_queue = *shard_queues_[index];
-  while (true) {
-    std::optional<std::function<void()>> job = shard_queue.Pop();
-    if (!job.has_value()) return;
-    (*job)();
-  }
-}
-
 Result<online::UpdateStats> Server::ApplyEngineUpdate(
     const std::vector<PropertySet>& add,
     const std::vector<PropertySet>& remove,
     const std::vector<uint64_t>& trace_ids) {
   const bool span_apply = telemetry_.enabled() && !trace_ids.empty();
-  if (shard_queues_.empty()) {
-    // Unsharded (or embedding-mode) apply: one span on the applying thread
-    // stands in for the per-shard ones.
-    const double start_us = span_apply ? telemetry_.NowUs() : 0;
-    Result<online::UpdateStats> applied = engine_.ApplyUpdate(add, remove);
-    if (span_apply) telemetry_.Span("shard_apply", start_us, trace_ids);
-    return applied;
-  }
-  // Dispatch the routed per-shard jobs to the shard workers and block until
-  // every shard committed; the batch is acked only after this returns. The
-  // dispatching engine worker holds engine_mu_, so at most one batch is in
-  // flight and the shard queues cannot fill.
-  return engine_.ApplyUpdate(
-      add, remove,
-      [this, span_apply,
-       &trace_ids](std::vector<std::function<void()>>* jobs) {
-        // The barrier state is shared-owned by every dispatched job: a
-        // stack-local condition variable could be destroyed while the last
-        // shard worker is still inside notify_one (the waiter's predicate
-        // turns true the instant the count hits zero).
-        struct Barrier {
-          util::Mutex mu;
-          util::CondVar done;
-          size_t outstanding MC3_GUARDED_BY(mu) = 0;
-        };
-        size_t dispatched = 0;
-        for (const std::function<void()>& job : *jobs) {
-          if (job) ++dispatched;
-        }
-        if (dispatched == 0) return;
-        auto barrier = std::make_shared<Barrier>();
-        {
-          util::MutexLock lock(barrier->mu);
-          barrier->outstanding = dispatched;
-        }
-        for (size_t s = 0; s < jobs->size(); ++s) {
-          if (!(*jobs)[s]) continue;
-          std::function<void()>* job = &(*jobs)[s];
-          // Sampled batches record one shard_apply span per dispatched
-          // shard, on the shard worker thread that ran the job (the ids
-          // vector is copied into the job: it outlives this dispatch).
-          std::vector<uint64_t> span_ids =
-              span_apply ? trace_ids : std::vector<uint64_t>{};
-          auto wrapped = [this, job, barrier,
-                          span_ids = std::move(span_ids)] {
-            const double start_us =
-                span_ids.empty() ? 0 : telemetry_.NowUs();
-            (*job)();
-            if (!span_ids.empty()) {
-              telemetry_.Span("shard_apply", start_us, span_ids);
-            }
-            {
-              util::MutexLock lock(barrier->mu);
-              --barrier->outstanding;
-            }
-            barrier->done.NotifyOne();
-          };
-          if (!shard_queues_[s]->TryPush(wrapped)) {
-            // Closed or full (neither can happen while engine workers are
-            // live, but a lost job would deadlock the batch): run inline.
-            wrapped();
-          }
-        }
-        util::MutexLock lock(barrier->mu);
-        barrier->done.Wait(barrier->mu, [&]() MC3_REQUIRES(barrier->mu) {
-          return barrier->outstanding == 0;
-        });
-      });
-}
-
-void Server::RecordShardWork(size_t ops) {
-  if (engine_.num_shards() == 1) {
-    if (ops == 0) return;
-    shard_counters_[0].batches.fetch_add(1, std::memory_order_relaxed);
-    shard_counters_[0].ops.fetch_add(ops, std::memory_order_relaxed);
-    obs::MetricsRegistry::Global().GetCounter(ShardMetric(0, "batches")).Add();
-    obs::MetricsRegistry::Global().GetCounter(ShardMetric(0, "ops")).Add(ops);
-    return;
-  }
-  const online::ShardBatchStats& batch = engine_.last_batch();
-  for (size_t s = 0; s < batch.shard_ops.size(); ++s) {
-    if (batch.shard_ops[s] == 0) continue;
-    shard_counters_[s].batches.fetch_add(1, std::memory_order_relaxed);
-    shard_counters_[s].ops.fetch_add(batch.shard_ops[s],
-                                     std::memory_order_relaxed);
-    obs::MetricsRegistry::Global().GetCounter(ShardMetric(s, "batches")).Add();
-    obs::MetricsRegistry::Global()
-        .GetCounter(ShardMetric(s, "ops"))
-        .Add(batch.shard_ops[s]);
-  }
-  if (batch.migrated > 0) {
-    migrated_.fetch_add(batch.migrated, std::memory_order_relaxed);
-    obs::MetricsRegistry::Global()
-        .GetCounter("server.shard.migrated")
-        .Add(batch.migrated);
-  }
+  const double start_us = span_apply ? telemetry_.NowUs() : 0;
+  Result<online::UpdateStats> applied = engine_.ApplyUpdate(add, remove);
+  if (span_apply) telemetry_.Span("shard_apply", start_us, trace_ids);
+  return applied;
 }
 
 void Server::ProcessQueuedNow() {
@@ -715,7 +532,7 @@ uint64_t Server::PersistApplied(const std::vector<PropertySet>& add,
 void Server::MaybeCheckpoint() {
   if (durability_ == nullptr || !durability_->ShouldCheckpoint()) return;
   Timer checkpoint_timer;
-  auto info = durability_->Checkpoint(engine_.ExportSharded());
+  auto info = durability_->Checkpoint(engine_.ExportState());
   RecordStageSeconds("checkpoint", Request::Op::kUpdate,
                      checkpoint_timer.Seconds());
   if (!info.ok()) wal_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -745,25 +562,9 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
 
   {
     util::MutexLock lock(engine_mu_);
-    // Shards whose state this batch changed (any path), for the view
-    // republish below. An applied batch with zero net ops still bumps the
-    // facade counters, so the index is republished whenever anything
-    // applied at all.
-    std::vector<bool> touched(shard_counters_.size(), false);
+    // An applied batch with zero net ops still bumps the engine counters,
+    // so the root is republished whenever anything applied at all.
     bool any_applied = false;
-    const auto fold_touched = [this, &touched,
-                               &any_applied]() MC3_REQUIRES(engine_mu_) {
-      any_applied = true;
-      if (engine_.num_shards() == 1) {
-        touched[0] = true;
-        return;
-      }
-      const online::ShardBatchStats& routed = engine_.last_batch();
-      const size_t bound = std::min(routed.shard_ops.size(), touched.size());
-      for (size_t s = 0; s < bound; ++s) {
-        if (routed.shard_ops[s] > 0) touched[s] = true;
-      }
-    };
     Timer coalesce_timer;
     const double coalesce_start_us = tracing ? telemetry_.NowUs() : 0;
     UpdateCoalescer coalescer;
@@ -786,17 +587,16 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
     RecordStageSeconds("coalesce", Request::Op::kUpdate,
                        coalesce_timer.Seconds());
     telemetry_.Span("coalesce", coalesce_start_us, sampled_ids);
-    Status priced =
+    Result<size_t> priced =
         durability::PriceUnknown(net.add, options_.default_cost, &engine_);
     Timer apply_timer;
     Result<online::UpdateStats> applied =
         priced.ok() ? ApplyEngineUpdate(net.add, net.remove, sampled_ids)
-                    : Result<online::UpdateStats>(priced);
+                    : Result<online::UpdateStats>(priced.status());
     if (applied.ok()) {
-      fold_touched();
+      any_applied = true;
       RecordStageSeconds("shard_apply", Request::Op::kUpdate,
                          apply_timer.Seconds());
-      RecordShardWork(net.ops);
       batches_.fetch_add(1, std::memory_order_relaxed);
       coalesced_ops_.fetch_add(net.ops, std::memory_order_relaxed);
       uint64_t seen = max_batch_.load(std::memory_order_relaxed);
@@ -824,20 +624,19 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
       for (size_t i = 0; i < batch.size(); ++i) {
         std::vector<uint64_t> one_ids;
         if (batch[i].sampled) one_ids.push_back(batch[i].trace_id);
-        Status fallback_priced = durability::PriceUnknown(
+        Result<size_t> fallback_priced = durability::PriceUnknown(
             parsed[i].add, options_.default_cost, &engine_);
         Result<online::UpdateStats> one =
             fallback_priced.ok()
                 ? ApplyEngineUpdate(parsed[i].add, parsed[i].remove, one_ids)
-                : Result<online::UpdateStats>(fallback_priced);
+                : Result<online::UpdateStats>(fallback_priced.status());
         if (!one.ok()) {
           responses[i] = RenderErrorResponse(batch[i].request.id,
                                              Request::Op::kUpdate, 400,
                                              one.status().message());
           continue;
         }
-        fold_touched();
-        RecordShardWork(parsed[i].add.size() + parsed[i].remove.size());
+        any_applied = true;
         batches_.fetch_add(1, std::memory_order_relaxed);
         const uint64_t wal_seq = PersistApplied(parsed[i].add,
                                                 parsed[i].remove, one_ids);
@@ -851,7 +650,7 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
     if (any_applied) {
       Timer publish_timer;
       const double publish_start_us = tracing ? telemetry_.NowUs() : 0;
-      PublishReadViews(touched);
+      PublishReadRoot();
       RecordStageSeconds("publish", Request::Op::kUpdate,
                          publish_timer.Seconds());
       telemetry_.Span("publish", publish_start_us, sampled_ids);
@@ -919,7 +718,7 @@ void Server::HandleCheckpoint(const PendingRequest& pending) {
     Timer checkpoint_timer;
     const double checkpoint_start_us =
         pending.sampled ? telemetry_.NowUs() : 0;
-    auto info = durability_->Checkpoint(engine_.ExportSharded());
+    auto info = durability_->Checkpoint(engine_.ExportState());
     RecordStageSeconds("checkpoint", Request::Op::kCheckpoint,
                        checkpoint_timer.Seconds());
     if (pending.sampled) {
@@ -949,49 +748,19 @@ void Server::HandleCheckpoint(const PendingRequest& pending) {
   FinishTracedResponse(pending, writer.Take());
 }
 
-void Server::PublishReadViews(const std::vector<bool>& touched) {
-  // Phase 1: rebuild and swap the touched shard publishers, collecting the
-  // displaced views. They are NOT retired yet — the currently published
-  // index still references them (multi-root ordering, concurrency/epoch.h).
-  std::vector<const online::EngineReadView*> displaced;
-  const uint32_t shards = engine_.num_shards();
-  for (uint32_t s = 0; s < shards && s < view_publishers_.size(); ++s) {
-    const bool republish =
-        touched.empty() || (s < touched.size() && touched[s]);
-    // Writer-side Acquire: we are the only publisher and hold engine_mu_,
-    // so the loaded pointer cannot be retired under us (no epoch needed).
-    if (!republish && view_publishers_[s]->Acquire() != nullptr) continue;
-    // mc3-lint: new-delete-ok(ownership passes to the publisher/epoch pair)
-    auto* view = new online::EngineReadView(online::BuildReadView(
-        engine_.shard(s), view_publishers_[s]->version() + 1));
-    const online::EngineReadView* old = view_publishers_[s]->Publish(view);
-    if (old != nullptr) displaced.push_back(old);
-  }
-  // Phase 2: build and swap the cross-shard index root. One pinned load of
-  // this object is a consistent cut: views, version vector, name table and
-  // facade counters all captured under the same engine_mu_ hold.
+void Server::PublishReadRoot() {
+  // Writer-side version read: the only publisher holds engine_mu_.
   // mc3-lint: new-delete-ok(ownership passes to the publisher/epoch pair)
-  auto* index = new ReadIndex;
-  index->seq = index_publisher_.version() + 1;
-  index->shards.reserve(view_publishers_.size());
-  index->versions.reserve(view_publishers_.size());
-  for (const auto& publisher : view_publishers_) {
-    const online::EngineReadView* view = publisher->Acquire();
-    index->shards.push_back(view);
-    index->versions.push_back(view->version);
+  auto* root = new ReadRoot{
+      online::BuildReadView(engine_, root_publisher_.version() + 1),
+      engine_.shared_property_names(), engine_.counters()};
+  if (const ReadRoot* old = root_publisher_.Publish(root); old != nullptr) {
+    epochs_.Retire(old);
   }
-  index->names = engine_.shared_property_names();
-  index->counters = engine_.counters();
-  const ReadIndex* old_index = index_publisher_.Publish(index);
-  // Phase 3: retire in root-unreachability order — the displaced index
-  // first (it was the only root naming the displaced views), then those
-  // views — and fold one reclamation pass into the publish.
-  if (old_index != nullptr) epochs_.Retire(old_index);
-  for (const online::EngineReadView* view : displaced) epochs_.Retire(view);
   epochs_.AdvanceAndReclaim();
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetGauge("engine.view.version")
-      .Set(static_cast<double>(index->seq));
+      .Set(static_cast<double>(root->view.version));
   registry.GetGauge("engine.epoch.retired")
       .Set(static_cast<double>(epochs_.TotalReclaimed()));
 }
@@ -1005,12 +774,12 @@ void Server::HandleLockFreeRead(const std::shared_ptr<Connection>& conn,
     Timer acquire_timer;
     const double acquire_start_us = sampled ? telemetry_.NowUs() : 0;
     concurrency::ReadGuard guard(epochs_, reader);
-    const ReadIndex* index = index_publisher_.Acquire();
+    const ReadRoot* root = root_publisher_.Acquire();
     RecordReadStageSeconds("acquire", request.op, acquire_timer.Seconds());
     if (sampled) {
       telemetry_.Span("read_acquire", acquire_start_us, trace_id);
     }
-    if (index == nullptr) {
+    if (root == nullptr) {
       // Start() publishes before the socket opens, so this is unreachable
       // through the wire; kept as a defensive 503 for direct-call tests.
       WriteResponse(conn,
@@ -1023,8 +792,8 @@ void Server::HandleLockFreeRead(const std::shared_ptr<Connection>& conn,
     Timer render_timer;
     const double render_start_us = sampled ? telemetry_.NowUs() : 0;
     response = request.op == Request::Op::kSolve
-                   ? RenderSolveFromIndex(request, trace_id, *index)
-                   : RenderSnapshotFromIndex(request, trace_id, *index);
+                   ? RenderSolveFromRoot(request, trace_id, *root)
+                   : RenderSnapshotFromRoot(request, trace_id, *root);
     RecordReadStageSeconds("render", request.op, render_timer.Seconds());
     if (sampled) {
       telemetry_.Span("read_render", render_start_us, trace_id);
@@ -1040,38 +809,26 @@ void Server::HandleLockFreeRead(const std::shared_ptr<Connection>& conn,
   ObserveLatency(request, latency.Seconds());
 }
 
-std::string Server::RenderSolveFromIndex(const Request& request,
-                                         uint64_t trace_id,
-                                         const ReadIndex& index) {
-  // Every field equals the engine's at the published state: sums run in
-  // shard order (ShardedEngine::TotalCost), and the classifier count is the
-  // sum of the views' counts — shards share no property and neither do the
-  // components within one, so no classifier is counted twice. Only a
-  // request for the solution merges it (MergeViewClassifiers above).
+std::string Server::RenderSolveFromRoot(const Request& request,
+                                        uint64_t trace_id,
+                                        const ReadRoot& root) {
+  // Every field equals the engine's at the published state. Only a request
+  // for the solution merges it (MergeViewClassifiers above).
+  const online::EngineReadView& view = root.view;
   obs::JsonWriter writer(/*compact=*/true);
   writer.BeginObject();
   writer.Key("id").Int(request.id);
   writer.Key("op").String("solve");
   writer.Key("code").Int(200);
   if (trace_id != 0) writer.Key("trace_id").Int(trace_id);
-  Cost total = 0;
-  size_t queries = 0;
-  size_t components = 0;
-  size_t classifiers = 0;
-  for (const online::EngineReadView* view : index.shards) {
-    total += view->total_cost;
-    queries += view->num_queries;
-    components += view->num_components;
-    classifiers += view->num_classifiers;
-  }
-  writer.Key("cost").Number(total);
-  writer.Key("queries").Int(queries);
-  writer.Key("components").Int(components);
-  writer.Key("classifiers").Int(classifiers);
+  writer.Key("cost").Number(view.total_cost);
+  writer.Key("queries").Int(view.num_queries);
+  writer.Key("components").Int(view.num_components);
+  writer.Key("classifiers").Int(view.num_classifiers);
   if (request.include_solution) {
-    const std::vector<std::string>& names = NamesOf(index.names);
+    const std::vector<std::string>& names = NamesOf(root.names);
     writer.Key("solution").BeginArray();
-    for (const PieceEntry* entry : MergeViewClassifiers(index.shards)) {
+    for (const PieceEntry* entry : MergeViewClassifiers(view)) {
       writer.BeginArray();
       for (const PropertyId id : entry->first) {
         writer.String(id < names.size() ? names[id] : std::to_string(id));
@@ -1084,32 +841,24 @@ std::string Server::RenderSolveFromIndex(const Request& request,
   return writer.Take();
 }
 
-std::string Server::RenderSnapshotFromIndex(const Request& request,
-                                            uint64_t trace_id,
-                                            const ReadIndex& index) {
+std::string Server::RenderSnapshotFromRoot(const Request& request,
+                                           uint64_t trace_id,
+                                           const ReadRoot& root) {
   // Every field equals the engine's at the published state; classifier
-  // prices were captured at publish time from the replicated cost table,
-  // matching ShardedEngine::CostOf.
+  // prices were captured at publish time, matching OnlineEngine::CostOf.
+  const online::EngineReadView& view = root.view;
   obs::JsonWriter writer(/*compact=*/true);
   writer.BeginObject();
   writer.Key("id").Int(request.id);
   writer.Key("op").String("snapshot");
   writer.Key("code").Int(200);
   if (trace_id != 0) writer.Key("trace_id").Int(trace_id);
-  Cost total = 0;
-  size_t queries = 0;
-  size_t components = 0;
-  for (const online::EngineReadView* view : index.shards) {
-    total += view->total_cost;
-    queries += view->num_queries;
-    components += view->num_components;
-  }
-  writer.Key("cost").Number(total);
-  writer.Key("queries").Int(queries);
-  writer.Key("components").Int(components);
-  const std::vector<std::string>& names = NamesOf(index.names);
+  writer.Key("cost").Number(view.total_cost);
+  writer.Key("queries").Int(view.num_queries);
+  writer.Key("components").Int(view.num_components);
+  const std::vector<std::string>& names = NamesOf(root.names);
   writer.Key("classifiers").BeginArray();
-  for (const PieceEntry* entry : MergeViewClassifiers(index.shards)) {
+  for (const PieceEntry* entry : MergeViewClassifiers(view)) {
     writer.BeginObject();
     writer.Key("properties").BeginArray();
     for (const PropertyId id : entry->first) {
@@ -1121,11 +870,11 @@ std::string Server::RenderSnapshotFromIndex(const Request& request,
   }
   writer.EndArray();
   writer.Key("counters").BeginObject();
-  writer.Key("updates").Int(index.counters.updates);
-  writer.Key("queries_added").Int(index.counters.queries_added);
-  writer.Key("queries_removed").Int(index.counters.queries_removed);
-  writer.Key("components_resolved").Int(index.counters.components_resolved);
-  writer.Key("queries_touched").Int(index.counters.queries_touched);
+  writer.Key("updates").Int(root.counters.updates);
+  writer.Key("queries_added").Int(root.counters.queries_added);
+  writer.Key("queries_removed").Int(root.counters.queries_removed);
+  writer.Key("components_resolved").Int(root.counters.components_resolved);
+  writer.Key("queries_touched").Int(root.counters.queries_touched);
   writer.EndObject();
   writer.EndObject();
   return writer.Take();
@@ -1208,35 +957,12 @@ std::string Server::RenderStats(const Request& request,
   writer.Key("queue_depth").Int(stats.queue_depth);
   writer.Key("queue_depth_max").Int(stats.queue_depth_max);
   writer.Key("uptime_seconds").Number(stats.uptime_seconds);
-  // Sharding view: always present (a single shard renders one entry), read
-  // entirely from Server-level atomics and queue depths so this inline
-  // path never touches engine_mu_.
-  writer.Key("engine_shards").Int(shard_counters_.size());
-  writer.Key("migrated").Int(stats.migrated);
-  writer.Key("shards").BeginArray();
-  for (size_t s = 0; s < stats.shards.size(); ++s) {
-    writer.BeginObject();
-    writer.Key("shard").Int(s);
-    writer.Key("batches").Int(stats.shards[s].batches);
-    writer.Key("ops").Int(stats.shards[s].ops);
-    writer.Key("queue_depth").Int(stats.shards[s].queue_depth);
-    writer.Key("queue_depth_max").Int(stats.shards[s].queue_depth_max);
-    writer.EndObject();
-  }
-  writer.EndArray();
   {
-    // Snapshot-consistency contract (docs/serving.md#lock-free-reads): the
-    // version vector comes from ONE pinned load of the published index, so
-    // it is a consistent cross-shard cut — never a torn mix of shard
-    // versions gathered while a batch commits in between.
+    // The published root's version, read through one pinned load like any
+    // other read (docs/serving.md#lock-free-reads); never engine_mu_.
     concurrency::ReadGuard guard(epochs_, reader);
-    const ReadIndex* index = index_publisher_.Acquire();
-    if (index != nullptr) {
-      writer.Key("view_seq").Int(index->seq);
-      writer.Key("versions").BeginArray();
-      for (const uint64_t version : index->versions) writer.Int(version);
-      writer.EndArray();
-    }
+    const ReadRoot* root = root_publisher_.Acquire();
+    if (root != nullptr) writer.Key("view_seq").Int(root->view.version);
   }
   if (obs::kObsEnabled) {
     // Per-endpoint in-server latency percentiles (seconds), straight from
@@ -1280,8 +1006,7 @@ std::string Server::RenderStats(const Request& request,
 std::string Server::RenderMetrics(const Request& request) {
   const ServerStats stats = GetStats();
   // Extras cover everything the registry does not already track under a
-  // flat name. Per-shard series are grouped per metric (not per shard) so
-  // RenderPrometheus emits one TYPE header per adjacent same-name run.
+  // flat name.
   std::vector<obs::ExpositionSample> extra;
   const auto counter = [&extra](const std::string& name, double value) {
     extra.push_back({name, "counter", {}, value});
@@ -1298,7 +1023,6 @@ std::string Server::RenderMetrics(const Request& request) {
           wal_errors_.load(std::memory_order_relaxed));
   gauge("server.max_batch", stats.max_batch);
   gauge("server.queue_depth_max", stats.queue_depth_max);
-  gauge("server.engine_shards", stats.shards.size());
   gauge("server.uptime_seconds", stats.uptime_seconds);
   if (!obs::kObsEnabled) {
     // The metrics registry is compiled out: surface its most important
@@ -1309,22 +1033,6 @@ std::string Server::RenderMetrics(const Request& request) {
     counter("server.rejected", stats.rejected);
     gauge("server.queue_depth", stats.queue_depth);
   }
-  const auto shard_series = [&extra, &stats](const std::string& name,
-                                             const auto& value_of) {
-    for (size_t s = 0; s < stats.shards.size(); ++s) {
-      extra.push_back({name,
-                       "gauge",
-                       {{"shard", std::to_string(s)}},
-                       static_cast<double>(value_of(stats.shards[s]))});
-    }
-  };
-  shard_series("server.shard.batches",
-               [](const ShardStats& s) { return s.batches; });
-  shard_series("server.shard.ops", [](const ShardStats& s) { return s.ops; });
-  shard_series("server.shard.queue_depth",
-               [](const ShardStats& s) { return s.queue_depth; });
-  shard_series("server.shard.queue_depth_max",
-               [](const ShardStats& s) { return s.queue_depth_max; });
   extra.push_back({"build_info",
                    "gauge",
                    {{"compiler", util::BuildCompiler()},
@@ -1380,29 +1088,11 @@ ServerStats Server::GetStats() const {
   stats.queue_depth = queue_.Depth();
   stats.queue_depth_max = queue_.DepthMax();
   stats.uptime_seconds = uptime_.Seconds();
-  stats.migrated = migrated_.load(std::memory_order_relaxed);
-  stats.shards.resize(shard_counters_.size());
-  for (size_t s = 0; s < shard_counters_.size(); ++s) {
-    stats.shards[s].batches =
-        shard_counters_[s].batches.load(std::memory_order_relaxed);
-    stats.shards[s].ops =
-        shard_counters_[s].ops.load(std::memory_order_relaxed);
-    if (s < shard_queues_.size()) {
-      stats.shards[s].queue_depth = shard_queues_[s]->Depth();
-      stats.shards[s].queue_depth_max = shard_queues_[s]->DepthMax();
-    }
-  }
   return stats;
 }
 
 void Server::WithEngine(
     const std::function<void(const online::OnlineEngine&)>& fn) {
-  util::MutexLock lock(engine_mu_);
-  fn(engine_.shard(0));
-}
-
-void Server::WithShardedEngine(
-    const std::function<void(const online::ShardedEngine&)>& fn) {
   util::MutexLock lock(engine_mu_);
   fn(engine_);
 }

@@ -18,18 +18,10 @@
 //                          coalesced with the maximal run of consecutive
 //                          queued updates (never reordering a checkpoint
 //                          past them) and applied as ONE ApplyUpdate, then
-//                          the read views are republished before the acks;
-//                          all engine access is serialized by a mutex;
-//   * shard workers      — with --shards N > 1 the engine is a
-//                          ShardedEngine and each shard gets a dedicated
-//                          worker thread (optionally core-pinned) behind a
-//                          small bounded queue; the engine worker routes a
-//                          coalesced batch, dispatches the per-shard apply
-//                          jobs to those queues and blocks until all shards
-//                          committed, then acks every folded request. Reads
-//                          merge per-shard results in canonical order, so
-//                          responses are byte-identical to --shards 1
-//                          (docs/serving.md#sharded-serving).
+//                          the read root is republished before the acks;
+//                          all engine access is serialized by a mutex.
+//                          The engine itself re-solves only the components
+//                          a batch dirtied (Observation 3.2).
 //
 // Admission control: the queue has a hard capacity and a reject watermark;
 // at or above the watermark new mutations are answered 429 with a
@@ -54,7 +46,6 @@
 #include "durability/durability.h"
 #include "online/online_engine.h"
 #include "online/read_view.h"
-#include "online/sharded_engine.h"
 #include "server/bounded_queue.h"
 #include "server/protocol.h"
 #include "server/telemetry.h"
@@ -76,12 +67,6 @@ struct Admission {
 };
 Admission AdmitAt(size_t depth, size_t watermark, double base_retry_ms);
 
-/// Parses a `--shards` value: a positive integer in [1, 1024]. Returns
-/// false (leaving `*shards` untouched) on non-numeric input, zero,
-/// negatives, trailing garbage, or out-of-range counts — the CLI turns
-/// that into a usage error.
-bool ParseShards(const std::string& text, uint32_t* shards);
-
 struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = ephemeral (read the bound port from port())
@@ -100,15 +85,6 @@ struct ServerOptions {
   size_t engine_workers = 1;
   /// Connection-handling pool size = max concurrent connections.
   size_t connection_workers = 16;
-
-  /// Engine shards (`mc3 serve --shards`). 1 keeps the legacy single
-  /// OnlineEngine; N > 1 splits the live components across N engines with
-  /// dedicated shard worker threads, byte-equivalent on every verb
-  /// (docs/serving.md#sharded-serving).
-  uint32_t shards = 1;
-  /// Pin shard worker i to CPU core i % hardware_concurrency
-  /// (`mc3 serve --pin-cores`; Linux only, silently ignored elsewhere).
-  bool pin_cores = false;
 
   /// Price unknown classifiers of added queries at this default difficulty
   /// (mirrors `mc3 serve --default-cost`); negative = no auto-pricing, an
@@ -138,14 +114,6 @@ struct ServerOptions {
   std::string trace_out_dir;
 };
 
-/// Per-shard serving statistics (stats endpoint `shards` array).
-struct ShardStats {
-  uint64_t batches = 0;  ///< routed batches that touched this shard
-  uint64_t ops = 0;      ///< adds + removes dispatched to this shard
-  size_t queue_depth = 0;      ///< shard worker queue depth right now
-  size_t queue_depth_max = 0;  ///< high watermark since start
-};
-
 /// Point-in-time server statistics (also served by the stats endpoint).
 struct ServerStats {
   uint64_t connections = 0;  ///< connections accepted
@@ -159,9 +127,7 @@ struct ServerStats {
   uint64_t max_batch = 0;    ///< largest ops-per-batch seen
   size_t queue_depth = 0;
   size_t queue_depth_max = 0;  ///< engine-op queue high watermark
-  uint64_t migrated = 0;     ///< queries moved between shards (router merges)
   double uptime_seconds = 0;  ///< seconds since Start
-  std::vector<ShardStats> shards;  ///< one entry per engine shard
 };
 
 class Server {
@@ -199,15 +165,10 @@ class Server {
   /// mode); with live workers it merely competes with them.
   void ProcessQueuedNow();
 
-  /// Read access to shard 0's engine for equivalence checks in tests; takes
-  /// the engine mutex. `fn` must not re-enter the server. With --shards 1
-  /// (the default) shard 0 IS the whole engine; sharded deployments see one
-  /// shard's slice — use WithShardedEngine for the merged view.
+  /// Read access to the engine (equivalence checks in tests, the CLI's
+  /// summary lines); takes the engine mutex. `fn` must not re-enter the
+  /// server.
   void WithEngine(const std::function<void(const online::OnlineEngine&)>& fn);
-
-  /// Read access to the full (possibly sharded) engine; same contract.
-  void WithShardedEngine(
-      const std::function<void(const online::ShardedEngine&)>& fn);
 
   /// The durability manager, or nullptr when serving non-durably. Valid
   /// after Start; the CLI uses it to report what recovery did.
@@ -241,22 +202,19 @@ class Server {
     double queued_us = 0;   ///< trace-timebase push time (sampled only)
   };
 
-  /// Atomically published cross-shard read snapshot: one pinned load gives
-  /// readers a consistent set of per-shard views, the matching version
-  /// vector (stats `versions`), the name table and the facade-level
-  /// counters. Rebuilt and swapped after every applied batch; the displaced
-  /// index is epoch-retired strictly before the views it references.
-  struct ReadIndex {
-    uint64_t seq = 0;  ///< index publish count (stats `view_seq`)
-    /// Borrowed per-shard views, owned by the publisher/epoch pair; a view
-    /// is retired only once no published index references it.
-    std::vector<const online::EngineReadView*> shards;
-    std::vector<uint64_t> versions;  ///< per-shard view versions
+  /// The atomically published read root: one pinned load gives readers
+  /// the engine's view, name table and counters as one consistent cut.
+  /// Rebuilt and swapped after every applied batch; the displaced root is
+  /// epoch-retired.
+  struct ReadRoot {
+    /// The engine at publish time; its version is the root's publish count
+    /// (stats `view_seq`).
+    online::EngineReadView view;
     /// The engine's name table at publish time: the same immutable table
     /// the engine and the interner share, replaced only by a batch that
     /// interned a new name.
     PropertyNames names;
-    online::EngineCounters counters;  ///< facade-level (not per-shard sums)
+    online::EngineCounters counters;
   };
 
   void AcceptLoop();
@@ -270,20 +228,13 @@ class Server {
   /// closed and empty.
   bool ProcessNext(bool drain_only);
 
-  /// Applies one net batch through the engine, dispatching per-shard jobs
-  /// to the shard workers when they are running (engine_mu_ held).
-  /// `trace_ids` are the sampled requests folded into the batch: each
-  /// per-shard apply job records a shard_apply span carrying them.
+  /// Applies one net batch through the engine (engine_mu_ held).
+  /// `trace_ids` are the sampled requests folded into the batch: the apply
+  /// records a shard_apply span carrying them.
   Result<online::UpdateStats> ApplyEngineUpdate(
       const std::vector<PropertySet>& add,
       const std::vector<PropertySet>& remove,
       const std::vector<uint64_t>& trace_ids) MC3_REQUIRES(engine_mu_);
-  /// Folds the just-applied batch's routing into the per-shard counters and
-  /// obs metrics (engine_mu_ held). `ops` is the batch's op count, charged
-  /// to shard 0 when the engine is unsharded.
-  void RecordShardWork(size_t ops) MC3_REQUIRES(engine_mu_);
-  /// Body of shard worker `index`: drain the shard queue until closed.
-  void ShardWorkerLoop(size_t index);
 
   void HandleUpdateBatch(std::vector<PendingRequest> batch);
   /// Renders the 200 ack of one update request at the engine's current
@@ -300,15 +251,12 @@ class Server {
                             const std::string& response);
   void HandleCheckpoint(const PendingRequest& pending);
 
-  /// Rebuilds and publishes the per-shard views flagged in `touched` (an
-  /// empty vector republishes every shard) plus a fresh cross-shard index,
-  /// then retires the displaced objects in root-unreachability order (index
-  /// first, views after) and runs one reclamation pass. Called after every
-  /// applied batch, before the acks render, so a client that saw its ack
-  /// also reads its write (docs/serving.md#lock-free-reads).
-  void PublishReadViews(const std::vector<bool>& touched)
-      MC3_REQUIRES(engine_mu_);
-  /// Lock-free `solve`/`snapshot`: pins an epoch, loads the index once and
+  /// Builds and publishes a fresh read root, retires the displaced one and
+  /// runs one reclamation pass. Called after every applied batch, before
+  /// the acks render, so a client that saw its ack also reads its write
+  /// (docs/serving.md#lock-free-reads).
+  void PublishReadRoot() MC3_REQUIRES(engine_mu_);
+  /// Lock-free `solve`/`snapshot`: pins an epoch, loads the root once and
   /// renders on the connection worker thread. Every field equals the
   /// engine's own accessors at the published state (TotalCost, NumQueries,
   /// NumComponents, CurrentSolution().Sorted(), CostOf, counters()).
@@ -316,20 +264,19 @@ class Server {
                           const Request& request, uint64_t trace_id,
                           bool sampled, const Timer& latency,
                           concurrency::ReaderRegistration& reader);
-  std::string RenderSolveFromIndex(const Request& request, uint64_t trace_id,
-                                   const ReadIndex& index)
+  std::string RenderSolveFromRoot(const Request& request, uint64_t trace_id,
+                                  const ReadRoot& root)
       MC3_REQUIRES_SHARED(epochs_);
-  std::string RenderSnapshotFromIndex(const Request& request,
-                                      uint64_t trace_id,
-                                      const ReadIndex& index)
+  std::string RenderSnapshotFromRoot(const Request& request,
+                                     uint64_t trace_id, const ReadRoot& root)
       MC3_REQUIRES_SHARED(epochs_);
 
   std::string RenderHealth(const Request& request);
   std::string RenderStats(const Request& request,
                           concurrency::ReaderRegistration& reader);
   std::string RenderWalStats(const Request& request);
-  /// Prometheus text exposition of the whole obs registry plus server and
-  /// shard stats, wrapped in a JSON envelope (`metrics` verb).
+  /// Prometheus text exposition of the whole obs registry plus server
+  /// stats, wrapped in a JSON envelope (`metrics` verb).
   std::string RenderMetrics(const Request& request);
 
   /// WAL-logs and trace-records one applied batch (engine_mu_ held).
@@ -369,38 +316,18 @@ class Server {
   std::vector<std::thread> engine_threads_;
 
   util::Mutex engine_mu_;
-  online::ShardedEngine engine_ MC3_GUARDED_BY(engine_mu_);
+  online::OnlineEngine engine_ MC3_GUARDED_BY(engine_mu_);
   /// Name -> id over the engine's table; its snapshot is what the engine
-  /// and the published read indexes share.
+  /// and the published read roots share.
   PropertyInterner interner_ MC3_GUARDED_BY(engine_mu_);
 
-  /// Lock-free read path (docs/serving.md#lock-free-reads): per-shard view
-  /// publishers plus the cross-shard index root, reclaimed through epochs.
-  /// All publishing happens under engine_mu_ (single writer); readers pin
-  /// an epoch per read and never lock.
+  /// Lock-free read path (docs/serving.md#lock-free-reads): one read root,
+  /// reclaimed through epochs. All publishing happens under engine_mu_
+  /// (single writer); readers pin an epoch per read and never lock.
   concurrency::EpochManager epochs_;
-  // Publication slots: swapped only under engine_mu_, read lock-free under
+  // Publication slot: swapped only under engine_mu_, read lock-free under
   // an epoch pin per concurrency/epoch.h.
-  std::vector<std::unique_ptr<
-      concurrency::VersionedPublisher<online::EngineReadView>>>
-      view_publishers_;
-  concurrency::VersionedPublisher<ReadIndex> index_publisher_;
-
-  /// Shard workers (only with shards > 1 and live engine workers): one
-  /// small job queue + thread per shard. Counters are Server-level atomics
-  /// so the inline stats path never touches engine_mu_.
-  struct ShardCounters {
-    std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> ops{0};
-  };
-  // Filled in Start before the shard workers launch, immutable after.
-  std::vector<std::unique_ptr<BoundedQueue<std::function<void()>>>>
-      shard_queues_;
-  // Launched in Start, joined only by Join.
-  std::vector<std::thread> shard_threads_;
-  // mc3-lint: guard-ok(sized by the constructor; elements are atomics)
-  std::vector<ShardCounters> shard_counters_;
-  std::atomic<uint64_t> migrated_{0};
+  concurrency::VersionedPublisher<ReadRoot> root_publisher_;
 
   /// Durability state (engine_mu_ guards all manager calls except the
   /// thread-safe GetWalStats). Null when serving non-durably.

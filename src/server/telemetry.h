@@ -4,15 +4,16 @@
 // Two layers, both owned by ServingTelemetry:
 //   * always-on per-stage histograms `server.stage.<stage>.<verb>`
 //     (queue_wait, coalesce, shard_apply, publish, checkpoint, wal_durable,
-//     serialize) recorded through RecordStageSeconds — relaxed atomic ops,
+//     serialize; shard_apply is the engine's apply, a name kept from when
+//     the engine could be sharded) recorded through RecordStageSeconds —
+//     relaxed atomic ops,
 //     surfaced as p50/p95/p99 by the `stats` verb and the `metrics`
 //     exposition;
 //   * sampled trace export (`mc3 serve --trace-sample N --trace-out DIR`):
 //     every Nth request gets a trace id whose spans are recorded into an
 //     obs::TraceEventSink and written as Chrome trace-event JSON on
 //     shutdown, with flow events stitching the request across the
-//     connection worker, engine worker, shard worker and WAL committer
-//     threads.
+//     connection worker, engine worker and WAL committer threads.
 //
 // The wal_durable stage needs special handling: group commit acknowledges a
 // batch before its fsync completes, so the append registers a pending entry

@@ -381,12 +381,11 @@ std::vector<std::string> RenderedNames(const obs::JsonValue& properties) {
 
 /// Checks one `solve` or `snapshot` response field by field against the
 /// engine at this quiescent point. Equality is exact: the JSON writer emits
-/// round-trippable doubles, and the views sum per-shard costs in the
-/// engine's own shard order.
+/// round-trippable doubles, and the view copies the engine's own total.
 void ExpectReadMatchesEngine(Server& server, const obs::JsonValue& response) {
   ASSERT_EQ(CodeOf(response), 200);
   const std::string op = response.Find("op")->string;
-  server.WithShardedEngine([&](const online::ShardedEngine& engine) {
+  server.WithEngine([&](const online::OnlineEngine& engine) {
     const std::vector<std::string>& names = engine.property_names();
     const auto engine_names = [&names](const PropertySet& classifier) {
       std::vector<std::string> out;
@@ -443,44 +442,39 @@ void ExpectReadMatchesEngine(Server& server, const obs::JsonValue& response) {
 }
 
 TEST(ConcurrencyLockFreeReadTest, ReadsMatchEngineAfterEveryStep) {
-  // Reads render from published views, never from the engine itself, so
-  // after every step of a mixed script each solve and snapshot must equal
-  // what the engine's accessors report at that point, sharded or not.
+  // Reads render from the published root, never from the engine itself,
+  // so after every step of a mixed script each solve and snapshot must
+  // equal what the engine's accessors report at that point.
   const std::string solve_line = R"({"op":"solve","id":8,"solution":true})";
   const std::string snapshot_line = R"({"op":"snapshot","id":9})";
-  for (const uint32_t shards : {uint32_t{1}, uint32_t{2}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    ServerOptions options = TestOptions();
-    options.shards = shards;
-    Server server(options);
-    ASSERT_TRUE(server.Start(BaseInstance()).ok());
-    TestClient client(server.port());
-    ASSERT_TRUE(client.connected());
+  Server server(TestOptions());
+  ASSERT_TRUE(server.Start(BaseInstance()).ok());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
 
-    const std::vector<std::string> script = {
-        R"({"op":"solve","id":1,"solution":true})",
-        R"({"op":"update","id":2,"add":[["blue","sofa"],["green"]]})",
-        R"({"op":"solve","id":3,"solution":true})",
-        R"({"op":"snapshot","id":4})",
-        R"({"op":"update","id":5,"remove":[["blue","sofa"]],"add":[["lamp"]]})",
-        R"({"op":"snapshot","id":6})",
-        R"({"op":"solve","id":7})",
-    };
-    for (const std::string& line : script) {
-      SCOPED_TRACE(line);
-      const obs::JsonValue response = client.Call(line);
-      ASSERT_EQ(CodeOf(response), 200);
-      if (response.Find("op")->string != "update") {
-        ExpectReadMatchesEngine(server, response);
-      }
-      const obs::JsonValue solve = client.Call(solve_line);
-      ASSERT_NE(solve.Find("solution"), nullptr);
-      ExpectReadMatchesEngine(server, solve);
-      ExpectReadMatchesEngine(server, client.Call(snapshot_line));
+  const std::vector<std::string> script = {
+      R"({"op":"solve","id":1,"solution":true})",
+      R"({"op":"update","id":2,"add":[["blue","sofa"],["green"]]})",
+      R"({"op":"solve","id":3,"solution":true})",
+      R"({"op":"snapshot","id":4})",
+      R"({"op":"update","id":5,"remove":[["blue","sofa"]],"add":[["lamp"]]})",
+      R"({"op":"snapshot","id":6})",
+      R"({"op":"solve","id":7})",
+  };
+  for (const std::string& line : script) {
+    SCOPED_TRACE(line);
+    const obs::JsonValue response = client.Call(line);
+    ASSERT_EQ(CodeOf(response), 200);
+    if (response.Find("op")->string != "update") {
+      ExpectReadMatchesEngine(server, response);
     }
-    server.RequestDrain();
-    server.Join();
+    const obs::JsonValue solve = client.Call(solve_line);
+    ASSERT_NE(solve.Find("solution"), nullptr);
+    ExpectReadMatchesEngine(server, solve);
+    ExpectReadMatchesEngine(server, client.Call(snapshot_line));
   }
+  server.RequestDrain();
+  server.Join();
 }
 
 TEST(ConcurrencyLockFreeReadTest, HealthNeverQueuesAndReadsRefuseDuringDrain) {
@@ -507,14 +501,11 @@ TEST(ConcurrencyLockFreeReadTest, HealthNeverQueuesAndReadsRefuseDuringDrain) {
   server.Join();
 }
 
-TEST(ConcurrencyLockFreeReadTest, StatsReportsConsistentVersionVectorUnderChurn) {
-  // The snapshot-consistency contract (docs/serving.md#lock-free-reads):
-  // stats' `versions` vector always comes from one pinned index load, so
-  // under concurrent write churn it always has exactly one entry per shard
-  // and `view_seq` is monotone per observer.
-  ServerOptions options = TestOptions();
-  options.shards = 2;
-  Server server(options);
+TEST(ConcurrencyLockFreeReadTest, StatsViewSeqIsMonotoneUnderChurn) {
+  // Stats read `view_seq` through one pinned load of the published root
+  // (docs/serving.md#lock-free-reads), so under concurrent write churn it
+  // is monotone per observer and ends at one publish per applied batch.
+  Server server(TestOptions());
   ASSERT_TRUE(server.Start(BaseInstance()).ok());
 
   std::atomic<bool> done{false};
@@ -538,29 +529,22 @@ TEST(ConcurrencyLockFreeReadTest, StatsReportsConsistentVersionVectorUnderChurn)
     const obs::JsonValue stats = reader.Call(R"({"op":"stats","id":2})");
     ASSERT_EQ(CodeOf(stats), 200);
     const obs::JsonValue* seq = stats.Find("view_seq");
-    const obs::JsonValue* versions = stats.Find("versions");
     ASSERT_NE(seq, nullptr);
-    ASSERT_NE(versions, nullptr);
-    ASSERT_TRUE(versions->is_array());
-    // One entry per shard, every time: never a torn or partial vector.
-    ASSERT_EQ(versions->array.size(), 2u);
     const auto observed = static_cast<uint64_t>(seq->number);
     ASSERT_GE(observed, last_seq);
-    ASSERT_GE(observed, 1u);  // Start() published the initial index
+    ASSERT_GE(observed, 1u);  // Start() published the initial root
     last_seq = observed;
     ++observations;
   }
   churn.join();
   EXPECT_GT(observations, 0u);
 
-  // Quiescent cross-check: per-shard versions can never exceed the number
-  // of publishes, and after the churn the final index reflects all of it.
+  // Quiescent cross-check: the initial publish plus one per applied batch.
   const obs::JsonValue final_stats = reader.Call(R"({"op":"stats","id":3})");
   ASSERT_EQ(CodeOf(final_stats), 200);
-  for (const obs::JsonValue& version : final_stats.Find("versions")->array) {
-    ASSERT_TRUE(version.is_number());
-    EXPECT_GE(version.number, 1);
-  }
+  EXPECT_EQ(final_stats.Find("view_seq")->number,
+            1 + final_stats.Find("batches")->number);
+  EXPECT_GE(final_stats.Find("view_seq")->number, last_seq);
   server.RequestDrain();
   server.Join();
 }

@@ -6,7 +6,6 @@
 // solution assembly fails these tests.
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -22,7 +21,6 @@
 #include "durability/snapshot.h"
 #include "obs/metrics.h"
 #include "online/online_engine.h"
-#include "online/sharded_engine.h"
 #include "server/coalescer.h"
 #include "tests/test_util.h"
 #include "util/float_cmp.h"
@@ -31,7 +29,6 @@
 namespace mc3 {
 namespace {
 
-using testing::CostBytes;
 using testing::RandomInstanceConfig;
 
 /// The sorted (query, cost-entry) content of a seeded random instance:
@@ -101,6 +98,18 @@ std::string Canonical(const Solution& solution, const Instance& instance) {
   std::snprintf(cost, sizeof(cost), "%.17g",
                 solution.TotalCost(instance));
   return out + cost;
+}
+
+/// `state` with its components sorted by their (distinct) smallest query.
+/// Engines that reached one live set through different histories number
+/// their components differently; nothing else of the export differs.
+online::EngineState Canonicalized(online::EngineState state) {
+  std::sort(state.components.begin(), state.components.end(),
+            [](const online::EngineState::Component& a,
+               const online::EngineState::Component& b) {
+              return a.queries < b.queries;
+            });
+  return state;
 }
 
 template <typename SolverT>
@@ -203,6 +212,22 @@ TEST(DeterminismTest, OnlineEngineInitializeAndSolution) {
   }
 }
 
+/// One update operation as a client sends it.
+struct Op {
+  std::vector<PropertySet> add;
+  std::vector<PropertySet> remove;
+};
+
+/// A churn run over live queries: removes, re-adds, a duplicate add and a
+/// remove-then-re-add flip, spread over several components.
+std::vector<Op> CoalescingRun(const std::vector<PropertySet>& qs) {
+  return {
+      {{}, {qs[0]}}, {{}, {qs[2]}}, {{qs[0]}, {}}, {{}, {qs[4]}},
+      {{qs[2]}, {}}, {{qs[0]}, {}},  // duplicate add: idempotent
+      {{qs[7]}, {qs[7]}},            // same-op flip: nets to an add
+  };
+}
+
 // The serving subsystem's coalescing contract (src/server/coalescer.h):
 // folding a run of updates into one net ApplyUpdate batch must produce a
 // byte-identical solution to applying the run one operation at a time —
@@ -212,19 +237,7 @@ TEST(DeterminismTest, CoalescedBatchMatchesSequentialUpdates) {
   const InstanceContent content = SeededContent(83, /*num_queries=*/10);
   const Instance base =
       BuildShuffled(content, 11, /*shuffle_queries=*/false);
-  const std::vector<PropertySet>& qs = content.queries;
-
-  // A churn run over live queries: removes, re-adds, a duplicate add and a
-  // remove-then-re-add flip, spread over several components.
-  struct Op {
-    std::vector<PropertySet> add;
-    std::vector<PropertySet> remove;
-  };
-  const std::vector<Op> ops = {
-      {{}, {qs[0]}}, {{}, {qs[2]}}, {{qs[0]}, {}}, {{}, {qs[4]}},
-      {{qs[2]}, {}}, {{qs[0]}, {}},  // duplicate add: idempotent
-      {{qs[7]}, {qs[7]}},            // same-op flip: nets to an add
-  };
+  const std::vector<Op> ops = CoalescingRun(content.queries);
 
   online::OnlineEngine sequential;
   ASSERT_TRUE(sequential.Initialize(base).ok());
@@ -248,6 +261,78 @@ TEST(DeterminismTest, CoalescedBatchMatchesSequentialUpdates) {
   EXPECT_EQ(sequential.NumQueries(), batched.NumQueries());
   EXPECT_EQ(Canonical(sequential.CurrentSolution(), base),
             Canonical(batched.CurrentSolution(), base));
+  // The whole state too: live queries, stored solutions and costs per
+  // component, as a snapshot renders them.
+  EXPECT_EQ(
+      durability::RenderSnapshot(Canonicalized(batched.ExportState()), 1),
+      durability::RenderSnapshot(Canonicalized(sequential.ExportState()), 1));
+}
+
+/// `v1`, a RenderSnapshot document, rewritten in the sharded-layout schema
+/// (mc3.snapshot/2) that earlier builds wrote: `"shards": shards` after the
+/// sequence number and component i tagged with shard i % shards.
+std::string AsShardedDocument(std::string v1, uint32_t shards) {
+  const std::string schema = "\"mc3.snapshot/1\"";
+  v1.replace(v1.find(schema), schema.size(), "\"mc3.snapshot/2\"");
+  v1.insert(v1.find('\n', v1.find("\"seq\":")) + 1,
+            "  \"shards\": " + std::to_string(shards) + ",\n");
+  // Each component closes with its "cost" line; the price table above
+  // uses the same key, so the search starts at "components".
+  size_t at = v1.find("\"components\":");
+  for (uint32_t i = 0;
+       (at = v1.find("\n      \"cost\":", at)) != std::string::npos; ++i) {
+    at = v1.find('\n', at + 1);
+    const std::string tag =
+        ",\n      \"shard\": " + std::to_string(i % shards);
+    v1.insert(at, tag);
+    at += tag.size();
+  }
+  return v1;
+}
+
+// The serving-path composition after an upgrade: a data directory
+// checkpointed by a sharded server restores from its mc3.snapshot/2
+// document into the one engine, which then serves coalesced net batches.
+// It must land on the single sequential engine's bytes.
+TEST(DeterminismTest, ShardedCoalescedBatchMatchesSequentialUpdates) {
+  const InstanceContent content = SeededContent(83, /*num_queries=*/10);
+  Instance base = BuildShuffled(content, 11, /*shuffle_queries=*/false);
+  // Snapshot documents carry property names; SeededContent draws ids from a
+  // pool of 9.
+  std::vector<std::string> names;
+  for (int p = 0; p < 9; ++p) names.push_back("p" + std::to_string(p));
+  base.set_property_names(std::move(names));
+  const std::vector<Op> ops = CoalescingRun(content.queries);
+
+  online::OnlineEngine sequential;
+  ASSERT_TRUE(sequential.Initialize(base).ok());
+  for (const Op& op : ops) {
+    ASSERT_TRUE(sequential.ApplyUpdate(op.add, op.remove).ok());
+  }
+
+  online::OnlineEngine source;
+  ASSERT_TRUE(source.Initialize(base).ok());
+  const std::string v1 = durability::RenderSnapshot(source.ExportState(), 1);
+  auto parsed = durability::ParseSnapshot(AsShardedDocument(v1, 4));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_GT(parsed->state.components.size(), 1u);
+  // The layout is dropped on load: what remains is the v1 state.
+  EXPECT_EQ(durability::RenderSnapshot(parsed->state, 1), v1);
+
+  online::OnlineEngine batched;
+  ASSERT_TRUE(batched.ImportState(parsed->state).ok());
+  server::UpdateCoalescer coalescer;
+  for (const Op& op : ops) coalescer.Fold(op.add, op.remove);
+  const server::NetUpdate net = coalescer.Take();
+  ASSERT_TRUE(batched.ApplyUpdate(net.add, net.remove).ok());
+
+  ASSERT_TRUE(batched.CheckInvariants().ok());
+  EXPECT_EQ(batched.NumQueries(), sequential.NumQueries());
+  EXPECT_EQ(Canonical(batched.CurrentSolution(), base),
+            Canonical(sequential.CurrentSolution(), base));
+  EXPECT_EQ(
+      durability::RenderSnapshot(Canonicalized(batched.ExportState()), 1),
+      durability::RenderSnapshot(Canonicalized(sequential.ExportState()), 1));
 }
 
 // The contract online re-solve ordering relies on: component ids are
@@ -305,14 +390,6 @@ TEST(DeterminismTest, ZeroCostSelectionOrder) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded-vs-single equivalence (src/online/sharded_engine.h): Observation
-// 3.2 makes connected components independent solve units, so a sharded
-// engine whose router keeps every component on one shard must be
-// *byte-identical* to the single engine — same canonical snapshot bytes,
-// same canonical solution, same canonical total cost — for every shard
-// count and every update history.
-
 /// Net churn batches (coalescer-shaped: add/remove disjoint per batch)
 /// over the seeded content's queries, spanning several components.
 struct NetBatch {
@@ -330,179 +407,29 @@ std::vector<NetBatch> ChurnBatches(const std::vector<PropertySet>& qs) {
   };
 }
 
-TEST(DeterminismTest, ShardedEngineMatchesSingleEngineByteForByte) {
-  const InstanceContent content = SeededContent(97, /*num_queries=*/12);
-  const Instance base = BuildShuffled(content, 13, /*shuffle_queries=*/false);
-  const std::vector<NetBatch> batches = ChurnBatches(content.queries);
-
-  online::OnlineEngine single;
-  ASSERT_TRUE(single.Initialize(base).ok());
-  for (const NetBatch& batch : batches) {
-    auto stats = single.ApplyUpdate(batch.add, batch.remove);
-    ASSERT_TRUE(stats.ok()) << stats.status().message();
-  }
-  ASSERT_TRUE(single.CheckInvariants().ok());
-  // The equivalence oracle: canonical state (queries sorted within each
-  // component, components by smallest query) rendered as snapshot bytes.
-  const std::string expected_snapshot = durability::RenderSnapshot(
-      online::CanonicalizeState(single.ExportState()), /*seq=*/7);
-  const std::string expected_solution =
-      Canonical(single.CurrentSolution(), base);
-
-  for (const uint32_t shards : {1u, 2u, 4u, 7u}) {
-    online::ShardedEngine sharded(shards);
-    auto init = sharded.Initialize(base);
-    ASSERT_TRUE(init.ok()) << init.status().message();
-    for (const NetBatch& batch : batches) {
-      auto stats = sharded.ApplyUpdate(batch.add, batch.remove);
-      ASSERT_TRUE(stats.ok()) << stats.status().message();
-    }
-    ASSERT_TRUE(sharded.CheckInvariants().ok()) << shards << " shards";
-    EXPECT_EQ(sharded.NumQueries(), single.NumQueries()) << shards;
-    EXPECT_EQ(durability::RenderSnapshot(sharded.CanonicalState(), /*seq=*/7),
-              expected_snapshot)
-        << shards << " shards";
-    EXPECT_EQ(Canonical(sharded.CurrentSolution(), base), expected_solution)
-        << shards << " shards";
-  }
-}
-
-TEST(DeterminismTest, OneShardFacadeIsATransparentPassThrough) {
-  // num_shards == 1 must be the legacy engine byte for byte, including the
-  // non-canonical (creation-ordered) export and the id-order total cost.
-  const InstanceContent content = SeededContent(103, /*num_queries=*/10);
-  const Instance base = BuildShuffled(content, 19, /*shuffle_queries=*/false);
-  const std::vector<NetBatch> batches = ChurnBatches(content.queries);
-
-  online::OnlineEngine single;
-  online::ShardedEngine facade(1);
-  ASSERT_TRUE(single.Initialize(base).ok());
-  ASSERT_TRUE(facade.Initialize(base).ok());
-  for (const NetBatch& batch : batches) {
-    auto expect = single.ApplyUpdate(batch.add, batch.remove);
-    auto got = facade.ApplyUpdate(batch.add, batch.remove);
-    ASSERT_TRUE(expect.ok()) << expect.status().message();
-    ASSERT_TRUE(got.ok()) << got.status().message();
-    EXPECT_EQ(got->queries_added, expect->queries_added);
-    EXPECT_EQ(got->queries_removed, expect->queries_removed);
-    EXPECT_EQ(got->components_resolved, expect->components_resolved);
-  }
-  EXPECT_EQ(CostBytes(facade.TotalCost()), CostBytes(single.TotalCost()));
-  EXPECT_EQ(durability::RenderSnapshot(facade.ExportSharded().state, 3),
-            durability::RenderSnapshot(single.ExportState(), 3));
-}
-
-TEST(DeterminismTest, ShardedCanonicalCostIsLayoutIndependent) {
-  // TotalCost sums per-shard totals in shard order, so its low bits may
-  // depend on the layout (float addition is not associative);
-  // CanonicalTotalCost must not — it is the cost the sharded snapshot/stats
-  // verbs expose for cross-layout comparison.
-  const InstanceContent content = SeededContent(109, /*num_queries=*/12);
-  const Instance base = BuildShuffled(content, 23, /*shuffle_queries=*/false);
-  const std::vector<NetBatch> batches = ChurnBatches(content.queries);
+TEST(DeterminismTest, OnlineEngineChurnAcrossShuffledHistories) {
+  // Shuffled cost-table insertion histories must not leak into the
+  // engine's exported state after churn: same snapshot bytes for every
+  // permutation, component order included.
+  const InstanceContent content = SeededContent(113, /*num_queries=*/10);
   std::string first;
-  for (const uint32_t shards : {1u, 2u, 4u, 7u}) {
-    online::ShardedEngine engine(shards);
+  for (uint64_t perm = 0; perm < 3; ++perm) {
+    const Instance base = BuildShuffled(content, perm * 61 + 29,
+                                        /*shuffle_queries=*/false);
+    online::OnlineEngine engine;
     ASSERT_TRUE(engine.Initialize(base).ok());
-    for (const NetBatch& batch : batches) {
+    for (const NetBatch& batch : ChurnBatches(content.queries)) {
       ASSERT_TRUE(engine.ApplyUpdate(batch.add, batch.remove).ok());
     }
-    const std::string bytes = CostBytes(engine.CanonicalTotalCost());
+    ASSERT_TRUE(engine.CheckInvariants().ok());
+    const std::string bytes =
+        durability::RenderSnapshot(engine.ExportState(), 1);
     if (first.empty()) {
       first = bytes;
     } else {
-      EXPECT_EQ(bytes, first) << shards << " shards";
+      EXPECT_EQ(bytes, first) << "perm " << perm;
     }
   }
-}
-
-TEST(DeterminismTest, ShardedEquivalenceAcrossShuffledHistories) {
-  // The sharded engine inherits the single engine's determinism contract:
-  // shuffled cost-table insertion histories must not leak into the
-  // canonical snapshot bytes, at any shard count.
-  const InstanceContent content = SeededContent(113, /*num_queries=*/10);
-  std::string first;
-  for (const uint32_t shards : {2u, 4u}) {
-    for (uint64_t perm = 0; perm < 3; ++perm) {
-      const Instance base = BuildShuffled(content, perm * 61 + 29,
-                                          /*shuffle_queries=*/false);
-      online::ShardedEngine engine(shards);
-      ASSERT_TRUE(engine.Initialize(base).ok());
-      for (const NetBatch& batch : ChurnBatches(content.queries)) {
-        ASSERT_TRUE(engine.ApplyUpdate(batch.add, batch.remove).ok());
-      }
-      const std::string bytes =
-          durability::RenderSnapshot(engine.CanonicalState(), 1);
-      if (first.empty()) {
-        first = bytes;
-      } else {
-        EXPECT_EQ(bytes, first) << shards << " shards, perm " << perm;
-      }
-    }
-  }
-}
-
-TEST(DeterminismTest, ShardedApplyIsRunnerOrderIndependent) {
-  // The server hands per-shard jobs to worker threads; whatever order (or
-  // interleaving) they run in, the merged state must not change. Drive the
-  // same history through the default serial runner and a reversed one.
-  const InstanceContent content = SeededContent(127, /*num_queries=*/12);
-  const Instance base = BuildShuffled(content, 31, /*shuffle_queries=*/false);
-  const online::ShardedEngine::ShardRunner reversed =
-      [](std::vector<std::function<void()>>* jobs) {
-        for (auto it = jobs->rbegin(); it != jobs->rend(); ++it) {
-          if (*it) (*it)();
-        }
-      };
-  online::ShardedEngine forward(4);
-  online::ShardedEngine backward(4);
-  ASSERT_TRUE(forward.Initialize(base).ok());
-  ASSERT_TRUE(backward.Initialize(base).ok());
-  for (const NetBatch& batch : ChurnBatches(content.queries)) {
-    ASSERT_TRUE(forward.ApplyUpdate(batch.add, batch.remove).ok());
-    ASSERT_TRUE(backward.ApplyUpdate(batch.add, batch.remove, reversed).ok());
-  }
-  EXPECT_EQ(durability::RenderSnapshot(backward.CanonicalState(), 1),
-            durability::RenderSnapshot(forward.CanonicalState(), 1));
-  EXPECT_EQ(CostBytes(backward.CanonicalTotalCost()),
-            CostBytes(forward.CanonicalTotalCost()));
-}
-
-TEST(DeterminismTest, ShardedCoalescedBatchMatchesSequentialUpdates) {
-  // The serving-path composition: coalesced net batches through a sharded
-  // engine must still land on the single sequential engine's bytes.
-  const InstanceContent content = SeededContent(83, /*num_queries=*/10);
-  const Instance base = BuildShuffled(content, 11, /*shuffle_queries=*/false);
-  const std::vector<PropertySet>& qs = content.queries;
-  struct Op {
-    std::vector<PropertySet> add;
-    std::vector<PropertySet> remove;
-  };
-  const std::vector<Op> ops = {
-      {{}, {qs[0]}}, {{}, {qs[2]}}, {{qs[0]}, {}}, {{}, {qs[4]}},
-      {{qs[2]}, {}}, {{qs[0]}, {}}, {{qs[7]}, {qs[7]}},
-  };
-
-  online::OnlineEngine sequential;
-  ASSERT_TRUE(sequential.Initialize(base).ok());
-  for (const Op& op : ops) {
-    ASSERT_TRUE(sequential.ApplyUpdate(op.add, op.remove).ok());
-  }
-
-  online::ShardedEngine batched(4);
-  ASSERT_TRUE(batched.Initialize(base).ok());
-  server::UpdateCoalescer coalescer;
-  for (const Op& op : ops) coalescer.Fold(op.add, op.remove);
-  const server::NetUpdate net = coalescer.Take();
-  ASSERT_TRUE(batched.ApplyUpdate(net.add, net.remove).ok());
-
-  ASSERT_TRUE(batched.CheckInvariants().ok());
-  EXPECT_EQ(batched.NumQueries(), sequential.NumQueries());
-  EXPECT_EQ(Canonical(batched.CurrentSolution(), base),
-            Canonical(sequential.CurrentSolution(), base));
-  EXPECT_EQ(durability::RenderSnapshot(batched.CanonicalState(), 1),
-            durability::RenderSnapshot(
-                online::CanonicalizeState(sequential.ExportState()), 1));
 }
 
 /// Canonical byte rendering of the registry's counters after one solve of

@@ -3,11 +3,13 @@
 // rejection, group commit, rotation and the sequence-number contract — and
 // snapshot render/parse/publish plus full DurabilityManager recovery
 // equivalence (snapshot + WAL tail reproduces the live engine exactly).
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,7 +21,6 @@
 #include "durability/snapshot.h"
 #include "durability/wal.h"
 #include "online/online_engine.h"
-#include "online/sharded_engine.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -622,119 +623,354 @@ TEST(DurabilityManagerTest, CheckpointPolicyByUpdateCount) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded layouts (mc3.snapshot/2; src/online/sharded_engine.h,
-// docs/durability.md). The WAL stays shard-agnostic — only snapshots
-// record the layout — so these tests cover the snapshot schema round-trip,
-// the layout-mismatch guard, and manager-level sharded recovery.
+// Data directories of a sharded server (mc3.snapshot/2). Earlier builds
+// could split the engine into shards and tagged each snapshot component
+// with its shard. The loader validates that layout, drops it and restores
+// the components into the one engine, so such a directory still recovers.
 
-using online::ShardedEngine;
-
-/// A churned sharded engine over the paper example (every shard count
-/// yields the same canonical state; the placement varies).
-ShardedEngine MakeShardedEngine(uint32_t shards) {
-  ShardedEngine engine(shards);
-  const Instance base = PaperExample();
-  auto init = engine.Initialize(base);
-  EXPECT_TRUE(init.ok()) << init.status().ToString();
-  const std::vector<PropertySet>& queries = base.queries();
-  EXPECT_GE(queries.size(), 2u);
-  // Churn so stored solutions and the router's live set are non-trivial.
-  EXPECT_TRUE(engine.ApplyUpdate({}, {queries[0]}).ok());
-  EXPECT_TRUE(engine.ApplyUpdate({queries[0]}, {queries[1]}).ok());
-  EXPECT_TRUE(engine.ApplyUpdate({queries[1]}, {}).ok());
-  return engine;
+/// The snapshot a 4-shard `mc3 serve --default-cost 2` wrote over the
+/// workload `Q,juventus,white,adidas`, `Q,chelsea,adidas`, `Q,iphone,black`,
+/// `Q,nike,running`, `Q,dell,laptop` (priced singletons, plus 3 for
+/// adidas+chelsea and adidas+juventus and 3 for black+iphone) after the
+/// updates `- chelsea adidas`, `+ nike black` (merging two components the
+/// server had placed on different shards) and `+ chelsea adidas, sony tv`.
+constexpr char kShardedSnapshot[] = R"json({
+  "schema": "mc3.snapshot/2",
+  "seq": 3,
+  "shards": 4,
+  "property_names": [
+    "juventus",
+    "white",
+    "adidas",
+    "chelsea",
+    "iphone",
+    "black",
+    "nike",
+    "running",
+    "dell",
+    "laptop",
+    "sony",
+    "tv"
+  ],
+  "costs": [
+    {
+      "classifier": [
+        0
+      ],
+      "cost": 5
+    },
+    {
+      "classifier": [
+        0,
+        2
+      ],
+      "cost": 3
+    },
+    {
+      "classifier": [
+        1
+      ],
+      "cost": 1
+    },
+    {
+      "classifier": [
+        2
+      ],
+      "cost": 5
+    },
+    {
+      "classifier": [
+        2,
+        3
+      ],
+      "cost": 3
+    },
+    {
+      "classifier": [
+        3
+      ],
+      "cost": 5
+    },
+    {
+      "classifier": [
+        4
+      ],
+      "cost": 6
+    },
+    {
+      "classifier": [
+        4,
+        5
+      ],
+      "cost": 3
+    },
+    {
+      "classifier": [
+        5
+      ],
+      "cost": 2
+    },
+    {
+      "classifier": [
+        5,
+        6
+      ],
+      "cost": 3
+    },
+    {
+      "classifier": [
+        6
+      ],
+      "cost": 3
+    },
+    {
+      "classifier": [
+        7
+      ],
+      "cost": 2
+    },
+    {
+      "classifier": [
+        8
+      ],
+      "cost": 7
+    },
+    {
+      "classifier": [
+        9
+      ],
+      "cost": 2
+    },
+    {
+      "classifier": [
+        10
+      ],
+      "cost": 2
+    },
+    {
+      "classifier": [
+        10,
+        11
+      ],
+      "cost": 3
+    },
+    {
+      "classifier": [
+        11
+      ],
+      "cost": 2
+    }
+  ],
+  "components": [
+    {
+      "queries": [
+        [
+          8,
+          9
+        ]
+      ],
+      "solution": [
+        [
+          8
+        ],
+        [
+          9
+        ]
+      ],
+      "cost": 9,
+      "shard": 0
+    },
+    {
+      "queries": [
+        [
+          4,
+          5
+        ],
+        [
+          5,
+          6
+        ],
+        [
+          6,
+          7
+        ]
+      ],
+      "solution": [
+        [
+          4,
+          5
+        ],
+        [
+          5
+        ],
+        [
+          6
+        ],
+        [
+          7
+        ]
+      ],
+      "cost": 10,
+      "shard": 1
+    },
+    {
+      "queries": [
+        [
+          10,
+          11
+        ]
+      ],
+      "solution": [
+        [
+          10,
+          11
+        ]
+      ],
+      "cost": 3,
+      "shard": 1
+    },
+    {
+      "queries": [
+        [
+          0,
+          1,
+          2
+        ],
+        [
+          2,
+          3
+        ]
+      ],
+      "solution": [
+        [
+          0,
+          2
+        ],
+        [
+          1
+        ],
+        [
+          2,
+          3
+        ]
+      ],
+      "cost": 7,
+      "shard": 3
+    }
+  ]
 }
 
-TEST(SnapshotTest, ShardedRenderParseReRenderIsByteStable) {
-  ShardedEngine engine = MakeShardedEngine(4);
-  const online::ShardedState state = engine.ExportSharded();
-  EXPECT_EQ(state.num_shards, 4u);
-  const std::string json = RenderShardedSnapshot(state, 9);
-  ASSERT_TRUE(ValidateSnapshotJson(json).ok());
-  EXPECT_NE(json.find(kSnapshotSchemaV2), std::string::npos);
+)json";
 
-  auto parsed = ParseSnapshot(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->seq, 9u);
-  EXPECT_EQ(parsed->num_shards, 4u);
-  ASSERT_EQ(parsed->component_shards.size(), state.component_shards.size());
-  EXPECT_EQ(RenderShardedSnapshot(parsed->ToShardedState(), 9), json);
+/// The WAL segment it left after that checkpoint: `- nike black`,
+/// `+ sony laptop`, and `+ lg tv` with `- iphone black`.
+constexpr char kShardedWalSegment[] =
+    "MC3WAL1\n"
+    "\015\000\000\000\370q\344g\004\000\000\000\000\000\000\000- black nike\n"
+    "\016\000\000\000\374\331\304d\005\000\000\000\000\000\000\000+ laptop sony\n"
+    "\027\000\000\000\3278\016f\006\000\000\000\000\000\000\000- iphone black\n"
+    "+ tv lg\n";
 
-  ShardedEngine restored(4);
-  ASSERT_TRUE(restored.ImportSharded(parsed->ToShardedState()).ok());
-  ASSERT_TRUE(restored.CheckInvariants().ok());
-  EXPECT_EQ(restored.NumQueries(), engine.NumQueries());
-  // Import restores the exact placement, so the re-export is byte-stable.
-  EXPECT_EQ(RenderShardedSnapshot(restored.ExportSharded(), 9), json);
+/// What `mc3 recover --default-cost 2 --solution-out` wrote for that
+/// directory with the sharded build.
+constexpr char kShardedRecoveredSolution[] =
+    "adidas chelsea # 3\n"
+    "adidas juventus # 3\n"
+    "dell # 7\n"
+    "laptop # 2\n"
+    "lg # 2\n"
+    "nike # 3\n"
+    "running # 2\n"
+    "sony # 2\n"
+    "tv # 2\n"
+    "white # 1\n"
+    "total 27\n";
+
+/// `engine`'s solution as `mc3 recover --solution-out` renders it: one
+/// classifier per line with its names sorted, lines sorted, each with its
+/// price, then the total.
+std::string SolutionFile(const OnlineEngine& engine) {
+  const std::vector<std::string>& names = engine.property_names();
+  std::vector<std::pair<std::vector<std::string>, Cost>> rows;
+  for (const PropertySet& classifier : engine.CurrentSolution().Sorted()) {
+    std::vector<std::string> row;
+    for (const PropertyId id : classifier) row.push_back(names.at(id));
+    std::sort(row.begin(), row.end());
+    rows.emplace_back(std::move(row), engine.CostOf(classifier));
+  }
+  std::sort(rows.begin(), rows.end());
+  std::string out;
+  Cost total = 0;
+  char buffer[64];
+  for (const auto& [row, cost] : rows) {
+    for (size_t i = 0; i < row.size(); ++i) out += (i > 0 ? " " : "") + row[i];
+    std::snprintf(buffer, sizeof(buffer), " # %.17g\n", cost);
+    out += buffer;
+    total += cost;
+  }
+  std::snprintf(buffer, sizeof(buffer), "total %.17g\n", total);
+  return out + buffer;
 }
 
-TEST(SnapshotTest, OneShardShardedExportIsTheLegacyDocument) {
-  // A 1-shard engine keeps writing plain mc3.snapshot/1 bytes: pre-sharding
-  // snapshots and 1-shard snapshots stay interchangeable.
-  ShardedEngine facade = MakeShardedEngine(1);
-  const online::ShardedState state = facade.ExportSharded();
-  ASSERT_EQ(state.num_shards, 1u);
-  const std::string json = RenderShardedSnapshot(state, 5);
-  EXPECT_EQ(json, RenderSnapshot(state.state, 5));
-  EXPECT_NE(json.find(kSnapshotSchema), std::string::npos);
-  EXPECT_EQ(json.find(kSnapshotSchemaV2), std::string::npos);
-
-  // And a v1 document parses as a 1-shard layout.
-  auto parsed = ParseSnapshot(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->num_shards, 1u);
-  for (const uint32_t shard : parsed->component_shards) EXPECT_EQ(shard, 0u);
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out << bytes;
+  ASSERT_TRUE(out.good()) << path;
 }
 
 TEST(SnapshotTest, ShardLayoutMismatchIsRejectedOnImport) {
-  ShardedEngine engine = MakeShardedEngine(4);
-  ShardedEngine two(2);
-  const Status status = two.ImportSharded(engine.ExportSharded());
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.ToString().find("--shards"), std::string::npos)
-      << status.ToString();  // the message tells the operator the fix
+  auto parsed = ParseSnapshot(kShardedSnapshot);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->seq, 3u);
+  EXPECT_EQ(parsed->state.components.size(), 4u);
+  // A layout the document contradicts is rejected: no shards, a tag at or
+  // past `shards`, a component without its tag.
+  const auto edited = [](const std::string& from, const std::string& to) {
+    std::string doc = kShardedSnapshot;
+    const size_t at = doc.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? doc : doc.replace(at, from.size(), to);
+  };
+  for (const std::string& hostile :
+       {edited("\"shards\": 4", "\"shards\": 0"),
+        edited("\"shard\": 3", "\"shard\": 4"),
+        edited(",\n      \"shard\": 0", "")}) {
+    auto rejected = ParseSnapshot(hostile);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(DurabilityManagerTest, ShardedSnapshotPlusWalTailRecovers) {
   ScratchDir dir("mgr_sharded");
-  ShardedEngine live(4);
-  {
-    auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
-    ASSERT_TRUE(manager.ok());
-    ASSERT_TRUE((*manager)->Recover(PaperExample(), -1, &live).ok());
-    const std::vector<PropertySet> queries = PaperExample().queries();
-    // Log the same churn the engine applies, as the server does.
-    ASSERT_TRUE(live.ApplyUpdate({}, {queries[0]}).ok());
-    ASSERT_TRUE(
-        (*manager)->LogBatch({}, {queries[0]}, live.property_names()).ok());
-    auto checkpoint = (*manager)->Checkpoint(live.ExportSharded());
-    ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
-    // Post-snapshot tail: recovery must replay it into the same layout.
-    ASSERT_TRUE(live.ApplyUpdate({queries[0]}, {}).ok());
-    ASSERT_TRUE(
-        (*manager)->LogBatch({queries[0]}, {}, live.property_names()).ok());
-    ASSERT_TRUE((*manager)->Close().ok());
-  }
+  fs::create_directories(dir.path);
+  WriteBytes(dir.path + "/" + SnapshotFileName(3), kShardedSnapshot);
+  WriteBytes(dir.path + "/wal-00000000000000000004.log",
+             std::string(kShardedWalSegment, sizeof(kShardedWalSegment) - 1));
 
-  ShardedEngine recovered(4);
+  OnlineEngine engine;
   auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
-  ASSERT_TRUE(manager.ok());
-  auto recovery = (*manager)->Recover(PaperExample(), -1, &recovered);
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+  // The base is ignored: the snapshot holds the whole state.
+  auto recovery = (*manager)->Recover(PaperExample(), 2, &engine);
   ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
   EXPECT_TRUE(recovery->snapshot_loaded);
-  EXPECT_EQ(recovery->wal_records_replayed, 1u);
-  ASSERT_TRUE((*manager)->Close().ok());
+  EXPECT_EQ(recovery->snapshot_seq, 3u);
+  EXPECT_EQ(recovery->wal_records_replayed, 3u);
+  ASSERT_TRUE(engine.CheckInvariants().ok());
+  EXPECT_EQ(SolutionFile(engine), kShardedRecoveredSolution);
 
-  ASSERT_TRUE(recovered.CheckInvariants().ok());
-  // Canonical byte equality. (The raw export lists components shard by
-  // shard, and a recovered router knows only the live queries' groups
-  // while the live one also remembers emptied groups, so a query re-added
-  // after the checkpoint may land on another shard; the canonical form is
-  // the equivalence oracle, exactly as in tests/determinism_test.cc.)
-  EXPECT_EQ(recovered.NumQueries(), live.NumQueries());
-  EXPECT_EQ(RenderSnapshot(recovered.CanonicalState(), 0),
-            RenderSnapshot(live.CanonicalState(), 0));
+  // The next checkpoint writes the state as mc3.snapshot/1.
+  auto checkpoint = (*manager)->Checkpoint(engine.ExportState());
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  ASSERT_TRUE((*manager)->Close().ok());
+  auto loaded = LoadLatestSnapshot(dir.path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->seq, 6u);
+  std::ifstream in(loaded->path, std::ios::binary);
+  std::stringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), RenderSnapshot(engine.ExportState(), 6));
 }
 
 // ---------------------------------------------------------------------------
@@ -796,22 +1032,20 @@ std::vector<ScriptBatch> RetireReviveScript(const Instance& base,
   return script;
 }
 
-/// Applies `script` to a `shards`-way engine over `base`. After every
-/// batch it renders the engine's snapshot document, imports it into a
-/// fresh engine, replays the rest of the script there and compares the
-/// cost bytes and sorted solution with the live engine after each batch
-/// (and, on one shard, the whole snapshot). Returns the first divergence,
-/// or "" when there is none.
+/// Applies `script` to an engine over `base`. After every batch it renders
+/// the engine's snapshot document, imports it into a fresh engine, replays
+/// the rest of the script there and compares the cost bytes, the sorted
+/// solution and the whole snapshot with the live engine after each batch.
+/// Returns the first divergence, or "" when there is none.
 std::string FirstRestoreDivergence(const Instance& base,
-                                   const std::vector<ScriptBatch>& script,
-                                   uint32_t shards) {
-  ShardedEngine live(shards);
+                                   const std::vector<ScriptBatch>& script) {
+  OnlineEngine live;
   if (!live.Initialize(base).ok()) return "initialize failed";
   // Indexed by the number of batches applied.
   std::vector<std::string> snapshots, totals;
   std::vector<std::vector<PropertySet>> solutions;
   const auto record = [&] {
-    snapshots.push_back(RenderShardedSnapshot(live.ExportSharded(), 0));
+    snapshots.push_back(RenderSnapshot(live.ExportState(), 0));
     totals.push_back(CostBytes(live.TotalCost()));
     solutions.push_back(live.CurrentSolution().Sorted());
   };
@@ -825,8 +1059,8 @@ std::string FirstRestoreDivergence(const Instance& base,
         "restored after batch " + std::to_string(restored_at);
     auto parsed = ParseSnapshot(snapshots[restored_at]);
     if (!parsed.ok()) return where + ": " + parsed.status().ToString();
-    ShardedEngine restored(shards);
-    if (Status s = restored.ImportSharded(parsed->ToShardedState()); !s.ok()) {
+    OnlineEngine restored;
+    if (Status s = restored.ImportState(parsed->state); !s.ok()) {
       return where + ": " + s.ToString();
     }
     for (size_t step = restored_at + 1; step <= script.size(); ++step) {
@@ -842,9 +1076,7 @@ std::string FirstRestoreDivergence(const Instance& base,
       if (restored.CurrentSolution().Sorted() != solutions[step]) {
         return at + "solution differs";
       }
-      if (shards == 1 &&
-          RenderShardedSnapshot(restored.ExportSharded(), 0) !=
-              snapshots[step]) {
+      if (RenderSnapshot(restored.ExportState(), 0) != snapshots[step]) {
         return at + "snapshot differs";
       }
     }
@@ -856,14 +1088,10 @@ std::string FirstRestoreDivergence(const Instance& base,
 }
 
 TEST(DurabilityManagerTest, RestoreAtEveryStepReplaysLikeTheLiveEngine) {
-  for (const uint32_t shards : {1u, 4u}) {
-    for (const uint64_t seed : {44u, 68u}) {
-      const Instance base = testing::NamedShardedSynthetic(seed, 15);
-      EXPECT_EQ(
-          FirstRestoreDivergence(base, RetireReviveScript(base, seed), shards),
-          "")
-          << "seed " << seed << ", " << shards << " shard(s)";
-    }
+  for (const uint64_t seed : {44u, 68u}) {
+    const Instance base = testing::NamedShardedSynthetic(seed, 15);
+    EXPECT_EQ(FirstRestoreDivergence(base, RetireReviveScript(base, seed)), "")
+        << "seed " << seed;
   }
 }
 
@@ -881,55 +1109,7 @@ TEST(DurabilityManagerTest, RestoredFractionalCostsSumLikeTheLiveEngine) {
   const auto q = [&base](size_t i) { return base.queries()[i]; };
   const std::vector<ScriptBatch> script = {
       {{}, {q(0)}}, {{q(0)}, {}}, {{}, {q(1)}}, {{q(1)}, {q(2)}}, {{q(2)}, {}}};
-  for (const uint32_t shards : {1u, 4u}) {
-    EXPECT_EQ(FirstRestoreDivergence(base, script, shards), "")
-        << shards << " shard(s)";
-  }
-}
-
-TEST(DurabilityManagerTest, ShardedRecoveryRejectsLayoutMismatch) {
-  // A server restarted with the wrong --shards must fail loudly instead of
-  // silently resharding (resharding would break byte-stable replay).
-  ScratchDir dir("mgr_shard_mismatch");
-  {
-    auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
-    ASSERT_TRUE(manager.ok());
-    ShardedEngine live(4);
-    ASSERT_TRUE((*manager)->Recover(PaperExample(), -1, &live).ok());
-    ASSERT_TRUE((*manager)->Checkpoint(live.ExportSharded()).ok());
-    ASSERT_TRUE((*manager)->Close().ok());
-  }
-  ShardedEngine wrong(2);
-  auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
-  ASSERT_TRUE(manager.ok());
-  auto recovery = (*manager)->Recover(PaperExample(), -1, &wrong);
-  ASSERT_FALSE(recovery.ok());
-  EXPECT_EQ(recovery.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(recovery.status().ToString().find("--shards"), std::string::npos);
-}
-
-TEST(DurabilityManagerTest, LegacySnapshotRecoversIntoAOneShardEngine) {
-  // Upgrade path: a data dir checkpointed by the pre-sharding server (v1
-  // document via OnlineEngine) recovers into the 1-shard facade unchanged.
-  ScratchDir dir("mgr_v1_upgrade");
-  OnlineEngine old_engine;
-  {
-    auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
-    ASSERT_TRUE(manager.ok());
-    ASSERT_TRUE((*manager)->Recover(PaperExample(), -1, &old_engine).ok());
-    Churn(&old_engine, manager->get(), 2);
-    ASSERT_TRUE((*manager)->Checkpoint(old_engine.ExportState()).ok());
-    ASSERT_TRUE((*manager)->Close().ok());
-  }
-  ShardedEngine facade(1);
-  auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
-  ASSERT_TRUE(manager.ok());
-  auto recovery = (*manager)->Recover(PaperExample(), -1, &facade);
-  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
-  EXPECT_TRUE(recovery->snapshot_loaded);
-  ASSERT_TRUE(facade.CheckInvariants().ok());
-  EXPECT_EQ(RenderShardedSnapshot(facade.ExportSharded(), 0),
-            RenderSnapshot(old_engine.ExportState(), 0));
+  EXPECT_EQ(FirstRestoreDivergence(base, script), "");
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "online/churn.h"
 #include "online/read_view.h"
-#include "online/sharded_engine.h"
 #include "online/update_trace.h"
 #include "tests/test_util.h"
 
@@ -400,7 +399,7 @@ TEST(ChurnGeneratorTest, DeterministicAndConsistent) {
   EXPECT_EQ(a.NumLive() + a.NumRetired(), base.NumQueries());
 }
 
-TEST(OnlineEngineTest, ResolvesAndShardsShareOneNameTable) {
+TEST(OnlineEngineTest, ResolvesAndRestoresShareOneNameTable) {
   online::ShardedSyntheticConfig config;
   config.num_domains = 6;
   config.domain.num_queries = 10;
@@ -426,18 +425,14 @@ TEST(OnlineEngineTest, ResolvesAndShardsShareOneNameTable) {
   // LiveInstance builds through the same path as every re-solve.
   EXPECT_EQ(engine.LiveInstance().property_names().data(), table);
 
-  online::ShardedEngine sharded(3);
-  ASSERT_TRUE(sharded.Initialize(inst).ok());
-  for (uint32_t s = 0; s < sharded.num_shards(); ++s) {
-    EXPECT_EQ(sharded.shard(s).property_names().data(), table);
-  }
-  online::ShardedEngine restored(3);
-  ASSERT_TRUE(restored.ImportSharded(sharded.ExportSharded()).ok());
+  // A restored engine holds its own copy of the table, and its re-solves
+  // share that one.
+  OnlineEngine restored;
+  ASSERT_TRUE(restored.ImportState(engine.ExportState()).ok());
   EXPECT_EQ(restored.property_names(), inst.property_names());
-  for (uint32_t s = 0; s < restored.num_shards(); ++s) {
-    EXPECT_EQ(restored.shard(s).property_names().data(),
-              restored.property_names().data());
-  }
+  ASSERT_TRUE(restored.RemoveQueries({inst.queries()[1]}).ok());
+  EXPECT_EQ(restored.LiveInstance().property_names().data(),
+            restored.property_names().data());
 }
 
 #if !defined(MC3_OBS_DISABLED)

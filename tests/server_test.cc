@@ -35,7 +35,6 @@
 #include "obs/metrics.h"
 #include "util/float_cmp.h"
 #include "online/online_engine.h"
-#include "online/sharded_engine.h"
 #include "server/bounded_queue.h"
 #include "server/coalescer.h"
 #include "server/protocol.h"
@@ -457,7 +456,7 @@ TEST(ServerTest, OnlyABatchThatInternsReplacesTheNameTable) {
   ASSERT_TRUE(server.Start(base).ok());
   const auto table = [&server] {
     PropertyNames names;
-    server.WithShardedEngine([&names](const online::ShardedEngine& engine) {
+    server.WithEngine([&names](const online::OnlineEngine& engine) {
       names = engine.shared_property_names();
     });
     return names;
@@ -974,15 +973,14 @@ std::string UpdateRequest(int64_t id, const std::vector<PropertySet>& add,
   return writer.Take();
 }
 
-/// Runs one seeded history against a durable `shards`-way server: updates
+/// Runs one seeded history against a durable server: updates
 /// that add new queries, retire live ones and revive retired ones, solves,
 /// checkpoints taken while queries are retired, and drain+restart cycles
 /// followed by revivals. Every acknowledged update is applied to an offline
 /// engine, and every solve response must equal the one that engine's state
 /// renders.
-void RunModelHistory(uint64_t seed, uint32_t shards) {
-  SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(shards) +
-               " shard(s)");
+void RunModelHistory(uint64_t seed) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
   // Every singleton is priced, so every query over known properties is
   // coverable.
   const Instance base = testing::NamedShardedSynthetic(seed, 15);
@@ -991,7 +989,6 @@ void RunModelHistory(uint64_t seed, uint32_t shards) {
   ASSERT_TRUE(oracle.Initialize(base).ok());
   DurableDir dir("model");
   ServerOptions options = DurableOptions(dir.path);
-  options.shards = shards;
   options.default_cost = -1;  // base prices cover every query the test adds
   auto server = std::make_unique<Server>(options);
   ASSERT_TRUE(server->Start(base).ok());
@@ -1081,164 +1078,7 @@ void RunModelHistory(uint64_t seed, uint32_t shards) {
 }
 
 TEST(ServerDurabilityTest, SeededHistoriesMatchAnOfflineEngineAcrossRestarts) {
-  for (const uint32_t shards : {1u, 4u}) {
-    for (const uint64_t seed : {23u, 40u}) {
-      RunModelHistory(seed, shards);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded serving (docs/serving.md#sharded-serving).
-
-TEST(ParseShardsTest, AcceptsPositiveIntegersInRange) {
-  uint32_t shards = 0;
-  EXPECT_TRUE(ParseShards("1", &shards));
-  EXPECT_EQ(shards, 1u);
-  EXPECT_TRUE(ParseShards("4", &shards));
-  EXPECT_EQ(shards, 4u);
-  EXPECT_TRUE(ParseShards("1024", &shards));
-  EXPECT_EQ(shards, 1024u);
-}
-
-TEST(ParseShardsTest, RejectsZeroNegativeGarbageAndOverflow) {
-  // `mc3 serve --shards 0` (and friends) must be a usage error, not a
-  // silent fallback to some default.
-  uint32_t shards = 77;
-  for (const char* bad : {"0", "-1", "-4", "", "abc", "4x", "2.5", "1025",
-                          "99999999999999999999", " 4"}) {
-    EXPECT_FALSE(ParseShards(bad, &shards)) << "'" << bad << "'";
-    EXPECT_EQ(shards, 77u) << "'" << bad << "' must leave the value alone";
-  }
-}
-
-TEST(ServerTest, ShardedServerMatchesSingleShardResponses) {
-  // The equivalence contract, end to end over real sockets: the same
-  // update script against a 1-shard and a 4-shard server must produce
-  // byte-identical solve responses (canonical merge order hides the
-  // placement) at every step. Update acks are compared on their
-  // state-describing fields; per-batch work counters may legitimately
-  // differ when a cross-shard merge migrates queries.
-  ServerOptions single_options = TestOptions();
-  ServerOptions sharded_options = TestOptions();
-  sharded_options.shards = 4;
-  Server single(single_options);
-  Server sharded(sharded_options);
-  ASSERT_TRUE(single.Start(BaseInstance()).ok());
-  ASSERT_TRUE(sharded.Start(BaseInstance()).ok());
-  TestClient single_client(single.port());
-  TestClient sharded_client(sharded.port());
-  ASSERT_TRUE(single_client.connected());
-  ASSERT_TRUE(sharded_client.connected());
-
-  const std::vector<std::string> updates = {
-      R"({"op":"update","id":1,"add":[["a1","a2"],["b1","b2"]]})",
-      R"({"op":"update","id":2,"add":[["c1","c2"],["d1","d2"]]})",
-      R"({"op":"update","id":3,"remove":[["tv"]]})",
-      // Bridge two components: on the sharded server this may merge
-      // groups across shards and migrate queries.
-      R"({"op":"update","id":4,"add":[["a2","b1"],["c2","d1"]]})",
-      R"({"op":"update","id":5,"remove":[["a1","a2"],["c1","c2"]]})",
-  };
-  int step = 6;
-  for (const std::string& update : updates) {
-    const obs::JsonValue single_ack = single_client.Call(update);
-    const obs::JsonValue sharded_ack = sharded_client.Call(update);
-    ASSERT_EQ(CodeOf(single_ack), 200) << update;
-    ASSERT_EQ(CodeOf(sharded_ack), 200) << update;
-    for (const char* field : {"queries", "components", "cost",
-                              "queries_added", "queries_removed"}) {
-      ASSERT_NE(sharded_ack.Find(field), nullptr) << field;
-      EXPECT_EQ(sharded_ack.Find(field)->number,
-                single_ack.Find(field)->number)
-          << field << " after " << update;
-    }
-    // Read-your-writes equivalence after every step, byte for byte: the
-    // solution, the count-only solve (a sum of per-shard counts, not a
-    // merge) and the priced snapshot.
-    for (const char* read : {R"(,"op":"solve","solution":true})",
-                             R"(,"op":"solve"})", R"(,"op":"snapshot"})"}) {
-      const std::string request =
-          R"({"id":)" + std::to_string(step++) + read;
-      single_client.Send(request);
-      sharded_client.Send(request);
-      const std::string single_line = single_client.ReadLine();
-      EXPECT_EQ(sharded_client.ReadLine(), single_line)
-          << request << " after " << update;
-      EXPECT_NE(single_line.find(R"("code":200)"), std::string::npos)
-          << single_line;
-    }
-  }
-
-  // The stats verb exposes the sharded layout: one entry per shard, and
-  // the committed ops spread over them sum to the coalesced total.
-  const obs::JsonValue stats = sharded_client.Call(
-      R"({"op":"stats","id":99})");
-  ASSERT_EQ(CodeOf(stats), 200);
-  EXPECT_EQ(stats.Find("engine_shards")->number, 4);
-  const obs::JsonValue* shards = stats.Find("shards");
-  ASSERT_NE(shards, nullptr);
-  ASSERT_TRUE(shards->is_array());
-  ASSERT_EQ(shards->array.size(), 4u);
-  double shard_ops = 0;
-  for (const obs::JsonValue& entry : shards->array) {
-    shard_ops += entry.Find("ops")->number;
-  }
-  EXPECT_GT(shard_ops, 0);
-  const obs::JsonValue single_stats =
-      single_client.Call(R"({"op":"stats","id":99})");
-  EXPECT_EQ(single_stats.Find("engine_shards")->number, 1);
-
-  single.RequestDrain();
-  sharded.RequestDrain();
-  single.Join();
-  sharded.Join();
-}
-
-TEST(ServerTest, ShardedServerSurvivesConcurrentClients) {
-  // The shard-worker fan-out path under real concurrency (the TSan job
-  // runs this): multiple clients, cross-client property overlap, then a
-  // canonical solution identical to a 1-shard offline replay of the final
-  // live set.
-  ServerOptions options = TestOptions();
-  options.shards = 4;
-  options.engine.solver_options.num_threads = 1;
-  Server server(options);
-  ASSERT_TRUE(server.Start(BaseInstance()).ok());
-
-  constexpr size_t kClients = 4;
-  constexpr size_t kOpsPerClient = 10;
-  std::atomic<uint64_t> non_ok{0};
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([c, port = server.port(), &non_ok] {
-      TestClient client(port);
-      ASSERT_TRUE(client.connected());
-      for (size_t i = 0; i < kOpsPerClient; ++i) {
-        const std::string mine = ClientProperty('s', c, i % 3);
-        const std::string line = R"({"op":"update","id":)" +
-                                 std::to_string(i) + R"(,"add":[[")" + mine +
-                                 R"(","shared_)" + std::to_string(i % 2) +
-                                 R"("]]})";
-        if (CodeOf(client.Call(line)) != 200) non_ok.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  EXPECT_EQ(non_ok.load(), 0u);
-  server.RequestDrain();
-  server.Join();
-
-  const ServerStats stats = server.GetStats();
-  ASSERT_EQ(stats.shards.size(), 4u);
-  uint64_t shard_ops = 0;
-  for (const ShardStats& shard : stats.shards) shard_ops += shard.ops;
-  EXPECT_GT(shard_ops, 0u);
-
-  server.WithShardedEngine([&](const online::ShardedEngine& engine) {
-    ASSERT_TRUE(engine.CheckInvariants().ok());
-  });
+  for (const uint64_t seed : {23u, 40u}) RunModelHistory(seed);
 }
 
 // ---------------------------------------------------------------------------
@@ -1398,54 +1238,17 @@ TEST(ServerTelemetryTest, CheckpointsRecordTheirStage) {
   server.Join();
 }
 
-TEST(ServerTelemetryTest, ShardedMetricsExposePerShardSeries) {
-  ServerOptions options = TestOptions();
-  options.shards = 2;
-  Server server(options);
-  ASSERT_TRUE(server.Start(BaseInstance()).ok());
-  TestClient client(server.port());
-  ASSERT_TRUE(client.connected());
-
-  ASSERT_EQ(CodeOf(client.Call(
-                R"({"op":"update","id":1,"add":[["blue","sofa"]]})")),
-            200);
-  const obs::JsonValue metrics = client.Call(R"({"op":"metrics","id":2})");
-  ASSERT_EQ(CodeOf(metrics), 200);
-  auto samples = obs::ParseExposition(metrics.Find("body")->string);
-  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
-
-  const obs::ParsedSample* shards =
-      obs::FindSample(*samples, "mc3_server_engine_shards");
-  ASSERT_NE(shards, nullptr);
-  EXPECT_EQ(shards->value, 2);
-  double shard_ops = 0;
-  for (int s = 0; s < 2; ++s) {
-    const obs::ParsedSample* ops = obs::FindSample(
-        *samples, "mc3_server_shard_ops", {{"shard", std::to_string(s)}});
-    ASSERT_NE(ops, nullptr) << "shard " << s;
-    shard_ops += ops->value;
-    EXPECT_NE(obs::FindSample(*samples, "mc3_server_shard_queue_depth_max",
-                              {{"shard", std::to_string(s)}}),
-              nullptr);
-  }
-  EXPECT_GE(shard_ops, 1);  // the update's add landed on some shard
-
-  server.RequestDrain();
-  server.Join();
-}
-
-// The acceptance-criteria run: a sharded durable server with every request
-// sampled produces a trace file in which one update's spans connect parse ->
+// The acceptance-criteria run: a durable server with every request sampled
+// produces a trace file in which one update's spans connect parse ->
 // queue_wait -> coalesce -> shard_apply -> publish -> wal_durable ->
-// serialize with flow events across connection, engine/shard and
+// serialize with flow events across connection, engine-worker and
 // WAL-committer threads.
-TEST(ServerTelemetryTest, ShardedDurableRunConnectsSpansAcrossThreads) {
+TEST(ServerTelemetryTest, DurableRunConnectsSpansAcrossThreads) {
   if (!obs::kObsEnabled) return;  // tracing compiles away under MC3_OBS=OFF
   DurableDir dir("trace");
   ServerOptions options = DurableOptions(dir.path);
   // Group commit so durability lands on the dedicated committer thread.
   options.durability.wal.sync = durability::WalOptions::SyncPolicy::kGrouped;
-  options.shards = 2;
   options.trace_sample = 1;
   options.trace_out_dir = dir.path + "/traces";
   Server server(options);
@@ -1544,14 +1347,8 @@ TEST(ServerTelemetryTest, ShardedDurableRunConnectsSpansAcrossThreads) {
     named.insert(it->second);
   }
   EXPECT_EQ(named.count("conn"), 1u);
+  EXPECT_EQ(named.count("engine-worker"), 1u);
   EXPECT_EQ(named.count("wal-committer"), 1u);
-  bool saw_engine_side = false;
-  for (const std::string& name : named) {
-    if (name == "engine-worker" || name.rfind("shard-", 0) == 0) {
-      saw_engine_side = true;
-    }
-  }
-  EXPECT_TRUE(saw_engine_side);
 }
 
 TEST(ServerTelemetryTest, TracingOffKeepsResponsesFreeOfTraceIds) {

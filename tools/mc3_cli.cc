@@ -23,7 +23,7 @@
 //
 //   mc3 serve <workload.csv> --trace <trace.txt> [--solver NAME]
 //             [--threads N] [--batch N] [--default-cost D]
-//             [--verify-every N] [--verbose]
+//             [--verify-every N] [--verbose] [--solution-out F]
 //       Load the workload into the incremental serving engine and replay an
 //       update trace ('+ props...' adds a query, '- props...' removes one;
 //       see src/online/update_trace.h), re-solving only the dirty
@@ -38,7 +38,7 @@
 //   mc3 serve <workload.csv> --listen <port> [--port-file F]
 //             [--queue-capacity N] [--watermark N] [--max-batch N]
 //             [--workers N] [--solver NAME] [--threads N]
-//             [--default-cost D]
+//             [--default-cost D] [--data-dir DIR] [...]
 //       Network mode: load the workload into the incremental engine and
 //       serve it over a line-delimited-JSON TCP protocol (src/server/,
 //       docs/serving.md) until a shutdown request or SIGTERM/SIGINT drains
@@ -46,10 +46,11 @@
 //       bound port for scripts. --queue-capacity/--watermark bound the
 //       engine-op queue (admission control answers 429 above the
 //       watermark); --max-batch caps update coalescing; --workers sizes
-//       the connection pool. --trace-sample N records every Nth request's
-//       pipeline spans; with --trace-out DIR a Chrome trace-event JSON
-//       file is written on drain (docs/observability.md, "Serving
-//       telemetry").
+//       the connection pool. --data-dir and the --wal-*/--checkpoint-*
+//       flags make it durable (docs/durability.md). --trace-sample N
+//       records every Nth request's pipeline spans; with --trace-out DIR a
+//       Chrome trace-event JSON file is written on drain
+//       (docs/observability.md, "Serving telemetry").
 //
 //   mc3 bench [--quick] [--seed S] [--report out.json] [--repeat N]
 //             [--warmup N] [--filter SUBSTR]
@@ -66,8 +67,12 @@
 //       cases whose name contains SUBSTR. Diff two reports (or gate against
 //       a committed baseline) with tools/mc3_benchdiff.
 //
-//   `solve` and `serve` additionally accept --report <out.json> to export a
-//   mc3.solve_report/1 document (phase trace + metrics snapshot) of the run.
+//   `solve` and `serve --trace` additionally accept --report <out.json> to
+//   export a mc3.solve_report/1 document (phase trace + metrics snapshot)
+//   of the run.
+//
+// Each command accepts exactly the flags of its usage line; any other flag
+// is a usage error that names it.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage error.
 #include <unistd.h>
@@ -79,6 +84,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -102,7 +108,6 @@
 #include "online/update_trace.h"
 #include "server/server.h"
 #include "util/timer.h"
-#include "util/float_cmp.h"
 
 namespace {
 
@@ -115,6 +120,7 @@ int Usage() {
       "  mc3 stats <workload.csv>\n"
       "  mc3 solve <workload.csv> [--solver NAME] [--no-preprocess]\n"
       "            [--threads N] [--exact-components N] [--plan]\n"
+      "            [--out plan.csv]\n"
       "  mc3 generate --dataset bestbuy|private|synthetic [--n N]\n"
       "            [--seed S] -o <out.csv>\n"
       "  mc3 preprocess <workload.csv>\n"
@@ -125,7 +131,6 @@ int Usage() {
       "  mc3 serve <workload.csv> --listen <port> [--port-file F]\n"
       "            [--queue-capacity N] [--watermark N] [--max-batch N]\n"
       "            [--workers N] [--solver NAME] [--threads N]\n"
-      "            [--shards N] [--pin-cores]\n"
       "            [--default-cost D] [--data-dir DIR]\n"
       "            [--wal-sync grouped|immediate|none] [--wal-group-ms MS]\n"
       "            [--checkpoint-every N] [--checkpoint-interval SECS]\n"
@@ -133,12 +138,11 @@ int Usage() {
       "            [--trace-sample N] [--trace-out DIR]\n"
       "  mc3 recover <workload.csv> --data-dir DIR [--solver NAME]\n"
       "            [--threads N] [--default-cost D] [--solution-out F]\n"
-      "            [--shards N (0 = adopt the snapshot layout)]\n"
       "  mc3 wal dump --data-dir DIR [--after SEQ] [-o out.txt]\n"
       "  mc3 wal stats --data-dir DIR\n"
       "  mc3 bench [--quick] [--seed S] [--report out.json] [--repeat N]\n"
       "            [--warmup N] [--filter SUBSTR]\n"
-      "(solve and serve also accept --report <out.json>)\n");
+      "(solve and serve --trace also accept --report <out.json>)\n");
   return 2;
 }
 
@@ -213,11 +217,8 @@ bool ParseSolverKind(const std::string& name,
 /// interleavings — live serving vs. WAL replay (`mc3 recover`) vs. offline
 /// trace replay — render byte-identical files, which is what
 /// scripts/recover_smoke.sh diffs.
-/// Templated over the engine type: `mc3 recover` renders through the
-/// sharded facade (whose merged CurrentSolution dedupes across shards) and
-/// everything else through a plain OnlineEngine.
-template <typename EngineT>
-Result<std::string> RenderCanonicalSolution(const EngineT& engine) {
+Result<std::string> RenderCanonicalSolution(
+    const online::OnlineEngine& engine) {
   const std::vector<std::string>& names = engine.property_names();
   std::vector<std::pair<std::vector<std::string>, Cost>> rows;
   for (const PropertySet& classifier : engine.CurrentSolution().Sorted()) {
@@ -486,17 +487,12 @@ int CmdServeListen(const std::string& workload_path,
                 recovery.torn_tail ? ", torn tail dropped" : "",
                 1e3 * recovery.recovery_seconds);
   }
-  server.WithShardedEngine([&](const online::ShardedEngine& engine) {
+  server.WithEngine([&](const online::OnlineEngine& engine) {
     std::printf("listening:  %s:%u (%zu queries, %zu components, "
                 "cost %.2f)\n",
                 server_options.host.c_str(), server.port(),
                 engine.NumQueries(), engine.NumComponents(),
                 engine.TotalCost());
-    if (engine.num_shards() > 1) {
-      std::printf("sharded:    %u engine shards%s\n", engine.num_shards(),
-                  server_options.pin_cores ? ", workers pinned to cores"
-                                           : "");
-    }
   });
   std::fflush(stdout);
   if (!config.port_file.empty()) {
@@ -556,16 +552,7 @@ int CmdServeListen(const std::string& workload_path,
                 trace_file.c_str());
   }
   int exit_code = 0;
-  server.WithShardedEngine([&](const online::ShardedEngine& engine) {
-    if (engine.num_shards() > 1) {
-      for (size_t s = 0; s < stats.shards.size(); ++s) {
-        std::printf("shard %zu:    %llu batches, %llu ops\n", s,
-                    static_cast<unsigned long long>(stats.shards[s].batches),
-                    static_cast<unsigned long long>(stats.shards[s].ops));
-      }
-      std::printf("migrated:   %llu queries between shards\n",
-                  static_cast<unsigned long long>(stats.migrated));
-    }
+  server.WithEngine([&](const online::OnlineEngine& engine) {
     std::printf("final:      %zu queries, %zu components, cost %.2f\n",
                 engine.NumQueries(), engine.NumComponents(),
                 engine.TotalCost());
@@ -608,37 +595,23 @@ int CmdServe(const std::string& workload_path, const std::string& trace_path,
   std::printf("trace:      %zu operations (%zu lines skipped)\n",
               trace->ops.size(), trace->skipped_lines);
 
-  // Price classifiers the trace introduces but the workload doesn't know.
+  // Price classifiers the trace introduces but the workload doesn't know,
+  // exactly as the live server and WAL replay do.
   if (config.default_cost >= 0) {
-    Instance added;
-    added.share_property_names(engine.shared_property_names());
+    std::vector<PropertySet> added;
     std::unordered_set<PropertySet, PropertySetHash> seen;
     for (const online::TraceOp& op : trace->ops) {
       if (op.kind == online::TraceOp::Kind::kAdd &&
           seen.insert(op.query).second) {
-        added.AddQuery(op.query);
+        added.push_back(op.query);
       }
     }
-    data::CostEstimatorOptions estimator;
-    estimator.default_difficulty = config.default_cost;
-    if (Status status = data::EstimateCosts(&added, estimator);
-        !status.ok()) {
-      return Fail(status);
-    }
-    size_t priced = 0;
-    const ClassifierStore& costs = added.costs();
-    for (ClassifierId id : costs.ids()) {
-      const PropertySet classifier = costs.Classifier(id);
-      if (!IsInfiniteCost(engine.CostOf(classifier))) continue;
-      if (Status status = engine.SetCost(classifier, costs.cost(id));
-          !status.ok()) {
-        return Fail(status);
-      }
-      ++priced;
-    }
+    auto priced =
+        durability::PriceUnknown(added, config.default_cost, &engine);
+    if (!priced.ok()) return Fail(priced.status());
     std::printf("priced:     %zu new classifiers at default difficulty "
                 "%.2f\n",
-                priced, config.default_cost);
+                *priced, config.default_cost);
   }
 
   const size_t batch_size = std::max<size_t>(1, config.batch);
@@ -741,12 +714,10 @@ int CmdServe(const std::string& workload_path, const std::string& trace_path,
 /// start would, verifies invariants and reports what was recovered. With
 /// --solution-out, writes the canonical solution for equivalence checks
 /// (scripts/recover_smoke.sh diffs it against an offline trace replay).
-/// `shards` = 0 adopts the snapshot's recorded layout (1 when no snapshot
-/// exists); a positive count forces that layout and fails when a snapshot
-/// disagrees. Opens the directory's WAL for writing — a torn tail is
-/// truncated — so do not point it at a live server's data dir.
+/// Opens the directory's WAL for writing — a torn tail is truncated — so do
+/// not point it at a live server's data dir.
 int CmdRecover(const std::string& workload_path, const ServeConfig& config,
-               const std::string& data_dir, uint32_t shards) {
+               const std::string& data_dir) {
   auto instance = Load(workload_path);
   if (!instance.ok()) return Fail(instance.status());
 
@@ -757,17 +728,7 @@ int CmdRecover(const std::string& workload_path, const ServeConfig& config,
     return 2;
   }
   options.solver_options.num_threads = config.threads;
-  if (shards == 0) {
-    auto probed = durability::ProbeSnapshotShardCount(data_dir);
-    if (probed.ok()) {
-      shards = *probed;
-    } else if (probed.status().code() == StatusCode::kNotFound) {
-      shards = 1;  // no snapshot yet: the WAL replays into any layout
-    } else {
-      return Fail(probed.status());
-    }
-  }
-  online::ShardedEngine engine(shards, options);
+  online::OnlineEngine engine(options);
 
   durability::DurabilityOptions durability_options;
   durability_options.data_dir = data_dir;
@@ -789,9 +750,6 @@ int CmdRecover(const std::string& workload_path, const ServeConfig& config,
               static_cast<unsigned long long>(recovery->wal_last_seq),
               recovery->torn_tail ? ", torn tail dropped" : "",
               1e3 * recovery->recovery_seconds);
-  if (engine.num_shards() > 1) {
-    std::printf("sharded:    %u engine shards\n", engine.num_shards());
-  }
   std::printf("final:      %zu queries, %zu components, cost %.2f "
               "(invariants ok)\n",
               engine.NumQueries(), engine.NumComponents(), engine.TotalCost());
@@ -1218,156 +1176,203 @@ int CmdBench(const BenchConfig& config) {
   return 0;
 }
 
+/// One flag of a command's usage line.
+struct Flag {
+  const char* name;
+  bool takes_value;
+};
+
+/// A command's arguments, checked against the flags of its usage line.
+class Args {
+ public:
+  /// Splits `args` into flags (each known to `flags`) and positionals.
+  /// Prints the offending argument and returns nullopt on an unknown flag
+  /// or a value flag in last position.
+  static std::optional<Args> Parse(const std::string& command,
+                                   const std::vector<std::string>& args,
+                                   std::initializer_list<Flag> flags) {
+    Args out;
+    for (size_t i = 0; i < args.size(); ++i) {
+      const std::string& arg = args[i];
+      if (arg.size() < 2 || arg[0] != '-') {
+        out.positionals_.push_back(arg);
+        continue;
+      }
+      const Flag* flag = nullptr;
+      for (const Flag& f : flags) {
+        if (arg == f.name) flag = &f;
+      }
+      if (flag == nullptr) {
+        std::fprintf(stderr, "mc3 %s: unknown flag '%s'\n", command.c_str(),
+                     arg.c_str());
+        return std::nullopt;
+      }
+      if (!flag->takes_value) {
+        out.values_.emplace_back(arg, "");
+      } else if (i + 1 < args.size()) {
+        out.values_.emplace_back(arg, args[++i]);
+      } else {
+        std::fprintf(stderr, "mc3 %s: flag '%s' needs a value\n",
+                     command.c_str(), arg.c_str());
+        return std::nullopt;
+      }
+    }
+    return out;
+  }
+
+  /// The value of the first occurrence of `flag`, or nullptr.
+  const std::string* value(const std::string& flag) const {
+    for (const auto& [name, value] : values_) {
+      if (name == flag) return &value;
+    }
+    return nullptr;
+  }
+  bool has(const std::string& flag) const { return value(flag) != nullptr; }
+  /// The first positional argument, or nullptr.
+  const std::string* positional() const {
+    return positionals_.empty() ? nullptr : &positionals_.front();
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::string>> values_;
+  std::vector<std::string> positionals_;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
+  const std::vector<std::string> raw(argv + 2, argv + argc);
 
-  auto flag_value = [&](const std::string& flag) -> const std::string* {
-    for (size_t i = 0; i + 1 < args.size(); ++i) {
-      if (args[i] == flag) return &args[i + 1];
-    }
-    return nullptr;
-  };
-  auto has_flag = [&](const std::string& flag) {
-    for (const auto& a : args) {
-      if (a == flag) return true;
-    }
-    return false;
-  };
-  auto positional = [&]() -> const std::string* {
-    for (size_t i = 0; i < args.size(); ++i) {
-      if (args[i].rfind("--", 0) == 0) {
-        ++i;  // skip the flag's value
-        continue;
-      }
-      if (i > 0 && args[i - 1].rfind("--", 0) == 0 &&
-          (args[i - 1] == "--solver" || args[i - 1] == "--n" ||
-           args[i - 1] == "--seed" || args[i - 1] == "--dataset" ||
-           args[i - 1] == "--threads" || args[i - 1] == "--exact-components" ||
-           args[i - 1] == "--default-cost" || args[i - 1] == "--out" ||
-           args[i - 1] == "--trace" || args[i - 1] == "--batch" ||
-           args[i - 1] == "--verify-every" || args[i - 1] == "--report" ||
-           args[i - 1] == "--repeat" || args[i - 1] == "--warmup" ||
-           args[i - 1] == "--filter" || args[i - 1] == "--listen" ||
-           args[i - 1] == "--port-file" || args[i - 1] == "--queue-capacity" ||
-           args[i - 1] == "--watermark" || args[i - 1] == "--max-batch" ||
-           args[i - 1] == "--workers" || args[i - 1] == "--shards" ||
-           args[i - 1] == "--data-dir" || args[i - 1] == "--wal-sync" ||
-           args[i - 1] == "--wal-group-ms" ||
-           args[i - 1] == "--checkpoint-every" ||
-           args[i - 1] == "--checkpoint-interval" ||
-           args[i - 1] == "--record-trace" ||
-           args[i - 1] == "--trace-sample" || args[i - 1] == "--trace-out" ||
-           args[i - 1] == "--solution-out" || args[i - 1] == "--after" ||
-           args[i - 1] == "-o")) {
-        continue;
-      }
-      return &args[i];
-    }
-    return nullptr;
-  };
-
-  if (command == "stats") {
-    const std::string* path = positional();
-    if (path == nullptr) return Usage();
-    return CmdStats(*path);
+  if (command == "stats" || command == "preprocess") {
+    const auto args = Args::Parse(command, raw, {});
+    if (!args || args->positional() == nullptr) return Usage();
+    return command == "stats" ? CmdStats(*args->positional())
+                              : CmdPreprocess(*args->positional());
   }
   if (command == "solve") {
-    const std::string* path = positional();
-    if (path == nullptr) return Usage();
-    const std::string* solver = flag_value("--solver");
+    const auto args =
+        Args::Parse(command, raw,
+                    {{"--solver", true}, {"--no-preprocess", false},
+                     {"--threads", true}, {"--exact-components", true},
+                     {"--plan", false}, {"--out", true}, {"--report", true}});
+    if (!args || args->positional() == nullptr) return Usage();
+    const std::string* solver = args->value("--solver");
     SolverOptions options;
-    if (has_flag("--no-preprocess")) options.preprocess = false;
-    if (const std::string* threads = flag_value("--threads")) {
+    if (args->has("--no-preprocess")) options.preprocess = false;
+    if (const std::string* threads = args->value("--threads")) {
       options.num_threads = std::strtoul(threads->c_str(), nullptr, 10);
     }
-    if (const std::string* ec = flag_value("--exact-components")) {
+    if (const std::string* ec = args->value("--exact-components")) {
       options.exact_component_max_queries =
           std::strtoul(ec->c_str(), nullptr, 10);
     }
-    const std::string* out = flag_value("--out");
-    const std::string* report = flag_value("--report");
-    return CmdSolve(*path, solver != nullptr ? *solver : "auto", options,
-                    has_flag("--plan"), out != nullptr ? *out : "",
+    const std::string* out = args->value("--out");
+    const std::string* report = args->value("--report");
+    return CmdSolve(*args->positional(), solver != nullptr ? *solver : "auto",
+                    options, args->has("--plan"), out != nullptr ? *out : "",
                     report != nullptr ? *report : "");
   }
   if (command == "generate") {
-    const std::string* dataset = flag_value("--dataset");
-    const std::string* out = flag_value("-o");
+    const auto args = Args::Parse(
+        command, raw,
+        {{"--dataset", true}, {"--n", true}, {"--seed", true}, {"-o", true}});
+    if (!args) return Usage();
+    const std::string* dataset = args->value("--dataset");
+    const std::string* out = args->value("-o");
     if (dataset == nullptr || out == nullptr) return Usage();
     size_t n = 0;
     uint64_t seed = 1;
-    if (const std::string* v = flag_value("--n")) {
+    if (const std::string* v = args->value("--n")) {
       n = std::strtoul(v->c_str(), nullptr, 10);
     }
-    if (const std::string* v = flag_value("--seed")) {
+    if (const std::string* v = args->value("--seed")) {
       seed = std::strtoull(v->c_str(), nullptr, 10);
     }
     return CmdGenerate(*dataset, n, seed, *out);
   }
-  if (command == "preprocess") {
-    const std::string* path = positional();
-    if (path == nullptr) return Usage();
-    return CmdPreprocess(*path);
-  }
   if (command == "serve") {
-    const std::string* path = positional();
-    const std::string* trace = flag_value("--trace");
-    const std::string* listen = flag_value("--listen");
+    // The two modes have their own usage lines; --listen picks the network
+    // one.
+    const bool listening =
+        std::find(raw.begin(), raw.end(), "--listen") != raw.end();
+    const auto args =
+        listening
+            ? Args::Parse(command, raw,
+                          {{"--listen", true},
+                           {"--port-file", true},
+                           {"--queue-capacity", true},
+                           {"--watermark", true},
+                           {"--max-batch", true},
+                           {"--workers", true},
+                           {"--solver", true},
+                           {"--threads", true},
+                           {"--default-cost", true},
+                           {"--data-dir", true},
+                           {"--wal-sync", true},
+                           {"--wal-group-ms", true},
+                           {"--checkpoint-every", true},
+                           {"--checkpoint-interval", true},
+                           {"--keep-wal-segments", false},
+                           {"--record-trace", true},
+                           {"--trace-sample", true},
+                           {"--trace-out", true}})
+            : Args::Parse(command, raw,
+                          {{"--trace", true},
+                           {"--solver", true},
+                           {"--threads", true},
+                           {"--batch", true},
+                           {"--default-cost", true},
+                           {"--verify-every", true},
+                           {"--verbose", false},
+                           {"--solution-out", true},
+                           {"--report", true}});
+    if (!args) return Usage();
+    const std::string* path = args->positional();
+    const std::string* trace = args->value("--trace");
+    const std::string* listen = args->value("--listen");
     if (path == nullptr || (trace == nullptr && listen == nullptr)) {
       return Usage();
     }
     ServeConfig config;
-    if (const std::string* v = flag_value("--solver")) config.solver = *v;
-    if (const std::string* v = flag_value("--threads")) {
+    if (const std::string* v = args->value("--solver")) config.solver = *v;
+    if (const std::string* v = args->value("--threads")) {
       config.threads = std::strtoul(v->c_str(), nullptr, 10);
     }
-    if (const std::string* v = flag_value("--batch")) {
+    if (const std::string* v = args->value("--batch")) {
       config.batch = std::strtoul(v->c_str(), nullptr, 10);
     }
-    if (const std::string* v = flag_value("--default-cost")) {
+    if (const std::string* v = args->value("--default-cost")) {
       config.default_cost = std::strtod(v->c_str(), nullptr);
     }
-    if (const std::string* v = flag_value("--verify-every")) {
+    if (const std::string* v = args->value("--verify-every")) {
       config.verify_every = std::strtoul(v->c_str(), nullptr, 10);
     }
-    config.verbose = has_flag("--verbose");
-    if (const std::string* v = flag_value("--report")) config.report = *v;
-    if (const std::string* v = flag_value("--solution-out")) {
+    config.verbose = args->has("--verbose");
+    if (const std::string* v = args->value("--report")) config.report = *v;
+    if (const std::string* v = args->value("--solution-out")) {
       config.solution_out = *v;
     }
     if (listen != nullptr) {
       config.listen = std::strtol(listen->c_str(), nullptr, 10);
       if (config.listen < 0 || config.listen > 65535) return Usage();
-      if (const std::string* v = flag_value("--port-file")) {
+      if (const std::string* v = args->value("--port-file")) {
         config.port_file = *v;
       }
-      if (const std::string* v = flag_value("--queue-capacity")) {
+      if (const std::string* v = args->value("--queue-capacity")) {
         config.queue_capacity = std::strtoul(v->c_str(), nullptr, 10);
       }
-      if (const std::string* v = flag_value("--watermark")) {
+      if (const std::string* v = args->value("--watermark")) {
         config.watermark = std::strtoul(v->c_str(), nullptr, 10);
       }
-      if (const std::string* v = flag_value("--max-batch")) {
+      if (const std::string* v = args->value("--max-batch")) {
         config.max_batch = std::strtoul(v->c_str(), nullptr, 10);
       }
-      if (const std::string* v = flag_value("--workers")) {
+      if (const std::string* v = args->value("--workers")) {
         config.workers = std::strtoul(v->c_str(), nullptr, 10);
       }
       server::ServerOptions server_options;
-      if (const std::string* v = flag_value("--shards")) {
-        if (!server::ParseShards(*v, &server_options.shards)) {
-          std::fprintf(stderr,
-                       "invalid --shards '%s': need a positive shard count "
-                       "(at most 1024)\n",
-                       v->c_str());
-          return Usage();
-        }
-      }
-      server_options.pin_cores = has_flag("--pin-cores");
       server_options.port = static_cast<uint16_t>(config.listen);
       server_options.queue_capacity = config.queue_capacity;
       server_options.admission_watermark = config.watermark;
@@ -1380,10 +1385,10 @@ int main(int argc, char** argv) {
         return 2;
       }
       server_options.engine.solver_options.num_threads = config.threads;
-      if (const std::string* v = flag_value("--data-dir")) {
+      if (const std::string* v = args->value("--data-dir")) {
         server_options.durability.data_dir = *v;
       }
-      if (const std::string* v = flag_value("--wal-sync")) {
+      if (const std::string* v = args->value("--wal-sync")) {
         if (*v == "grouped") {
           server_options.durability.wal.sync =
               durability::WalOptions::SyncPolicy::kGrouped;
@@ -1398,26 +1403,27 @@ int main(int argc, char** argv) {
           return 2;
         }
       }
-      if (const std::string* v = flag_value("--wal-group-ms")) {
+      if (const std::string* v = args->value("--wal-group-ms")) {
         server_options.durability.wal.group_window_ms =
             std::strtod(v->c_str(), nullptr);
       }
-      if (const std::string* v = flag_value("--checkpoint-every")) {
+      if (const std::string* v = args->value("--checkpoint-every")) {
         server_options.durability.checkpoint_every_updates =
             std::strtoull(v->c_str(), nullptr, 10);
       }
-      if (const std::string* v = flag_value("--checkpoint-interval")) {
+      if (const std::string* v = args->value("--checkpoint-interval")) {
         server_options.durability.checkpoint_interval_s =
             std::strtod(v->c_str(), nullptr);
       }
-      server_options.durability.keep_segments = has_flag("--keep-wal-segments");
-      if (const std::string* v = flag_value("--record-trace")) {
+      server_options.durability.keep_segments =
+          args->has("--keep-wal-segments");
+      if (const std::string* v = args->value("--record-trace")) {
         server_options.record_trace_path = *v;
       }
-      if (const std::string* v = flag_value("--trace-sample")) {
+      if (const std::string* v = args->value("--trace-sample")) {
         server_options.trace_sample = std::strtoull(v->c_str(), nullptr, 10);
       }
-      if (const std::string* v = flag_value("--trace-out")) {
+      if (const std::string* v = args->value("--trace-out")) {
         server_options.trace_out_dir = *v;
       }
       return CmdServeListen(*path, config, server_options);
@@ -1425,74 +1431,85 @@ int main(int argc, char** argv) {
     return CmdServe(*path, *trace, config);
   }
   if (command == "recover") {
-    const std::string* path = positional();
-    const std::string* data_dir = flag_value("--data-dir");
+    const auto args = Args::Parse(
+        command, raw,
+        {{"--data-dir", true}, {"--solver", true}, {"--threads", true},
+         {"--default-cost", true}, {"--solution-out", true}});
+    if (!args) return Usage();
+    const std::string* path = args->positional();
+    const std::string* data_dir = args->value("--data-dir");
     if (path == nullptr || data_dir == nullptr) return Usage();
     ServeConfig config;
-    if (const std::string* v = flag_value("--solver")) config.solver = *v;
-    if (const std::string* v = flag_value("--threads")) {
+    if (const std::string* v = args->value("--solver")) config.solver = *v;
+    if (const std::string* v = args->value("--threads")) {
       config.threads = std::strtoul(v->c_str(), nullptr, 10);
     }
-    if (const std::string* v = flag_value("--default-cost")) {
+    if (const std::string* v = args->value("--default-cost")) {
       config.default_cost = std::strtod(v->c_str(), nullptr);
     }
-    if (const std::string* v = flag_value("--solution-out")) {
+    if (const std::string* v = args->value("--solution-out")) {
       config.solution_out = *v;
     }
-    uint32_t shards = 0;  // adopt the snapshot's layout
-    if (const std::string* v = flag_value("--shards"); v != nullptr &&
-                                                       *v != "0") {
-      if (!server::ParseShards(*v, &shards)) {
-        std::fprintf(stderr,
-                     "invalid --shards '%s': need a positive shard count "
-                     "(at most 1024), or 0 to adopt the snapshot layout\n",
-                     v->c_str());
-        return Usage();
-      }
-    }
-    return CmdRecover(*path, config, *data_dir, shards);
+    return CmdRecover(*path, config, *data_dir);
   }
   if (command == "wal") {
-    const std::string* verb = positional();
-    const std::string* data_dir = flag_value("--data-dir");
-    if (verb == nullptr || data_dir == nullptr) return Usage();
+    // The verb picks the usage line: `dump` takes --after and -o, `stats`
+    // only --data-dir.
+    auto args = Args::Parse(
+        "wal", raw, {{"--data-dir", true}, {"--after", true}, {"-o", true}});
+    if (!args || args->positional() == nullptr) return Usage();
+    if (*args->positional() != "dump") {
+      args = Args::Parse("wal", raw, {{"--data-dir", true}});
+      if (!args) return Usage();
+    }
+    const std::string* verb = args->positional();
+    const std::string* data_dir = args->value("--data-dir");
+    if (data_dir == nullptr) return Usage();
     if (*verb == "dump") {
       uint64_t after = 0;
-      if (const std::string* v = flag_value("--after")) {
+      if (const std::string* v = args->value("--after")) {
         after = std::strtoull(v->c_str(), nullptr, 10);
       }
-      const std::string* out = flag_value("-o");
+      const std::string* out = args->value("-o");
       return CmdWalDump(*data_dir, after, out != nullptr ? *out : "");
     }
     if (*verb == "stats") return CmdWalStats(*data_dir);
     return Usage();
   }
   if (command == "bench") {
+    const auto args = Args::Parse(
+        command, raw,
+        {{"--quick", false}, {"--seed", true}, {"--report", true},
+         {"--repeat", true}, {"--warmup", true}, {"--filter", true}});
+    if (!args) return Usage();
     BenchConfig config;
-    config.quick = has_flag("--quick");
-    if (const std::string* v = flag_value("--seed")) {
+    config.quick = args->has("--quick");
+    if (const std::string* v = args->value("--seed")) {
       config.seed = std::strtoull(v->c_str(), nullptr, 10);
     }
-    if (const std::string* v = flag_value("--report")) {
+    if (const std::string* v = args->value("--report")) {
       config.report_path = *v;
     }
-    if (const std::string* v = flag_value("--repeat")) {
+    if (const std::string* v = args->value("--repeat")) {
       config.repeat = std::strtoul(v->c_str(), nullptr, 10);
     }
-    if (const std::string* v = flag_value("--warmup")) {
+    if (const std::string* v = args->value("--warmup")) {
       config.warmup = std::strtoul(v->c_str(), nullptr, 10);
     }
-    if (const std::string* v = flag_value("--filter")) {
+    if (const std::string* v = args->value("--filter")) {
       config.filter = *v;
     }
     return CmdBench(config);
   }
   if (command == "ingest") {
-    const std::string* path = positional();
-    const std::string* out = flag_value("-o");
+    const auto args = Args::Parse(command, raw,
+                                  {{"-o", true}, {"--default-cost", true}});
+    if (!args) return Usage();
+    const std::string* path = args->positional();
+    const std::string* out = args->value("-o");
     if (path == nullptr || out == nullptr) return Usage();
     Cost default_cost = 5;
-    if (const std::string* v = flag_value("--default-cost")) {
+    if (const std::string* v = args->value("--default-cost")) {
       default_cost = std::strtod(v->c_str(), nullptr);
     }
     return CmdIngest(*path, *out, default_cost);

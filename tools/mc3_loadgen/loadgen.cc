@@ -598,22 +598,6 @@ Result<LoadReport> RunLoadGen(const LoadGenOptions& options) {
       report.server_requests = FieldAsInt(*stats, "requests");
       report.server_responses = FieldAsInt(*stats, "responses");
       report.server_rejected = FieldAsInt(*stats, "rejected");
-      // Sharding counters are additive to the stats verb: absent on a
-      // pre-sharding server, so missing fields simply stay 0.
-      report.server_engine_shards = FieldAsInt(*stats, "engine_shards");
-      report.server_migrated = FieldAsInt(*stats, "migrated");
-      if (const obs::JsonValue* shards = stats->Find("shards");
-          shards != nullptr && shards->is_array()) {
-        for (const obs::JsonValue& entry : shards->array) {
-          if (!entry.is_object()) continue;
-          ShardLoad load;
-          load.shard = FieldAsInt(entry, "shard");
-          load.batches = FieldAsInt(entry, "batches");
-          load.ops = FieldAsInt(entry, "ops");
-          load.queue_depth = FieldAsInt(entry, "queue_depth");
-          report.server_shards.push_back(load);
-        }
-      }
     }
   }
   if (report.responses == 0) {
@@ -687,22 +671,10 @@ std::string RenderLoadReport(const LoadReport& report) {
   writer.Key("requests").Int(report.server_requests);
   writer.Key("responses").Int(report.server_responses);
   writer.Key("rejected").Int(report.server_rejected);
-  writer.Key("engine_shards").Int(report.server_engine_shards);
-  writer.Key("migrated").Int(report.server_migrated);
-  writer.Key("shards").BeginArray();
-  for (const ShardLoad& load : report.server_shards) {
-    writer.BeginObject();
-    writer.Key("shard").Int(load.shard);
-    writer.Key("batches").Int(load.batches);
-    writer.Key("ops").Int(load.ops);
-    writer.Key("queue_depth").Int(load.queue_depth);
-    writer.EndObject();
-  }
-  writer.EndArray();
   writer.EndObject();
 
   // Additive telemetry block (absent when the scraper did not run, so the
-  // schema tag stays mc3.load_report/1).
+  // schema tag stays mc3.load_report/2).
   if (report.options.scrape_interval_seconds > 0) {
     writer.Key("telemetry").BeginObject();
     writer.Key("scrape_interval_seconds")
@@ -810,20 +782,8 @@ Status ValidateLoadReportJson(const std::string& json) {
   MC3_RETURN_IF_ERROR(
       RequireMember(server, "stats_valid", Kind::kBool, "server"));
   for (const char* key : {"batches", "coalesced_ops", "max_batch", "requests",
-                          "responses", "rejected", "engine_shards",
-                          "migrated"}) {
+                          "responses", "rejected"}) {
     MC3_RETURN_IF_ERROR(RequireMember(server, key, Kind::kNumber, "server"));
-  }
-  MC3_RETURN_IF_ERROR(RequireMember(server, "shards", Kind::kArray, "server"));
-  for (const obs::JsonValue& entry : server.Find("shards")->array) {
-    if (!entry.is_object()) {
-      return Status::InvalidArgument(
-          "load report: server.shards entries must be objects");
-    }
-    for (const char* key : {"shard", "batches", "ops", "queue_depth"}) {
-      MC3_RETURN_IF_ERROR(
-          RequireMember(entry, key, Kind::kNumber, "server.shards"));
-    }
   }
   // The telemetry block is optional (scraper runs only), but when present
   // it must be structurally complete.

@@ -12,7 +12,7 @@
 // attest that update coalescing actually happened (max_batch > 1 whenever
 // the burst outruns the engine worker).
 //
-// The run is summarized as a mc3.load_report/1 JSON document, self-validated
+// The run is summarized as a mc3.load_report/2 JSON document, self-validated
 // against its schema before it is written (the same contract as the solve
 // and bench reports).
 #pragma once
@@ -26,7 +26,7 @@
 
 namespace mc3::loadgen {
 
-inline constexpr const char kLoadReportSchema[] = "mc3.load_report/1";
+inline constexpr const char kLoadReportSchema[] = "mc3.load_report/2";
 
 struct LoadGenOptions {
   std::string host = "127.0.0.1";
@@ -58,10 +58,9 @@ struct LoadGenOptions {
   size_t num_properties = 24;
   size_t query_length = 3;
   /// Number of disjoint property pools. Updates round-robin across
-  /// tenants, so queries from different tenants never share a property:
-  /// the server's shard router keeps each tenant's components independent
-  /// and a sharded server can apply a coalesced batch in parallel. 1 keeps
-  /// the historical single-pool workload byte-for-byte.
+  /// tenants, so queries from different tenants never share a property and
+  /// land in separate engine components. 1 keeps the historical
+  /// single-pool workload byte-for-byte.
   size_t tenants = 1;
 
   /// Give up waiting for responses / connects after this long.
@@ -85,14 +84,6 @@ struct LatencySummary {
   double max = 0;
 };
 
-/// One engine shard's work counters as scraped from the stats verb.
-struct ShardLoad {
-  uint64_t shard = 0;
-  uint64_t batches = 0;      ///< shard-local jobs dispatched
-  uint64_t ops = 0;          ///< add/remove operations applied on the shard
-  uint64_t queue_depth = 0;  ///< shard queue depth at scrape time
-};
-
 /// One sample of the server's `metrics` exposition, taken mid-run by the
 /// scraper connection. Counter fields are absent (-1) when the exposition
 /// did not carry them (an -DMC3_OBS=OFF server has no registry counters).
@@ -114,7 +105,7 @@ struct ReconcileResult {
   std::string error;
 };
 
-/// Everything the run observed; rendered as mc3.load_report/1.
+/// Everything the run observed; rendered as mc3.load_report/2.
 struct LoadReport {
   LoadGenOptions options;
 
@@ -144,13 +135,6 @@ struct LoadReport {
   uint64_t server_requests = 0;
   uint64_t server_responses = 0;
   uint64_t server_rejected = 0;
-  /// Sharding view (docs/serving.md#sharded-serving): how many engine
-  /// shards the server runs, how many live queries migrated between shards
-  /// during the run, and each shard's work counters. A pre-sharding server
-  /// reports no `shards` array; `server_engine_shards` then stays 0.
-  uint64_t server_engine_shards = 0;
-  uint64_t server_migrated = 0;
-  std::vector<ShardLoad> server_shards;
 
   /// Client-side per-verb accounting, the reconcile baseline: how many
   /// updates/solves went out and how many updates came back with code 200.
@@ -172,7 +156,7 @@ struct LoadReport {
 /// reached or the run times out with nothing received.
 Result<LoadReport> RunLoadGen(const LoadGenOptions& options);
 
-/// Renders `report` as a mc3.load_report/1 document.
+/// Renders `report` as a mc3.load_report/2 document.
 std::string RenderLoadReport(const LoadReport& report);
 
 /// Structural validation of a load-report document: schema tag plus the

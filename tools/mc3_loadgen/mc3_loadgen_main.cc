@@ -1,5 +1,5 @@
 // mc3_loadgen — drive a running `mc3 serve --listen` server with an
-// open-loop churn workload and write a mc3.load_report/1 summary.
+// open-loop churn workload and write a mc3.load_report/2 summary.
 //
 //   mc3_loadgen --port N [--host H] [--port-file F] [--qps Q] [--ops N]
 //               [--connections N] [--burst N] [--seed S] [--quick]
@@ -13,10 +13,8 @@
 // --quick shrinks the run for smoke tests. --min-coalesced-batch fails the
 // run (exit 1) unless the server reports a coalesced batch at least that
 // large — the CI gate proving that batching actually engaged. --tenants
-// splits the synthetic property pool into disjoint per-tenant slices so a
-// sharded server (mc3 serve --shards N) can spread the work; the final
-// "sweep:" summary line carries committed update throughput for
-// QPS-vs-shards sweeps (scripts/shard_sweep.sh). --scrape-interval samples
+// splits the synthetic property pool into disjoint per-tenant slices, so
+// the updates land in separate engine components. --scrape-interval samples
 // the server's `metrics` exposition on a dedicated connection during the
 // run, embeds the time series in the report, and fails the run (exit 1) if
 // the final server counters disagree with client-side accounting;
@@ -208,34 +206,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(report->server_batches),
       static_cast<unsigned long long>(report->server_coalesced_ops),
       static_cast<unsigned long long>(report->server_max_batch));
-  if (report->server_engine_shards > 1) {
-    for (const loadgen::ShardLoad& load : report->server_shards) {
-      std::printf("shard %llu: %llu batches, %llu ops, queue depth %llu\n",
-                  static_cast<unsigned long long>(load.shard),
-                  static_cast<unsigned long long>(load.batches),
-                  static_cast<unsigned long long>(load.ops),
-                  static_cast<unsigned long long>(load.queue_depth));
-    }
-    std::printf("migrated %llu queries between shards\n",
-                static_cast<unsigned long long>(report->server_migrated));
-  }
-  // Machine-parsable sweep line (scripts/shard_sweep.sh): committed update
-  // throughput is the per-shard op total over the run's wall clock.
-  uint64_t committed_ops = 0;
-  for (const loadgen::ShardLoad& load : report->server_shards) {
-    committed_ops += load.ops;
-  }
-  std::printf("sweep: shards=%llu committed_ops=%llu wall=%.3f "
-              "ops_per_sec=%.1f\n",
-              static_cast<unsigned long long>(
-                  report->server_engine_shards > 0
-                      ? report->server_engine_shards
-                      : 1),
-              static_cast<unsigned long long>(committed_ops),
-              report->wall_seconds,
-              report->wall_seconds > 0
-                  ? static_cast<double>(committed_ops) / report->wall_seconds
-                  : 0.0);
 
   if (report->lost > 0) {
     std::fprintf(stderr, "error: %llu accepted requests got no response\n",
