@@ -96,23 +96,20 @@ run_pass plain
 # solves answered on the lock-free read path while the remaining writes
 # keep the coalescer folding, and the loadgen scrapes the exposition
 # mid-run. The report must carry the split read/write latency summaries,
-# and (when observability is compiled in) the scrape must show the
-# server.read.* stage histograms and the view/epoch gauges that only the
-# lock-free path populates.
+# and the scrape must show the server.read.* stage histograms and the
+# view/epoch gauges that only the lock-free path populates.
 LOADGEN_EXTRA="--read-ratio 0.9 --ops 400 --qps 2000 \
   --scrape-interval 0.02 --scrape-out $ART_DIR/exposition_readheavy.txt" \
   run_pass readheavy
 grep -q '"read_ratio": 0.9' "$ART_DIR/load_report_readheavy.json"
 grep -q '"read_latency_seconds"' "$ART_DIR/load_report_readheavy.json"
 grep -q '"write_latency_seconds"' "$ART_DIR/load_report_readheavy.json"
-if grep -q 'obs="on"' "$ART_DIR/exposition_readheavy.txt"; then
-  grep -q '^mc3_server_read_acquire_solve_count ' \
-    "$ART_DIR/exposition_readheavy.txt"
-  grep -q '^mc3_server_read_render_solve_count ' \
-    "$ART_DIR/exposition_readheavy.txt"
-  grep -q '^mc3_engine_view_version ' "$ART_DIR/exposition_readheavy.txt"
-  grep -q '^mc3_engine_epoch_retired ' "$ART_DIR/exposition_readheavy.txt"
-fi
+grep -q '^mc3_server_read_acquire_solve_count ' \
+  "$ART_DIR/exposition_readheavy.txt"
+grep -q '^mc3_server_read_render_solve_count ' \
+  "$ART_DIR/exposition_readheavy.txt"
+grep -q '^mc3_engine_view_version ' "$ART_DIR/exposition_readheavy.txt"
+grep -q '^mc3_engine_epoch_retired ' "$ART_DIR/exposition_readheavy.txt"
 
 # Durable pass: same drill with a write-ahead log and checkpoints on. The
 # WAL must hold at least one record afterwards, and a restart on the same
@@ -148,28 +145,26 @@ LOADGEN_EXTRA="--scrape-interval 0.02 --scrape-out $ART_DIR/exposition.txt" \
   --trace-sample 1 --trace-out "$TRACE_DIR"
 grep -q '^mc3_server_requests_total ' "$ART_DIR/exposition.txt"
 grep -q '^mc3_server_queue_depth_max ' "$ART_DIR/exposition.txt"
-grep -q '^mc3_build_info{' "$ART_DIR/exposition.txt"
+grep -q '^mc3_build_info{.*obs="on"' "$ART_DIR/exposition.txt"
 grep -q '"telemetry"' "$ART_DIR/load_report_telemetry.json"
-if grep -q 'obs="on"' "$ART_DIR/exposition.txt"; then
-  # The engine's apply stage histogram lives in the metrics registry.
-  grep -q '^mc3_server_stage_shard_apply_update' "$ART_DIR/exposition.txt"
-  # Trace export is compiled in: the server announced the file on drain and
-  # it must contain complete spans plus a connected flow (start + finish
-  # bound to the enclosing slice) for at least one sampled request.
-  grep -q '^trace:' "$ART_DIR/server_telemetry.log"
-  TRACE_FILE="$TRACE_DIR/serve_trace_$(cat "$PORT_FILE").json"
-  if [ ! -s "$TRACE_FILE" ]; then
-    echo "serve_smoke: telemetry pass wrote no trace file at $TRACE_FILE" >&2
+# The engine's apply stage histogram lives in the metrics registry.
+grep -q '^mc3_server_stage_shard_apply_update' "$ART_DIR/exposition.txt"
+# The server announced the trace file on drain, and it must contain complete
+# spans plus a connected flow (start + finish bound to the enclosing slice)
+# for at least one sampled request.
+grep -q '^trace:' "$ART_DIR/server_telemetry.log"
+TRACE_FILE="$TRACE_DIR/serve_trace_$(cat "$PORT_FILE").json"
+if [ ! -s "$TRACE_FILE" ]; then
+  echo "serve_smoke: telemetry pass wrote no trace file at $TRACE_FILE" >&2
+  exit 1
+fi
+for needle in '"ph":"X"' '"ph":"s"' '"ph":"f"' '"bp":"e"' \
+    '"name":"wal_durable"' '"name":"wal-committer"'; do
+  if ! grep -qF "$needle" "$TRACE_FILE"; then
+    echo "serve_smoke: trace file lacks $needle" >&2
     exit 1
   fi
-  for needle in '"ph":"X"' '"ph":"s"' '"ph":"f"' '"bp":"e"' \
-      '"name":"wal_durable"' '"name":"wal-committer"'; do
-    if ! grep -qF "$needle" "$TRACE_FILE"; then
-      echo "serve_smoke: trace file lacks $needle" >&2
-      exit 1
-    fi
-  done
-fi
+done
 
 echo "serve_smoke: OK"
 cat "$ART_DIR"/server_*.log

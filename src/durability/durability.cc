@@ -107,6 +107,22 @@ Result<RecoveryStats> DurabilityManager::Recover(
 
   auto scan = ReadWal(options_.data_dir, stats.snapshot_seq);
   if (!scan.ok()) return scan.status();
+  // The tail must continue the restored state. When the newest snapshot
+  // does not load, recovery falls back to an older one (or to the base),
+  // but the checkpoint that wrote the newer one may have rotated away the
+  // records in between; replaying what is left would skip them.
+  const uint64_t expected_seq = stats.snapshot_seq + 1;
+  const uint64_t found_seq = scan->records.empty()
+                                 ? scan->last_seq + 1
+                                 : scan->records.front().seq;
+  if (found_seq > expected_seq) {
+    return Status::IOError(
+        "WAL tail has a hole: expected seq " + std::to_string(expected_seq) +
+        (stats.snapshot_loaded
+             ? " after snapshot " + std::to_string(stats.snapshot_seq)
+             : std::string(" after the base workload")) +
+        ", found seq " + std::to_string(found_seq));
+  }
   // One interner for the whole tail: a record costs its own names, not a
   // re-index of the table, and the engine's table is re-made only by a
   // record that brings a new name.

@@ -12,8 +12,7 @@
 // `_bucket{le="..."}` series plus `_sum`/`_count`. A small parser for the
 // same format lives here too, so the load generator and tests can scrape
 // without a real Prometheus client. Both directions operate on plain
-// snapshot structs, so they compile identically under -DMC3_OBS=OFF (the
-// snapshot is just empty).
+// snapshot structs.
 #pragma once
 
 #include <map>

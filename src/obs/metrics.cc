@@ -8,17 +8,37 @@ namespace mc3::obs {
 
 namespace {
 
-constexpr double kHistogramBucketBase = 1e-7;  ///< lower bound of bucket 1
+constexpr double kBucketBase = 1e-7;  ///< lower bound of bucket 1
+
+/// Relaxed compare-exchange accumulate for atomic doubles (fetch_add on
+/// atomic<double> needs C++20 library support that libstdc++ lowers to the
+/// same loop; spelled out here for portability).
+void AtomicAdd(std::atomic<double>* target, double delta) {
+  double expected = target->load(std::memory_order_relaxed);
+  while (!target->compare_exchange_weak(expected, expected + delta,
+                                        std::memory_order_relaxed)) {
+  }
+}
+
+void AtomicMin(std::atomic<double>* target, double value) {
+  double expected = target->load(std::memory_order_relaxed);
+  while (value < expected && !target->compare_exchange_weak(
+                                 expected, value, std::memory_order_relaxed)) {
+  }
+}
+
+void AtomicMax(std::atomic<double>* target, double value) {
+  double expected = target->load(std::memory_order_relaxed);
+  while (value > expected && !target->compare_exchange_weak(
+                                 expected, value, std::memory_order_relaxed)) {
+  }
+}
 
 }  // namespace
 
-// The snapshot helpers compile in both configurations: MC3_OBS=OFF builds
-// still link report rendering and mc3_benchdiff, which operate on snapshots
-// parsed from JSON rather than on live instruments.
-
 double HistogramBucketBound(int i) {
   if (i <= 0) return 0;
-  return kHistogramBucketBase * std::pow(2.0, i - 1);
+  return kBucketBase * std::pow(2.0, i - 1);
 }
 
 double HistogramSnapshot::Percentile(double q) const {
@@ -78,42 +98,6 @@ void MergeSnapshot(MetricsSnapshot* into, const MetricsSnapshot& delta) {
     }
   }
 }
-
-}  // namespace mc3::obs
-
-#if !defined(MC3_OBS_DISABLED)
-
-namespace mc3::obs {
-
-namespace {
-
-/// Relaxed compare-exchange accumulate for atomic doubles (fetch_add on
-/// atomic<double> needs C++20 library support that libstdc++ lowers to the
-/// same loop; spelled out here for portability).
-void AtomicAdd(std::atomic<double>* target, double delta) {
-  double expected = target->load(std::memory_order_relaxed);
-  while (!target->compare_exchange_weak(expected, expected + delta,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMin(std::atomic<double>* target, double value) {
-  double expected = target->load(std::memory_order_relaxed);
-  while (value < expected && !target->compare_exchange_weak(
-                                 expected, value, std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMax(std::atomic<double>* target, double value) {
-  double expected = target->load(std::memory_order_relaxed);
-  while (value > expected && !target->compare_exchange_weak(
-                                 expected, value, std::memory_order_relaxed)) {
-  }
-}
-
-constexpr double kBucketBase = 1e-7;  ///< lower bound of bucket 1
-
-}  // namespace
 
 int Histogram::BucketOf(double value) {
   if (!(value > kBucketBase)) return 0;  // also catches NaN and negatives
@@ -203,5 +187,3 @@ MetricsSnapshot MetricsRegistry::Snap() const {
 }
 
 }  // namespace mc3::obs
-
-#endif  // !MC3_OBS_DISABLED

@@ -6,31 +6,25 @@
 //   * recording must be cheap enough to leave on in production — counters
 //     and histograms are lock-free atomics; the registry mutex is only taken
 //     on first lookup of a name (instrumented sites cache the handle in a
-//     function-local static);
-//   * the whole layer compiles away under -DMC3_OBS=OFF (the
-//     MC3_OBS_DISABLED preprocessor flag): the same API degrades to inlined
-//     no-ops so call sites never need #ifdefs.
+//     function-local static).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
-#if !defined(MC3_OBS_DISABLED)
-#include <atomic>
-#include <limits>
-#include <memory>
-
 #include "util/sync.h"
 #include "util/thread_annotations.h"
-#endif
 
 namespace mc3::obs {
 
 /// Inclusive lower bound of exponential bucket `i` (0 for the first bucket,
 /// 2^(i-1) * 1e-7 afterwards). Shared by the live Histogram and snapshot
-/// percentile math so both builds agree on the bucket geometry.
+/// percentile math so both agree on the bucket geometry.
 double HistogramBucketBound(int i);
 
 /// Point-in-time copy of one histogram's state.
@@ -69,8 +63,6 @@ struct MetricsSnapshot {
 /// gauges last-write-win. The bench runner resets the registry between cases
 /// and merges the per-case snapshots into the run-wide metrics section.
 void MergeSnapshot(MetricsSnapshot* into, const MetricsSnapshot& delta);
-
-#if !defined(MC3_OBS_DISABLED)
 
 /// Monotonic event counter.
 class Counter {
@@ -147,60 +139,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       MC3_GUARDED_BY(mu_);
 };
-
-#else  // MC3_OBS_DISABLED: the same API as inlined no-ops.
-
-class Counter {
- public:
-  void Add(uint64_t = 1) {}
-  uint64_t Value() const { return 0; }
-  void Reset() {}
-};
-
-class Gauge {
- public:
-  void Set(double) {}
-  double Value() const { return 0; }
-  void Reset() {}
-};
-
-class Histogram {
- public:
-  static constexpr int kNumBuckets = 36;
-  static int BucketOf(double) { return 0; }
-  static double BucketLowerBound(int) { return 0; }
-  void Record(double) {}
-  HistogramSnapshot Snap() const { return {}; }
-  void Reset() {}
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global() {
-    static MetricsRegistry registry;
-    return registry;
-  }
-  Counter& GetCounter(const std::string&) { return counter_; }
-  Gauge& GetGauge(const std::string&) { return gauge_; }
-  Histogram& GetHistogram(const std::string&) { return histogram_; }
-  void ResetAll() {}
-  MetricsSnapshot Snap() const { return {}; }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-#endif  // MC3_OBS_DISABLED
-
-/// True when the library was built with observability compiled in.
-inline constexpr bool kObsEnabled =
-#if !defined(MC3_OBS_DISABLED)
-    true;
-#else
-    false;
-#endif
 
 }  // namespace mc3::obs
 

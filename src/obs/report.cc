@@ -70,7 +70,7 @@ std::string RenderSolveReport(const SolveReportMeta& meta, const Trace& trace,
   JsonWriter writer;
   writer.BeginObject();
   writer.Key("schema").String(kSolveReportSchema);
-  writer.Key("obs_enabled").Bool(kObsEnabled);
+  writer.Key("obs_enabled").Bool(true);
   RenderMetaBody(meta, &writer);
   writer.Key("phases");
   trace.Render(&writer);
@@ -113,7 +113,7 @@ std::string RenderBenchReport(const std::vector<BenchCase>& cases,
   JsonWriter writer;
   writer.BeginObject();
   writer.Key("schema").String(kBenchReportSchema);
-  writer.Key("obs_enabled").Bool(kObsEnabled);
+  writer.Key("obs_enabled").Bool(true);
   writer.Key("quick").Bool(run.quick);
   writer.Key("scale").Number(run.scale);
   writer.Key("seed").Int(run.seed);
@@ -340,9 +340,8 @@ Status ValidateBenchReportJson(const std::string& json) {
                          "not a non-negative number");
       }
     }
-    // Compiled-in observability must actually deliver the work counters:
-    // an empty object means a de-instrumented build, which would make the
-    // benchdiff gate vacuous.
+    // A report that declares obs_enabled must actually deliver the work
+    // counters: an empty object would make the benchdiff gate vacuous.
     if (obs != nullptr && obs->boolean && counters->object.empty()) {
       return Violation(path + ".counters",
                        "empty although obs_enabled is true");
@@ -361,11 +360,11 @@ Status ValidateBenchReportJson(const std::string& json) {
   }
   MC3_RETURN_IF_ERROR(CheckMetrics(*parsed, "$"));
 
-  // When observability is compiled in, the report must carry the per-phase
-  // timings the perf trajectory is tracked on (ISSUE 2 acceptance): all four
-  // preprocessing steps, the k2 flow path, both WSC phases, and the online
-  // update path. A filtered run (subset of cases) is exempt — its report is
-  // a debugging aid, not a trajectory point.
+  // A report that declares obs_enabled must carry the per-phase timings the
+  // perf trajectory is tracked on: all four preprocessing steps, the k2 flow
+  // path, both WSC phases, and the online update path. A filtered run
+  // (subset of cases) is exempt — its report is a debugging aid, not a
+  // trajectory point.
   if (obs != nullptr && obs->boolean && filter.empty()) {
     for (const char* required :
          {"preprocess", "step1", "step3", "step4", "partition", "k2_component",

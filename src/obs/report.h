@@ -86,8 +86,8 @@ struct MachineInfo {
 MachineInfo DescribeMachine();
 
 /// Renders a complete solve report document: meta + `trace`'s span tree +
-/// `metrics`. Always includes an "obs_enabled" flag so consumers know
-/// whether empty phases mean "nothing ran" or "compiled out".
+/// `metrics`. Always writes `"obs_enabled": true`; the flag stays in the
+/// schema because files written by older builds may carry false.
 std::string RenderSolveReport(const SolveReportMeta& meta, const Trace& trace,
                               const MetricsSnapshot& metrics);
 

@@ -45,12 +45,6 @@ void RenderNode(const SpanNode& node, JsonWriter* writer) {
   writer->EndObject();
 }
 
-}  // namespace
-
-#if !defined(MC3_OBS_DISABLED)
-
-namespace {
-
 thread_local TraceContext g_ambient;
 
 }  // namespace
@@ -122,11 +116,5 @@ void ScopedSpan::AddStat(const char* key, double value) {
   if (node_ == nullptr) return;
   node_->stats.emplace_back(key, value);
 }
-
-#else  // MC3_OBS_DISABLED
-
-void Trace::Render(JsonWriter* writer) const { RenderNode(root_, writer); }
-
-#endif  // MC3_OBS_DISABLED
 
 }  // namespace mc3::obs

@@ -5,26 +5,21 @@
 // opens ScopedSpans against the ambient trace without any API threading.
 // When no trace is active — the common production case — every ScopedSpan
 // constructor is a single thread-local read, so instrumentation stays in the
-// noise (<2% on bench_online_updates; see docs/observability.md).
+// noise (docs/observability.md, "Overhead").
 //
 // Parallel sections (ParallelFor over components) adopt the parent span on
 // each worker thread via ScopedSpanAdoption; child creation under a shared
 // parent is serialized by the Trace's mutex.
-//
-// With MC3_OBS_DISABLED the whole layer compiles to no-ops.
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#if !defined(MC3_OBS_DISABLED)
-#include <chrono>
-
 #include "util/sync.h"
 #include "util/thread_annotations.h"
-#endif
 
 namespace mc3::obs {
 
@@ -45,8 +40,6 @@ struct SpanNode {
   /// First descendant (pre-order, self included) named `span_name`.
   const SpanNode* FindSpan(const std::string& span_name) const;
 };
-
-#if !defined(MC3_OBS_DISABLED)
 
 /// A per-solve span tree. Thread-compatible for reads after the traced
 /// region ends; concurrent span creation during the region is internally
@@ -133,46 +126,6 @@ class ScopedSpan {
   TraceContext saved_;
   std::chrono::steady_clock::time_point start_;
 };
-
-#else  // MC3_OBS_DISABLED
-
-class Trace {
- public:
-  explicit Trace(std::string = "solve") {}
-  SpanNode* root() { return &root_; }
-  const SpanNode& root() const { return root_; }
-  SpanNode* OpenChild(SpanNode*, const char*) { return &root_; }
-  void Render(JsonWriter* writer) const;
-
- private:
-  SpanNode root_;
-};
-
-struct TraceContext {
-  Trace* trace = nullptr;
-  SpanNode* span = nullptr;
-};
-
-inline TraceContext CurrentTraceContext() { return {}; }
-
-class ScopedTraceActivation {
- public:
-  explicit ScopedTraceActivation(Trace*) {}
-};
-
-class ScopedSpanAdoption {
- public:
-  explicit ScopedSpanAdoption(const TraceContext&) {}
-};
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char*) {}
-  void AddStat(const char*, double) {}
-  bool active() const { return false; }
-};
-
-#endif  // MC3_OBS_DISABLED
 
 }  // namespace mc3::obs
 

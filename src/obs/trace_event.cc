@@ -1,7 +1,5 @@
 #include "obs/trace_event.h"
 
-#if !defined(MC3_OBS_DISABLED)
-
 #include <algorithm>
 #include <fstream>
 #include <utility>
@@ -147,5 +145,3 @@ Status TraceEventSink::WriteFile(const std::string& path) const {
 }
 
 }  // namespace mc3::obs
-
-#endif  // !MC3_OBS_DISABLED

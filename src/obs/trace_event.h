@@ -12,28 +12,21 @@
 // batch before the fsync that makes it durable).
 //
 // Recording is mutex-guarded but off the default path: the server only
-// records spans for sampled requests (`--trace-sample N`). Under
-// -DMC3_OBS=OFF the whole class degrades to inlined no-ops.
+// records spans for sampled requests (`--trace-sample N`).
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/status.h"
-
-#if !defined(MC3_OBS_DISABLED)
-#include <map>
-#include <thread>
-
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 #include "util/timer.h"
-#endif
 
 namespace mc3::obs {
-
-#if !defined(MC3_OBS_DISABLED)
 
 /// Thread-safe collector of trace-event records. One sink lives for the
 /// duration of a server run; threads register a display name once and append
@@ -93,22 +86,5 @@ class TraceEventSink {
   std::vector<Record> records_ MC3_GUARDED_BY(mu_);
   uint64_t dropped_ MC3_GUARDED_BY(mu_) = 0;
 };
-
-#else  // MC3_OBS_DISABLED: the same API as inlined no-ops.
-
-class TraceEventSink {
- public:
-  explicit TraceEventSink(size_t = 0) {}
-  double NowUs() const { return 0; }
-  void NameCurrentThread(const std::string&) {}
-  void Span(const std::string&, double, double,
-            const std::vector<uint64_t>&) {}
-  void Span(const std::string&, double, double, uint64_t) {}
-  uint64_t dropped() const { return 0; }
-  std::string RenderJson() const { return "{\"traceEvents\":[]}"; }
-  Status WriteFile(const std::string&) const { return Status::OK(); }
-};
-
-#endif  // MC3_OBS_DISABLED
 
 }  // namespace mc3::obs

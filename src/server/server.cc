@@ -110,7 +110,7 @@ Status Server::Start(const Instance& base) {
   // Route WAL durability notifications into the telemetry layer so the
   // wal_durable stage of traced requests gets its committer-side timestamp.
   // kNone never advances durable_seq, so nothing would resolve the entries.
-  if (obs::kObsEnabled && !options_.durability.data_dir.empty() &&
+  if (!options_.durability.data_dir.empty() &&
       options_.durability.wal.sync !=
           durability::WalOptions::SyncPolicy::kNone) {
     options_.durability.wal.on_durable = [this](uint64_t durable_seq) {
@@ -512,10 +512,8 @@ uint64_t Server::PersistApplied(const std::vector<PropertySet>& add,
   if (durability_ == nullptr) return 0;
   // Only a policy that eventually fires on_durable may register a pending
   // wal_durable stage (kNone never resolves it).
-  const bool track_durable =
-      obs::kObsEnabled &&
-      options_.durability.wal.sync !=
-          durability::WalOptions::SyncPolicy::kNone;
+  const bool track_durable = options_.durability.wal.sync !=
+                             durability::WalOptions::SyncPolicy::kNone;
   const double append_start_us = track_durable ? telemetry_.NowUs() : 0;
   auto seq = durability_->LogPayload(std::move(*payload));
   if (!seq.ok()) {
@@ -930,7 +928,7 @@ std::string Server::RenderHealth(const Request& request) {
   writer.Key("build").BeginObject();
   writer.Key("compiler").String(util::BuildCompiler());
   writer.Key("build_type").String(util::BuildType());
-  writer.Key("obs").Bool(obs::kObsEnabled);
+  writer.Key("obs").Bool(true);
   writer.EndObject();
   writer.EndObject();
   return writer.Take();
@@ -964,32 +962,19 @@ std::string Server::RenderStats(const Request& request,
     const ReadRoot* root = root_publisher_.Acquire();
     if (root != nullptr) writer.Key("view_seq").Int(root->view.version);
   }
-  if (obs::kObsEnabled) {
-    // Per-endpoint in-server latency percentiles (seconds), straight from
-    // the ambient metrics registry. MetricsSnapshot maps are ordered, so
-    // the rendering is deterministic.
-    const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snap();
-    writer.Key("latency_seconds").BeginObject();
-    const std::string prefix = "server.latency.";
+  // Per-endpoint in-server latency percentiles (seconds), then the pipeline
+  // stage breakdown (docs/observability.md, "Serving telemetry"; keys are
+  // `<stage>.<verb>`), straight from the ambient metrics registry.
+  // MetricsSnapshot maps are ordered, so the rendering is deterministic.
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snap();
+  for (const auto& [key, prefix] :
+       {std::pair<const char*, std::string>{"latency_seconds",
+                                            "server.latency."},
+        {"stages", "server.stage."}}) {
+    writer.Key(key).BeginObject();
     for (const auto& [name, histogram] : snap.histograms) {
       if (name.rfind(prefix, 0) != 0) continue;
       writer.Key(name.substr(prefix.size())).BeginObject();
-      writer.Key("count").Int(histogram.count);
-      writer.Key("mean").Number(histogram.Mean());
-      writer.Key("p50").Number(histogram.P50());
-      writer.Key("p95").Number(histogram.P95());
-      writer.Key("p99").Number(histogram.P99());
-      writer.EndObject();
-    }
-    writer.EndObject();
-    // Pipeline stage breakdown (docs/observability.md, "Serving
-    // telemetry"): keys are `<stage>.<verb>`, values mirror the latency
-    // percentile shape above.
-    writer.Key("stages").BeginObject();
-    const std::string stage_prefix = "server.stage.";
-    for (const auto& [name, histogram] : snap.histograms) {
-      if (name.rfind(stage_prefix, 0) != 0) continue;
-      writer.Key(name.substr(stage_prefix.size())).BeginObject();
       writer.Key("count").Int(histogram.count);
       writer.Key("mean").Number(histogram.Mean());
       writer.Key("p50").Number(histogram.P50());
@@ -1024,20 +1009,11 @@ std::string Server::RenderMetrics(const Request& request) {
   gauge("server.max_batch", stats.max_batch);
   gauge("server.queue_depth_max", stats.queue_depth_max);
   gauge("server.uptime_seconds", stats.uptime_seconds);
-  if (!obs::kObsEnabled) {
-    // The metrics registry is compiled out: surface its most important
-    // serving counters from the server's own atomics instead (same names
-    // the registry would have used, so dashboards keep working).
-    counter("server.batches", stats.batches);
-    counter("server.coalesced_ops", stats.coalesced_ops);
-    counter("server.rejected", stats.rejected);
-    gauge("server.queue_depth", stats.queue_depth);
-  }
   extra.push_back({"build_info",
                    "gauge",
                    {{"compiler", util::BuildCompiler()},
                     {"build_type", util::BuildType()},
-                    {"obs", obs::kObsEnabled ? "on" : "off"}},
+                    {"obs", "on"}},
                    1.0});
   const std::string body = obs::RenderPrometheus(
       obs::MetricsRegistry::Global().Snap(), extra);

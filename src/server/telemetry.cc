@@ -1,14 +1,12 @@
 #include "server/telemetry.h"
 
-#include "obs/metrics.h"
-
-#if !defined(MC3_OBS_DISABLED)
 #include <sys/stat.h>
 #include <sys/types.h>
 
 #include <algorithm>
 #include <utility>
-#endif
+
+#include "obs/metrics.h"
 
 namespace mc3::server {
 
@@ -17,8 +15,6 @@ void RecordStageSeconds(const char* stage, Request::Op op, double seconds) {
       .GetHistogram(std::string("server.stage.") + stage + "." + OpName(op))
       .Record(seconds);
 }
-
-#if !defined(MC3_OBS_DISABLED)
 
 namespace {
 /// Backstop against a durability hook that never fires (misconfiguration):
@@ -128,7 +124,5 @@ Status ServingTelemetry::WriteTraceFile(uint16_t port) {
   (void)::mkdir(options_.trace_out_dir.c_str(), 0755);
   return sink_.WriteFile(path);
 }
-
-#endif  // !MC3_OBS_DISABLED
 
 }  // namespace mc3::server

@@ -21,25 +21,19 @@
 // committer thread (OnWalDurable). Under kImmediate the callback fires
 // inside the append itself; a durable floor keeps that ordering race
 // harmless.
-//
-// Everything compiles to no-ops under -DMC3_OBS=OFF.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "obs/trace_event.h"
 #include "server/protocol.h"
 #include "util/status.h"
-
-#if !defined(MC3_OBS_DISABLED)
-#include <atomic>
-#include <map>
-
 #include "util/sync.h"
 #include "util/thread_annotations.h"
-#endif
 
 namespace mc3::server {
 
@@ -62,11 +56,8 @@ struct TraceAssignment {
 };
 
 /// Records one stage duration into the always-on registry histogram
-/// `server.stage.<stage>.<verb>` (a relaxed atomic op; a no-op when the
-/// obs layer is compiled out).
+/// `server.stage.<stage>.<verb>` (a relaxed atomic op).
 void RecordStageSeconds(const char* stage, Request::Op op, double seconds);
-
-#if !defined(MC3_OBS_DISABLED)
 
 class ServingTelemetry {
  public:
@@ -133,29 +124,5 @@ class ServingTelemetry {
   /// (kImmediate fires on_durable before NoteWalAppend can register).
   uint64_t durable_floor_ MC3_GUARDED_BY(mu_) = 0;
 };
-
-#else  // MC3_OBS_DISABLED: the same API as inlined no-ops.
-
-class ServingTelemetry {
- public:
-  explicit ServingTelemetry(TelemetryOptions) {}
-  bool enabled() const { return false; }
-  double NowUs() const { return 0; }
-  TraceAssignment Assign() { return {}; }
-  void NameThread(const std::string&) {}
-  void Span(const char*, double, const std::vector<uint64_t>&) {}
-  void Span(const char*, double, uint64_t) {}
-  void NoteWalAppend(uint64_t, Request::Op, double,
-                     const std::vector<uint64_t>&) {}
-  void OnWalDurable(uint64_t) {}
-  std::string TraceFilePath(uint16_t) const { return ""; }
-  Status WriteTraceFile(uint16_t) { return Status::OK(); }
-  const obs::TraceEventSink& sink() const { return sink_; }
-
- private:
-  obs::TraceEventSink sink_;
-};
-
-#endif  // MC3_OBS_DISABLED
 
 }  // namespace mc3::server

@@ -21,8 +21,8 @@ enum class StatusCode {
 };
 
 /// Outcome of a fallible operation: a code plus a human-readable message.
-/// [[nodiscard]] is the compiler-enforced side of lint rule R5: a dropped
-/// Status is a swallowed error.
+/// [[nodiscard]], with -Werror=unused-result in every build, makes a dropped
+/// Status a compile error: a dropped Status is a swallowed error.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

@@ -8,8 +8,9 @@
 // to the plain standard types' behavior.
 //
 // All threaded code in the repo uses these instead of raw std::mutex /
-// std::lock_guard / std::condition_variable; lint rule R8 (`guard`)
-// enforces annotation coverage on classes that own a mutex.
+// std::lock_guard / std::condition_variable: lint rule R4 (`raw-sync`) bans
+// the raw types outside this file, and R8 (`guard`) enforces annotation
+// coverage on classes that own a mutex.
 #pragma once
 
 #include <chrono>
@@ -86,8 +87,7 @@ class MC3_SCOPED_CAPABILITY UniqueLock {
 
 /// Condition variable bound to util::Mutex. Wait takes the mutex and a
 /// predicate and loops internally, so a lost-wakeup-prone bare wait is
-/// unrepresentable (lint rule R7 `cv-wait` bans predicate-less waits on
-/// the standard types too). Callers hold `mu` across the call; predicates
+/// unrepresentable. Callers hold `mu` across the call; predicates
 /// run with it held, so lambdas reading guarded fields should themselves
 /// be annotated MC3_REQUIRES(mu).
 class CondVar {

@@ -449,18 +449,15 @@ std::string SolveCounters(const Instance& instance) {
 }
 
 // The bench regression gate (mc3_benchdiff) compares work counters exactly,
-// so they must be byte-identical run over run. Under -DMC3_OBS=OFF the
-// registry is a no-op and every rendering is empty — trivially equal.
+// so they must be byte-identical run over run.
 TEST(DeterminismTest, WorkCountersStableAcrossRepeatedSolves) {
   const InstanceContent content = SeededContent(81);
   const Instance instance =
       BuildShuffled(content, 5, /*shuffle_queries=*/false);
   const std::string first = SolveCounters<GeneralSolver>(instance);
-  if (obs::kObsEnabled) {
-    // This seed is fully solved by preprocessing, so the always-on
-    // preprocess counters are the ones guaranteed to be present.
-    EXPECT_NE(first.find("preprocess.runs="), std::string::npos) << first;
-  }
+  // This seed is fully solved by preprocessing, so the always-on
+  // preprocess counters are the ones guaranteed to be present.
+  EXPECT_NE(first.find("preprocess.runs="), std::string::npos) << first;
   for (int rep = 0; rep < 2; ++rep) {
     EXPECT_EQ(SolveCounters<GeneralSolver>(instance), first) << "rep " << rep;
   }

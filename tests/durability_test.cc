@@ -603,6 +603,135 @@ TEST(DurabilityManagerTest, SnapshotNewerThanWholeWalStillRecovers) {
   ASSERT_TRUE((*manager)->Close().ok());
 }
 
+/// Logs `count` one-query batches through `manager` the way the server
+/// does, each one removing `query` from `engine` when it is live and
+/// re-adding it otherwise.
+void FlipBatches(OnlineEngine* engine, DurabilityManager* manager,
+                 const PropertySet& query, size_t count) {
+  for (size_t i = 0; i < count; ++i) {
+    const Instance live = engine->LiveInstance();
+    const bool present = std::find(live.queries().begin(),
+                                   live.queries().end(),
+                                   query) != live.queries().end();
+    if (present) {
+      ASSERT_TRUE(engine->RemoveQueries({query}).ok());
+      ASSERT_TRUE(
+          manager->LogBatch({}, {query}, engine->property_names()).ok());
+    } else {
+      ASSERT_TRUE(engine->AddQueries({query}).ok());
+      ASSERT_TRUE(
+          manager->LogBatch({query}, {}, engine->property_names()).ok());
+    }
+  }
+}
+
+/// Replaces the snapshot file of `seq` with a document that fails
+/// validation.
+void SpoilSnapshot(const std::string& dir, uint64_t seq) {
+  std::ofstream(dir + "/" + SnapshotFileName(seq),
+                std::ios::binary | std::ios::trunc)
+      << "{\"schema\":\"mc3.snapshot/1\"}\n";
+}
+
+/// Writes batches 1-3, a checkpoint (seq 3), batches 4-6, then spoils the
+/// snapshot; returns the live engine.
+OnlineEngine WriteHoleBehindSpoiledSnapshot(const DurabilityOptions& options) {
+  OnlineEngine live;
+  auto manager = DurabilityManager::Open(options);
+  EXPECT_TRUE(manager.ok());
+  if (!manager.ok()) return live;
+  EXPECT_TRUE((*manager)->Recover(PaperExample(), -1, &live).ok());
+  const PropertySet query = live.LiveInstance().queries().front();
+  FlipBatches(&live, manager->get(), query, 3);
+  auto checkpoint = (*manager)->Checkpoint(live.ExportState());
+  EXPECT_TRUE(checkpoint.ok());
+  if (checkpoint.ok()) {
+    EXPECT_EQ(checkpoint->seq, 3u);
+  }
+  FlipBatches(&live, manager->get(), query, 3);
+  EXPECT_TRUE((*manager)->Close().ok());
+  SpoilSnapshot(options.data_dir, 3);
+  return live;
+}
+
+TEST(DurabilityManagerTest, TailMissingItsHeadAfterTheBaseFails) {
+  // The checkpoint rotated records 1-3 away; with its snapshot spoiled,
+  // recovery starts from the base, and records 4-6 cannot follow it.
+  ScratchDir dir("mgr_hole_base");
+  WriteHoleBehindSpoiledSnapshot(ManagerOptions(dir.path));
+
+  OnlineEngine recovered;
+  auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
+  ASSERT_TRUE(manager.ok());
+  auto recovery = (*manager)->Recover(PaperExample(), -1, &recovered);
+  ASSERT_FALSE(recovery.ok());
+  EXPECT_EQ(recovery.status().code(), StatusCode::kIOError);
+  EXPECT_NE(recovery.status().message().find("expected seq 1"),
+            std::string::npos)
+      << recovery.status().ToString();
+  EXPECT_NE(recovery.status().message().find("found seq 4"),
+            std::string::npos)
+      << recovery.status().ToString();
+  ASSERT_TRUE((*manager)->Close().ok());
+}
+
+TEST(DurabilityManagerTest, TailMissingItsHeadAfterAnOlderSnapshotFails) {
+  // Checkpoints at 3 and 6, then batches 7-8. With snapshot 6 spoiled,
+  // recovery falls back to snapshot 3, but records 4-6 were rotated away.
+  ScratchDir dir("mgr_hole_older");
+  {
+    OnlineEngine live;
+    auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE((*manager)->Recover(PaperExample(), -1, &live).ok());
+    const PropertySet query = live.LiveInstance().queries().front();
+    FlipBatches(&live, manager->get(), query, 3);
+    ASSERT_TRUE((*manager)->Checkpoint(live.ExportState()).ok());
+    FlipBatches(&live, manager->get(), query, 3);
+    auto checkpoint = (*manager)->Checkpoint(live.ExportState());
+    ASSERT_TRUE(checkpoint.ok());
+    EXPECT_EQ(checkpoint->seq, 6u);
+    FlipBatches(&live, manager->get(), query, 2);
+    ASSERT_TRUE((*manager)->Close().ok());
+  }
+  SpoilSnapshot(dir.path, 6);
+
+  OnlineEngine recovered;
+  auto manager = DurabilityManager::Open(ManagerOptions(dir.path));
+  ASSERT_TRUE(manager.ok());
+  auto recovery = (*manager)->Recover(PaperExample(), -1, &recovered);
+  ASSERT_FALSE(recovery.ok());
+  EXPECT_EQ(recovery.status().code(), StatusCode::kIOError);
+  EXPECT_NE(recovery.status().message().find("expected seq 4 after snapshot 3"),
+            std::string::npos)
+      << recovery.status().ToString();
+  EXPECT_NE(recovery.status().message().find("found seq 7"),
+            std::string::npos)
+      << recovery.status().ToString();
+  ASSERT_TRUE((*manager)->Close().ok());
+}
+
+TEST(DurabilityManagerTest, KeptSegmentsRecoverPastASpoiledSnapshot) {
+  // With keep_segments the checkpoint rotates nothing away: the base plus
+  // records 1-6 reproduce the live engine.
+  ScratchDir dir("mgr_hole_kept");
+  DurabilityOptions options = ManagerOptions(dir.path);
+  options.keep_segments = true;
+  const OnlineEngine live = WriteHoleBehindSpoiledSnapshot(options);
+
+  OnlineEngine recovered;
+  auto manager = DurabilityManager::Open(options);
+  ASSERT_TRUE(manager.ok());
+  auto recovery = (*manager)->Recover(PaperExample(), -1, &recovered);
+  ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
+  EXPECT_FALSE(recovery->snapshot_loaded);
+  EXPECT_EQ(recovery->wal_records_replayed, 6u);
+  ASSERT_TRUE((*manager)->Close().ok());
+  ASSERT_TRUE(recovered.CheckInvariants().ok());
+  EXPECT_EQ(RenderSnapshot(recovered.ExportState(), 0),
+            RenderSnapshot(live.ExportState(), 0));
+}
+
 TEST(DurabilityManagerTest, CheckpointPolicyByUpdateCount) {
   ScratchDir dir("mgr_policy");
   DurabilityOptions options = ManagerOptions(dir.path);

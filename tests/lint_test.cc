@@ -1,7 +1,7 @@
 // Unit tests for the mc3_lint rule engine (tools/mc3_lint/lint.h): one
-// failing and one passing fixture per rule R1-R10, plus waiver syntax and
-// report rendering. Fixtures live in string literals, so linting this file
-// itself (the lint_clean test) sees none of them.
+// failing and one passing fixture per rule (R1-R4, R6, R8-R10), plus waiver
+// syntax and report rendering. Fixtures live in string literals, so linting
+// this file itself (the lint_clean test) sees none of them.
 #include "mc3_lint/lint.h"
 
 #include <gtest/gtest.h>
@@ -188,79 +188,42 @@ TEST(LintR4, IgnoresBannedNamesInStringsAndComments) {
   EXPECT_EQ(CountRule(findings, "R4"), 0u);
 }
 
-// ---------------------------------------------------------------- R5
-
-TEST(LintR5, FlagsDiscardedStatusCall) {
+TEST(LintR4, FlagsRawSyncTypesOutsideSyncHeader) {
   const auto findings = Lint(
-      "Status DoThing();\n"
+      "std::mutex mu_;\n"
+      "std::condition_variable cv_;\n"
       "void F() {\n"
-      "  DoThing();\n"
+      "  std::lock_guard<std::mutex> a(mu_);\n"
+      "  std::unique_lock<std::mutex> b(mu_);\n"
+      "  std::scoped_lock c(mu_);\n"
       "}\n");
-  EXPECT_EQ(CountRule(findings, "R5"), 1u);
-  EXPECT_EQ(findings[0].line, 3);
+  // mu_, cv_, and each guard with its template argument.
+  EXPECT_EQ(CountRule(findings, "R4"), 7u);
+  EXPECT_EQ(findings[0].tag, "raw-sync");
+  EXPECT_EQ(findings[0].line, 1);
 }
 
-TEST(LintR5, FlagsDiscardedResultCall) {
-  const auto findings = Lint(
-      "Result<int> Fetch();\n"
+TEST(LintR4, PassesUtilSyncTypesAndTheSyncHeader) {
+  const auto wrapped = Lint(
+      "util::Mutex mu_;\n"
+      "util::CondVar cv_;\n"
       "void F() {\n"
-      "  Fetch();\n"
+      "  util::MutexLock a(mu_);\n"
+      "  util::UniqueLock b(mu_);\n"
+      "  std::mutex_like not_a_mutex;\n"  // a longer identifier
       "}\n");
-  EXPECT_EQ(CountRule(findings, "R5"), 1u);
-}
-
-TEST(LintR5, PassesConsumedStatus) {
-  const auto findings = Lint(
-      "Status DoThing();\n"
-      "Status F() {\n"
-      "  Status s = DoThing();\n"
-      "  if (!DoThing().ok()) return s;\n"
-      "  MC3_RETURN_IF_ERROR(DoThing());\n"
-      "  return DoThing();\n"
-      "}\n");
-  EXPECT_EQ(CountRule(findings, "R5"), 0u);
-}
-
-TEST(LintR5, FlagsDiscardedDurabilityApiCalls) {
-  // The durability APIs (src/durability/: WalWriter::Append/Sync/Rotate,
-  // WriteSnapshotFile) return Status/Result like everything else; a
-  // dropped call is a silent durability hole and must be flagged.
-  const auto findings = Lint(
-      "Result<uint64_t> Append(std::string payload);\n"
-      "Status Sync();\n"
-      "Status Rotate(uint64_t snapshot_seq, bool keep_segments);\n"
-      "Result<uint64_t> WriteSnapshotFile(const std::string& dir);\n"
-      "void Checkpoint() {\n"
-      "  Sync();\n"
-      "  WriteSnapshotFile(\"d\");\n"
-      "  Rotate(3, false);\n"
-      "}\n");
-  EXPECT_EQ(CountRule(findings, "R5"), 3u);
-}
-
-TEST(LintR5, PassesConsumedDurabilityApiCalls) {
-  const auto findings = Lint(
-      "Result<uint64_t> Append(std::string payload);\n"
-      "Status Sync();\n"
-      "Status Checkpoint() {\n"
-      "  auto seq = Append(\"+ a\");\n"
-      "  if (!seq.ok()) return seq.status();\n"
-      "  MC3_RETURN_IF_ERROR(Sync());\n"
-      "  return Sync();\n"
-      "}\n");
-  EXPECT_EQ(CountRule(findings, "R5"), 0u);
-}
-
-TEST(LintR5, SkipsOverloadsMixingReturnTypes) {
-  // SetCost returns Status on one class and void on another; a token-level
-  // pass cannot tell call sites apart, so the name is exempt.
-  const auto findings = Lint(
-      "Status SetCost(int c);\n"
-      "void SetCost(double c);\n"
-      "void F() {\n"
-      "  SetCost(1);\n"
-      "}\n");
-  EXPECT_EQ(CountRule(findings, "R5"), 0u);
+  EXPECT_EQ(CountRule(wrapped, "R4"), 0u);
+  // The wrappers themselves hold the raw types.
+  const auto sync_header = LintSnippet(
+      "src/util/sync.h",
+      "#pragma once\n"
+      "class Mutex {\n"
+      "  std::mutex mu_;\n"
+      "};\n"
+      "class CondVar {\n"
+      "  std::condition_variable cv_;\n"
+      "};\n");
+  EXPECT_EQ(CountRule(sync_header, "R4"), 0u);
 }
 
 // ---------------------------------------------------------------- R6
@@ -332,43 +295,6 @@ TEST(LintR6, SkipsPostDeclarationAndDefinition) {
   EXPECT_EQ(CountRule(findings, "R6"), 0u);
 }
 
-// ---------------------------------------------------------------- R7
-
-TEST(LintR7, FlagsBareCondvarWaits) {
-  const auto findings = Lint(
-      "#include <condition_variable>\n"
-      "std::condition_variable cv_;\n"
-      "void F(std::unique_lock<std::mutex>& lk, std::chrono::seconds d) {\n"
-      "  cv_.wait(lk);\n"
-      "  cv_.wait_for(lk, d);\n"
-      "}\n");
-  EXPECT_EQ(CountRule(findings, "R7"), 2u);
-  EXPECT_EQ(findings[0].tag, "cv-wait");
-  EXPECT_EQ(findings[0].line, 4);
-}
-
-TEST(LintR7, FlagsBareUtilCondVarWait) {
-  const auto findings = Lint(
-      "util::CondVar ready_;\n"
-      "void F(util::UniqueLock& lock) {\n"
-      "  ready_.Wait(lock);\n"
-      "}\n");
-  EXPECT_EQ(CountRule(findings, "R7"), 1u);
-}
-
-TEST(LintR7, PassesPredicateOverloadsAndNonCondvars) {
-  const auto findings = Lint(
-      "std::condition_variable cv_;\n"
-      "bool done_;\n"
-      "void F(std::unique_lock<std::mutex>& lk, std::chrono::seconds d,\n"
-      "       std::future<int>& task) {\n"
-      "  cv_.wait(lk, [&] { return done_; });\n"
-      "  cv_.wait_for(lk, d, [&] { return done_; });\n"
-      "  task.wait();\n"  // futures have no predicate overload
-      "}\n");
-  EXPECT_EQ(CountRule(findings, "R7"), 0u);
-}
-
 // ---------------------------------------------------------------- R8
 
 TEST(LintR8, FlagsUnannotatedMembersOfMutexOwningClass) {
@@ -377,7 +303,7 @@ TEST(LintR8, FlagsUnannotatedMembersOfMutexOwningClass) {
       " public:\n"
       "  void Put(int k);\n"
       " private:\n"
-      "  std::mutex mu_;\n"
+      "  util::Mutex mu_;\n"
       "  int hits_ = 0;\n"
       "  std::vector<int> keys_;\n"
       "};\n");
@@ -393,7 +319,7 @@ TEST(LintR8, PassesAnnotatedAtomicAndThreadSafeMembers) {
       "  int hits_ MC3_GUARDED_BY(mu_) = 0;\n"
       "  std::unique_ptr<int> slot_ MC3_PT_GUARDED_BY(mu_);\n"
       "  std::atomic<bool> stop_{false};\n"
-      "  std::condition_variable cv_;\n"
+      "  util::CondVar cv_;\n"
       "  obs::Counter* requests_ = nullptr;\n"
       "  static constexpr int kMax = 8;\n"
       "  const int capacity_ = 4;\n"
@@ -439,7 +365,7 @@ TEST(LintR8, PassesClassWithoutMutex) {
       "  std::vector<int> keys;\n"
       "};\n"
       "class Uses {\n"
-      "  std::mutex* borrowed_;\n"  // pointer: not owned by this class
+      "  util::Mutex* borrowed_;\n"  // pointer: not owned by this class
       "  int x_ = 0;\n"
       "};\n");
   EXPECT_EQ(CountRule(findings, "R8"), 0u);
@@ -501,15 +427,15 @@ TEST(LintR9, JoinInAnotherFileSatisfiesHeaderDeclaration) {
 TEST(LintR10, FlagsTwoMutexCycle) {
   const auto findings = Lint(
       "struct Two {\n"
-      "  std::mutex mu_a;\n"
-      "  std::mutex mu_b;\n"
+      "  util::Mutex mu_a;\n"
+      "  util::Mutex mu_b;\n"
       "  void A() {\n"
-      "    std::scoped_lock a(mu_a);\n"
-      "    std::scoped_lock b(mu_b);\n"
+      "    util::MutexLock a(mu_a);\n"
+      "    util::MutexLock b(mu_b);\n"
       "  }\n"
       "  void B() {\n"
-      "    std::scoped_lock b(mu_b);\n"
-      "    std::scoped_lock a(mu_a);\n"
+      "    util::MutexLock b(mu_b);\n"
+      "    util::MutexLock a(mu_a);\n"
       "  }\n"
       "};\n");
   ASSERT_EQ(CountRule(findings, "R10"), 1u);
@@ -522,15 +448,15 @@ TEST(LintR10, FlagsTwoMutexCycle) {
 TEST(LintR10, PassesConsistentOrderAndSiblingScopes) {
   const auto findings = Lint(
       "struct Two {\n"
-      "  std::mutex mu_a;\n"
-      "  std::mutex mu_b;\n"
+      "  util::Mutex mu_a;\n"
+      "  util::Mutex mu_b;\n"
       "  void A() {\n"
-      "    std::scoped_lock a(mu_a);\n"
-      "    std::scoped_lock b(mu_b);\n"
+      "    util::MutexLock a(mu_a);\n"
+      "    util::MutexLock b(mu_b);\n"
       "  }\n"
       "  void B() {\n"
-      "    { std::scoped_lock a(mu_a); }\n"  // released before mu_b
-      "    std::scoped_lock b(mu_b);\n"
+      "    { util::MutexLock a(mu_a); }\n"  // released before mu_b
+      "    util::MutexLock b(mu_b);\n"
       "  }\n"
       "};\n");
   EXPECT_EQ(CountRule(findings, "R10"), 0u);
@@ -566,10 +492,10 @@ TEST(LintR10, ValueReturningLockCallsAreNotAcquisitions) {
   const auto edges = CollectLockEdges(
       "s.cc",
       "struct S {\n"
-      "  std::mutex mu_;\n"
+      "  util::Mutex mu_;\n"
       "  std::weak_ptr<int> weak_;\n"
       "  void F() {\n"
-      "    std::scoped_lock l(mu_);\n"
+      "    util::MutexLock l(mu_);\n"
       "    if (std::shared_ptr<int> p = weak_.lock()) {\n"
       "    }\n"
       "  }\n"
@@ -581,16 +507,16 @@ TEST(LintR10, ValueReturningLockCallsAreNotAcquisitions) {
 TEST(LintR10, WaivedEdgesStayOutOfCycles) {
   const auto findings = Lint(
       "struct Two {\n"
-      "  std::mutex mu_a;\n"
-      "  std::mutex mu_b;\n"
+      "  util::Mutex mu_a;\n"
+      "  util::Mutex mu_b;\n"
       "  void A() {\n"
-      "    std::scoped_lock a(mu_a);\n"
-      "    std::scoped_lock b(mu_b);\n"
+      "    util::MutexLock a(mu_a);\n"
+      "    util::MutexLock b(mu_b);\n"
       "  }\n"
       "  void B() {\n"
-      "    std::scoped_lock b(mu_b);\n"
+      "    util::MutexLock b(mu_b);\n"
       "    // mc3-lint: lock-order-ok(B never runs concurrently with A)\n"
-      "    std::scoped_lock a(mu_a);\n"
+      "    util::MutexLock a(mu_a);\n"
       "  }\n"
       "};\n");
   EXPECT_EQ(CountRule(findings, "R10"), 0u);
@@ -626,15 +552,9 @@ TEST(LintWaivers, WrongTagDoesNotSuppress) {
 }
 
 TEST(LintWaivers, ConcurrencyTagsSuppressTheirRules) {
-  const auto cv = Lint(
-      "std::condition_variable cv_;\n"
-      "void F(std::unique_lock<std::mutex>& lk) {\n"
-      "  cv_.wait(lk);  // mc3-lint: cv-wait-ok(caller loops on the state)\n"
-      "}\n");
-  EXPECT_EQ(CountRule(cv, "R7"), 0u);
   const auto guard = Lint(
       "class C {\n"
-      "  std::mutex mu_;\n"
+      "  util::Mutex mu_;\n"
       "  // mc3-lint: guard-ok(written once before threads start)\n"
       "  int config_;\n"
       "};\n");
@@ -647,8 +567,7 @@ TEST(LintWaivers, ConcurrencyTagsSuppressTheirRules) {
   // The waiver covers the detach() line; the declaration would still need a
   // join, so only the never-joined finding remains.
   EXPECT_EQ(CountRule(detach, "R9"), 1u);
-  // The four concurrency tags are known: none of these is a W0.
-  EXPECT_EQ(CountRule(cv, "W0"), 0u);
+  // The three concurrency tags are known: none of these is a W0.
   EXPECT_EQ(CountRule(guard, "W0"), 0u);
   EXPECT_EQ(CountRule(detach, "W0"), 0u);
   EXPECT_EQ(
@@ -743,12 +662,14 @@ TEST(LintReport, RendersValidSchemaJson) {
   const obs::JsonValue* by_rule = root.Find("findings_by_rule");
   ASSERT_TRUE(by_rule != nullptr && by_rule->is_object());
   EXPECT_EQ(by_rule->Find("R1")->number, 1);
-  for (const char* rule : {"R2", "R3", "R5", "R6", "R7", "R8", "R9", "R10",
-                           "W0", "W1"}) {
+  for (const char* rule : {"R2", "R3", "R6", "R8", "R9", "R10", "W0", "W1"}) {
     const obs::JsonValue* count = by_rule->Find(rule);
     ASSERT_TRUE(count != nullptr) << rule;
     EXPECT_EQ(count->number, 0) << rule;
   }
+  // Retired rule numbers are not counted.
+  EXPECT_EQ(by_rule->Find("R5"), nullptr);
+  EXPECT_EQ(by_rule->Find("R7"), nullptr);
   // Empty-by-default v2 sections are present even with no R10/skip input.
   const obs::JsonValue* graph = root.Find("lock_graph");
   ASSERT_TRUE(graph != nullptr && graph->is_object());

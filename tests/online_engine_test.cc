@@ -435,7 +435,6 @@ TEST(OnlineEngineTest, ResolvesAndRestoresShareOneNameTable) {
             restored.property_names().data());
 }
 
-#if !defined(MC3_OBS_DISABLED)
 void CollectSpans(const obs::SpanNode& node, const std::string& name,
                   std::vector<const obs::SpanNode*>* out) {
   if (node.name == name) out->push_back(&node);
@@ -481,7 +480,6 @@ TEST(OnlineEngineTest, TracedUpdateTimesTheSubInstanceBuild) {
   }
   EXPECT_GE(child_seconds, 0.9 * solve_seconds);
 }
-#endif  // !MC3_OBS_DISABLED
 
 TEST(ShardedSyntheticTest, DomainsAreDisjointComponents) {
   online::ShardedSyntheticConfig config;

@@ -1106,7 +1106,7 @@ TEST(ServerTelemetryTest, HealthReportsUptimeAndBuildInfo) {
   ASSERT_NE(build->Find("build_type"), nullptr);
   const obs::JsonValue* obs_mode = build->Find("obs");
   ASSERT_NE(obs_mode, nullptr);
-  EXPECT_EQ(obs_mode->boolean, obs::kObsEnabled);
+  EXPECT_TRUE(obs_mode->boolean);
 
   server.RequestDrain();
   server.Join();
@@ -1129,15 +1129,13 @@ TEST(ServerTelemetryTest, StatsReportsQueueHighWatermarkAndStages) {
   // watermark saw at least one entry.
   EXPECT_GE(depth_max->number, 1);
   ASSERT_NE(stats.Find("uptime_seconds"), nullptr);
-  if (obs::kObsEnabled) {
-    const obs::JsonValue* stages = stats.Find("stages");
-    ASSERT_NE(stages, nullptr);
-    ASSERT_TRUE(stages->is_object());
-    const obs::JsonValue* queue_wait = stages->Find("queue_wait.update");
-    ASSERT_NE(queue_wait, nullptr);
-    ASSERT_NE(queue_wait->Find("count"), nullptr);
-    EXPECT_GE(queue_wait->Find("count")->number, 1);
-  }
+  const obs::JsonValue* stages = stats.Find("stages");
+  ASSERT_NE(stages, nullptr);
+  ASSERT_TRUE(stages->is_object());
+  const obs::JsonValue* queue_wait = stages->Find("queue_wait.update");
+  ASSERT_NE(queue_wait, nullptr);
+  ASSERT_NE(queue_wait->Find("count"), nullptr);
+  EXPECT_GE(queue_wait->Find("count")->number, 1);
 
   server.RequestDrain();
   server.Join();
@@ -1180,35 +1178,31 @@ TEST(ServerTelemetryTest, MetricsVerbAgreesWithStats) {
   ASSERT_NE(responses, nullptr);
   EXPECT_EQ(responses->value, stats.Find("responses")->number + 1);
 
-  // Gauges and build info are always exposed, in both build configs.
+  // Gauges and build info are always exposed.
   EXPECT_NE(obs::FindSample(*samples, "mc3_server_queue_depth_max"), nullptr);
   EXPECT_NE(obs::FindSample(*samples, "mc3_server_uptime_seconds"), nullptr);
   EXPECT_NE(obs::FindSample(*samples, "mc3_server_batches_total"), nullptr);
   const obs::ParsedSample* build = obs::FindSample(*samples, "mc3_build_info");
   ASSERT_NE(build, nullptr);
   EXPECT_EQ(build->value, 1);
-  EXPECT_EQ(build->labels.at("obs"), obs::kObsEnabled ? "on" : "off");
-  if (obs::kObsEnabled) {
-    // Registry-backed per-verb counters and stage histograms.
-    const obs::ParsedSample* updates =
-        obs::FindSample(*samples, "mc3_server_requests_update_total");
-    ASSERT_NE(updates, nullptr);
-    EXPECT_GE(updates->value, 1);
-    EXPECT_NE(obs::FindSample(*samples,
-                              "mc3_server_stage_queue_wait_update_count"),
-              nullptr);
-    // The applied update republished the read views.
-    EXPECT_NE(obs::FindSample(*samples,
-                              "mc3_server_stage_publish_update_count"),
-              nullptr);
-  }
+  EXPECT_EQ(build->labels.at("obs"), "on");
+  // Registry-backed per-verb counters and stage histograms.
+  const obs::ParsedSample* updates =
+      obs::FindSample(*samples, "mc3_server_requests_update_total");
+  ASSERT_NE(updates, nullptr);
+  EXPECT_GE(updates->value, 1);
+  EXPECT_NE(
+      obs::FindSample(*samples, "mc3_server_stage_queue_wait_update_count"),
+      nullptr);
+  // The applied update republished the read views.
+  EXPECT_NE(obs::FindSample(*samples, "mc3_server_stage_publish_update_count"),
+            nullptr);
 
   server.RequestDrain();
   server.Join();
 }
 
 TEST(ServerTelemetryTest, CheckpointsRecordTheirStage) {
-  if (!obs::kObsEnabled) return;  // stage histograms compile away
   DurableDir dir("checkpoint_stage");
   ServerOptions options = DurableOptions(dir.path);
   // An update past this count checkpoints inside its batch.
@@ -1244,7 +1238,6 @@ TEST(ServerTelemetryTest, CheckpointsRecordTheirStage) {
 // serialize with flow events across connection, engine-worker and
 // WAL-committer threads.
 TEST(ServerTelemetryTest, DurableRunConnectsSpansAcrossThreads) {
-  if (!obs::kObsEnabled) return;  // tracing compiles away under MC3_OBS=OFF
   DurableDir dir("trace");
   ServerOptions options = DurableOptions(dir.path);
   // Group commit so durability lands on the dedicated committer thread.

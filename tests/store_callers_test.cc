@@ -308,7 +308,6 @@ TEST(StoreCallersTest, LiveInstanceMatchesThePerSubsetReference) {
   }
 }
 
-#if !defined(MC3_OBS_DISABLED)
 void CollectSpans(const obs::SpanNode& node, const std::string& name,
                   std::vector<const obs::SpanNode*>* out) {
   if (node.name == name) out->push_back(&node);
@@ -359,7 +358,6 @@ TEST(StoreCallersTest, SubInstanceBuildCountsThePerSubsetReference) {
         << "component " << i;
   }
 }
-#endif  // !MC3_OBS_DISABLED
 
 /// CRC-32 of an instance's CSV rendering.
 uint32_t CsvDigest(const Instance& instance) {

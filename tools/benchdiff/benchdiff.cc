@@ -236,12 +236,13 @@ double MedianAbsDeviation(const std::vector<double>& values, double median) {
 DiffReport DiffBenchData(const BenchData& baseline, const BenchData& current,
                          const DiffOptions& options) {
   DiffReport report;
-  // A de-instrumented current build makes the counter gate vacuous; that
-  // must fail loudly rather than report a clean diff.
+  // A current report without observability (written by an older build)
+  // makes the counter gate vacuous; that must fail loudly rather than
+  // report a clean diff.
   if (baseline.obs_enabled && !current.obs_enabled) {
     AddFinding(&report,
                Finding{"obs_disabled", "", "", 0, 0, 0, true,
-                       "current report was built with MC3_OBS=OFF; counters "
+                       "current report declares obs_enabled false; counters "
                        "cannot be gated"});
     return report;
   }

@@ -79,6 +79,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <filesystem>
 #include <cstdio>
@@ -88,7 +90,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -1170,8 +1174,7 @@ int CmdBench(const BenchConfig& config) {
   if (Status status = WriteFile(path, json); !status.ok()) {
     return Fail(status);
   }
-  std::printf("report:        %s (%s, schema %s)\n", path.c_str(),
-              obs::kObsEnabled ? "validated" : "validated; obs compiled out",
+  std::printf("report:        %s (validated, schema %s)\n", path.c_str(),
               obs::kBenchReportSchema);
   return 0;
 }
@@ -1192,6 +1195,7 @@ class Args {
                                    const std::vector<std::string>& args,
                                    std::initializer_list<Flag> flags) {
     Args out;
+    out.command_ = command;
     for (size_t i = 0; i < args.size(); ++i) {
       const std::string& arg = args[i];
       if (arg.size() < 2 || arg[0] != '-') {
@@ -1228,12 +1232,35 @@ class Args {
     return nullptr;
   }
   bool has(const std::string& flag) const { return value(flag) != nullptr; }
+  /// Reads the value of `flag` into `*out` when the flag is given and leaves
+  /// `*out` alone otherwise. The whole value must be a T: no trailing text,
+  /// no overflow, no sign on an unsigned T, no infinity or NaN. Prints the
+  /// flag and its value and returns false when it is not.
+  template <typename T>
+  bool Number(const std::string& flag, T* out) const {
+    const std::string* text = value(flag);
+    if (text == nullptr) return true;
+    T parsed{};
+    const char* end = text->data() + text->size();
+    const auto [stop, error] = std::from_chars(text->data(), end, parsed);
+    if (error != std::errc() || stop != end || !std::isfinite(parsed)) {
+      const char* kind = std::is_floating_point_v<T> ? "a number"
+                         : std::is_signed_v<T>       ? "an integer"
+                                                     : "an unsigned integer";
+      std::fprintf(stderr, "mc3 %s: flag '%s' needs %s, got '%s'\n",
+                   command_.c_str(), flag.c_str(), kind, text->c_str());
+      return false;
+    }
+    *out = parsed;
+    return true;
+  }
   /// The first positional argument, or nullptr.
   const std::string* positional() const {
     return positionals_.empty() ? nullptr : &positionals_.front();
   }
 
  private:
+  std::string command_;
   std::vector<std::pair<std::string, std::string>> values_;
   std::vector<std::string> positionals_;
 };
@@ -1261,12 +1288,10 @@ int main(int argc, char** argv) {
     const std::string* solver = args->value("--solver");
     SolverOptions options;
     if (args->has("--no-preprocess")) options.preprocess = false;
-    if (const std::string* threads = args->value("--threads")) {
-      options.num_threads = std::strtoul(threads->c_str(), nullptr, 10);
-    }
-    if (const std::string* ec = args->value("--exact-components")) {
-      options.exact_component_max_queries =
-          std::strtoul(ec->c_str(), nullptr, 10);
+    if (!args->Number("--threads", &options.num_threads) ||
+        !args->Number("--exact-components",
+                      &options.exact_component_max_queries)) {
+      return 2;
     }
     const std::string* out = args->value("--out");
     const std::string* report = args->value("--report");
@@ -1284,12 +1309,7 @@ int main(int argc, char** argv) {
     if (dataset == nullptr || out == nullptr) return Usage();
     size_t n = 0;
     uint64_t seed = 1;
-    if (const std::string* v = args->value("--n")) {
-      n = std::strtoul(v->c_str(), nullptr, 10);
-    }
-    if (const std::string* v = args->value("--seed")) {
-      seed = std::strtoull(v->c_str(), nullptr, 10);
-    }
+    if (!args->Number("--n", &n) || !args->Number("--seed", &seed)) return 2;
     return CmdGenerate(*dataset, n, seed, *out);
   }
   if (command == "serve") {
@@ -1337,17 +1357,11 @@ int main(int argc, char** argv) {
     }
     ServeConfig config;
     if (const std::string* v = args->value("--solver")) config.solver = *v;
-    if (const std::string* v = args->value("--threads")) {
-      config.threads = std::strtoul(v->c_str(), nullptr, 10);
-    }
-    if (const std::string* v = args->value("--batch")) {
-      config.batch = std::strtoul(v->c_str(), nullptr, 10);
-    }
-    if (const std::string* v = args->value("--default-cost")) {
-      config.default_cost = std::strtod(v->c_str(), nullptr);
-    }
-    if (const std::string* v = args->value("--verify-every")) {
-      config.verify_every = std::strtoul(v->c_str(), nullptr, 10);
+    if (!args->Number("--threads", &config.threads) ||
+        !args->Number("--batch", &config.batch) ||
+        !args->Number("--default-cost", &config.default_cost) ||
+        !args->Number("--verify-every", &config.verify_every)) {
+      return 2;
     }
     config.verbose = args->has("--verbose");
     if (const std::string* v = args->value("--report")) config.report = *v;
@@ -1355,22 +1369,16 @@ int main(int argc, char** argv) {
       config.solution_out = *v;
     }
     if (listen != nullptr) {
-      config.listen = std::strtol(listen->c_str(), nullptr, 10);
+      if (!args->Number("--listen", &config.listen)) return 2;
       if (config.listen < 0 || config.listen > 65535) return Usage();
       if (const std::string* v = args->value("--port-file")) {
         config.port_file = *v;
       }
-      if (const std::string* v = args->value("--queue-capacity")) {
-        config.queue_capacity = std::strtoul(v->c_str(), nullptr, 10);
-      }
-      if (const std::string* v = args->value("--watermark")) {
-        config.watermark = std::strtoul(v->c_str(), nullptr, 10);
-      }
-      if (const std::string* v = args->value("--max-batch")) {
-        config.max_batch = std::strtoul(v->c_str(), nullptr, 10);
-      }
-      if (const std::string* v = args->value("--workers")) {
-        config.workers = std::strtoul(v->c_str(), nullptr, 10);
+      if (!args->Number("--queue-capacity", &config.queue_capacity) ||
+          !args->Number("--watermark", &config.watermark) ||
+          !args->Number("--max-batch", &config.max_batch) ||
+          !args->Number("--workers", &config.workers)) {
+        return 2;
       }
       server::ServerOptions server_options;
       server_options.port = static_cast<uint16_t>(config.listen);
@@ -1403,25 +1411,20 @@ int main(int argc, char** argv) {
           return 2;
         }
       }
-      if (const std::string* v = args->value("--wal-group-ms")) {
-        server_options.durability.wal.group_window_ms =
-            std::strtod(v->c_str(), nullptr);
+      durability::DurabilityOptions& durable = server_options.durability;
+      if (!args->Number("--wal-group-ms", &durable.wal.group_window_ms) ||
+          !args->Number("--checkpoint-every",
+                        &durable.checkpoint_every_updates) ||
+          !args->Number("--checkpoint-interval",
+                        &durable.checkpoint_interval_s)) {
+        return 2;
       }
-      if (const std::string* v = args->value("--checkpoint-every")) {
-        server_options.durability.checkpoint_every_updates =
-            std::strtoull(v->c_str(), nullptr, 10);
-      }
-      if (const std::string* v = args->value("--checkpoint-interval")) {
-        server_options.durability.checkpoint_interval_s =
-            std::strtod(v->c_str(), nullptr);
-      }
-      server_options.durability.keep_segments =
-          args->has("--keep-wal-segments");
+      durable.keep_segments = args->has("--keep-wal-segments");
       if (const std::string* v = args->value("--record-trace")) {
         server_options.record_trace_path = *v;
       }
-      if (const std::string* v = args->value("--trace-sample")) {
-        server_options.trace_sample = std::strtoull(v->c_str(), nullptr, 10);
+      if (!args->Number("--trace-sample", &server_options.trace_sample)) {
+        return 2;
       }
       if (const std::string* v = args->value("--trace-out")) {
         server_options.trace_out_dir = *v;
@@ -1441,11 +1444,9 @@ int main(int argc, char** argv) {
     if (path == nullptr || data_dir == nullptr) return Usage();
     ServeConfig config;
     if (const std::string* v = args->value("--solver")) config.solver = *v;
-    if (const std::string* v = args->value("--threads")) {
-      config.threads = std::strtoul(v->c_str(), nullptr, 10);
-    }
-    if (const std::string* v = args->value("--default-cost")) {
-      config.default_cost = std::strtod(v->c_str(), nullptr);
+    if (!args->Number("--threads", &config.threads) ||
+        !args->Number("--default-cost", &config.default_cost)) {
+      return 2;
     }
     if (const std::string* v = args->value("--solution-out")) {
       config.solution_out = *v;
@@ -1467,9 +1468,7 @@ int main(int argc, char** argv) {
     if (data_dir == nullptr) return Usage();
     if (*verb == "dump") {
       uint64_t after = 0;
-      if (const std::string* v = args->value("--after")) {
-        after = std::strtoull(v->c_str(), nullptr, 10);
-      }
+      if (!args->Number("--after", &after)) return 2;
       const std::string* out = args->value("-o");
       return CmdWalDump(*data_dir, after, out != nullptr ? *out : "");
     }
@@ -1484,17 +1483,13 @@ int main(int argc, char** argv) {
     if (!args) return Usage();
     BenchConfig config;
     config.quick = args->has("--quick");
-    if (const std::string* v = args->value("--seed")) {
-      config.seed = std::strtoull(v->c_str(), nullptr, 10);
+    if (!args->Number("--seed", &config.seed) ||
+        !args->Number("--repeat", &config.repeat) ||
+        !args->Number("--warmup", &config.warmup)) {
+      return 2;
     }
     if (const std::string* v = args->value("--report")) {
       config.report_path = *v;
-    }
-    if (const std::string* v = args->value("--repeat")) {
-      config.repeat = std::strtoul(v->c_str(), nullptr, 10);
-    }
-    if (const std::string* v = args->value("--warmup")) {
-      config.warmup = std::strtoul(v->c_str(), nullptr, 10);
     }
     if (const std::string* v = args->value("--filter")) {
       config.filter = *v;
@@ -1509,9 +1504,7 @@ int main(int argc, char** argv) {
     const std::string* out = args->value("-o");
     if (path == nullptr || out == nullptr) return Usage();
     Cost default_cost = 5;
-    if (const std::string* v = args->value("--default-cost")) {
-      default_cost = std::strtod(v->c_str(), nullptr);
-    }
+    if (!args->Number("--default-cost", &default_cost)) return 2;
     return CmdIngest(*path, *out, default_cost);
   }
   return Usage();

@@ -64,9 +64,8 @@ int LineOf(const std::string& s, size_t pos) {
 const std::set<std::string>& KnownTags() {
   static const std::set<std::string> tags = {
       "unordered", "float-eq", "pragma-once", "print",
-      "new-delete", "rand",     "time",        "status",
-      "capture",    "cv-wait",  "guard",       "detach",
-      "lock-order"};
+      "new-delete", "rand",     "time",        "raw-sync",
+      "capture",    "guard",    "detach",      "lock-order"};
   return tags;
 }
 
@@ -287,79 +286,6 @@ void CollectDecls(const std::string& code, const std::string& type_token,
   }
 }
 
-/// Collects every `TYPE NAME(` two-word declaration whose TYPE is not
-/// Status/Result into `out`. Used to spot overload sets where only some
-/// overloads return Status — R5 must skip those names.
-void CollectNonStatusFunctions(const std::string& code,
-                               std::set<std::string>* out) {
-  static const std::set<std::string> kNotATypeword = {
-      "return",   "co_return", "co_await", "co_yield", "throw", "new",
-      "delete",   "case",      "goto",     "else",     "do",    "operator",
-      "Status",   "Result"};
-  size_t pos = 0;
-  while (pos < code.size()) {
-    if (!IsIdentStart(code[pos]) ||
-        (pos > 0 && IsIdentChar(code[pos - 1]))) {
-      ++pos;
-      continue;
-    }
-    size_t end = pos;
-    while (end < code.size() && IsIdentChar(code[end])) ++end;
-    const std::string first = code.substr(pos, end - pos);
-    size_t p = SkipSpaces(code, end);
-    if (p == end || p >= code.size() || !IsIdentStart(code[p])) {
-      pos = end;
-      continue;
-    }
-    size_t end2 = p;
-    while (end2 < code.size() && IsIdentChar(code[end2])) ++end2;
-    const std::string second = code.substr(p, end2 - p);
-    const size_t after = SkipSpaces(code, end2);
-    if (after < code.size() && code[after] == '(' &&
-        kNotATypeword.count(first) == 0) {
-      out->insert(second);
-    }
-    pos = end;
-  }
-}
-
-/// Collects names of functions returning `ret` (optionally templated, e.g.
-/// Result<T>) into `out`.
-void CollectReturning(const std::string& code, const std::string& ret,
-                      bool templated, std::set<std::string>* out) {
-  size_t pos = 0;
-  while ((pos = code.find(ret, pos)) != std::string::npos) {
-    const size_t start = pos;
-    pos += ret.size();
-    if (start > 0 && IsIdentChar(code[start - 1])) continue;
-    size_t p = pos;
-    if (templated) {
-      p = SkipSpaces(code, p);
-      if (p >= code.size() || code[p] != '<') continue;
-      p = SkipBalanced(code, p, '<', '>');
-      if (p == std::string::npos) continue;
-    } else if (p < code.size() && (IsIdentChar(code[p]) || code[p] == '<')) {
-      continue;  // StatusCode, Status<...>, ...
-    }
-    p = SkipSpaces(code, p);
-    // Qualified name: A::B::name — keep the last component.
-    std::string name;
-    while (p < code.size() && IsIdentStart(code[p])) {
-      size_t end = p;
-      while (end < code.size() && IsIdentChar(code[end])) ++end;
-      name = code.substr(p, end - p);
-      p = SkipSpaces(code, end);
-      if (code.compare(p, 2, "::") == 0) {
-        p = SkipSpaces(code, p + 2);
-        continue;
-      }
-      break;
-    }
-    if (name.empty() || name == "const" || name == "constexpr") continue;
-    if (p < code.size() && code[p] == '(') out->insert(name);
-  }
-}
-
 bool ContainsCostWord(const std::string& expr) {
   static const std::regex kCostish("[Cc]ost|[Ww]eight");
   if (!std::regex_search(expr, kCostish)) return false;
@@ -507,9 +433,7 @@ class Linter {
     RuleUnorderedIteration();
     RuleFloatEquality();
     RuleBannedConstructs();
-    RuleUncheckedStatus();
     RuleSharedMutableCapture();
-    RuleCvWait();
     RuleGuardedMembers();
     RuleThreadDetach();
     for (const auto& [line, tag] : unused_) {
@@ -642,7 +566,8 @@ class Linter {
     }
   }
 
-  // R4 — rand(), time(NULL), printing from library code, naked new/delete.
+  // R4 — rand(), time(NULL), printing from library code, naked new/delete,
+  // raw std:: synchronization types.
   void RuleBannedConstructs() {
     for (const char* fn : {"rand", "srand"}) {
       size_t pos = 0;
@@ -727,46 +652,26 @@ class Linter {
                "naked delete; use std::make_unique / containers (RAII)");
       }
     }
-  }
-
-  // R5 — the result of a Status/Result-returning call must be consumed.
-  void RuleUncheckedStatus() {
-    for (const std::string& fn : index_.status_functions) {
-      // Overload sets mixing Status and non-Status return types cannot be
-      // told apart without type information; leave them to [[nodiscard]].
-      if (index_.nonstatus_functions.count(fn) > 0) continue;
+    // Raw standard mutex, lock and condition-variable types: only
+    // util/sync.h wraps them; everything else uses its annotated types, so
+    // clang's thread-safety analysis sees every lock.
+    if (path_.ends_with("src/util/sync.h")) return;
+    for (const char* type :
+         {"mutex", "timed_mutex", "recursive_mutex", "recursive_timed_mutex",
+          "shared_mutex", "shared_timed_mutex", "condition_variable",
+          "condition_variable_any", "lock_guard", "unique_lock",
+          "scoped_lock", "shared_lock"}) {
+      const std::string raw = std::string("std::") + type;
       size_t pos = 0;
-      while ((pos = code_.find(fn, pos)) != std::string::npos) {
+      while ((pos = code_.find(raw, pos)) != std::string::npos) {
         const size_t at = pos;
-        pos += fn.size();
-        if (!IsWordAt(code_, at, fn)) continue;
-        size_t open = SkipSpaces(code_, at + fn.size());
-        if (open >= code_.size() || code_[open] != '(') continue;
-        // Walk back over the object chain (obj. / ptr-> / ns:: / arr[i].).
-        size_t p = at;
-        while (p > 0) {
-          const char c = code_[p - 1];
-          if (IsIdentChar(c) || c == '.' || c == ':' || c == ']' ||
-              c == '[' || (c == '>' && p > 1 && code_[p - 2] == '-') ||
-              (c == '-' )) {
-            --p;
-          } else {
-            break;
-          }
-        }
-        const char before = PrevSignificant(code_, p);
-        if (before != ';' && before != '{' && before != '}' &&
-            before != '\0') {
-          continue;
-        }
-        const size_t close = SkipBalanced(code_, open, '(', ')');
-        if (close == std::string::npos) continue;
-        const size_t next = SkipSpaces(code_, close);
-        if (next >= code_.size() || code_[next] != ';') continue;
-        Report(at, "R5", "status",
-               "result of Status-returning call '" + fn +
-                   "(...)' is discarded; check it, return it, or cast to "
-                   "(void) with a waiver");
+        pos += raw.size();
+        if (!IsWordAt(code_, at, raw)) continue;
+        Report(at, "R4", "raw-sync",
+               "raw " + raw +
+                   " outside util/sync.h; use util::Mutex / MutexLock / "
+                   "UniqueLock / CondVar, which carry the thread-safety "
+                   "annotations");
       }
     }
   }
@@ -880,60 +785,6 @@ class Linter {
                  entry +
                  " body without per-index addressing, an atomic, or a mutex "
                  "— data-race hazard (see the TSan CI job)");
-    }
-  }
-
-  // R7 — condition-variable waits must use the predicate overload; the bare
-  // overload returns on spurious wakeups and on signals sent before the
-  // wait, so callers must re-check state in a loop the predicate encodes.
-  void RuleCvWait() {
-    static const struct {
-      const char* method;
-      int min_commas;  ///< top-level commas the predicate overload carries
-    } kWaits[] = {
-        {"wait", 1},      {"wait_for", 2}, {"wait_until", 2},
-        {"Wait", 1},      {"WaitFor", 2},  {"WaitUntil", 2},
-    };
-    for (const auto& w : kWaits) {
-      const std::string method = w.method;
-      size_t pos = 0;
-      while ((pos = code_.find(method, pos)) != std::string::npos) {
-        const size_t at = pos;
-        pos += method.size();
-        if (!IsWordAt(code_, at, method)) continue;
-        // Member access on a known condition variable.
-        size_t p = at;
-        while (p > 0 &&
-               std::isspace(static_cast<unsigned char>(code_[p - 1])) != 0) {
-          --p;
-        }
-        if (p > 0 && code_[p - 1] == '.') {
-          --p;
-        } else if (p > 1 && code_[p - 1] == '>' && code_[p - 2] == '-') {
-          p -= 2;
-        } else {
-          continue;
-        }
-        const std::string receiver = ReceiverBefore(code_, p);
-        if (receiver.empty() ||
-            index_.condvar_symbols.count(receiver) == 0) {
-          continue;
-        }
-        const size_t open = SkipSpaces(code_, at + method.size());
-        if (open >= code_.size() || code_[open] != '(') continue;
-        const size_t close = SkipBalanced(code_, open, '(', ')');
-        if (close == std::string::npos) continue;
-        const std::string args =
-            code_.substr(open + 1, close - open - 2);
-        const int commas =
-            static_cast<int>(SplitTopLevel(args).size()) - 1;
-        if (commas >= w.min_commas) continue;
-        Report(at, "R7", "cv-wait",
-               "'" + receiver + "." + method +
-                   "' without a predicate: spurious wakeups and early "
-                   "notifies make the bare overload a lost-signal bug; pass "
-                   "the predicate overload (it re-checks under the lock)");
-      }
     }
   }
 
@@ -1230,24 +1081,12 @@ void IndexFile(const std::string& content, SymbolIndex* index) {
   for (const char* type : {"unordered_map", "unordered_set"}) {
     CollectDecls(code, type, &index->unordered_symbols);
   }
-  CollectReturning(code, "Status", /*templated=*/false,
-                   &index->status_functions);
-  CollectReturning(code, "Result", /*templated=*/true,
-                   &index->status_functions);
-  CollectNonStatusFunctions(code, &index->nonstatus_functions);
   for (const char* type :
        {"std::atomic", "std::mutex", "std::shared_mutex", "std::once_flag",
         "std::condition_variable", "obs::Counter", "obs::Gauge",
         "obs::Histogram", "Counter", "Gauge", "Histogram", "Mutex",
         "CondVar", "BoundedQueue", "WorkerPool"}) {
     CollectDecls(code, type, &index->threadsafe_symbols);
-  }
-  // Condition-variable receivers for R7. "CondVar" also matches the tail of
-  // util::CondVar; "std::condition_variable" skips the _any suffix on its
-  // own (the following ident char fails the boundary check), so list both.
-  for (const char* type : {"std::condition_variable",
-                           "std::condition_variable_any", "CondVar"}) {
-    CollectDecls(code, type, &index->condvar_symbols);
   }
   // MC3_REQUIRES annotations on declarations: `Ret Name(args) MC3_REQUIRES(
   // mu)` records Name -> {mu} so R10 can seed the held set at the
@@ -1772,8 +1611,8 @@ std::string FindingsToJson(const std::vector<Finding>& findings,
   // Every rule appears in the counts, zeros included, so report consumers
   // can distinguish "clean" from "rule did not run".
   std::map<std::string, uint64_t> by_rule;
-  for (const char* rule : {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
-                           "R9", "R10", "W0", "W1"}) {
+  for (const char* rule :
+       {"R1", "R2", "R3", "R4", "R6", "R8", "R9", "R10", "W0", "W1"}) {
     by_rule[rule] = 0;
   }
   for (const Finding& f : findings) ++by_rule[f.rule];

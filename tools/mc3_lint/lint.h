@@ -14,17 +14,13 @@
 //                         translation units, see EmitHeaderTu).
 //   R4 banned constructs— rand()/srand(), time(NULL), std::cout / printf in
 //                         src/ libraries (tools/, bench/, examples/ may
-//                         print), naked new/delete.
-//   R5 unchecked Status — the result of a Status- or Result<T>-returning call
-//                         must be consumed (assigned, returned, tested, or
-//                         explicitly discarded with (void)).
+//                         print), naked new/delete, and raw std:: mutex,
+//                         lock and condition-variable types outside
+//                         src/util/sync.h.
 //   R6 shared-mutable capture — a by-reference capture mutated inside a
 //                         ParallelFor body without indexing by the worker
 //                         slot, atomics, or a mutex is a data-race hazard
 //                         (ThreadSanitizer in CI is the dynamic complement).
-//   R7 cv-wait          — a condition-variable wait without a predicate
-//                         overload; spurious wakeups turn the bare overload
-//                         into a latent hang or lost-signal bug.
 //   R8 guarded members  — a class owning a mutex must annotate every other
 //                         mutable, non-thread-safe data member with
 //                         MC3_GUARDED_BY (util/thread_annotations.h) or
@@ -39,13 +35,18 @@
 //                         is a potential deadlock. The graph is emitted in
 //                         the JSON report.
 //
+// R5 (unchecked Status) and R7 (bare condition-variable waits) are retired,
+// and their numbers stay unused: [[nodiscard]] on Status and Result with
+// -Werror=unused-result rejects a dropped result at compile time, and
+// util::CondVar offers only predicate waits.
+//
 // Waivers: a finding is suppressed by a comment on the same line (or on an
 // immediately preceding comment-only line) of the form
 //
 //     // mc3-lint: unordered-ok(ids are sorted two lines below)
 //
 // i.e. a rule tag (unordered, float-eq, pragma-once, print, new-delete,
-// rand, time, status, capture, cv-wait, guard, detach, lock-order) followed
+// rand, time, raw-sync, capture, guard, detach, lock-order) followed
 // by "-ok" and a non-empty parenthesized reason. A malformed waiver (unknown
 // tag, empty reason) is itself a finding (W0), and so is a waiver for a
 // per-file rule (R1-R9) that suppresses nothing in its file (W1).
@@ -62,7 +63,8 @@ namespace mc3::lint {
 struct Finding {
   std::string file;
   int line = 0;           ///< 1-based
-  /// "R1".."R10", "W0" (malformed waiver) or "W1" (stale waiver)
+  /// "R1".."R4", "R6", "R8".."R10", "W0" (malformed waiver) or "W1" (stale
+  /// waiver)
   std::string rule;
   std::string tag;        ///< waiver tag that would suppress it
   std::string message;
@@ -103,17 +105,9 @@ struct SymbolIndex {
   /// Variables, members, parameters and accessor functions whose type (or
   /// return type) is an unordered container.
   std::set<std::string> unordered_symbols;
-  /// Functions returning Status or Result<T>.
-  std::set<std::string> status_functions;
-  /// Functions declared with any other return type. A name in both sets is
-  /// an overload a token-level pass cannot disambiguate, so R5 skips it.
-  std::set<std::string> nonstatus_functions;
   /// Names declared with a thread-safe type (std::atomic, std::mutex,
   /// obs::Counter/Gauge/Histogram): exempt from R6.
   std::set<std::string> threadsafe_symbols;
-  /// Names declared with a condition-variable type (std::condition_variable
-  /// or util::CondVar): receivers checked by R7.
-  std::set<std::string> condvar_symbols;
   /// Thread names join()ed (or joinable()-probed) anywhere in the scanned
   /// file set; fill with CollectJoins over EVERY file — threads are often
   /// declared in a header and joined in the matching .cc (rule R9).

@@ -310,7 +310,7 @@ Result<std::string> SyncRequest(int fd, const std::string& line) {
 }
 
 /// Fetches one `metrics` exposition; returns the raw text body and fills
-/// `sample` with the series values (absent samples stay -1).
+/// `sample` with the series values (absent series read 0).
 Result<std::string> ScrapeOnce(int fd, uint64_t id, double at_seconds,
                                ScrapeSample* sample) {
   auto line = SyncRequest(
@@ -334,7 +334,7 @@ Result<std::string> ScrapeOnce(int fd, uint64_t id, double at_seconds,
   sample->at_seconds = at_seconds;
   const auto value_of = [&parsed](const char* name) -> double {
     const obs::ParsedSample* found = obs::FindSample(*parsed, name);
-    return found != nullptr ? found->value : -1;
+    return found != nullptr ? found->value : 0;
   };
   sample->requests = value_of("mc3_server_requests_total");
   sample->responses = value_of("mc3_server_responses_total");
@@ -349,28 +349,24 @@ Result<std::string> ScrapeOnce(int fd, uint64_t id, double at_seconds,
 /// counters must equal the client's sent counts (requests are counted at
 /// parse, strictly before any response, so by the time every response has
 /// arrived the counters are settled), and the server cannot have committed
-/// more engine batches than the client saw acknowledged updates. Registry
-/// counters absent from the exposition (obs compiled out) skip their check.
+/// more engine batches than the client saw acknowledged updates.
 std::string ReconcileDrift(const ScrapeSample& last, const LoadReport& report) {
   const auto drift = [](const char* what, double got, uint64_t want) {
     return std::string(what) + ": server reports " +
            std::to_string(static_cast<uint64_t>(got)) + ", client counted " +
            std::to_string(want);
   };
-  if (last.requests_update >= 0 &&
-      static_cast<uint64_t>(last.requests_update) !=
-          report.client_updates_sent) {
+  if (static_cast<uint64_t>(last.requests_update) !=
+      report.client_updates_sent) {
     return drift("update requests", last.requests_update,
                  report.client_updates_sent);
   }
-  if (last.requests_solve >= 0 &&
-      static_cast<uint64_t>(last.requests_solve) !=
-          report.client_solves_sent) {
+  if (static_cast<uint64_t>(last.requests_solve) !=
+      report.client_solves_sent) {
     return drift("solve requests", last.requests_solve,
                  report.client_solves_sent);
   }
-  if (last.batches >= 0 && static_cast<uint64_t>(last.batches) >
-                               report.client_updates_acked) {
+  if (static_cast<uint64_t>(last.batches) > report.client_updates_acked) {
     return drift("engine batches exceed acked updates", last.batches,
                  report.client_updates_acked);
   }

@@ -85,16 +85,16 @@ struct LatencySummary {
 };
 
 /// One sample of the server's `metrics` exposition, taken mid-run by the
-/// scraper connection. Counter fields are absent (-1) when the exposition
-/// did not carry them (an -DMC3_OBS=OFF server has no registry counters).
+/// scraper connection. A series the exposition does not carry reads 0: the
+/// registry creates a counter on its first event.
 struct ScrapeSample {
-  double at_seconds = 0;  ///< run-clock time of the scrape
-  double requests = -1;   ///< mc3_server_requests_total
-  double responses = -1;  ///< mc3_server_responses_total
-  double requests_update = -1;  ///< mc3_server_requests_update_total
-  double requests_solve = -1;   ///< mc3_server_requests_solve_total
-  double batches = -1;          ///< mc3_server_batches_total
-  double queue_depth = -1;      ///< mc3_server_queue_depth
+  double at_seconds = 0;       ///< run-clock time of the scrape
+  double requests = 0;         ///< mc3_server_requests_total
+  double responses = 0;        ///< mc3_server_responses_total
+  double requests_update = 0;  ///< mc3_server_requests_update_total
+  double requests_solve = 0;   ///< mc3_server_requests_solve_total
+  double batches = 0;          ///< mc3_server_batches_total
+  double queue_depth = 0;      ///< mc3_server_queue_depth
 };
 
 /// Outcome of the end-of-run counter cross-check (scraper runs only).
