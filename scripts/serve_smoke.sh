@@ -17,7 +17,8 @@
 # exposition mid-run: the loadgen's reconcile gate cross-checks server
 # counters against client-side accounting, the final exposition is kept as
 # an artifact, and the exported Chrome trace must contain connected flow
-# events ("ph":"s" .. "ph":"f").
+# events ("ph":"s" .. "ph":"f"), the engine's own spans nested under the
+# sampled batches (online_update, solve_component), and no dropped span.
 #
 # Usage: scripts/serve_smoke.sh [build-dir]   (default: build)
 # Artifacts (report + logs) are left in ./serve_smoke_artifacts for CI upload.
@@ -149,17 +150,23 @@ grep -q '^mc3_build_info{.*obs="on"' "$ART_DIR/exposition.txt"
 grep -q '"telemetry"' "$ART_DIR/load_report_telemetry.json"
 # The engine's apply stage histogram lives in the metrics registry.
 grep -q '^mc3_server_stage_shard_apply_update' "$ART_DIR/exposition.txt"
-# The server announced the trace file on drain, and it must contain complete
-# spans plus a connected flow (start + finish bound to the enclosing slice)
-# for at least one sampled request.
-grep -q '^trace:' "$ART_DIR/server_telemetry.log"
+# The server announced the trace file on drain with no span dropped, and
+# it must contain complete spans plus a connected flow (start + finish
+# bound to the enclosing slice) for at least one sampled request, and the
+# engine's spans recorded under the sampled batches' apply.
+if ! grep -q '^trace:.* 0 dropped;' "$ART_DIR/server_telemetry.log"; then
+  echo "serve_smoke: trace line missing or reports dropped spans" >&2
+  grep '^trace:' "$ART_DIR/server_telemetry.log" >&2 || true
+  exit 1
+fi
 TRACE_FILE="$TRACE_DIR/serve_trace_$(cat "$PORT_FILE").json"
 if [ ! -s "$TRACE_FILE" ]; then
   echo "serve_smoke: telemetry pass wrote no trace file at $TRACE_FILE" >&2
   exit 1
 fi
 for needle in '"ph":"X"' '"ph":"s"' '"ph":"f"' '"bp":"e"' \
-    '"name":"wal_durable"' '"name":"wal-committer"'; do
+    '"name":"wal_durable"' '"name":"wal-committer"' \
+    '"name":"online_update"' '"name":"solve_component"'; do
   if ! grep -qF "$needle" "$TRACE_FILE"; then
     echo "serve_smoke: trace file lacks $needle" >&2
     exit 1

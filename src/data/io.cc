@@ -42,23 +42,24 @@ std::string InstanceToCsv(const Instance& instance) {
   return FormatCsv(rows);
 }
 
-Result<Instance> InstanceFromCsv(const std::string& text) {
-  auto doc = ParseCsv(text);
-  if (!doc.ok()) return doc.status();
-  InstanceBuilder builder;
-  for (size_t r = 0; r < doc->rows.size(); ++r) {
-    const auto& row = doc->rows[r];
-    if (row.empty()) continue;
+namespace {
+
+// Feeds each instance row (`Q,<props...>` or `C,<cost>,<props...>`) to
+// `builder`. An error names the row by its index among the kept rows.
+CsvRowHandler InstanceRows(InstanceBuilder* builder) {
+  return [builder, r = size_t{0}](
+             const std::vector<std::string>& row) mutable -> Status {
+    const size_t at = r++;
     const std::string& kind = row[0];
     if (kind == "Q") {
       if (row.size() < 2) {
-        return Status::IOError("row " + std::to_string(r) +
+        return Status::IOError("row " + std::to_string(at) +
                                ": query with no properties");
       }
-      builder.AddQuery({row.begin() + 1, row.end()});
+      builder->AddQuery({row.begin() + 1, row.end()});
     } else if (kind == "C") {
       if (row.size() < 3) {
-        return Status::IOError("row " + std::to_string(r) +
+        return Status::IOError("row " + std::to_string(at) +
                                ": classifier needs a cost and a property");
       }
       double cost = 0;
@@ -66,18 +67,30 @@ Result<Instance> InstanceFromCsv(const std::string& text) {
       const auto [ptr, ec] =
           std::from_chars(s.data(), s.data() + s.size(), cost);
       if (ec != std::errc() || ptr != s.data() + s.size() || cost < 0) {
-        return Status::IOError("row " + std::to_string(r) +
-                               ": bad cost '" + s + "'");
+        return Status::IOError("row " + std::to_string(at) + ": bad cost '" +
+                               s + "'");
       }
-      builder.SetCost({row.begin() + 2, row.end()}, cost);
+      builder->SetCost({row.begin() + 2, row.end()}, cost);
     } else {
-      return Status::IOError("row " + std::to_string(r) +
+      return Status::IOError("row " + std::to_string(at) +
                              ": unknown row kind '" + kind + "'");
     }
-  }
+    return Status::OK();
+  };
+}
+
+Result<Instance> BuildValid(InstanceBuilder builder) {
   Instance instance = std::move(builder).Build();
   MC3_RETURN_IF_ERROR(instance.Validate());
   return instance;
+}
+
+}  // namespace
+
+Result<Instance> InstanceFromCsv(const std::string& text) {
+  InstanceBuilder builder;
+  MC3_RETURN_IF_ERROR(ParseCsv(text, InstanceRows(&builder)));
+  return BuildValid(std::move(builder));
 }
 
 std::string SolutionToCsv(const Instance& instance,
@@ -113,11 +126,9 @@ Status SaveInstance(const Instance& instance, const std::string& path) {
 }
 
 Result<Instance> LoadInstance(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return InstanceFromCsv(buf.str());
+  InstanceBuilder builder;
+  MC3_RETURN_IF_ERROR(ReadCsvFile(path, InstanceRows(&builder)));
+  return BuildValid(std::move(builder));
 }
 
 }  // namespace mc3::data

@@ -83,10 +83,10 @@ Result<std::string> RenderTraceOp(TraceOp::Kind kind, const PropertySet& query,
 
 /// Renders an update batch as trace text: one operation per line, each with
 /// a trailing newline, removes before adds (the order ApplyUpdate applies
-/// them). This is the shared serializer behind WAL record payloads
-/// (src/durability/wal.h) and `mc3 serve --record-trace`; replaying the
-/// rendered text through ParseUpdateTrace + ApplyUpdate reproduces the
-/// batch exactly.
+/// them). This is the serializer behind WAL record payloads
+/// (src/durability/wal.h), which `mc3 wal dump` concatenates into a trace
+/// file; replaying the rendered text through ParseUpdateTrace + ApplyUpdate
+/// reproduces the batch exactly.
 Result<std::string> RenderUpdateBatch(const std::vector<PropertySet>& add,
                                       const std::vector<PropertySet>& remove,
                                       const std::vector<std::string>& names);

@@ -33,7 +33,7 @@ Status ParseQueryLists(const obs::JsonValue& value, const char* key,
             "\" must be non-empty strings");
       }
       // Property names double as tokens of the update_trace line format
-      // (WAL payloads, --record-trace); admit only names that round-trip
+      // (WAL payloads, `mc3 wal dump`); admit only names that round-trip
       // through it so an accepted update is always serializable.
       for (const char c : name.string) {
         if (c == ' ' || c == '\t' || c == ',' ||

@@ -32,12 +32,9 @@ void CountEndpoint(const char* which, Request::Op op) {
       .Add();
 }
 
-/// Lock-free read stage histogram: server.read.<stage>.<verb>.
-void RecordReadStageSeconds(const char* stage, Request::Op op,
-                            double seconds) {
-  obs::MetricsRegistry::Global()
-      .GetHistogram(std::string("server.read.") + stage + "." + OpName(op))
-      .Record(seconds);
+/// The trace ids a request's spans carry: its own when it is sampled.
+std::vector<uint64_t> SampledIds(uint64_t trace_id, bool sampled) {
+  return sampled ? std::vector<uint64_t>{trace_id} : std::vector<uint64_t>{};
 }
 
 using PieceEntry = online::SolutionPiece::value_type;
@@ -138,13 +135,6 @@ Status Server::Start(const Instance& base) {
     // (interned from WAL-logged updates): the name table comes from the
     // engine, not the base. The interner shares it.
     MC3_RETURN_IF_ERROR(interner_.Load(engine_.shared_property_names()));
-    if (!options_.record_trace_path.empty()) {
-      trace_recorder_ = std::fopen(options_.record_trace_path.c_str(), "ab");
-      if (trace_recorder_ == nullptr) {
-        return Status::IOError("cannot open record-trace file " +
-                               options_.record_trace_path);
-      }
-    }
     // Publish the initial (post-init / post-recovery) root before any
     // socket exists: every connection ever accepted finds a live one.
     PublishReadRoot();
@@ -186,8 +176,8 @@ Status Server::Start(const Instance& base) {
 
   pool_ = std::make_unique<WorkerPool>(
       std::max<size_t>(1, options_.connection_workers));
-  for (size_t w = 0; w < options_.engine_workers; ++w) {
-    engine_threads_.emplace_back([this] { EngineWorkerLoop(); });
+  if (options_.engine_thread) {
+    engine_thread_ = std::thread([this] { EngineWorkerLoop(); });
   }
   acceptor_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
@@ -217,9 +207,10 @@ void Server::Join() {
   }
   if (stopped_.exchange(true)) return;
   if (acceptor_.joinable()) acceptor_.join();
-  if (options_.engine_workers == 0) ProcessQueuedNow();
-  for (std::thread& worker : engine_threads_) {
-    if (worker.joinable()) worker.join();
+  if (engine_thread_.joinable()) {
+    engine_thread_.join();
+  } else {
+    ProcessQueuedNow();
   }
   // Unblock connection readers so their pool tasks finish; everything
   // queued has already been answered (the queue drained above).
@@ -236,20 +227,16 @@ void Server::Join() {
     if (fd >= 0) ::close(fd);
     fd = -1;
   }
-  // Engine workers are gone: nothing appends anymore. Make the tail durable
-  // and release the data directory. The lock is uncontended (every worker
-  // is joined) but the analysis wants it for the guarded sinks.
+  // The engine thread is gone: nothing appends anymore. Make the tail
+  // durable and release the data directory. The lock is uncontended (every
+  // thread is joined) but the analysis wants it for the guarded manager.
   util::MutexLock lock(engine_mu_);
   if (durability_ != nullptr) {
     const Status closed = durability_->Close();
     if (!closed.ok()) wal_errors_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (trace_recorder_ != nullptr) {
-    std::fclose(trace_recorder_);
-    trace_recorder_ = nullptr;
-  }
   // Durability is closed (the final group commit has fired on_durable), so
-  // every span that will ever exist is in the sink: export the trace file.
+  // every span that will ever exist is in the trace: export the file.
   const Status trace_written = telemetry_.WriteTraceFile(port_);
   if (!trace_written.ok()) {
     obs::MetricsRegistry::Global()
@@ -320,9 +307,7 @@ void Server::ConnectionLoop(const std::shared_ptr<Connection>& conn) {
 void Server::HandleLine(const std::shared_ptr<Connection>& conn,
                         const std::string& line,
                         concurrency::ReaderRegistration& reader) {
-  Timer latency;
-  const bool tracing = telemetry_.enabled();
-  const double parse_start_us = tracing ? telemetry_.NowUs() : 0;
+  Timer latency;  // also the start of the parse span
   auto parsed = ParseRequest(line);
   if (!parsed.ok()) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
@@ -386,10 +371,10 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
   if (request.op == Request::Op::kSolve ||
       request.op == Request::Op::kSnapshot) {
     if (trace.sampled) {
-      telemetry_.Span("parse", parse_start_us, trace.trace_id);
+      telemetry_.RecordSpan("parse", latency.start(), Clock::now(),
+                            {trace.trace_id});
     }
-    HandleLockFreeRead(conn, request, trace.trace_id, trace.sampled, latency,
-                       reader);
+    HandleLockFreeRead(conn, request, trace, latency, reader);
     return;
   }
   // Mutations pass admission control and enter the bounded queue.
@@ -411,7 +396,6 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
   pending.conn = conn;
   pending.trace_id = trace.trace_id;
   pending.sampled = trace.sampled;
-  if (trace.sampled) pending.queued_us = telemetry_.NowUs();
   const Request::Op op = pending.request.op;
   const uint64_t id = pending.request.id;
   if (!queue_.TryPush(std::move(pending))) {
@@ -431,7 +415,10 @@ void Server::HandleLine(const std::shared_ptr<Connection>& conn,
   obs::MetricsRegistry::Global()
       .GetGauge("server.queue_depth")
       .Set(static_cast<double>(queue_.Depth()));
-  if (trace.sampled) telemetry_.Span("parse", parse_start_us, trace.trace_id);
+  if (trace.sampled) {
+    telemetry_.RecordSpan("parse", latency.start(), Clock::now(),
+                          {trace.trace_id});
+  }
 }
 
 void Server::EngineWorkerLoop() {
@@ -443,11 +430,13 @@ void Server::EngineWorkerLoop() {
 Result<online::UpdateStats> Server::ApplyEngineUpdate(
     const std::vector<PropertySet>& add,
     const std::vector<PropertySet>& remove,
-    const std::vector<uint64_t>& trace_ids) {
-  const bool span_apply = telemetry_.enabled() && !trace_ids.empty();
-  const double start_us = span_apply ? telemetry_.NowUs() : 0;
+    const std::vector<uint64_t>& trace_ids, bool count) {
+  StageScope stage(telemetry_, Stage::kShardApply, Request::Op::kUpdate,
+                   trace_ids);
+  // A sampled batch's engine spans nest under its shard_apply span.
+  obs::ScopedSpanAdoption adopt(stage.context());
   Result<online::UpdateStats> applied = engine_.ApplyUpdate(add, remove);
-  if (span_apply) telemetry_.Span("shard_apply", start_us, trace_ids);
+  stage.Close(count && applied.ok());
   return applied;
 }
 
@@ -495,7 +484,7 @@ PropertySet Server::InternQuery(const std::vector<std::string>& names) {
 uint64_t Server::PersistApplied(const std::vector<PropertySet>& add,
                                 const std::vector<PropertySet>& remove,
                                 const std::vector<uint64_t>& trace_ids) {
-  if (durability_ == nullptr && trace_recorder_ == nullptr) return 0;
+  if (durability_ == nullptr) return 0;
   auto payload =
       online::RenderUpdateBatch(add, remove, engine_.property_names());
   if (!payload.ok()) {
@@ -505,23 +494,19 @@ uint64_t Server::PersistApplied(const std::vector<PropertySet>& add,
     wal_errors_.fetch_add(1, std::memory_order_relaxed);
     return 0;
   }
-  if (trace_recorder_ != nullptr) {
-    std::fwrite(payload->data(), 1, payload->size(), trace_recorder_);
-    std::fflush(trace_recorder_);
-  }
-  if (durability_ == nullptr) return 0;
   // Only a policy that eventually fires on_durable may register a pending
   // wal_durable stage (kNone never resolves it).
   const bool track_durable = options_.durability.wal.sync !=
                              durability::WalOptions::SyncPolicy::kNone;
-  const double append_start_us = track_durable ? telemetry_.NowUs() : 0;
+  const Clock::time_point append_start =
+      track_durable ? Clock::now() : Clock::time_point{};
   auto seq = durability_->LogPayload(std::move(*payload));
   if (!seq.ok()) {
     wal_errors_.fetch_add(1, std::memory_order_relaxed);
     return 0;
   }
   if (track_durable) {
-    telemetry_.NoteWalAppend(*seq, Request::Op::kUpdate, append_start_us,
+    telemetry_.NoteWalAppend(*seq, Request::Op::kUpdate, append_start,
                              trace_ids);
   }
   return *seq;
@@ -529,10 +514,8 @@ uint64_t Server::PersistApplied(const std::vector<PropertySet>& add,
 
 void Server::MaybeCheckpoint() {
   if (durability_ == nullptr || !durability_->ShouldCheckpoint()) return;
-  Timer checkpoint_timer;
+  StageScope stage(telemetry_, Stage::kCheckpoint, Request::Op::kUpdate, {});
   auto info = durability_->Checkpoint(engine_.ExportState());
-  RecordStageSeconds("checkpoint", Request::Op::kUpdate,
-                     checkpoint_timer.Seconds());
   if (!info.ok()) wal_errors_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -545,17 +528,15 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
   std::vector<std::string> responses(batch.size());
 
   // Stage telemetry: queue_wait closes for every member now that the batch
-  // left the queue; the batch-level stages (coalesce, shard_apply,
+  // left the queue; the batch-level stages (coalesce, shard_apply, publish,
   // wal_durable) carry every sampled member's trace id.
-  const bool tracing = telemetry_.enabled();
+  const Clock::time_point dequeued = Clock::now();
   std::vector<uint64_t> sampled_ids;
   for (const PendingRequest& member : batch) {
-    RecordStageSeconds("queue_wait", Request::Op::kUpdate,
-                       member.enqueued.Seconds());
-    if (member.sampled) {
-      sampled_ids.push_back(member.trace_id);
-      telemetry_.Span("queue_wait", member.queued_us, member.trace_id);
-    }
+    if (member.sampled) sampled_ids.push_back(member.trace_id);
+    telemetry_.RecordStage(Stage::kQueueWait, Request::Op::kUpdate,
+                           member.enqueued.start(), dequeued,
+                           SampledIds(member.trace_id, member.sampled));
   }
 
   {
@@ -563,8 +544,8 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
     // An applied batch with zero net ops still bumps the engine counters,
     // so the root is republished whenever anything applied at all.
     bool any_applied = false;
-    Timer coalesce_timer;
-    const double coalesce_start_us = tracing ? telemetry_.NowUs() : 0;
+    StageScope coalesce(telemetry_, Stage::kCoalesce, Request::Op::kUpdate,
+                        sampled_ids);
     UpdateCoalescer coalescer;
     const size_t known_names = interner_.size();
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -582,19 +563,15 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
     }
 
     const NetUpdate net = coalescer.Take();
-    RecordStageSeconds("coalesce", Request::Op::kUpdate,
-                       coalesce_timer.Seconds());
-    telemetry_.Span("coalesce", coalesce_start_us, sampled_ids);
+    coalesce.Close();
     Result<size_t> priced =
         durability::PriceUnknown(net.add, options_.default_cost, &engine_);
-    Timer apply_timer;
     Result<online::UpdateStats> applied =
-        priced.ok() ? ApplyEngineUpdate(net.add, net.remove, sampled_ids)
+        priced.ok() ? ApplyEngineUpdate(net.add, net.remove, sampled_ids,
+                                        /*count=*/true)
                     : Result<online::UpdateStats>(priced.status());
     if (applied.ok()) {
       any_applied = true;
-      RecordStageSeconds("shard_apply", Request::Op::kUpdate,
-                         apply_timer.Seconds());
       batches_.fetch_add(1, std::memory_order_relaxed);
       coalesced_ops_.fetch_add(net.ops, std::memory_order_relaxed);
       uint64_t seen = max_batch_.load(std::memory_order_relaxed);
@@ -620,13 +597,14 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
       // uncoverable add). Fall back to per-request application so the
       // blast radius is the offending request, not its batch peers.
       for (size_t i = 0; i < batch.size(); ++i) {
-        std::vector<uint64_t> one_ids;
-        if (batch[i].sampled) one_ids.push_back(batch[i].trace_id);
+        const std::vector<uint64_t> one_ids =
+            SampledIds(batch[i].trace_id, batch[i].sampled);
         Result<size_t> fallback_priced = durability::PriceUnknown(
             parsed[i].add, options_.default_cost, &engine_);
         Result<online::UpdateStats> one =
             fallback_priced.ok()
-                ? ApplyEngineUpdate(parsed[i].add, parsed[i].remove, one_ids)
+                ? ApplyEngineUpdate(parsed[i].add, parsed[i].remove, one_ids,
+                                    /*count=*/false)
                 : Result<online::UpdateStats>(fallback_priced.status());
         if (!one.ok()) {
           responses[i] = RenderErrorResponse(batch[i].request.id,
@@ -646,12 +624,9 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
     // Publish before the lock drops (and so before any ack is written):
     // a client that saw its ack reads its write on the lock-free path.
     if (any_applied) {
-      Timer publish_timer;
-      const double publish_start_us = tracing ? telemetry_.NowUs() : 0;
+      StageScope publish(telemetry_, Stage::kPublish, Request::Op::kUpdate,
+                         sampled_ids);
       PublishReadRoot();
-      RecordStageSeconds("publish", Request::Op::kUpdate,
-                         publish_timer.Seconds());
-      telemetry_.Span("publish", publish_start_us, sampled_ids);
     }
     MaybeCheckpoint();
   }
@@ -685,23 +660,19 @@ std::string Server::RenderUpdateAck(const PendingRequest& pending,
 
 void Server::FinishTracedResponse(const PendingRequest& pending,
                                   const std::string& response) {
-  Timer serialize_timer;
-  const double serialize_start_us = pending.sampled ? telemetry_.NowUs() : 0;
-  WriteResponse(pending.conn, response);
-  RecordStageSeconds("serialize", pending.request.op,
-                     serialize_timer.Seconds());
-  if (pending.sampled) {
-    telemetry_.Span("serialize", serialize_start_us, pending.trace_id);
+  {
+    StageScope serialize(telemetry_, Stage::kSerialize, pending.request.op,
+                         SampledIds(pending.trace_id, pending.sampled));
+    WriteResponse(pending.conn, response);
   }
   ObserveLatency(pending.request, pending.enqueued.Seconds());
 }
 
 void Server::HandleCheckpoint(const PendingRequest& pending) {
-  RecordStageSeconds("queue_wait", Request::Op::kCheckpoint,
-                     pending.enqueued.Seconds());
-  if (pending.sampled) {
-    telemetry_.Span("queue_wait", pending.queued_us, pending.trace_id);
-  }
+  const std::vector<uint64_t> ids =
+      SampledIds(pending.trace_id, pending.sampled);
+  telemetry_.RecordStage(Stage::kQueueWait, Request::Op::kCheckpoint,
+                         pending.enqueued.start(), Clock::now(), ids);
   if (durability_ == nullptr) {
     WriteResponse(pending.conn,
                   RenderErrorResponse(pending.request.id,
@@ -713,15 +684,10 @@ void Server::HandleCheckpoint(const PendingRequest& pending) {
   obs::JsonWriter writer(/*compact=*/true);
   {
     util::MutexLock lock(engine_mu_);
-    Timer checkpoint_timer;
-    const double checkpoint_start_us =
-        pending.sampled ? telemetry_.NowUs() : 0;
+    StageScope stage(telemetry_, Stage::kCheckpoint, Request::Op::kCheckpoint,
+                     ids);
     auto info = durability_->Checkpoint(engine_.ExportState());
-    RecordStageSeconds("checkpoint", Request::Op::kCheckpoint,
-                       checkpoint_timer.Seconds());
-    if (pending.sampled) {
-      telemetry_.Span("checkpoint", checkpoint_start_us, pending.trace_id);
-    }
+    stage.Close();
     if (!info.ok()) {
       WriteResponse(pending.conn,
                     RenderErrorResponse(pending.request.id,
@@ -764,19 +730,17 @@ void Server::PublishReadRoot() {
 }
 
 void Server::HandleLockFreeRead(const std::shared_ptr<Connection>& conn,
-                                const Request& request, uint64_t trace_id,
-                                bool sampled, const Timer& latency,
+                                const Request& request,
+                                const TraceAssignment& trace,
+                                const Timer& latency,
                                 concurrency::ReaderRegistration& reader) {
+  const std::vector<uint64_t> ids = SampledIds(trace.trace_id, trace.sampled);
   std::string response;
   {
-    Timer acquire_timer;
-    const double acquire_start_us = sampled ? telemetry_.NowUs() : 0;
+    StageScope acquire(telemetry_, Stage::kReadAcquire, request.op, ids);
     concurrency::ReadGuard guard(epochs_, reader);
     const ReadRoot* root = root_publisher_.Acquire();
-    RecordReadStageSeconds("acquire", request.op, acquire_timer.Seconds());
-    if (sampled) {
-      telemetry_.Span("read_acquire", acquire_start_us, trace_id);
-    }
+    acquire.Close();
     if (root == nullptr) {
       // Start() publishes before the socket opens, so this is unreachable
       // through the wire; kept as a defensive 503 for direct-call tests.
@@ -787,23 +751,17 @@ void Server::HandleLockFreeRead(const std::shared_ptr<Connection>& conn,
       ObserveLatency(request, latency.Seconds());
       return;
     }
-    Timer render_timer;
-    const double render_start_us = sampled ? telemetry_.NowUs() : 0;
+    StageScope render(telemetry_, Stage::kReadRender, request.op, ids);
     response = request.op == Request::Op::kSolve
-                   ? RenderSolveFromRoot(request, trace_id, *root)
-                   : RenderSnapshotFromRoot(request, trace_id, *root);
-    RecordReadStageSeconds("render", request.op, render_timer.Seconds());
-    if (sampled) {
-      telemetry_.Span("read_render", render_start_us, trace_id);
-    }
+                   ? RenderSolveFromRoot(request, trace.trace_id, *root)
+                   : RenderSnapshotFromRoot(request, trace.trace_id, *root);
   }
   // The epoch unpins before the socket write: the response string owns all
   // its bytes, so a slow client never extends the grace period.
-  Timer serialize_timer;
-  const double serialize_start_us = sampled ? telemetry_.NowUs() : 0;
-  WriteResponse(conn, response);
-  RecordStageSeconds("serialize", request.op, serialize_timer.Seconds());
-  if (sampled) telemetry_.Span("serialize", serialize_start_us, trace_id);
+  {
+    StageScope serialize(telemetry_, Stage::kSerialize, request.op, ids);
+    WriteResponse(conn, response);
+  }
   ObserveLatency(request, latency.Seconds());
 }
 

@@ -1,8 +1,8 @@
 // Long-lived TCP serving front-end for the incremental engine: a
 // newline-delimited-JSON listener (src/server/protocol.h) whose accepted
 // connections are handled by a fixed WorkerPool, feeding mutations
-// through a BoundedQueue into dedicated engine workers that coalesce
-// concurrent updates into single OnlineEngine churn steps.
+// through a BoundedQueue into one engine thread that coalesces concurrent
+// updates into single OnlineEngine churn steps.
 //
 // Threading model (docs/serving.md):
 //   * acceptor thread    — accept() loop; posts one connection task per
@@ -14,12 +14,13 @@
 //                          (docs/serving.md#lock-free-reads), and mutations
 //                          (update, checkpoint) pass admission control and
 //                          enter the bounded queue;
-//   * engine workers     — block on the queue; an update at the head is
+//   * engine thread      — blocks on the queue; an update at the head is
 //                          coalesced with the maximal run of consecutive
 //                          queued updates (never reordering a checkpoint
 //                          past them) and applied as ONE ApplyUpdate, then
-//                          the read root is republished before the acks;
-//                          all engine access is serialized by a mutex.
+//                          the read root is republished before the acks.
+//                          One thread keeps queue order; all engine access
+//                          is serialized by a mutex.
 //                          The engine itself re-solves only the components
 //                          a batch dirtied (Observation 3.2).
 //
@@ -33,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -80,9 +80,10 @@ struct ServerOptions {
 
   /// Engine ops coalesced into one churn step at most.
   size_t max_batch = 256;
-  /// Engine worker threads (1 = strictly FIFO). 0 is an embedding/test
-  /// mode: nothing drains the queue until ProcessQueuedNow() is called.
-  size_t engine_workers = 1;
+  /// Start the engine thread that drains the queue in FIFO order. false is
+  /// an embedding/test mode: nothing drains the queue until
+  /// ProcessQueuedNow() is called.
+  bool engine_thread = true;
   /// Connection-handling pool size = max concurrent connections.
   size_t connection_workers = 16;
 
@@ -99,15 +100,11 @@ struct ServerOptions {
   /// checkpoints fire per the configured policy or the `checkpoint` verb.
   durability::DurabilityOptions durability;
 
-  /// Debug flag (`mc3 serve --record-trace`): append every admitted update
-  /// batch as update_trace text to this file, replayable via
-  /// `mc3 serve <workload> --trace`. Independent of durability.
-  std::string record_trace_path;
-
   /// Request tracing (`mc3 serve --trace-sample N`): assign every request a
   /// trace id (echoed in engine-op responses) and record every Nth
-  /// request's per-stage spans into a Chrome trace-event sink. 0 keeps
-  /// tracing fully off — responses stay byte-identical to earlier builds.
+  /// request's stage spans, with the engine's spans under its apply, into
+  /// the server's trace. 0 keeps tracing fully off — responses carry no
+  /// `trace_id`.
   uint64_t trace_sample = 0;
   /// Where the trace-event JSON lands on shutdown (`--trace-out DIR`);
   /// see trace_file_path(). Empty = collected but never written.
@@ -139,7 +136,7 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Initializes the engine with `base` (its cost table and queries), then
-  /// binds, listens and starts the acceptor, pool and engine workers.
+  /// binds, listens and starts the acceptor, pool and engine thread.
   Status Start(const Instance& base);
 
   /// The bound TCP port (valid after Start).
@@ -161,8 +158,8 @@ class Server {
   size_t QueueDepth() const { return queue_.Depth(); }
 
   /// Synchronously drains everything currently queued on the caller's
-  /// thread. Only meaningful with engine_workers == 0 (embedding/test
-  /// mode); with live workers it merely competes with them.
+  /// thread. Only meaningful without the engine thread (embedding/test
+  /// mode); with it running it merely competes with it.
   void ProcessQueuedNow();
 
   /// Read access to the engine (equivalence checks in tests, the CLI's
@@ -182,6 +179,9 @@ class Server {
     return telemetry_.TraceFilePath(port_);
   }
 
+  /// The sampled requests' spans; read it after Join.
+  const obs::Trace& trace() const { return telemetry_.trace(); }
+
  private:
   struct Connection {
     // Written once by the acceptor before the connection task is posted;
@@ -196,10 +196,11 @@ class Server {
   struct PendingRequest {
     Request request;
     std::shared_ptr<Connection> conn;
-    Timer enqueued;  ///< measures in-server latency per endpoint
+    /// Started when the request is queued: its queue_wait stage and its
+    /// in-server latency.
+    Timer enqueued;
     uint64_t trace_id = 0;  ///< nonzero only when tracing is on
     bool sampled = false;   ///< spans recorded for this request
-    double queued_us = 0;   ///< trace-timebase push time (sampled only)
   };
 
   /// The atomically published read root: one pinned load gives readers
@@ -228,13 +229,15 @@ class Server {
   /// closed and empty.
   bool ProcessNext(bool drain_only);
 
-  /// Applies one net batch through the engine (engine_mu_ held).
-  /// `trace_ids` are the sampled requests folded into the batch: the apply
-  /// records a shard_apply span carrying them.
+  /// Applies one net batch through the engine as the shard_apply stage
+  /// (engine_mu_ held). `trace_ids` are the sampled requests folded into
+  /// the batch: the engine's spans nest under their shard_apply span. Only
+  /// a successful apply with `count` set is a shard_apply histogram sample.
   Result<online::UpdateStats> ApplyEngineUpdate(
       const std::vector<PropertySet>& add,
       const std::vector<PropertySet>& remove,
-      const std::vector<uint64_t>& trace_ids) MC3_REQUIRES(engine_mu_);
+      const std::vector<uint64_t>& trace_ids, bool count)
+      MC3_REQUIRES(engine_mu_);
 
   void HandleUpdateBatch(std::vector<PendingRequest> batch);
   /// Renders the 200 ack of one update request at the engine's current
@@ -261,8 +264,8 @@ class Server {
   /// engine's own accessors at the published state (TotalCost, NumQueries,
   /// NumComponents, CurrentSolution().Sorted(), CostOf, counters()).
   void HandleLockFreeRead(const std::shared_ptr<Connection>& conn,
-                          const Request& request, uint64_t trace_id,
-                          bool sampled, const Timer& latency,
+                          const Request& request,
+                          const TraceAssignment& trace, const Timer& latency,
                           concurrency::ReaderRegistration& reader);
   std::string RenderSolveFromRoot(const Request& request, uint64_t trace_id,
                                   const ReadRoot& root)
@@ -279,10 +282,10 @@ class Server {
   /// stats, wrapped in a JSON envelope (`metrics` verb).
   std::string RenderMetrics(const Request& request);
 
-  /// WAL-logs and trace-records one applied batch (engine_mu_ held).
-  /// Returns the assigned WAL sequence (0 when not durable). Failures are
-  /// counted in wal_errors_, not propagated: the batch is already applied
-  /// and acknowledged state must not be rolled back.
+  /// WAL-logs one applied batch (engine_mu_ held). Returns the assigned
+  /// WAL sequence (0 when not durable). Failures are counted in
+  /// wal_errors_, not propagated: the batch is already applied and
+  /// acknowledged state must not be rolled back.
   uint64_t PersistApplied(const std::vector<PropertySet>& add,
                           const std::vector<PropertySet>& remove,
                           const std::vector<uint64_t>& trace_ids)
@@ -313,7 +316,7 @@ class Server {
   std::unique_ptr<WorkerPool> pool_;
   // Launched in Start, joined only by Join.
   std::thread acceptor_;
-  std::vector<std::thread> engine_threads_;
+  std::thread engine_thread_;
 
   util::Mutex engine_mu_;
   online::OnlineEngine engine_ MC3_GUARDED_BY(engine_mu_);
@@ -333,8 +336,6 @@ class Server {
   /// thread-safe GetWalStats). Null when serving non-durably.
   // mc3-lint: guard-ok(pointer set once in Start; manager calls go through engine_mu_)
   std::unique_ptr<durability::DurabilityManager> durability_;
-  ///< --record-trace sink
-  std::FILE* trace_recorder_ MC3_GUARDED_BY(engine_mu_) = nullptr;
   std::atomic<uint64_t> wal_errors_{0};
 
   util::Mutex conns_mu_;
@@ -356,8 +357,7 @@ class Server {
   std::atomic<uint64_t> coalesced_ops_{0};
   std::atomic<uint64_t> max_batch_{0};
 
-  /// Request tracing + stage telemetry (internally synchronized; a no-op
-  /// stub when the obs layer is compiled out).
+  /// Request tracing + stage telemetry (internally synchronized).
   // mc3-lint: guard-ok(constructed before Start, internally synchronized)
   ServingTelemetry telemetry_;
   /// Start time for `health`/`metrics` uptime reporting.

@@ -1,45 +1,34 @@
 #include "util/csv.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
 namespace mc3 {
 
-Result<CsvDocument> ParseCsv(const std::string& text) {
-  CsvDocument doc;
+Status ParseCsv(std::string_view text, const CsvRowHandler& on_row) {
   std::vector<std::string> row;
   std::string field;
   bool in_quotes = false;
-  bool field_started = false;
   bool row_has_content = false;
 
   auto end_field = [&] {
     row.push_back(std::move(field));
     field.clear();
-    field_started = false;
   };
+  // Hands the finished row to on_row, skipping comment rows (first field
+  // starts with '#') and all-empty rows.
   auto end_row = [&]() -> Status {
-    if (in_quotes) {
-      return Status::IOError("unterminated quoted field");
-    }
-    if (row_has_content || !row.empty()) {
-      end_field();
-      // Skip comment rows (first field starts with '#') and all-empty rows.
-      bool all_empty = true;
-      for (const auto& f : row) {
-        if (!f.empty()) {
-          all_empty = false;
-          break;
-        }
-      }
-      if (!all_empty && !(row.size() >= 1 && !row[0].empty() &&
-                          row[0][0] == '#')) {
-        doc.rows.push_back(std::move(row));
-      }
-      row.clear();
-    }
+    if (!row_has_content) return Status::OK();
     row_has_content = false;
-    return Status::OK();
+    end_field();
+    const bool all_empty =
+        std::all_of(row.begin(), row.end(),
+                    [](const std::string& f) { return f.empty(); });
+    Status status = all_empty || row[0].starts_with('#') ? Status::OK()
+                                                         : on_row(row);
+    row.clear();
+    return status;
   };
 
   for (size_t i = 0; i < text.size(); ++i) {
@@ -55,13 +44,11 @@ Result<CsvDocument> ParseCsv(const std::string& text) {
       } else {
         field += c;
       }
-      row_has_content = true;
       continue;
     }
     switch (c) {
       case '"':
         in_quotes = true;
-        field_started = true;
         row_has_content = true;
         break;
       case ',':
@@ -70,32 +57,26 @@ Result<CsvDocument> ParseCsv(const std::string& text) {
         break;
       case '\r':
         break;  // tolerate CRLF
-      case '\n': {
-        Status st = end_row();
-        if (!st.ok()) return st;
+      case '\n':
+        MC3_RETURN_IF_ERROR(end_row());
         break;
-      }
       default:
         field += c;
-        field_started = true;
         row_has_content = true;
         break;
     }
   }
-  if (row_has_content || !row.empty() || field_started) {
-    Status st = end_row();
-    if (!st.ok()) return st;
-  }
   if (in_quotes) return Status::IOError("unterminated quoted field");
-  return doc;
+  return end_row();
 }
 
-Result<CsvDocument> ReadCsvFile(const std::string& path) {
+Status ReadCsvFile(const std::string& path, const CsvRowHandler& on_row) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open file: " + path);
+  if (!in) return Status::NotFound("cannot open: " + path);
   std::ostringstream buf;
   buf << in.rdbuf();
-  return ParseCsv(buf.str());
+  const std::string text = std::move(buf).str();
+  return ParseCsv(text, on_row);
 }
 
 namespace {

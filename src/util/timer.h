@@ -9,6 +9,8 @@ namespace mc3 {
 /// Monotonic wall-clock stopwatch, started on construction.
 class Timer {
  public:
+  using Clock = std::chrono::steady_clock;
+
   Timer() : start_(Clock::now()) {}
 
   /// Restarts the stopwatch.
@@ -22,8 +24,10 @@ class Timer {
   /// Elapsed time in milliseconds.
   double Millis() const { return Seconds() * 1e3; }
 
+  /// The instant of construction or the last Reset().
+  Clock::time_point start() const { return start_; }
+
  private:
-  using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
 

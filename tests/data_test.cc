@@ -192,10 +192,15 @@ TEST(IoTest, SolutionFileRoundTripAsCostTable) {
   solution.Add(PropertySet::Of({1}));
   const std::string path = ::testing::TempDir() + "/mc3_plan_test.csv";
   ASSERT_TRUE(SaveSolution(inst, solution, path).ok());
-  auto doc = mc3::ReadCsvFile(path);
-  ASSERT_TRUE(doc.ok());
-  ASSERT_EQ(doc->rows.size(), 1u);
-  EXPECT_EQ(doc->rows[0][0], "C");
+  std::vector<std::vector<std::string>> rows;
+  ASSERT_TRUE(mc3::ReadCsvFile(path,
+                               [&rows](const std::vector<std::string>& row) {
+                                 rows.push_back(row);
+                                 return Status::OK();
+                               })
+                  .ok());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0], "C");
 }
 
 TEST(IoTest, RejectsBadCost) {

@@ -2,6 +2,7 @@
 // concurrency), span tracing, JSON writer/parser round trips and report
 // schema validation.
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -15,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "obs/trace_event.h"
 #include "tests/test_util.h"
 #include "util/parallel.h"
 
@@ -459,20 +459,21 @@ std::string PhaseOf(const JsonValue& event) {
 
 }  // namespace
 
-TEST(TraceEventSinkTest, StitchesFlowEventsAcrossThreads) {
-  obs::TraceEventSink sink;
-  sink.NameCurrentThread("conn-0");
-  sink.Span("parse", sink.NowUs(), 10.0, uint64_t{7});
-  std::thread worker([&sink] {
-    sink.NameCurrentThread("shard-1");
-    sink.Span("shard_apply", sink.NowUs() + 100, 25.0,
-              std::vector<uint64_t>{7});
-    sink.Span("unrelated", sink.NowUs() + 200, 5.0, uint64_t{0});
+TEST(TraceTest, StitchesFlowEventsAcrossThreads) {
+  obs::Trace trace("serve");
+  const obs::Trace::Clock::time_point t0 = obs::Trace::Clock::now();
+  const auto at = [t0](int us) { return t0 + std::chrono::microseconds(us); };
+  trace.NameCurrentThread("conn-0");
+  trace.RecordSpan(trace.root(), "parse", at(0), at(10), {7});
+  std::thread worker([&] {
+    trace.NameCurrentThread("engine-worker");
+    trace.RecordSpan(trace.root(), "shard_apply", at(100), at(125), {7});
+    trace.RecordSpan(trace.root(), "unrelated", at(200), at(205), {});
   });
   worker.join();
-  sink.Span("serialize", sink.NowUs() + 400, 3.0, uint64_t{7});
+  trace.RecordSpan(trace.root(), "serialize", at(400), at(403), {7});
 
-  auto doc = ParseJson(sink.RenderJson());
+  auto doc = ParseJson(trace.RenderChromeJson());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
 
   // Three 'X' spans plus the un-sampled one.
@@ -499,7 +500,8 @@ TEST(TraceEventSinkTest, StitchesFlowEventsAcrossThreads) {
     tids.push_back(static_cast<int>(tid->number));
   }
   EXPECT_NE(std::find(names.begin(), names.end(), "conn-0"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "shard-1"), names.end());
+  EXPECT_NE(std::find(names.begin(), names.end(), "engine-worker"),
+            names.end());
   EXPECT_NE(tids[0], tids[1]);
 
   // Flow chain for id 7: exactly one start, one finish, one step, in
@@ -531,10 +533,11 @@ TEST(TraceEventSinkTest, StitchesFlowEventsAcrossThreads) {
   }
 }
 
-TEST(TraceEventSinkTest, SingleSpanFlowsNothing) {
-  obs::TraceEventSink sink;
-  sink.Span("lonely", 0, 1.0, uint64_t{42});
-  auto doc = ParseJson(sink.RenderJson());
+TEST(TraceTest, SingleSpanFlowsNothing) {
+  obs::Trace trace("serve");
+  const obs::Trace::Clock::time_point now = obs::Trace::Clock::now();
+  trace.RecordSpan(trace.root(), "lonely", now, now, {42});
+  auto doc = ParseJson(trace.RenderChromeJson());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   auto flows = EventsWhere(*doc, [](const JsonValue& e) {
     const std::string ph = PhaseOf(e);
@@ -543,18 +546,68 @@ TEST(TraceEventSinkTest, SingleSpanFlowsNothing) {
   EXPECT_TRUE(flows.empty());
 }
 
-TEST(TraceEventSinkTest, CapsRecordsAndCountsDrops) {
-  obs::TraceEventSink sink(/*max_events=*/4);
-  for (uint64_t i = 0; i < 10; ++i) {
-    sink.Span("s", static_cast<double>(i), 1.0, uint64_t{0});
+TEST(TraceTest, CapsRecordsAndCountsDrops) {
+  obs::Trace trace("serve", /*max_spans=*/4);
+  const obs::Trace::Clock::time_point now = obs::Trace::Clock::now();
+  for (int i = 0; i < 10; ++i) {
+    trace.RecordSpan(trace.root(), "s", now, now, {});
   }
-  EXPECT_EQ(sink.dropped(), 6u);
-  auto doc = ParseJson(sink.RenderJson());
+  EXPECT_EQ(trace.recorded(), 4u);
+  EXPECT_EQ(trace.dropped(), 6u);
+  auto doc = ParseJson(trace.RenderChromeJson());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   auto complete = EventsWhere(*doc, [](const JsonValue& e) {
     return PhaseOf(e) == "X";
   });
   EXPECT_EQ(complete.size(), 4u);
+}
+
+// A span refused at the cap is inactive and the code under it runs
+// untraced: its spans are neither kept nor counted, and a sibling opened
+// after it is refused (and counted) again.
+TEST(TraceTest, SpansPastTheCapRunUntracedUnderAdoption) {
+  obs::Trace trace("solve", /*max_spans=*/3);
+  {
+    obs::ScopedTraceActivation activate(&trace);
+    obs::ScopedSpan outer("outer");
+    const obs::TraceContext context = obs::CurrentTraceContext();
+    std::thread worker([&] {
+      obs::ScopedSpanAdoption adopt(context);
+      obs::ScopedSpan middle("middle");
+      obs::ScopedSpan inner("inner");
+      EXPECT_TRUE(inner.active());
+      {
+        obs::ScopedSpan refused("refused");
+        EXPECT_FALSE(refused.active());
+        refused.AddStat("ignored", 1);
+        EXPECT_EQ(obs::CurrentTraceContext().trace, nullptr);
+        obs::ScopedSpan under("under_refused");
+        EXPECT_FALSE(under.active());
+        obs::ScopedSpan deeper("deeper");
+        EXPECT_FALSE(deeper.active());
+      }
+      // Back under `inner`, which is recorded.
+      EXPECT_EQ(obs::CurrentTraceContext().trace, &trace);
+      obs::ScopedSpan sibling("sibling");
+      EXPECT_FALSE(sibling.active());
+    });
+    worker.join();
+    obs::ScopedSpan late("late");
+    EXPECT_FALSE(late.active());
+  }
+  EXPECT_EQ(trace.recorded(), 3u);
+  EXPECT_EQ(trace.dropped(), 3u);  // refused, sibling, late
+  const obs::SpanNode& root = *trace.root();
+  ASSERT_EQ(root.children.size(), 1u);
+  const obs::SpanNode* inner = root.FindSpan("inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_TRUE(inner->children.empty());
+  EXPECT_EQ(root.FindSpan("middle")->children.size(), 1u);
+  EXPECT_NE(root.children[0]->thread, inner->thread);
+  for (const char* name : {"refused", "under_refused", "deeper", "sibling",
+                           "late"}) {
+    EXPECT_EQ(root.FindSpan(name), nullptr) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -540,7 +540,7 @@ TEST(ServerTest, OverLongAddGets400BeforeTheEngine) {
 
 TEST(ServerTest, AdmissionRejectsAboveWatermarkWithRetryHint) {
   ServerOptions options = TestOptions();
-  options.engine_workers = 0;  // nothing drains the queue: depth is ours
+  options.engine_thread = false;  // nothing drains the queue: depth is ours
   options.queue_capacity = 8;
   options.admission_watermark = 2;
   Server server(options);
@@ -728,7 +728,7 @@ TEST(ServerTest, ConcurrentClientsMatchOfflineBatchAndNothingDrops) {
 
 TEST(ServerTest, CoalescesBurstsIntoFewerBatches) {
   ServerOptions options = TestOptions();
-  options.engine_workers = 0;  // queue everything, then drain at once
+  options.engine_thread = false;  // queue everything, then drain at once
   Server server(options);
   ASSERT_TRUE(server.Start(BaseInstance()).ok());
   TestClient client(server.port());
@@ -1342,6 +1342,171 @@ TEST(ServerTelemetryTest, DurableRunConnectsSpansAcrossThreads) {
   EXPECT_EQ(named.count("conn"), 1u);
   EXPECT_EQ(named.count("engine-worker"), 1u);
   EXPECT_EQ(named.count("wal-committer"), 1u);
+}
+
+/// The events of a trace file, parsed.
+std::vector<obs::JsonValue> TraceFileEvents(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::stringstream raw;
+  raw << in.rdbuf();
+  auto doc = obs::ParseJson(raw.str());
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  if (!doc.ok() || doc->Find("traceEvents") == nullptr) return {};
+  return doc->Find("traceEvents")->array;
+}
+
+// A sampled batch's engine apply runs under its shard_apply span: the
+// engine's own spans (online_update, solve_component, ...) land inside it
+// on the engine-worker row, so a sampled update explains itself down to
+// the solver's phases.
+TEST(ServerTelemetryTest, SampledApplyNestsEngineSpansUnderShardApply) {
+  DurableDir dir("nested_trace");
+  ServerOptions options = DurableOptions(dir.path);
+  options.trace_sample = 1;
+  options.trace_out_dir = dir.path + "/traces";
+  Server server(options);
+  ASSERT_TRUE(server.Start(BaseInstance()).ok());
+  const std::string trace_path = server.trace_file_path();
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_EQ(CodeOf(client.Call(
+                R"({"op":"update","id":1,"add":[["blue","sofa"]]})")),
+            200);
+  ASSERT_EQ(CodeOf(client.Call(
+                R"({"op":"update","id":2,"add":[["green","lamp"]]})")),
+            200);
+  server.RequestDrain();
+  server.Join();
+  EXPECT_EQ(server.trace().dropped(), 0u);
+
+  const std::vector<obs::JsonValue> events = TraceFileEvents(trace_path);
+  double engine_tid = -1;
+  for (const obs::JsonValue& event : events) {
+    if (event.Find("ph")->string == "M" &&
+        event.Find("args")->Find("name")->string == "engine-worker") {
+      engine_tid = event.Find("tid")->number;
+    }
+  }
+  ASSERT_GE(engine_tid, 0);
+  struct Interval {
+    double begin = 0;
+    double end = 0;
+  };
+  std::vector<Interval> applies;
+  std::map<std::string, std::vector<Interval>> engine_spans;
+  for (const obs::JsonValue& event : events) {
+    if (event.Find("ph")->string != "X") continue;
+    const std::string& name = event.Find("name")->string;
+    const double ts = event.Find("ts")->number;
+    const Interval interval{ts, ts + event.Find("dur")->number};
+    if (name == "shard_apply") {
+      EXPECT_EQ(event.Find("tid")->number, engine_tid);
+      applies.push_back(interval);
+    } else if (name == "online_update" || name == "solve_component") {
+      EXPECT_EQ(event.Find("tid")->number, engine_tid) << name;
+      engine_spans[name].push_back(interval);
+    }
+  }
+  ASSERT_EQ(applies.size(), 2u);  // one applied batch per update
+  EXPECT_EQ(engine_spans["online_update"].size(), 2u);
+  EXPECT_GE(engine_spans["solve_component"].size(), 2u);
+  // Timestamps are microseconds rendered from doubles: allow rounding.
+  constexpr double kSlackUs = 1e-3;
+  for (const auto& [name, intervals] : engine_spans) {
+    for (const Interval& span : intervals) {
+      const bool inside = std::any_of(
+          applies.begin(), applies.end(), [&span](const Interval& apply) {
+            return span.begin >= apply.begin - kSlackUs &&
+                   span.end <= apply.end + kSlackUs;
+          });
+      EXPECT_TRUE(inside) << name << " at " << span.begin;
+    }
+  }
+}
+
+// Every server.stage.* and server.read.* histogram counts exactly its
+// events over a fixed script: a batch of two updates applied whole, a
+// batch that falls back per request (one member is uncoverable), a
+// checkpoint, and a solve and a snapshot read. Sampling changes no count.
+TEST(ServerTelemetryTest, StageHistogramsCountExactlyTheirEvents) {
+  for (const uint64_t trace_sample : {uint64_t{0}, uint64_t{1}}) {
+    SCOPED_TRACE(trace_sample);
+    DurableDir dir("stage_counts");
+    ServerOptions options = DurableOptions(dir.path);
+    options.default_cost = -1;       // an unpriced add fails
+    options.engine_thread = false;   // batches form exactly as queued
+    options.durability.checkpoint_every_updates = 2;
+    options.trace_sample = trace_sample;
+    const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snap();
+    Server server(options);
+    ASSERT_TRUE(server.Start(BaseInstance()).ok());
+    TestClient client(server.port());
+    ASSERT_TRUE(client.connected());
+    // Queues `lines`, drains them as one run, and checks the response codes.
+    const auto run_queued = [&](const std::vector<std::string>& lines,
+                                const std::vector<int>& codes) {
+      for (const std::string& line : lines) client.Send(line);
+      while (server.QueueDepth() < lines.size()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      server.ProcessQueuedNow();
+      for (const int code : codes) {
+        const std::string line = client.ReadLine();
+        auto response = obs::ParseJson(line);
+        ASSERT_TRUE(response.ok()) << line;
+        EXPECT_EQ(CodeOf(*response), code) << line;
+      }
+    };
+    // One coalesced batch, applied whole: WAL record 1.
+    run_queued({R"({"op":"update","id":1,"add":[["red"]]})",
+                R"({"op":"update","id":2,"add":[["shirt"]]})"},
+               {200, 200});
+    // The coalesced batch fails on the unpriced {blue}; per request, {red,
+    // tv} applies alone (WAL record 2, then the policy checkpoint) and
+    // {blue} is refused.
+    run_queued({R"({"op":"update","id":3,"add":[["red","tv"]]})",
+                R"({"op":"update","id":4,"add":[["blue"]]})"},
+               {200, 400});
+    run_queued({R"({"op":"checkpoint","id":5})"}, {200});
+    EXPECT_EQ(CodeOf(client.Call(R"({"op":"solve","id":6})")), 200);
+    EXPECT_EQ(CodeOf(client.Call(R"({"op":"snapshot","id":7})")), 200);
+    server.RequestDrain();
+    server.Join();
+
+    const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snap();
+    std::map<std::string, uint64_t> counted;
+    for (const auto& [name, histogram] : after.histograms) {
+      if (name.rfind("server.stage.", 0) != 0 &&
+          name.rfind("server.read.", 0) != 0) {
+        continue;
+      }
+      const auto was = before.histograms.find(name);
+      const uint64_t delta =
+          histogram.count -
+          (was == before.histograms.end() ? 0 : was->second.count);
+      if (delta != 0) counted[name] = delta;
+    }
+    const std::map<std::string, uint64_t> expected = {
+        {"server.stage.queue_wait.update", 4},
+        {"server.stage.coalesce.update", 2},
+        {"server.stage.shard_apply.update", 1},
+        {"server.stage.publish.update", 2},
+        {"server.stage.wal_durable.update", 2},
+        {"server.stage.checkpoint.update", 1},
+        {"server.stage.serialize.update", 4},
+        {"server.stage.queue_wait.checkpoint", 1},
+        {"server.stage.checkpoint.checkpoint", 1},
+        {"server.stage.serialize.checkpoint", 1},
+        {"server.read.acquire.solve", 1},
+        {"server.read.render.solve", 1},
+        {"server.stage.serialize.solve", 1},
+        {"server.read.acquire.snapshot", 1},
+        {"server.read.render.snapshot", 1},
+        {"server.stage.serialize.snapshot", 1},
+    };
+    EXPECT_EQ(counted, expected);
+  }
 }
 
 TEST(ServerTelemetryTest, TracingOffKeepsResponsesFreeOfTraceIds) {

@@ -118,44 +118,72 @@ TEST(TimerTest, MeasuresElapsed) {
   EXPECT_GE(t.Millis(), t.Seconds());  // millis numerically larger
 }
 
+/// A row handler that appends each row it is handed to `rows`.
+CsvRowHandler AppendTo(std::vector<std::vector<std::string>>* rows) {
+  return [rows](const std::vector<std::string>& row) {
+    rows->push_back(row);
+    return Status::OK();
+  };
+}
+
+/// The rows ParseCsv hands to its callback, in order.
+Result<std::vector<std::vector<std::string>>> CsvRows(const std::string& text) {
+  std::vector<std::vector<std::string>> rows;
+  MC3_RETURN_IF_ERROR(ParseCsv(text, AppendTo(&rows)));
+  return rows;
+}
+
 TEST(CsvTest, ParsesSimpleRows) {
-  auto doc = ParseCsv("a,b,c\n1,2,3\n");
-  ASSERT_TRUE(doc.ok());
-  ASSERT_EQ(doc->rows.size(), 2u);
-  EXPECT_EQ(doc->rows[0], (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(doc->rows[1], (std::vector<std::string>{"1", "2", "3"}));
+  auto rows = CsvRows("a,b,c\n1,2,3\n");
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_EQ((*rows)[0], (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ((*rows)[1], (std::vector<std::string>{"1", "2", "3"}));
 }
 
 TEST(CsvTest, SkipsCommentsAndBlankLines) {
-  auto doc = ParseCsv("# header\n\na,b\n\n# tail\n");
-  ASSERT_TRUE(doc.ok());
-  ASSERT_EQ(doc->rows.size(), 1u);
+  auto rows = CsvRows("# header\n\na,b\n\n# tail\n");
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
 }
 
 TEST(CsvTest, QuotedFields) {
-  auto doc = ParseCsv("\"a,b\",\"say \"\"hi\"\"\"\n");
-  ASSERT_TRUE(doc.ok());
-  ASSERT_EQ(doc->rows.size(), 1u);
-  EXPECT_EQ(doc->rows[0][0], "a,b");
-  EXPECT_EQ(doc->rows[0][1], "say \"hi\"");
+  auto rows = CsvRows("\"a,b\",\"say \"\"hi\"\"\"\n");
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0][0], "a,b");
+  EXPECT_EQ((*rows)[0][1], "say \"hi\"");
 }
 
 TEST(CsvTest, CrLfTolerated) {
-  auto doc = ParseCsv("a,b\r\nc,d\r\n");
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->rows.size(), 2u);
+  auto rows = CsvRows("a,b\r\nc,d\r\n");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 2u);
 }
 
 TEST(CsvTest, MissingTrailingNewline) {
-  auto doc = ParseCsv("a,b");
-  ASSERT_TRUE(doc.ok());
-  ASSERT_EQ(doc->rows.size(), 1u);
-  EXPECT_EQ(doc->rows[0].size(), 2u);
+  auto rows = CsvRows("a,b");
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0].size(), 2u);
 }
 
 TEST(CsvTest, UnterminatedQuoteIsError) {
-  auto doc = ParseCsv("\"abc\n");
-  EXPECT_FALSE(doc.ok());
+  auto rows = CsvRows("\"abc\n");
+  EXPECT_FALSE(rows.ok());
+}
+
+TEST(CsvTest, HandlerErrorStopsTheParse) {
+  size_t seen = 0;
+  const Status status =
+      ParseCsv("a\nb\nc\n", [&seen](const std::vector<std::string>& row) {
+        ++seen;
+        return row[0] == "b" ? Status::InvalidArgument("no b")
+                             : Status::OK();
+      });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "no b");
+  EXPECT_EQ(seen, 2u);
 }
 
 TEST(CsvTest, FormatRoundTrips) {
@@ -163,25 +191,28 @@ TEST(CsvTest, FormatRoundTrips) {
       {"plain", "with,comma", "with\"quote"},
       {"", "x", "multi\nline"},
   };
-  auto parsed = ParseCsv(FormatCsv(rows));
+  auto parsed = CsvRows(FormatCsv(rows));
   ASSERT_TRUE(parsed.ok());
-  ASSERT_EQ(parsed->rows.size(), 2u);
-  EXPECT_EQ(parsed->rows[0], rows[0]);
-  EXPECT_EQ(parsed->rows[1], rows[1]);
+  ASSERT_EQ(parsed->size(), 2u);
+  EXPECT_EQ((*parsed)[0], rows[0]);
+  EXPECT_EQ((*parsed)[1], rows[1]);
 }
 
 TEST(CsvTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/mc3_csv_test.csv";
   const std::vector<std::vector<std::string>> rows{{"a", "b"}, {"c", "d"}};
   ASSERT_TRUE(WriteCsvFile(path, rows).ok());
-  auto doc = ReadCsvFile(path);
-  ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(doc->rows, rows);
+  std::vector<std::vector<std::string>> parsed;
+  ASSERT_TRUE(ReadCsvFile(path, AppendTo(&parsed)).ok());
+  EXPECT_EQ(parsed, rows);
 }
 
 TEST(CsvTest, MissingFileIsNotFound) {
-  auto doc = ReadCsvFile("/nonexistent/road/file.csv");
-  EXPECT_EQ(doc.status().code(), StatusCode::kNotFound);
+  std::vector<std::vector<std::string>> rows;
+  const Status status =
+      ReadCsvFile("/nonexistent/road/file.csv", AppendTo(&rows));
+  EXPECT_EQ(status.code(), StatusCode::kNotFound);
+  EXPECT_TRUE(rows.empty());
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

@@ -43,14 +43,16 @@
 //       serve it over a line-delimited-JSON TCP protocol (src/server/,
 //       docs/serving.md) until a shutdown request or SIGTERM/SIGINT drains
 //       it. --listen 0 binds an ephemeral port; --port-file writes the
-//       bound port for scripts. --queue-capacity/--watermark bound the
-//       engine-op queue (admission control answers 429 above the
-//       watermark); --max-batch caps update coalescing; --workers sizes
-//       the connection pool. --data-dir and the --wal-*/--checkpoint-*
-//       flags make it durable (docs/durability.md). --trace-sample N
-//       records every Nth request's pipeline spans; with --trace-out DIR a
-//       Chrome trace-event JSON file is written on drain
-//       (docs/observability.md, "Serving telemetry").
+//       bound port for scripts. --queue-capacity (at least 1) and
+//       --watermark bound the engine-op queue (admission control answers
+//       429 above the watermark); --max-batch caps update coalescing;
+//       --workers sizes the connection pool. --data-dir and the
+//       --wal-*/--checkpoint-* flags make it durable (docs/durability.md).
+//       --trace-sample N records every Nth request's pipeline spans, with
+//       the engine's spans under its apply; with --trace-out DIR a Chrome
+//       trace-event JSON file is written on drain and the `trace:` line
+//       counts the spans kept and dropped (docs/observability.md,
+//       "Serving telemetry").
 //
 //   mc3 bench [--quick] [--seed S] [--report out.json] [--repeat N]
 //             [--warmup N] [--filter SUBSTR]
@@ -138,7 +140,7 @@ int Usage() {
       "            [--default-cost D] [--data-dir DIR]\n"
       "            [--wal-sync grouped|immediate|none] [--wal-group-ms MS]\n"
       "            [--checkpoint-every N] [--checkpoint-interval SECS]\n"
-      "            [--keep-wal-segments] [--record-trace F]\n"
+      "            [--keep-wal-segments]\n"
       "            [--trace-sample N] [--trace-out DIR]\n"
       "  mc3 recover <workload.csv> --data-dir DIR [--solver NAME]\n"
       "            [--threads N] [--default-cost D] [--solution-out F]\n"
@@ -552,8 +554,10 @@ int CmdServeListen(const std::string& workload_path,
               static_cast<unsigned long long>(stats.max_batch));
   if (const std::string trace_file = server.trace_file_path();
       !trace_file.empty()) {
-    std::printf("trace:      %s (load in Perfetto / chrome://tracing)\n",
-                trace_file.c_str());
+    std::printf("trace:      %s (%zu spans kept, %llu dropped; load in "
+                "Perfetto / chrome://tracing)\n",
+                trace_file.c_str(), server.trace().recorded(),
+                static_cast<unsigned long long>(server.trace().dropped()));
   }
   int exit_code = 0;
   server.WithEngine([&](const online::OnlineEngine& engine) {
@@ -1335,7 +1339,6 @@ int main(int argc, char** argv) {
                            {"--checkpoint-every", true},
                            {"--checkpoint-interval", true},
                            {"--keep-wal-segments", false},
-                           {"--record-trace", true},
                            {"--trace-sample", true},
                            {"--trace-out", true}})
             : Args::Parse(command, raw,
@@ -1380,6 +1383,13 @@ int main(int argc, char** argv) {
           !args->Number("--workers", &config.workers)) {
         return 2;
       }
+      // A queue that holds nothing would refuse every update with 429.
+      if (config.queue_capacity == 0) {
+        std::fprintf(stderr,
+                     "mc3 serve: flag '--queue-capacity' needs at least 1, "
+                     "got '0'\n");
+        return 2;
+      }
       server::ServerOptions server_options;
       server_options.port = static_cast<uint16_t>(config.listen);
       server_options.queue_capacity = config.queue_capacity;
@@ -1420,9 +1430,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       durable.keep_segments = args->has("--keep-wal-segments");
-      if (const std::string* v = args->value("--record-trace")) {
-        server_options.record_trace_path = *v;
-      }
       if (!args->Number("--trace-sample", &server_options.trace_sample)) {
         return 2;
       }
