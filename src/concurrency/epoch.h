@@ -25,8 +25,8 @@
 //
 // Callers own the ordering obligation in the first bullet: retire an
 // object only after it is unreachable from every root a reader could
-// follow to it (swap all roots first, then retire — see
-// Server::PublishReadViews for the multi-root case).
+// follow to it (Server::PublishReadRoot swaps its one root first, then
+// retires the displaced value).
 //
 // Readers are registered threads (ReaderRegistration, slot allocation
 // under a mutex, expected once per connection); Pin/Unpin (ReadGuard) on

@@ -39,8 +39,9 @@ class VersionedPublisher {
   /// exchange is seq_cst so readers that observe the new pointer also
   /// observe everything the writer wrote into *next beforehand, and the
   /// epoch-reclamation proof in epoch.h can order the swap against
-  /// retires and pins. IMPORTANT: do not Retire the returned pointer
-  /// until it is unreachable from every *other* published root too.
+  /// retires and pins. IMPORTANT: Retire the returned pointer only once
+  /// no published root reaches it; when this publisher is its one root, as
+  /// for the server's read root, that is as soon as Publish returns.
   const T* Publish(const T* next) {
     version_.fetch_add(1, std::memory_order_seq_cst);
     return current_.exchange(next, std::memory_order_seq_cst);

@@ -572,20 +572,7 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
                     : Result<online::UpdateStats>(priced.status());
     if (applied.ok()) {
       any_applied = true;
-      batches_.fetch_add(1, std::memory_order_relaxed);
-      coalesced_ops_.fetch_add(net.ops, std::memory_order_relaxed);
-      uint64_t seen = max_batch_.load(std::memory_order_relaxed);
-      while (seen < net.ops &&
-             !max_batch_.compare_exchange_weak(seen, net.ops,
-                                               std::memory_order_relaxed)) {
-      }
-      obs::MetricsRegistry::Global().GetCounter("server.batches").Add();
-      obs::MetricsRegistry::Global()
-          .GetCounter("server.coalesced_ops")
-          .Add(net.ops);
-      obs::MetricsRegistry::Global()
-          .GetHistogram("server.batch_size")
-          .Record(static_cast<double>(net.ops));
+      CountChurnStep(net.ops);
       const uint64_t wal_seq = PersistApplied(net.add, net.remove,
                                               sampled_ids);
       for (size_t i = 0; i < batch.size(); ++i) {
@@ -613,12 +600,12 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
           continue;
         }
         any_applied = true;
-        batches_.fetch_add(1, std::memory_order_relaxed);
+        const size_t ops = one->queries_added + one->queries_removed;
+        CountChurnStep(ops);
         const uint64_t wal_seq = PersistApplied(parsed[i].add,
                                                 parsed[i].remove, one_ids);
-        responses[i] = RenderUpdateAck(
-            batch[i], wal_seq, one->queries_added + one->queries_removed,
-            /*batch_requests=*/1, *one);
+        responses[i] = RenderUpdateAck(batch[i], wal_seq, ops,
+                                       /*batch_requests=*/1, *one);
       }
     }
     // Publish before the lock drops (and so before any ack is written):
@@ -633,6 +620,19 @@ void Server::HandleUpdateBatch(std::vector<PendingRequest> batch) {
   for (size_t i = 0; i < batch.size(); ++i) {
     FinishTracedResponse(batch[i], responses[i]);
   }
+}
+
+void Server::CountChurnStep(uint64_t ops) {
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  coalesced_ops_.fetch_add(ops, std::memory_order_relaxed);
+  uint64_t seen = max_batch_.load(std::memory_order_relaxed);
+  while (seen < ops && !max_batch_.compare_exchange_weak(
+                           seen, ops, std::memory_order_relaxed)) {
+  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.GetCounter("server.batches").Add();
+  registry.GetCounter("server.coalesced_ops").Add(ops);
+  registry.GetHistogram("server.batch_size").Record(static_cast<double>(ops));
 }
 
 std::string Server::RenderUpdateAck(const PendingRequest& pending,

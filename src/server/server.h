@@ -240,6 +240,11 @@ class Server {
       MC3_REQUIRES(engine_mu_);
 
   void HandleUpdateBatch(std::vector<PendingRequest> batch);
+  /// Counts one applied churn step of `ops` update ops (the ack's
+  /// `batch_size`), whether the coalesced batch or one request of a
+  /// per-request fallback: `stats` and the registry's `server.batches`,
+  /// `server.coalesced_ops` and `server.batch_size` move together.
+  void CountChurnStep(uint64_t ops);
   /// Renders the 200 ack of one update request at the engine's current
   /// state (engine_mu_ held). `batch_size`/`batch_requests` describe the
   /// churn step that applied it: the coalesced batch, or the request alone

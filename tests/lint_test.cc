@@ -1,11 +1,12 @@
 // Unit tests for the mc3_lint rule engine (tools/mc3_lint/lint.h): one
-// failing and one passing fixture per rule (R1-R4, R6, R8-R10), plus waiver
+// failing and one passing fixture per rule (R1-R4, R6, R8, R9), plus waiver
 // syntax and report rendering. Fixtures live in string literals, so linting
 // this file itself (the lint_clean test) sees none of them.
 #include "mc3_lint/lint.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -371,6 +372,27 @@ TEST(LintR8, PassesClassWithoutMutex) {
   EXPECT_EQ(CountRule(findings, "R8"), 0u);
 }
 
+TEST(LintR8, DefaultBraceArgumentKeepsCheckingMembers) {
+  // A `= {}` default argument is an initializer inside the parameter list,
+  // not a function body: the members after it are still split and checked,
+  // and so are those after a later inline body.
+  const auto findings = Lint(
+      "class Recorder {\n"
+      " public:\n"
+      "  void Open(const char* name, std::vector<uint64_t> ids = {});\n"
+      "  void Note(int n, std::vector<int> extra = {}) { (void)n; }\n"
+      " private:\n"
+      "  util::Mutex mu_;\n"
+      "  int recorded_ = 0;\n"
+      "  int dropped_ MC3_GUARDED_BY(mu_) = 0;\n"
+      "  std::vector<int> names_;\n"
+      "};\n");
+  ASSERT_EQ(CountRule(findings, "R8"), 2u);
+  EXPECT_EQ(findings[0].line, 7);
+  EXPECT_NE(findings[0].message.find("recorded_"), std::string::npos);
+  EXPECT_EQ(findings[1].line, 9);
+}
+
 // ---------------------------------------------------------------- R9
 
 TEST(LintR9, FlagsDetachAndNeverJoinedThread) {
@@ -422,106 +444,6 @@ TEST(LintR9, JoinInAnotherFileSatisfiesHeaderDeclaration) {
             1u);
 }
 
-// ---------------------------------------------------------------- R10
-
-TEST(LintR10, FlagsTwoMutexCycle) {
-  const auto findings = Lint(
-      "struct Two {\n"
-      "  util::Mutex mu_a;\n"
-      "  util::Mutex mu_b;\n"
-      "  void A() {\n"
-      "    util::MutexLock a(mu_a);\n"
-      "    util::MutexLock b(mu_b);\n"
-      "  }\n"
-      "  void B() {\n"
-      "    util::MutexLock b(mu_b);\n"
-      "    util::MutexLock a(mu_a);\n"
-      "  }\n"
-      "};\n");
-  ASSERT_EQ(CountRule(findings, "R10"), 1u);
-  const Finding& f = findings.back();
-  EXPECT_EQ(f.tag, "lock-order");
-  EXPECT_NE(f.message.find("Two::mu_a"), std::string::npos);
-  EXPECT_NE(f.message.find("Two::mu_b"), std::string::npos);
-}
-
-TEST(LintR10, PassesConsistentOrderAndSiblingScopes) {
-  const auto findings = Lint(
-      "struct Two {\n"
-      "  util::Mutex mu_a;\n"
-      "  util::Mutex mu_b;\n"
-      "  void A() {\n"
-      "    util::MutexLock a(mu_a);\n"
-      "    util::MutexLock b(mu_b);\n"
-      "  }\n"
-      "  void B() {\n"
-      "    { util::MutexLock a(mu_a); }\n"  // released before mu_b
-      "    util::MutexLock b(mu_b);\n"
-      "  }\n"
-      "};\n");
-  EXPECT_EQ(CountRule(findings, "R10"), 0u);
-}
-
-TEST(LintR10, RequiresAnnotationSeedsHeldSet) {
-  // `Drain` never names a guard in its body; the held mutex comes from the
-  // MC3_REQUIRES on its declaration, seeded at the out-of-line definition.
-  const std::string code =
-      "struct Q {\n"
-      "  util::Mutex mu_;\n"
-      "  util::Mutex items_mu_;\n"
-      "  void Drain() MC3_REQUIRES(mu_);\n"
-      "};\n"
-      "void Q::Drain() {\n"
-      "  util::MutexLock lock(items_mu_);\n"
-      "}\n";
-  const std::vector<LockEdge> edges =
-      CollectLockEdges("q.cc", code, [&] {
-        SymbolIndex index;
-        IndexFile(code, &index);
-        index.ResolveAliases();
-        return index;
-      }());
-  ASSERT_EQ(edges.size(), 1u);
-  EXPECT_EQ(edges[0].from, "Q::mu_");
-  EXPECT_EQ(edges[0].to, "Q::items_mu_");
-}
-
-TEST(LintR10, ValueReturningLockCallsAreNotAcquisitions) {
-  // std::weak_ptr::lock() returns a shared_ptr; only statement-position
-  // lock()/unlock() (void mutex API) may create graph nodes.
-  const auto edges = CollectLockEdges(
-      "s.cc",
-      "struct S {\n"
-      "  util::Mutex mu_;\n"
-      "  std::weak_ptr<int> weak_;\n"
-      "  void F() {\n"
-      "    util::MutexLock l(mu_);\n"
-      "    if (std::shared_ptr<int> p = weak_.lock()) {\n"
-      "    }\n"
-      "  }\n"
-      "};\n",
-      SymbolIndex{});
-  EXPECT_TRUE(edges.empty());
-}
-
-TEST(LintR10, WaivedEdgesStayOutOfCycles) {
-  const auto findings = Lint(
-      "struct Two {\n"
-      "  util::Mutex mu_a;\n"
-      "  util::Mutex mu_b;\n"
-      "  void A() {\n"
-      "    util::MutexLock a(mu_a);\n"
-      "    util::MutexLock b(mu_b);\n"
-      "  }\n"
-      "  void B() {\n"
-      "    util::MutexLock b(mu_b);\n"
-      "    // mc3-lint: lock-order-ok(B never runs concurrently with A)\n"
-      "    util::MutexLock a(mu_a);\n"
-      "  }\n"
-      "};\n");
-  EXPECT_EQ(CountRule(findings, "R10"), 0u);
-}
-
 // ------------------------------------------------------------- waivers
 
 TEST(LintWaivers, SameLineAndPrecedingLineSuppress) {
@@ -567,14 +489,17 @@ TEST(LintWaivers, ConcurrencyTagsSuppressTheirRules) {
   // The waiver covers the detach() line; the declaration would still need a
   // join, so only the never-joined finding remains.
   EXPECT_EQ(CountRule(detach, "R9"), 1u);
-  // The three concurrency tags are known: none of these is a W0.
+  // Both concurrency tags are known: neither is a W0.
   EXPECT_EQ(CountRule(guard, "W0"), 0u);
   EXPECT_EQ(CountRule(detach, "W0"), 0u);
-  EXPECT_EQ(
-      CountRule(Lint("// mc3-lint: lock-order-ok(single-threaded phase)\n"
-                     "int x;\n"),
-                "W0"),
-      0u);
+  // The tags of retired rules are unknown: a leftover waiver is one W0 and
+  // never a stale-waiver W1.
+  for (const std::string tag : {"lock-order", "cv-wait", "status"}) {
+    const auto leftover =
+        Lint("// mc3-lint: " + tag + "-ok(single-threaded phase)\nint x;\n");
+    EXPECT_EQ(CountRule(leftover, "W0"), 1u) << tag;
+    EXPECT_EQ(CountRule(leftover, "W1"), 0u) << tag;
+  }
 }
 
 TEST(LintWaivers, MalformedWaiversAreFindings) {
@@ -626,12 +551,7 @@ TEST(LintWaivers, StaleWaiversAreFindings) {
                           "}\n");
   EXPECT_EQ(CountRule(wrong, "R1"), 1u);
   EXPECT_EQ(CountRule(wrong, "W1"), 1u);
-  // lock-order waivers belong to the project-wide R10 pass, and a waiver
-  // covering no code is prose quoting the syntax: neither is checked here.
-  EXPECT_EQ(CountRule(Lint("// mc3-lint: lock-order-ok(single-threaded)\n"
-                           "int x;\n"),
-                      "W1"),
-            0u);
+  // A waiver covering no code is prose quoting the syntax: not checked.
   EXPECT_EQ(CountRule(Lint("// Waivers look like\n"
                            "//   // mc3-lint: unordered-ok(reason)\n"
                            "//\n"
@@ -652,59 +572,43 @@ TEST(LintReport, RendersValidSchemaJson) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   const obs::JsonValue& root = *parsed;
   ASSERT_TRUE(root.is_object());
-  EXPECT_EQ(root.Find("schema")->string, "mc3.lint_report/2");
+  EXPECT_EQ(root.Find("schema")->string, "mc3.lint_report/3");
   EXPECT_EQ(root.Find("files_scanned")->number, 42);
   EXPECT_EQ(root.Find("num_findings")->number, 2);
   ASSERT_TRUE(root.Find("findings")->is_array());
   EXPECT_EQ(root.Find("findings")->array.size(), 2u);
-  // Every rule appears in the per-rule counts, zeros included, so report
-  // consumers never need existence checks.
+  // Every live rule appears in the per-rule counts, zeros included, so
+  // report consumers never need existence checks; retired rule numbers are
+  // not counted.
   const obs::JsonValue* by_rule = root.Find("findings_by_rule");
   ASSERT_TRUE(by_rule != nullptr && by_rule->is_object());
-  EXPECT_EQ(by_rule->Find("R1")->number, 1);
-  for (const char* rule : {"R2", "R3", "R6", "R8", "R9", "R10", "W0", "W1"}) {
-    const obs::JsonValue* count = by_rule->Find(rule);
-    ASSERT_TRUE(count != nullptr) << rule;
-    EXPECT_EQ(count->number, 0) << rule;
-  }
-  // Retired rule numbers are not counted.
-  EXPECT_EQ(by_rule->Find("R5"), nullptr);
-  EXPECT_EQ(by_rule->Find("R7"), nullptr);
-  // Empty-by-default v2 sections are present even with no R10/skip input.
-  const obs::JsonValue* graph = root.Find("lock_graph");
-  ASSERT_TRUE(graph != nullptr && graph->is_object());
-  EXPECT_TRUE(graph->Find("edges")->array.empty());
-  EXPECT_TRUE(graph->Find("cycles")->array.empty());
+  std::map<std::string, double> counts;
+  for (const auto& [rule, count] : by_rule->object) counts[rule] = count.number;
+  EXPECT_EQ(counts, (std::map<std::string, double>{{"R1", 1},
+                                                   {"R2", 0},
+                                                   {"R3", 0},
+                                                   {"R4", 1},
+                                                   {"R6", 0},
+                                                   {"R8", 0},
+                                                   {"R9", 0},
+                                                   {"W0", 0},
+                                                   {"W1", 0}}));
+  // Exactly these sections, the skip list present even when empty.
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : root.object) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"schema", "files_scanned",
+                                            "num_findings",
+                                            "findings_by_rule", "findings",
+                                            "skipped"}));
   EXPECT_TRUE(root.Find("skipped")->array.empty());
 }
 
-TEST(LintReport, RendersLockGraphCyclesAndSkips) {
-  const std::vector<LockEdge> edges = {
-      {"A::mu", "A::inner", "src/a.cc", 12, false},
-      {"A::inner", "A::mu", "src/a.cc", 40, true},
-  };
-  const std::vector<LockCycle> cycles = {
-      {{"A::inner", "A::mu"}, "src/a.cc", 40},
-  };
-  const std::string json =
-      FindingsToJson({}, 7, edges, cycles, {"src/unreadable.cc"});
+TEST(LintReport, RendersSkippedFiles) {
+  const std::string json = FindingsToJson({}, 7, {"src/unreadable.cc"});
   auto parsed = obs::ParseJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
   const obs::JsonValue& root = *parsed;
-  const obs::JsonValue* graph = root.Find("lock_graph");
-  ASSERT_TRUE(graph != nullptr && graph->is_object());
-  ASSERT_EQ(graph->Find("edges")->array.size(), 2u);
-  const obs::JsonValue& e0 = graph->Find("edges")->array[0];
-  EXPECT_EQ(e0.Find("from")->string, "A::mu");
-  EXPECT_EQ(e0.Find("to")->string, "A::inner");
-  EXPECT_EQ(e0.Find("line")->number, 12);
-  EXPECT_FALSE(e0.Find("waived")->boolean);
-  EXPECT_TRUE(graph->Find("edges")->array[1].Find("waived")->boolean);
-  ASSERT_EQ(graph->Find("cycles")->array.size(), 1u);
-  const obs::JsonValue& c0 = graph->Find("cycles")->array[0];
-  ASSERT_EQ(c0.Find("nodes")->array.size(), 2u);
-  EXPECT_EQ(c0.Find("nodes")->array[0].string, "A::inner");
-  EXPECT_EQ(c0.Find("file")->string, "src/a.cc");
+  EXPECT_EQ(root.Find("num_findings")->number, 0);
   ASSERT_EQ(root.Find("skipped")->array.size(), 1u);
   EXPECT_EQ(root.Find("skipped")->array[0].string, "src/unreadable.cc");
 }

@@ -23,6 +23,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -754,6 +755,69 @@ TEST(ServerTest, CoalescesBurstsIntoFewerBatches) {
   EXPECT_EQ(stats.max_batch, 6u);
   server.RequestDrain();
   server.Join();
+}
+
+// A coalesced batch that falls back to per-request application counts each
+// request it applies as one churn step, in `stats` and in the registry
+// alike: here the re-add applies alone and the uncoverable add is refused.
+TEST(ServerTest, FallbackStepsCountInStatsAndMetricsAlike) {
+  ServerOptions options = TestOptions();
+  options.default_cost = -1;      // an unpriced add fails
+  options.engine_thread = false;  // batches form exactly as queued
+  Server server(options);
+  ASSERT_TRUE(server.Start(BaseInstance()).ok());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  // Queues `lines`, drains them as one run, and returns each ack's code and
+  // batch_size (0 on an error).
+  const auto run_queued = [&](const std::vector<std::string>& lines) {
+    for (const std::string& line : lines) client.Send(line);
+    while (server.QueueDepth() < lines.size()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    server.ProcessQueuedNow();
+    std::vector<std::pair<int, double>> acks;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      const std::string line = client.ReadLine();
+      auto response = obs::ParseJson(line);
+      EXPECT_TRUE(response.ok()) << line;
+      if (!response.ok()) continue;
+      const obs::JsonValue* batch_size = response->Find("batch_size");
+      acks.emplace_back(CodeOf(*response),
+                        batch_size != nullptr ? batch_size->number : 0);
+    }
+    return acks;
+  };
+  using Acks = std::vector<std::pair<int, double>>;
+  EXPECT_EQ(run_queued({R"({"op":"update","id":1,"remove":[["tv"]]})"}),
+            (Acks{{200, 1}}));
+  const ServerStats stats_before = server.GetStats();
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Global().Snap();
+  EXPECT_EQ(run_queued({R"({"op":"update","id":2,"add":[["tv"]]})",
+                        R"({"op":"update","id":3,"add":[["never_priced"]]})"}),
+            (Acks{{200, 1}, {400, 0}}));
+  const ServerStats stats_after = server.GetStats();
+  const obs::MetricsSnapshot after = obs::MetricsRegistry::Global().Snap();
+  server.RequestDrain();
+  server.Join();
+
+  const auto counter_delta = [&](const std::string& name) {
+    const auto was = before.counters.find(name);
+    const auto now = after.counters.find(name);
+    return (now == after.counters.end() ? 0 : now->second) -
+           (was == before.counters.end() ? 0 : was->second);
+  };
+  const obs::HistogramSnapshot& sizes_before =
+      before.histograms.at("server.batch_size");
+  const obs::HistogramSnapshot& sizes_after =
+      after.histograms.at("server.batch_size");
+  EXPECT_EQ(stats_after.batches - stats_before.batches, 1u);
+  EXPECT_EQ(stats_after.coalesced_ops - stats_before.coalesced_ops, 1u);
+  EXPECT_EQ(stats_after.max_batch, 1u);
+  EXPECT_EQ(counter_delta("server.batches"), 1u);
+  EXPECT_EQ(counter_delta("server.coalesced_ops"), 1u);
+  EXPECT_EQ(sizes_after.count - sizes_before.count, 1u);
+  EXPECT_DOUBLE_EQ(sizes_after.sum - sizes_before.sum, 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
-#include <functional>
 #include <regex>
 #include <sstream>
 #include <utility>
@@ -65,7 +64,7 @@ const std::set<std::string>& KnownTags() {
   static const std::set<std::string> tags = {
       "unordered", "float-eq", "pragma-once", "print",
       "new-delete", "rand",     "time",        "raw-sync",
-      "capture",    "guard",    "detach",      "lock-order"};
+      "capture",    "guard",    "detach"};
   return tags;
 }
 
@@ -98,26 +97,6 @@ std::string ReceiverBefore(const std::string& s, size_t pos) {
   size_t end = pos;
   while (pos > 0 && IsIdentChar(s[pos - 1])) --pos;
   return s.substr(pos, end - pos);
-}
-
-/// Splits `text` on commas at top-level (outside (), [], {}; '<' is left
-/// untracked on purpose — a stray less-than must not swallow commas).
-std::vector<std::string> SplitTopLevel(const std::string& text) {
-  std::vector<std::string> parts;
-  std::string current;
-  int depth = 0;
-  for (char c : text) {
-    if (c == '(' || c == '[' || c == '{') ++depth;
-    if (c == ')' || c == ']' || c == '}') --depth;
-    if (c == ',' && depth == 0) {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  parts.push_back(current);
-  return parts;
 }
 
 std::string TrimCopy(const std::string& s) {
@@ -418,9 +397,8 @@ class Linter {
       for (const std::string& tag : tags) {
         waived_[target][tag].insert(line);
         if (target != line) waived_[line][tag].insert(line);
-        // lock-order waivers belong to the whole-project R10 pass, and a
-        // waiver covering no code is prose quoting the syntax.
-        if (tag != "lock-order" && !CodeLineBlank(code_, target)) {
+        // A waiver covering no code is prose quoting the syntax.
+        if (!CodeLineBlank(code_, target)) {
           unused_.emplace(line, tag);
         }
       }
@@ -839,9 +817,10 @@ class Linter {
     if (body_end == std::string::npos) return;
 
     // Depth-1 member segments: terminated by ';', with balanced inner
-    // braces skipped (a '(' before the brace marks a function definition,
-    // whose body is dropped; otherwise it is brace-initialization and the
-    // segment continues to the ';').
+    // braces skipped (a '(' before the brace, closed again, marks a
+    // function definition, whose body is dropped; otherwise it is
+    // brace-initialization, such as a `= {}` default argument inside the
+    // parameter list, and the segment continues to the ';').
     struct Member {
       size_t pos = std::string::npos;
       std::string text;
@@ -855,9 +834,8 @@ class Linter {
       if (c == '{') {
         const size_t past = SkipBalanced(code_, i, '{', '}');
         if (past == std::string::npos) return;
-        if (seg.text.find('(') != std::string::npos) {
+        if (paren_depth == 0 && seg.text.find('(') != std::string::npos) {
           seg = Member{};
-          paren_depth = 0;
         }
         i = past;
         continue;
@@ -1088,58 +1066,6 @@ void IndexFile(const std::string& content, SymbolIndex* index) {
         "CondVar", "BoundedQueue", "WorkerPool"}) {
     CollectDecls(code, type, &index->threadsafe_symbols);
   }
-  // MC3_REQUIRES annotations on declarations: `Ret Name(args) MC3_REQUIRES(
-  // mu)` records Name -> {mu} so R10 can seed the held set at the
-  // out-of-line definition, where the attribute is not repeated.
-  pos = 0;
-  while ((pos = code.find("MC3_REQUIRES", pos)) != std::string::npos) {
-    const size_t at = pos;
-    pos += 12;
-    if (!IsWordAt(code, at, "MC3_REQUIRES")) continue;
-    const size_t open = SkipSpaces(code, at + 12);
-    if (open >= code.size() || code[open] != '(') continue;
-    const size_t close = SkipBalanced(code, open, '(', ')');
-    if (close == std::string::npos) continue;
-    // Walk back over trailing qualifiers to the parameter list.
-    size_t p = at;
-    while (true) {
-      while (p > 0 &&
-             std::isspace(static_cast<unsigned char>(code[p - 1])) != 0) {
-        --p;
-      }
-      size_t q = p;
-      while (q > 0 && IsIdentChar(code[q - 1])) --q;
-      const std::string word = code.substr(q, p - q);
-      if (word == "const" || word == "noexcept" || word == "override" ||
-          word == "final") {
-        p = q;
-        continue;
-      }
-      break;
-    }
-    if (p == 0 || code[p - 1] != ')') continue;
-    int depth = 0;
-    size_t q = p;
-    while (q > 0) {
-      --q;
-      if (code[q] == ')') ++depth;
-      if (code[q] == '(' && --depth == 0) break;
-    }
-    if (q == 0 || code[q] != '(') continue;
-    while (q > 0 &&
-           std::isspace(static_cast<unsigned char>(code[q - 1])) != 0) {
-      --q;
-    }
-    size_t name_end = q;
-    while (q > 0 && IsIdentChar(code[q - 1])) --q;
-    if (name_end == q) continue;  // lambda `[..]() MC3_REQUIRES(..)` etc.
-    const std::string fn = code.substr(q, name_end - q);
-    for (const std::string& arg :
-         SplitTopLevel(code.substr(open + 1, close - open - 2))) {
-      const std::string mu = TrimCopy(arg);
-      if (!mu.empty()) index->requires_map[fn].push_back(mu);
-    }
-  }
   index->indexed_contents.push_back(code);
 }
 
@@ -1186,391 +1112,6 @@ std::vector<Finding> LintFile(const std::string& path,
   return linter.Run();
 }
 
-std::vector<LockEdge> CollectLockEdges(const std::string& path,
-                                       const std::string& content,
-                                       const SymbolIndex& index) {
-  const ScrubResult scrubbed = ScrubImpl(content);
-  const std::string& code = scrubbed.code;
-  // Acquisition lines waived with lock-order-ok (a waiver on a comment-only
-  // line covers the next code line, as for every other rule).
-  std::set<int> waived_lines;
-  {
-    const Waivers waivers = ExtractWaivers(path, scrubbed);
-    for (const auto& [line, tags] : waivers.by_line) {
-      if (tags.count("lock-order") == 0) continue;
-      waived_lines.insert(line);
-      if (CodeLineBlank(code, line)) waived_lines.insert(line + 1);
-    }
-  }
-
-  // File stem as the fallback qualifier for free-function mutexes.
-  std::string stem = path;
-  if (const size_t slash = stem.find_last_of('/');
-      slash != std::string::npos) {
-    stem = stem.substr(slash + 1);
-  }
-  if (const size_t dot = stem.find('.'); dot != std::string::npos) {
-    stem = stem.substr(0, dot);
-  }
-
-  std::vector<LockEdge> edges;
-  std::string current_class = stem;
-  struct ClassScope {
-    int depth;
-    std::string saved;
-  };
-  std::vector<ClassScope> class_stack;
-  struct Held {
-    int depth;          ///< released when the scan leaves this brace depth
-    std::string node;
-    std::string guard;  ///< guard variable, for UniqueLock Lock()/Unlock()
-  };
-  std::vector<Held> held;
-  std::map<std::string, std::string> guards;  // guard variable -> node
-  int depth = 0;
-
-  const auto normalize = [](const std::string& m) {
-    std::string out;
-    for (char c : m) {
-      if (std::isspace(static_cast<unsigned char>(c)) == 0) out += c;
-    }
-    if (out.rfind("this->", 0) == 0) out = out.substr(6);
-    while (!out.empty() && (out.front() == '&' || out.front() == '*')) {
-      out.erase(out.begin());
-    }
-    return out;
-  };
-  const auto qualify = [&current_class](const std::string& m) {
-    return current_class + "::" + m;
-  };
-  const auto already_held = [&held](const std::string& node) {
-    for (const Held& h : held) {
-      if (h.node == node) return true;
-    }
-    return false;
-  };
-  const auto acquire = [&](const std::string& node, const std::string& guard,
-                           size_t at) {
-    const int line = LineOf(code, at);
-    const bool waived = waived_lines.count(line) > 0;
-    for (const Held& h : held) {
-      if (h.node == node) continue;
-      edges.push_back({h.node, node, path, line, waived});
-    }
-    held.push_back({depth, node, guard});
-  };
-  const auto release = [&held](const std::string& node) {
-    for (size_t k = held.size(); k-- > 0;) {
-      if (held[k].node == node) {
-        held.erase(held.begin() + static_cast<std::ptrdiff_t>(k));
-        return;
-      }
-    }
-  };
-  // True when a function body opens after the parameter list ending at `pp`
-  // (skipping cv-qualifiers and attribute macros with arguments). Any other
-  // character — ';' of a declaration, operators of a call expression —
-  // means no body.
-  const auto body_follows = [&code](size_t pp) {
-    size_t p = SkipSpaces(code, pp);
-    while (p < code.size()) {
-      if (code[p] == '{') return true;
-      if (!IsIdentStart(code[p])) return false;
-      size_t e = p;
-      while (e < code.size() && IsIdentChar(code[e])) ++e;
-      p = SkipSpaces(code, e);
-      if (p < code.size() && code[p] == '(') {
-        const size_t past = SkipBalanced(code, p, '(', ')');
-        if (past == std::string::npos) return false;
-        p = SkipSpaces(code, past);
-      }
-    }
-    return false;
-  };
-  const auto seed = [&](const std::string& node) {
-    if (!already_held(node)) held.push_back({depth + 1, node, ""});
-  };
-
-  static const std::set<std::string> kGuardTypes = {
-      "MutexLock", "UniqueLock",  "lock_guard",
-      "unique_lock", "scoped_lock", "shared_lock"};
-
-  size_t i = 0;
-  while (i < code.size()) {
-    const char c = code[i];
-    if (c == '{') {
-      ++depth;
-      ++i;
-      continue;
-    }
-    if (c == '}') {
-      --depth;
-      while (!held.empty() && held.back().depth > depth) held.pop_back();
-      while (!class_stack.empty() && class_stack.back().depth == depth) {
-        current_class = class_stack.back().saved;
-        class_stack.pop_back();
-      }
-      ++i;
-      continue;
-    }
-    if (!IsIdentStart(c) || (i > 0 && IsIdentChar(code[i - 1]))) {
-      ++i;
-      continue;
-    }
-    size_t e = i;
-    while (e < code.size() && IsIdentChar(code[e])) ++e;
-    const std::string w = code.substr(i, e - i);
-
-    // Class definitions scope the mutex names: `mu_` of BoundedQueue and
-    // `mu_` of WalWriter are different nodes.
-    if (w == "class" || w == "struct") {
-      if (!PrecededByWord(code, i, "enum")) {
-        size_t p = SkipSpaces(code, e);
-        std::string cname;
-        bool plausible = true;
-        while (p < code.size() && IsIdentStart(code[p])) {
-          size_t e2 = p;
-          while (e2 < code.size() && IsIdentChar(code[e2])) ++e2;
-          const std::string word = code.substr(p, e2 - p);
-          p = SkipSpaces(code, e2);
-          if (LooksLikeMacro(word) || word == "final" || word == "alignas") {
-            if (p < code.size() && code[p] == '(') {
-              const size_t past = SkipBalanced(code, p, '(', ')');
-              if (past == std::string::npos) {
-                plausible = false;
-                break;
-              }
-              p = SkipSpaces(code, past);
-            }
-            continue;
-          }
-          if (!cname.empty()) {
-            plausible = false;  // `struct sockaddr_in addr{}`
-            break;
-          }
-          cname = word;
-        }
-        if (plausible && !cname.empty()) {
-          if (p < code.size() && code[p] == ':' &&
-              (p + 1 >= code.size() || code[p + 1] != ':')) {
-            while (p < code.size() && code[p] != '{' && code[p] != ';') ++p;
-          }
-          if (p < code.size() && code[p] == '{') {
-            class_stack.push_back({depth, current_class});
-            current_class = cname;
-          }
-        }
-      }
-      i = e;
-      continue;
-    }
-
-    // Scoped lock guards: `util::MutexLock lock(mu_);`,
-    // `std::lock_guard<std::mutex> lock(mu);`, multi-mutex scoped_lock.
-    if (kGuardTypes.count(w) > 0) {
-      size_t p = SkipSpaces(code, e);
-      if (p < code.size() && code[p] == '<') {
-        p = SkipBalanced(code, p, '<', '>');
-        if (p == std::string::npos) {
-          i = e;
-          continue;
-        }
-        p = SkipSpaces(code, p);
-      }
-      if (p < code.size() && IsIdentStart(code[p])) {
-        size_t e2 = p;
-        while (e2 < code.size() && IsIdentChar(code[e2])) ++e2;
-        const std::string guard_name = code.substr(p, e2 - p);
-        const size_t open = SkipSpaces(code, e2);
-        if (open < code.size() && code[open] == '(') {
-          const size_t close = SkipBalanced(code, open, '(', ')');
-          if (close != std::string::npos) {
-            const std::string args =
-                code.substr(open + 1, close - open - 2);
-            // adopt_lock: already held elsewhere; defer_lock: not held.
-            if (args.find("adopt_lock") == std::string::npos &&
-                args.find("defer_lock") == std::string::npos) {
-              for (const std::string& part : SplitTopLevel(args)) {
-                const std::string mu = normalize(part);
-                if (mu.empty()) continue;
-                const std::string node = qualify(mu);
-                acquire(node, guard_name, i);
-                guards[guard_name] = node;
-              }
-            }
-          }
-        }
-      }
-      i = e;
-      continue;
-    }
-
-    // Manual lock()/unlock() member calls — including relocks through a
-    // UniqueLock guard variable (`lock.Unlock(); ...; lock.Lock();`).
-    if (w == "lock" || w == "Lock" || w == "unlock" || w == "Unlock") {
-      size_t p0 = i;
-      while (p0 > 0 &&
-             std::isspace(static_cast<unsigned char>(code[p0 - 1])) != 0) {
-        --p0;
-      }
-      size_t recv_end = std::string::npos;
-      if (p0 > 0 && code[p0 - 1] == '.') {
-        recv_end = p0 - 1;
-      } else if (p0 > 1 && code[p0 - 1] == '>' && code[p0 - 2] == '-') {
-        recv_end = p0 - 2;
-      }
-      if (recv_end != std::string::npos) {
-        const std::string receiver = ReceiverBefore(code, recv_end);
-        const size_t open = SkipSpaces(code, e);
-        if (!receiver.empty() && open < code.size() && code[open] == '(') {
-          const size_t close = SkipBalanced(code, open, '(', ')');
-          // A mutex lock()/unlock() returns void, so the call is a whole
-          // statement; a `.lock()` whose value is consumed is something
-          // else (std::weak_ptr::lock upgrades to a shared_ptr).
-          const bool statement =
-              close != std::string::npos &&
-              SkipSpaces(code, close) < code.size() &&
-              code[SkipSpaces(code, close)] == ';' &&
-              [&] {
-                const size_t recv_start = code.rfind(receiver, recv_end);
-                if (recv_start == std::string::npos) return false;
-                const char before = PrevSignificant(code, recv_start);
-                // Statement position, possibly through a member chain
-                // (`this->mu_.lock();`) — but not `x = weak.lock();`.
-                return before == ';' || before == '{' || before == '}' ||
-                       before == '.' || before == '>' || before == '\0';
-              }();
-          if (statement &&
-              TrimCopy(code.substr(open + 1, close - open - 2)).empty()) {
-            const auto git = guards.find(receiver);
-            const bool via_guard = git != guards.end();
-            const std::string node =
-                via_guard ? git->second : qualify(receiver);
-            if (w == "lock" || w == "Lock") {
-              if (!already_held(node)) {
-                acquire(node, via_guard ? receiver : "", i);
-              }
-            } else {
-              release(node);
-            }
-          }
-        }
-      }
-      i = e;
-      continue;
-    }
-
-    // A lambda (or inline definition) annotated MC3_REQUIRES holds its
-    // mutexes for the body that follows.
-    if (w == "MC3_REQUIRES") {
-      const size_t open = SkipSpaces(code, e);
-      if (open < code.size() && code[open] == '(') {
-        const size_t close = SkipBalanced(code, open, '(', ')');
-        if (close != std::string::npos && body_follows(close)) {
-          for (const std::string& part :
-               SplitTopLevel(code.substr(open + 1, close - open - 2))) {
-            const std::string mu = normalize(part);
-            if (!mu.empty()) seed(qualify(mu));
-          }
-        }
-      }
-      i = e;
-      continue;
-    }
-
-    // Function definitions: a qualified head (`Server::Join(...) {`) sets
-    // the class context, and a name carrying MC3_REQUIRES on its (header)
-    // declaration seeds the held set — attributes are not repeated
-    // out-of-line.
-    {
-      size_t p = SkipSpaces(code, e);
-      std::string qualifier;
-      std::string fn;
-      size_t after_name = e;
-      if (p + 1 < code.size() && code[p] == ':' && code[p + 1] == ':') {
-        const size_t q = SkipSpaces(code, p + 2);
-        if (q < code.size() && IsIdentStart(code[q])) {
-          size_t e2 = q;
-          while (e2 < code.size() && IsIdentChar(code[e2])) ++e2;
-          qualifier = w;
-          fn = code.substr(q, e2 - q);
-          after_name = e2;
-        }
-      } else if (p < code.size() && code[p] == '(') {
-        fn = w;
-      }
-      if (!fn.empty()) {
-        const size_t open = SkipSpaces(code, after_name);
-        if (open < code.size() && code[open] == '(') {
-          const size_t close = SkipBalanced(code, open, '(', ')');
-          if (close != std::string::npos && body_follows(close)) {
-            if (!qualifier.empty()) current_class = qualifier;
-            const auto rit = index.requires_map.find(fn);
-            if (rit != index.requires_map.end()) {
-              for (const std::string& raw : rit->second) {
-                seed(qualify(normalize(raw)));
-              }
-            }
-          }
-        }
-      }
-    }
-    i = e;
-  }
-  return edges;
-}
-
-std::vector<LockCycle> FindLockCycles(const std::vector<LockEdge>& edges) {
-  std::map<std::string, std::set<std::string>> adj;
-  std::map<std::pair<std::string, std::string>, const LockEdge*> info;
-  for (const LockEdge& e : edges) {
-    if (e.waived || e.from == e.to) continue;
-    adj[e.from].insert(e.to);
-    adj[e.to];  // make sure every node exists before the DFS walks it
-    info.emplace(std::make_pair(e.from, e.to), &e);
-  }
-  std::vector<LockCycle> cycles;
-  std::set<std::vector<std::string>> seen;
-  std::map<std::string, int> color;  // 0 white, 1 on path, 2 done
-  std::vector<std::string> path;
-  std::function<void(const std::string&)> dfs = [&](const std::string& u) {
-    color[u] = 1;
-    path.push_back(u);
-    for (const std::string& v : adj[u]) {
-      if (color[v] == 1) {
-        const auto at = std::find(path.begin(), path.end(), v);
-        std::vector<std::string> nodes(at, path.end());
-        // Canonical rotation so each cycle is reported once.
-        const auto min_it = std::min_element(nodes.begin(), nodes.end());
-        std::rotate(nodes.begin(), min_it, nodes.end());
-        if (seen.insert(nodes).second) {
-          const LockEdge* back = info.at({u, v});
-          cycles.push_back({nodes, back->file, back->line});
-        }
-      } else if (color[v] == 0) {
-        dfs(v);
-      }
-    }
-    path.pop_back();
-    color[u] = 2;
-  };
-  for (const auto& [node, targets] : adj) {
-    (void)targets;
-    if (color[node] == 0) dfs(node);
-  }
-  return cycles;
-}
-
-Finding CycleFinding(const LockCycle& cycle) {
-  std::string chain;
-  for (const std::string& node : cycle.nodes) chain += node + " -> ";
-  if (!cycle.nodes.empty()) chain += cycle.nodes.front();
-  return {cycle.file, cycle.line, "R10", "lock-order",
-          "lock-order cycle (potential deadlock): " + chain +
-              "; acquire these mutexes in one global order everywhere, or "
-              "waive an acquisition site with lock-order-ok(<reason>)"};
-}
-
 std::vector<Finding> LintSnippet(const std::string& path,
                                  const std::string& content,
                                  const FileConfig& config) {
@@ -1578,17 +1119,7 @@ std::vector<Finding> LintSnippet(const std::string& path,
   IndexFile(content, &index);
   CollectJoins(content, &index);
   index.ResolveAliases();
-  std::vector<Finding> findings = LintFile(path, content, index, config);
-  for (const LockCycle& cycle :
-       FindLockCycles(CollectLockEdges(path, content, index))) {
-    findings.push_back(CycleFinding(cycle));
-  }
-  std::sort(findings.begin(), findings.end(),
-            [](const Finding& a, const Finding& b) {
-              if (a.line != b.line) return a.line < b.line;
-              return a.rule < b.rule;
-            });
-  return findings;
+  return LintFile(path, content, index, config);
 }
 
 std::string HeaderTuSource(const std::string& header_include_path) {
@@ -1600,19 +1131,17 @@ std::string HeaderTuSource(const std::string& header_include_path) {
 
 std::string FindingsToJson(const std::vector<Finding>& findings,
                            size_t files_scanned,
-                           const std::vector<LockEdge>& lock_edges,
-                           const std::vector<LockCycle>& lock_cycles,
                            const std::vector<std::string>& skipped_files) {
   obs::JsonWriter writer;
   writer.BeginObject();
-  writer.Key("schema").String("mc3.lint_report/2");
+  writer.Key("schema").String("mc3.lint_report/3");
   writer.Key("files_scanned").Int(files_scanned);
   writer.Key("num_findings").Int(findings.size());
   // Every rule appears in the counts, zeros included, so report consumers
   // can distinguish "clean" from "rule did not run".
   std::map<std::string, uint64_t> by_rule;
   for (const char* rule :
-       {"R1", "R2", "R3", "R4", "R6", "R8", "R9", "R10", "W0", "W1"}) {
+       {"R1", "R2", "R3", "R4", "R6", "R8", "R9", "W0", "W1"}) {
     by_rule[rule] = 0;
   }
   for (const Finding& f : findings) ++by_rule[f.rule];
@@ -1632,32 +1161,6 @@ std::string FindingsToJson(const std::vector<Finding>& findings,
     writer.EndObject();
   }
   writer.EndArray();
-  // The full lock-acquisition graph (rule R10), including waived edges, so
-  // the deadlock surface is auditable from the artifact alone.
-  writer.Key("lock_graph").BeginObject();
-  writer.Key("edges").BeginArray();
-  for (const LockEdge& e : lock_edges) {
-    writer.BeginObject();
-    writer.Key("from").String(e.from);
-    writer.Key("to").String(e.to);
-    writer.Key("file").String(e.file);
-    writer.Key("line").Int(static_cast<uint64_t>(e.line));
-    writer.Key("waived").Bool(e.waived);
-    writer.EndObject();
-  }
-  writer.EndArray();
-  writer.Key("cycles").BeginArray();
-  for (const LockCycle& cycle : lock_cycles) {
-    writer.BeginObject();
-    writer.Key("nodes").BeginArray();
-    for (const std::string& node : cycle.nodes) writer.String(node);
-    writer.EndArray();
-    writer.Key("file").String(cycle.file);
-    writer.Key("line").Int(static_cast<uint64_t>(cycle.line));
-    writer.EndObject();
-  }
-  writer.EndArray();
-  writer.EndObject();
   // Files the driver could not read; non-empty means the scan is partial
   // and the run exits non-zero even at zero findings.
   writer.Key("skipped").BeginArray();

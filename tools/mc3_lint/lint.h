@@ -29,16 +29,13 @@
 //                         std::thread must be join()ed somewhere in the
 //                         scanned file set (vectors of threads are joined in
 //                         loops and are out of scope for a token pass).
-//   R10 lock order      — the static lock-acquisition graph (scoped guards
-//                         nested inside held scopes, plus holds implied by
-//                         MC3_REQUIRES annotations) must be acyclic; a cycle
-//                         is a potential deadlock. The graph is emitted in
-//                         the JSON report.
 //
 // R5 (unchecked Status) and R7 (bare condition-variable waits) are retired,
 // and their numbers stay unused: [[nodiscard]] on Status and Result with
 // -Werror=unused-result rejects a dropped result at compile time, and
-// util::CondVar offers only predicate waits.
+// util::CondVar offers only predicate waits. Lock order is no lint rule:
+// the TSan CI job's deadlock detector checks it at run time and follows
+// every nesting across calls, which a token pass cannot.
 //
 // Waivers: a finding is suppressed by a comment on the same line (or on an
 // immediately preceding comment-only line) of the form
@@ -46,10 +43,10 @@
 //     // mc3-lint: unordered-ok(ids are sorted two lines below)
 //
 // i.e. a rule tag (unordered, float-eq, pragma-once, print, new-delete,
-// rand, time, raw-sync, capture, guard, detach, lock-order) followed
-// by "-ok" and a non-empty parenthesized reason. A malformed waiver (unknown
-// tag, empty reason) is itself a finding (W0), and so is a waiver for a
-// per-file rule (R1-R9) that suppresses nothing in its file (W1).
+// rand, time, raw-sync, capture, guard, detach) followed by "-ok" and a
+// non-empty parenthesized reason. A malformed waiver (unknown tag, empty
+// reason) is itself a finding (W0), and so is a waiver that suppresses
+// nothing in its file (W1).
 #pragma once
 
 #include <map>
@@ -63,7 +60,7 @@ namespace mc3::lint {
 struct Finding {
   std::string file;
   int line = 0;           ///< 1-based
-  /// "R1".."R4", "R6", "R8".."R10", "W0" (malformed waiver) or "W1" (stale
+  /// "R1".."R4", "R6", "R8", "R9", "W0" (malformed waiver) or "W1" (stale
   /// waiver)
   std::string rule;
   std::string tag;        ///< waiver tag that would suppress it
@@ -74,27 +71,6 @@ struct Finding {
 struct FileConfig {
   bool allow_prints = false;  ///< tools/, bench/, examples/: printing is fine
   bool is_header = false;     ///< apply R3
-};
-
-/// One acquisition edge of the lock-order graph (rule R10): `to` was
-/// acquired while `from` was held, at file:line. Waived edges (lock-order-ok
-/// on the acquisition line) stay in the dumped graph but never participate
-/// in cycle detection.
-struct LockEdge {
-  std::string from;
-  std::string to;
-  std::string file;
-  int line = 0;
-  bool waived = false;
-};
-
-/// One cycle of the lock-order graph; `nodes` lists the mutexes in
-/// acquisition order (first node repeated implicitly), file/line anchor the
-/// back edge that closes the cycle.
-struct LockCycle {
-  std::vector<std::string> nodes;
-  std::string file;
-  int line = 0;
 };
 
 /// Symbols collected in the indexing pass over every scanned file. All
@@ -112,10 +88,6 @@ struct SymbolIndex {
   /// file set; fill with CollectJoins over EVERY file — threads are often
   /// declared in a header and joined in the matching .cc (rule R9).
   std::set<std::string> joined_symbols;
-  /// Function name -> mutexes named in an MC3_REQUIRES annotation on its
-  /// declaration. Seeds the held-set at the function's out-of-line
-  /// definition, where clang-style attributes are not repeated (rule R10).
-  std::map<std::string, std::vector<std::string>> requires_map;
   /// Raw alias table (name -> definition text) used for transitive aliases.
   std::map<std::string, std::string> alias_defs;
   /// Scrubbed contents of every indexed file, re-scanned by ResolveAliases()
@@ -142,31 +114,15 @@ void IndexFile(const std::string& content, SymbolIndex* index);
 /// (headers only in the driver), this must run over every scanned file.
 void CollectJoins(const std::string& content, SymbolIndex* index);
 
-/// Lock-order pass for rule R10: the acquisition edges observed in
-/// `content`. `index` supplies requires_map so out-of-line definitions of
-/// MC3_REQUIRES-annotated functions seed the held set.
-std::vector<LockEdge> CollectLockEdges(const std::string& path,
-                                       const std::string& content,
-                                       const SymbolIndex& index);
-
-/// Cycle detection over the non-waived edges of the lock-order graph.
-/// Deterministic: cycles are reported once, in node-sorted order.
-std::vector<LockCycle> FindLockCycles(const std::vector<LockEdge>& edges);
-
-/// Renders a cycle as an R10 finding.
-Finding CycleFinding(const LockCycle& cycle);
-
-/// Linting pass: returns the findings for one file (rules R1-R9; R10 is a
-/// whole-project pass — see CollectLockEdges/FindLockCycles). `index` must
-/// have been built (and ResolveAliases() called) over every file in the
-/// project so cross-file symbols (e.g. members declared in headers) resolve.
+/// Linting pass: returns the findings for one file. `index` must have been
+/// built (and ResolveAliases() called) over every file in the project so
+/// cross-file symbols (e.g. members declared in headers) resolve.
 std::vector<Finding> LintFile(const std::string& path,
                               const std::string& content,
                               const SymbolIndex& index,
                               const FileConfig& config);
 
-/// Convenience for tests: index `content` alone, then lint it — including a
-/// single-file R10 pass.
+/// Convenience for tests: index `content` alone, then lint it.
 std::vector<Finding> LintSnippet(const std::string& path,
                                  const std::string& content,
                                  const FileConfig& config = {});
@@ -175,13 +131,11 @@ std::vector<Finding> LintSnippet(const std::string& path,
 /// path relative to src/, e.g. "core/instance.h") is self-contained.
 std::string HeaderTuSource(const std::string& header_include_path);
 
-/// Renders findings as a mc3.lint_report/2 JSON document: per-rule counts
-/// for every rule (zeros included), the findings, the lock-order graph with
-/// its cycles, and the files that could not be read.
+/// Renders findings as a mc3.lint_report/3 JSON document: per-rule counts
+/// for every rule (zeros included), the findings, and the files that could
+/// not be read.
 std::string FindingsToJson(const std::vector<Finding>& findings,
                            size_t files_scanned,
-                           const std::vector<LockEdge>& lock_edges = {},
-                           const std::vector<LockCycle>& lock_cycles = {},
                            const std::vector<std::string>& skipped_files = {});
 
 }  // namespace mc3::lint

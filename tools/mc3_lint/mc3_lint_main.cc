@@ -172,10 +172,8 @@ int main(int argc, char** argv) {
   }
   header_index.ResolveAliases();
 
-  // Pass 2: lint each file against the header index plus its own symbols,
-  // and collect the lock-acquisition edges for the whole-project R10 pass.
+  // Pass 2: lint each file against the header index plus its own symbols.
   std::vector<mc3::lint::Finding> findings;
-  std::vector<mc3::lint::LockEdge> lock_edges;
   for (const auto& [path, content] : contents) {
     mc3::lint::SymbolIndex index = header_index;
     if (fs::path(path).extension() != ".h") {
@@ -187,16 +185,6 @@ int main(int argc, char** argv) {
     findings.insert(findings.end(),
                     std::make_move_iterator(file_findings.begin()),
                     std::make_move_iterator(file_findings.end()));
-    std::vector<mc3::lint::LockEdge> file_edges =
-        mc3::lint::CollectLockEdges(path, content, index);
-    lock_edges.insert(lock_edges.end(),
-                      std::make_move_iterator(file_edges.begin()),
-                      std::make_move_iterator(file_edges.end()));
-  }
-  const std::vector<mc3::lint::LockCycle> lock_cycles =
-      mc3::lint::FindLockCycles(lock_edges);
-  for (const mc3::lint::LockCycle& cycle : lock_cycles) {
-    findings.push_back(mc3::lint::CycleFinding(cycle));
   }
 
   for (const mc3::lint::Finding& f : findings) {
@@ -218,8 +206,7 @@ int main(int argc, char** argv) {
       std::cerr << "mc3_lint: cannot write report " << report_path << "\n";
       return 2;
     }
-    out << mc3::lint::FindingsToJson(findings, contents.size(), lock_edges,
-                                     lock_cycles, skipped);
+    out << mc3::lint::FindingsToJson(findings, contents.size(), skipped);
   }
   if (!skipped.empty()) return 2;
   return findings.empty() ? 0 : 1;
