@@ -8,15 +8,20 @@
 
 namespace mc3 {
 
+// Only `dp` is reset: a traced-back mask was reached in this call, so its
+// `via` and `from` were written by it.
 Cost MinCostMaskCover(size_t k, std::span<const uint32_t> masks,
-                      std::span<const Cost> costs,
-                      std::vector<size_t>* picks) {
+                      std::span<const Cost> costs, std::vector<size_t>* picks,
+                      MaskCoverScratch* scratch) {
   assert(k <= kMaxQueryLength);
   picks->clear();
   const uint32_t full = (uint32_t{1} << k) - 1;
-  std::vector<Cost> dp(full + 1, kInfiniteCost);
-  std::vector<int32_t> via(full + 1, -1);
-  std::vector<uint32_t> from(full + 1, 0);
+  std::vector<Cost>& dp = scratch->dp;
+  std::vector<int32_t>& via = scratch->via;
+  std::vector<uint32_t>& from = scratch->from;
+  dp.assign(full + 1, kInfiniteCost);
+  via.resize(full + 1);
+  from.resize(full + 1);
   dp[0] = 0;
   for (uint32_t mask = 0; mask <= full; ++mask) {
     if (IsInfiniteCost(dp[mask])) continue;
@@ -108,7 +113,9 @@ std::optional<QueryCover> MinCostQueryCover(
   }
 
   std::vector<size_t> picks;
-  const Cost cost = MinCostMaskCover(k, cand_masks, cand_costs, &picks);
+  MaskCoverScratch dp_scratch;
+  const Cost cost =
+      MinCostMaskCover(k, cand_masks, cand_costs, &picks, &dp_scratch);
   if (IsInfiniteCost(cost)) return std::nullopt;
   QueryCover cover;
   cover.cost = cost;

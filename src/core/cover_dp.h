@@ -24,16 +24,24 @@ struct QueryCover {
   std::vector<PropertySet> classifiers;
 };
 
+/// The working arrays of MinCostMaskCover, 2^k entries each; one scratch
+/// may serve any number of calls, of any k.
+struct MaskCoverScratch {
+  std::vector<Cost> dp;        ///< cheapest cover of each mask
+  std::vector<int32_t> via;    ///< the candidate that last reached it
+  std::vector<uint32_t> from;  ///< the mask it was reached from
+};
+
 /// The mask DP under MinCostQueryCover: a cheapest cover of all `k`
 /// positions of a query (k <= kMaxQueryLength) by candidate position masks
 /// priced by `costs`. Fills `picks` with the indices of the chosen
 /// candidates, from the last pick back to the first, and returns the cover's
 /// cost; returns kInfiniteCost (and no picks) when no finite-cost cover
 /// exists. Among equal-cost covers the candidate met first, in candidate
-/// order, wins.
+/// order, wins. `scratch` is resized to 2^k and may be reused across calls.
 Cost MinCostMaskCover(size_t k, std::span<const uint32_t> masks,
-                      std::span<const Cost> costs,
-                      std::vector<size_t>* picks);
+                      std::span<const Cost> costs, std::vector<size_t>* picks,
+                      MaskCoverScratch* scratch);
 
 /// The cheapest cover of `mask` by two proper sub-masks A and B of it with
 /// A | B == mask, each priced by `costs`, an array indexed by query-lattice

@@ -255,49 +255,33 @@ class Worker {
     return Status::OK();
   }
 
-  /// Decides, by increasing length, every present classifier of the worked
-  /// queries once; removes those whose cheapest two-part decomposition does
-  /// not cost more (Observation 3.3). A length-L decision reads only strictly
-  /// shorter subsets, which are final before level L starts, and every query
-  /// holding a classifier gives it the same sublattice of ids. So each
-  /// classifier is decided through the first alive worked query holding it,
-  /// and that query's lattice of effective costs is built once per level.
+  /// Decides every present classifier of the worked queries once; removes
+  /// those whose cheapest two-part decomposition does not cost more
+  /// (Observation 3.3). Each is decided through the first alive worked query
+  /// holding it, walking that query's table row in ascending mask order
+  /// while filling the query's lattice of effective costs. A decision reads
+  /// only proper sub-masks, which are smaller, so their entries are already
+  /// filled and final: one held by an earlier worked query was decided
+  /// there, and alive flags do not change here. A removal writes its
+  /// decomposition cost into the lattice before the next mask reads it.
   void Decompose(const std::vector<size_t>& work) {
-    struct Owned {
-      size_t query;
-      QuerySubset subset;
-    };
-    // levels[L]: the classifiers of length L, grouped by owning query.
-    std::vector<std::vector<Owned>> levels(kMaxQueryLength + 1);
+    std::vector<Cost> eff;  // effective cost per mask of the worked query
+    std::vector<Cost> scratch;
     for (size_t qi : work) {
       if (!alive_[qi]) continue;
+      eff.assign(FullMaskOf(qi) + 1, kInfiniteCost);
       for (const QuerySubset& s : table_.subsets(qi)) {
-        const auto len = static_cast<size_t>(std::popcount(s.mask));
-        if (len < 2 || state_[s.id] != CState::kPresent ||
+        eff[s.mask] = Effective(s.id);
+        if (std::popcount(s.mask) < 2 || state_[s.id] != CState::kPresent ||
             stamp_[s.id] == pass_) {
           continue;
         }
         stamp_[s.id] = pass_;
-        levels[len].push_back({qi, s});
-      }
-    }
-
-    std::vector<Cost> eff;  // effective cost per mask of the owning query
-    std::vector<Cost> scratch;
-    for (const std::vector<Owned>& level : levels) {
-      size_t owner = SIZE_MAX;
-      for (const Owned& c : level) {
-        if (c.query != owner) {
-          owner = c.query;
-          eff.assign(FullMaskOf(owner) + 1, kInfiniteCost);
-          for (const QuerySubset& s : table_.subsets(owner)) {
-            eff[s.mask] = Effective(s.id);
-          }
-        }
-        const Cost best = MinTwoPartCover(c.subset.mask, eff, &scratch);
-        if (best <= table_.cost(c.subset.id)) {
-          state_[c.subset.id] = CState::kRemoved;
-          replacement_[c.subset.id] = best;
+        const Cost best = MinTwoPartCover(s.mask, eff, &scratch);
+        if (best <= table_.cost(s.id)) {
+          state_[s.id] = CState::kRemoved;
+          replacement_[s.id] = best;
+          eff[s.mask] = best;
           ++result_.stats.classifiers_removed_step3;
         }
       }

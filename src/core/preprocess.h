@@ -7,8 +7,8 @@
 // Step 2 (Obs. 3.2): the property co-occurrence graph decomposes the
 //         instance into independent components, solvable separately.
 // Step 3 (Obs. 3.3): a classifier whose cheapest 2-part decomposition does
-//         not cost more than the classifier itself is removed (iterating by
-//         length; removed parts are substituted by their own recorded
+//         not cost more than the classifier itself is removed (parts before
+//         wholes; removed parts are substituted by their own recorded
 //         decompositions). Queries left with a forced cover get it selected,
 //         and the step repeats on classifiers touching the new selections.
 // Step 4 (Obs. 3.4, only when all remaining queries have length <= 2): a
@@ -21,13 +21,13 @@
 //    partition (step 2) last: steps 3/4 never merge components, and step 3's
 //    forced selections can cover whole queries, only refining the partition.
 //    Each sub-instance is thus final when emitted.
-//  * Step 3 decides each present classifier once per pass, by increasing
-//    length, through the first alive worked query holding it: that query's
-//    lattice of effective costs is built once per length level and
-//    MinTwoPartCover (core/cover_dp.h) prices the classifier's cheapest
-//    two-part decomposition from it. A length-L decision reads only shorter
-//    subsets, final before level L starts, so the order of decisions within
-//    a level does not matter.
+//  * Step 3 decides each present classifier once per pass, through the
+//    first alive worked query holding it: that query's subsets are walked
+//    once, in ascending mask order, into a lattice of effective costs, and
+//    MinTwoPartCover (core/cover_dp.h) prices each undecided one's cheapest
+//    two-part decomposition from the lattice. A decision reads only proper
+//    sub-masks, which are smaller and so already decided: the same result
+//    as deciding by increasing length.
 //  * The "only one cover possibility" test of line 10 is implemented as the
 //    sound per-property rule: if an uncovered property p of query q has
 //    exactly one available classifier C (p in C, C subseteq q), then C is in

@@ -81,6 +81,7 @@ Solution PruneUnusedClassifiers(const Instance& instance,
   std::vector<uint32_t> masks;
   std::vector<Cost> costs;
   std::vector<size_t> picks;
+  MaskCoverScratch scratch;
   for (size_t i = 0; i < instance.NumQueries(); ++i) {
     const size_t k = instance.queries()[i].size();
     const std::span<const QuerySubset> subsets = table.subsets(i);
@@ -91,7 +92,7 @@ Solution PruneUnusedClassifiers(const Instance& instance,
       costs.push_back(table.cost(s.id));
     }
     if (k > kMaxQueryLength ||
-        IsInfiniteCost(MinCostMaskCover(k, masks, costs, &picks))) {
+        IsInfiniteCost(MinCostMaskCover(k, masks, costs, &picks, &scratch))) {
       // Solution does not cover the query (or only via unpriced
       // classifiers); pruning is not safe — return the input untouched.
       return solution;

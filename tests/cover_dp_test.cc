@@ -93,6 +93,58 @@ TEST(CoverDpTest, CoverUnionEqualsQuery) {
   EXPECT_EQ(unioned, PS({0, 1, 2}));
 }
 
+/// Candidates of a length-`k` query: every singleton plus random masks of
+/// two or three positions, at prices from 1..6 (so covers tie), in
+/// ascending mask order.
+void RandomCandidates(size_t k, Rng* rng, std::vector<uint32_t>* masks,
+                      std::vector<Cost>* costs) {
+  masks->clear();
+  costs->clear();
+  for (uint32_t m = 1; m < (uint32_t{1} << k); ++m) {
+    if (std::has_single_bit(m) ||
+        (std::popcount(m) <= 3 && rng->UniformInt(0, 9) < 3)) {
+      masks->push_back(m);
+      costs->push_back(static_cast<Cost>(rng->UniformInt(1, 6)));
+    }
+  }
+}
+
+TEST(CoverDpTest, ReusedScratchMatchesFreshCalls) {
+  // One scratch runs a long, a short and a long query: it shrinks to 2^3
+  // entries and grows again, and every call matches a fresh scratch.
+  Rng rng(20261019);
+  MaskCoverScratch reused;
+  std::vector<uint32_t> masks;
+  std::vector<Cost> costs;
+  std::vector<size_t> reused_picks;
+  std::vector<size_t> fresh_picks;
+  const auto expect_fresh = [&](size_t k) {
+    MaskCoverScratch fresh;
+    const Cost cost =
+        MinCostMaskCover(k, masks, costs, &reused_picks, &reused);
+    EXPECT_EQ(cost, MinCostMaskCover(k, masks, costs, &fresh_picks, &fresh));
+    EXPECT_EQ(reused_picks, fresh_picks) << "k = " << k;
+    return cost;
+  };
+
+  RandomCandidates(10, &rng, &masks, &costs);
+  expect_fresh(10);
+
+  // A length-3 query with three covers of cost 1: {0,1}+{2}, {0}+{1,2} and
+  // {0,1}+{1,2}. The DP extends masks in ascending order, so {0} (mask 1)
+  // plus {1,2} reaches the full mask first and the later ties do not
+  // replace it; picks run from the last pick back to the first. Its parts
+  // cost less than any of the long queries', so a stale entry it leaves
+  // behind would undercut the next call.
+  masks = {0b011, 0b100, 0b001, 0b110};
+  costs = {0.5, 0.5, 0.5, 0.5};
+  EXPECT_EQ(expect_fresh(3), 1);
+  EXPECT_EQ(reused_picks, (std::vector<size_t>{3, 2}));
+
+  RandomCandidates(9, &rng, &masks, &costs);
+  expect_fresh(9);
+}
+
 /// Every pair of proper sub-masks A, B of `mask` with A | B == mask.
 Cost BruteForceTwoPartCover(uint32_t mask, const std::vector<Cost>& lattice) {
   Cost best = kInfiniteCost;

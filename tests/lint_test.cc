@@ -393,6 +393,58 @@ TEST(LintR8, DefaultBraceArgumentKeepsCheckingMembers) {
   EXPECT_EQ(findings[1].line, 9);
 }
 
+TEST(LintR8, ChecksMembersWhoseTypeHoldsAParenthesis) {
+  // A '(' inside template arguments, or one opening a parenthesized
+  // declarator, does not make a member a function; the declarations above
+  // the mutex still are functions and need no guard.
+  const auto findings = Lint(
+      "class Hooks {\n"
+      " public:\n"
+      "  Hooks() = default;\n"
+      "  ~Hooks();\n"
+      "  Hooks& operator=(const Hooks&) = delete;\n"
+      "  [[nodiscard]] int Fire(int n);\n"
+      "  std::function<void(int)> Callback() const;\n"
+      "  void Set(std::function<void(int)> f) MC3_EXCLUDES(mu_);\n"
+      " private:\n"
+      "  util::Mutex mu_;\n"
+      "  std::function<void(int)> on_fire_;\n"
+      "  int (*raw_)(int);\n"
+      "  std::function<void()> on_stop_ = [] {};\n"
+      "  std::vector<int> names_;\n"
+      "};\n");
+  ASSERT_EQ(findings.size(), 4u);
+  const std::vector<std::pair<int, std::string>> expected = {
+      {11, "on_fire_"}, {12, "raw_"}, {13, "on_stop_"}, {14, "names_"}};
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(findings[i].rule, "R8");
+    EXPECT_EQ(findings[i].line, expected[i].first);
+    EXPECT_NE(findings[i].message.find("'" + expected[i].second + "'"),
+              std::string::npos)
+        << findings[i].message;
+  }
+}
+
+TEST(LintR8, NamesAQualifiedMemberByItsDeclarator) {
+  // The name is cut at a lone ':' (a bit-field width), never at a '::'.
+  const auto findings = Lint(
+      "class Hooks {\n"
+      "  util::Mutex mu_;\n"
+      "  std::vector<int> names_;\n"
+      "  std::map<std::string, int> counts_ = {};\n"
+      "  unsigned flags_ : 3;\n"
+      "};\n");
+  ASSERT_EQ(findings.size(), 3u);
+  const std::vector<std::string> expected = {"names_", "counts_", "flags_"};
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(findings[i].rule, "R8");
+    EXPECT_NE(findings[i].message.find("member '" + expected[i] +
+                                       "' of 'Hooks'"),
+              std::string::npos)
+        << findings[i].message;
+  }
+}
+
 // ---------------------------------------------------------------- R9
 
 TEST(LintR9, FlagsDetachAndNeverJoinedThread) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "core/exact_solver.h"
@@ -244,14 +247,31 @@ TEST(PreprocessTest, StatsCountRemainingClassifiers) {
   EXPECT_EQ(pre->stats.remaining_classifiers, 3u);
 }
 
-// Step 3's first pass against Observation 3.3 applied by definition: by
-// increasing length, a classifier is removed when some pair of its proper
-// subsets whose union it is costs no more, each removed part priced at its
-// recorded decomposition.
-class Step3DefinitionTest : public ::testing::TestWithParam<int> {};
-INSTANTIATE_TEST_SUITE_P(Seeds, Step3DefinitionTest, ::testing::Range(0, 100));
+/// Observation 3.3 by definition: the cheapest pair of proper subsets of
+/// `c` whose union is `c`, each priced by `price`.
+template <typename Price>
+Cost BruteForceDecomposition(const PropertySet& c, const Price& price) {
+  const size_t len = c.size();
+  const uint32_t full = (uint32_t{1} << len) - 1;
+  std::vector<Cost> part_cost(full);  // by mask over c's properties
+  for (uint32_t m = 1; m < full; ++m) {
+    std::vector<PropertyId> ids;
+    for (size_t i = 0; i < len; ++i) {
+      if (m & (uint32_t{1} << i)) ids.push_back(c.ids()[i]);
+    }
+    part_cost[m] = price(PropertySet::FromSorted(std::move(ids)));
+  }
+  Cost best = kInfiniteCost;
+  for (uint32_t a = 1; a < full; ++a) {
+    for (uint32_t b = 1; b < full; ++b) {
+      if ((a | b) == full) best = std::min(best, part_cost[a] + part_cost[b]);
+    }
+  }
+  return best;
+}
 
-TEST_P(Step3DefinitionTest, FirstPassRemovesExactlyTheDominatedClassifiers) {
+/// Seeded instances for the step-3 definition tests.
+Instance Step3Instance(int seed) {
   RandomInstanceConfig config;
   config.num_queries = 12;
   config.pool = 10;
@@ -260,65 +280,145 @@ TEST_P(Step3DefinitionTest, FirstPassRemovesExactlyTheDominatedClassifiers) {
   config.cost_max = 6;  // a narrow range, so ties occur
   config.priced_probability = 0.7;
   config.zero_probability = 0.03;
-  const Instance inst = RandomInstance(config, GetParam() * 131 + 17);
+  return RandomInstance(config, seed * 131 + 17);
+}
 
-  // The priced classifiers that are a subset of some query, by length.
-  std::vector<std::set<PropertySet>> by_length(config.max_query_length + 1);
-  for (const PropertySet& q : inst.queries()) {
-    ForEachNonEmptySubset(q, [&](const PropertySet& c) {
-      if (!IsInfiniteCost(inst.CostOf(c))) by_length[c.size()].insert(c);
-    });
-  }
+/// What step 3 ends with.
+struct Step3Outcome {
+  int passes = 0;
   std::map<PropertySet, Cost> removed;  // -> recorded decomposition cost
-  for (size_t len = 2; len < by_length.size(); ++len) {
-    const uint32_t full = (uint32_t{1} << len) - 1;
-    for (const PropertySet& c : by_length[len]) {
-      std::vector<Cost> part_cost(full);  // by mask over c's properties
-      for (uint32_t m = 1; m < full; ++m) {
-        std::vector<PropertyId> ids;
-        for (size_t i = 0; i < len; ++i) {
-          if (m & (uint32_t{1} << i)) ids.push_back(c.ids()[i]);
-        }
-        const PropertySet part = PropertySet::FromSorted(std::move(ids));
-        const auto it = removed.find(part);
-        part_cost[m] = it != removed.end() ? it->second : inst.CostOf(part);
+  std::set<PropertySet> forced;
+  std::vector<bool> alive;  // by query index
+};
+
+/// Step 3 by definition, for at most `max_passes` passes. Each pass
+/// decides, by increasing length, every present classifier of length >= 2
+/// inside a worked query (Observation 3.3 over effective prices: 0 once
+/// forced, the recorded decomposition once removed). Then line 10 runs per
+/// worked query in order: a property with exactly one unremoved priced
+/// classifier holding it inside the query forces that classifier. A query
+/// every property of which a forced classifier inside it covers is done.
+/// The next pass works the live queries that share a property with a
+/// classifier this pass forced (line 11); the first works every query.
+Step3Outcome Step3ByDefinition(const Instance& inst, int max_passes) {
+  const std::vector<PropertySet>& queries = inst.queries();
+  Step3Outcome out;
+  out.alive.assign(queries.size(), true);
+  const auto price = [&](const PropertySet& c) {
+    if (out.forced.count(c) != 0) return Cost{0};
+    const auto it = out.removed.find(c);
+    return it != out.removed.end() ? it->second : inst.CostOf(c);
+  };
+  const auto present = [&](const PropertySet& c) {
+    return !IsInfiniteCost(inst.CostOf(c)) && out.forced.count(c) == 0 &&
+           out.removed.count(c) == 0;
+  };
+  std::vector<size_t> work(queries.size());
+  std::iota(work.begin(), work.end(), size_t{0});
+  while (!work.empty() && out.passes < max_passes) {
+    ++out.passes;
+    std::vector<std::set<PropertySet>> by_length(kMaxQueryLength + 1);
+    for (size_t qi : work) {
+      ForEachNonEmptySubset(queries[qi], [&](const PropertySet& c) {
+        if (c.size() >= 2 && present(c)) by_length[c.size()].insert(c);
+      });
+    }
+    for (const std::set<PropertySet>& level : by_length) {
+      for (const PropertySet& c : level) {
+        const Cost best = BruteForceDecomposition(c, price);
+        if (best <= inst.CostOf(c)) out.removed.emplace(c, best);
       }
-      Cost best = kInfiniteCost;
-      for (uint32_t a = 1; a < full; ++a) {
-        for (uint32_t b = 1; b < full; ++b) {
-          if ((a | b) == full) {
-            best = std::min(best, part_cost[a] + part_cost[b]);
+    }
+
+    std::set<PropertyId> forced_props;
+    for (size_t qi : work) {
+      for (PropertyId p : queries[qi]) {
+        std::vector<PropertySet> holders;
+        ForEachNonEmptySubset(queries[qi], [&](const PropertySet& c) {
+          if (c.Contains(p) && !IsInfiniteCost(inst.CostOf(c)) &&
+              out.removed.count(c) == 0) {
+            holders.push_back(c);
           }
+        });
+        if (holders.size() == 1 && out.forced.insert(holders[0]).second) {
+          forced_props.insert(holders[0].begin(), holders[0].end());
         }
       }
-      if (best <= inst.CostOf(c)) removed.emplace(c, best);
+    }
+
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      PropertySet covered;
+      ForEachNonEmptySubset(queries[qi], [&](const PropertySet& c) {
+        if (out.forced.count(c) != 0) covered = covered.UnionWith(c);
+      });
+      if (covered == queries[qi]) out.alive[qi] = false;
+    }
+    work.clear();
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const bool touched = std::ranges::any_of(
+          queries[qi], [&](PropertyId p) { return forced_props.count(p); });
+      if (out.alive[qi] && touched) work.push_back(qi);
     }
   }
+  return out;
+}
 
+/// Expects step 3 alone, run for at most `max_passes` passes, to end where
+/// the definition does: passes, removals, forced selections, covered
+/// queries, and the residual's queries and prices (each original, zero
+/// when forced, absent when removed).
+void ExpectStep3ByDefinition(const Instance& inst, int max_passes) {
+  const Step3Outcome model = Step3ByDefinition(inst, max_passes);
   PreprocessOptions options;
   options.step1_forced_singletons = false;
   options.step4_k2_singleton_prune = false;
   options.step2_partition = false;
-  options.max_step3_passes = 1;
+  options.max_step3_passes = max_passes;
   auto pre = Preprocess(inst, options);
   ASSERT_TRUE(pre.ok()) << pre.status().ToString();
-  EXPECT_EQ(pre->stats.step3_passes, 1);
-  EXPECT_EQ(pre->stats.classifiers_removed_step3, removed.size());
+  EXPECT_EQ(pre->stats.step3_passes, model.passes);
+  EXPECT_EQ(pre->stats.classifiers_removed_step3, model.removed.size());
+  EXPECT_EQ(pre->stats.forced_selections_step3, model.forced.size());
+  const std::vector<PropertySet> forced = pre->forced.Sorted();
+  EXPECT_EQ(std::set<PropertySet>(forced.begin(), forced.end()),
+            model.forced);
+  EXPECT_EQ(pre->stats.queries_covered,
+            static_cast<size_t>(std::ranges::count(model.alive, false)));
+  std::vector<PropertySet> live;
+  for (size_t qi = 0; qi < inst.NumQueries(); ++qi) {
+    if (model.alive[qi]) live.push_back(inst.queries()[qi]);
+  }
+  EXPECT_EQ(pre->components.empty() ? std::vector<PropertySet>{}
+                                    : pre->components[0].queries(),
+            live);
   for (const Instance& residual : pre->components) {
     for (const PropertySet& q : residual.queries()) {
       ForEachNonEmptySubset(q, [&](const PropertySet& c) {
         const Cost original = inst.CostOf(c);
         if (IsInfiniteCost(original)) return;
-        if (removed.count(c) != 0) {
+        if (model.removed.count(c) != 0) {
           EXPECT_TRUE(IsInfiniteCost(residual.CostOf(c))) << c.ToString();
         } else {
-          EXPECT_EQ(residual.CostOf(c),
-                    pre->forced.Contains(c) ? 0 : original)
+          EXPECT_EQ(residual.CostOf(c), model.forced.count(c) ? 0 : original)
               << c.ToString();
         }
       });
     }
   }
+}
+
+// Step 3 against Observation 3.3 and lines 10-11 of Algorithm 1 applied by
+// definition: its first pass, and every pass to the fixpoint.
+class Step3DefinitionTest : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Seeds, Step3DefinitionTest, ::testing::Range(0, 100));
+
+TEST_P(Step3DefinitionTest, FirstPassRemovesExactlyTheDominatedClassifiers) {
+  ExpectStep3ByDefinition(Step3Instance(GetParam()), 1);
+}
+
+TEST_P(Step3DefinitionTest, EveryPassMatchesTheDefinition) {
+  ExpectStep3ByDefinition(Step3Instance(GetParam()),
+                          std::numeric_limits<int>::max());
 }
 
 // Property-based: preprocessing preserves the optimal cost.

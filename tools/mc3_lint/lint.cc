@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <optional>
 #include <regex>
 #include <sstream>
 #include <utility>
@@ -120,6 +121,45 @@ bool PrecededByWord(const std::string& s, size_t pos,
   size_t begin = pos;
   while (begin > 0 && IsIdentChar(s[begin - 1])) --begin;
   return s.compare(begin, pos - begin, word) == 0;
+}
+
+/// The name a class-member declaration (a segment with whitespace runs
+/// collapsed) declares, or nullopt when it declares a function: when the
+/// first '(' at template depth 0, before any initializer or bit-field
+/// width, follows the declarator name. A '(' opening a parenthesized
+/// declarator, as in `int (*raw_)(int)`, does not.
+std::optional<std::string> DataMemberName(const std::string& text) {
+  if (ContainsWord(text, "operator")) return std::nullopt;
+  size_t end = text.size();
+  int angle = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '<') {
+      ++angle;
+    } else if (c == '>') {
+      angle = std::max(angle - 1, 0);
+    } else if (angle > 0) {
+      continue;
+    } else if (text.compare(i, 2, "::") == 0) {
+      ++i;  // a qualified name
+    } else if (text.compare(i, 2, "[[") == 0) {
+      i = std::min(text.find("]]", i), text.size());  // an attribute
+    } else if (c == '=' || c == '{' || c == '[' || c == ':') {
+      end = i;  // initializer, array bound or bit-field width
+      break;
+    } else if (c == '(') {
+      const size_t inner = SkipSpaces(text, i + 1);
+      if (inner >= text.size() || (text[inner] != '*' && text[inner] != '&')) {
+        return std::nullopt;  // a parameter list
+      }
+      end = std::min(text.find(')', inner), text.size());
+      break;
+    }
+  }
+  const std::string decl = TrimCopy(text.substr(0, end));
+  size_t tail = decl.size();
+  while (tail > 0 && IsIdentChar(decl[tail - 1])) --tail;
+  return decl.substr(tail);
 }
 
 /// Attribute-macro heuristic for class heads: MC3_SCOPED_CAPABILITY and
@@ -817,10 +857,10 @@ class Linter {
     if (body_end == std::string::npos) return;
 
     // Depth-1 member segments: terminated by ';', with balanced inner
-    // braces skipped (a '(' before the brace, closed again, marks a
-    // function definition, whose body is dropped; otherwise it is
-    // brace-initialization, such as a `= {}` default argument inside the
-    // parameter list, and the segment continues to the ';').
+    // braces skipped (after a function head, closed again, the brace opens
+    // a body, which is dropped; otherwise it is brace-initialization, such
+    // as a `= {}` default argument inside the parameter list, and the
+    // segment continues to the ';').
     struct Member {
       size_t pos = std::string::npos;
       std::string text;
@@ -834,9 +874,7 @@ class Linter {
       if (c == '{') {
         const size_t past = SkipBalanced(code_, i, '{', '}');
         if (past == std::string::npos) return;
-        if (paren_depth == 0 && seg.text.find('(') != std::string::npos) {
-          seg = Member{};
-        }
+        if (paren_depth == 0 && !DataMemberName(seg.text)) seg = Member{};
         i = past;
         continue;
       }
@@ -919,17 +957,10 @@ class Linter {
         if (ContainsWord(text, word)) exempt = true;
       }
       if (exempt) continue;
-      if (text.find('(') != std::string::npos) continue;  // function decl
-      // Declared member name: trailing identifier of the declarator part.
-      std::string decl = text;
-      const size_t cut = decl.find_first_of("=:[{");
-      if (cut != std::string::npos) decl = decl.substr(0, cut);
-      decl = TrimCopy(decl);
-      size_t tail = decl.size();
-      while (tail > 0 && IsIdentChar(decl[tail - 1])) --tail;
-      const std::string member = decl.substr(tail);
+      const std::optional<std::string> member = DataMemberName(text);
+      if (!member) continue;
       Report(m.pos, "R8", "guard",
-             "member '" + (member.empty() ? text : member) + "' of '" +
+             "member '" + (member->empty() ? text : *member) + "' of '" +
                  name +
                  "' (a mutex-owning class) has no MC3_GUARDED_BY "
                  "annotation; annotate it, make it atomic/const, or waive "
