@@ -2,7 +2,69 @@
 
 #include <algorithm>
 
+#include "util/float_cmp.h"
+
 namespace mc3 {
+namespace {
+
+/// The slot a dense-id map of `mask + 1` slots probes first for `from`.
+inline size_t HomeSlot(ClassifierId from, size_t mask) {
+  return static_cast<size_t>((uint64_t{from} * 0x9E3779B97F4A7C15ULL) >> 32) &
+         mask;
+}
+
+}  // namespace
+
+ClassifierTable::DenseIds::DenseIds(size_t bound, size_t max_lookups) {
+  if (bound <= 4 * max_lookups) {
+    direct_.assign(bound, kNotFound);
+  } else {
+    slots_.assign(64, {0, 0});
+  }
+}
+
+ClassifierId ClassifierTable::DenseIds::Intern(ClassifierId from) {
+  if (slots_.empty()) {
+    ClassifierId& id = direct_[from];
+    if (id == kNotFound) id = next_++;
+    return id;
+  }
+  if (2 * (size_t{next_} + 1) > slots_.size()) {
+    // Double, and re-insert every key (ids stay).
+    std::vector<std::pair<ClassifierId, ClassifierId>> old(
+        2 * slots_.size(), {0, 0});
+    old.swap(slots_);
+    const size_t mask = slots_.size() - 1;
+    for (const auto& [key, id] : old) {
+      if (key == 0) continue;
+      size_t i = HomeSlot(key - 1, mask);
+      while (slots_[i].first != 0) i = (i + 1) & mask;
+      slots_[i] = {key, id};
+    }
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HomeSlot(from, mask);; i = (i + 1) & mask) {
+    auto& [key, id] = slots_[i];
+    if (key == from + 1) return id;
+    if (key == 0) {
+      key = from + 1;
+      id = next_++;
+      return id;
+    }
+  }
+}
+
+ClassifierId ClassifierTable::DenseIds::Find(ClassifierId from) const {
+  if (slots_.empty()) {
+    return from < direct_.size() ? direct_[from] : kNotFound;
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HomeSlot(from, mask);; i = (i + 1) & mask) {
+    const auto& [key, id] = slots_[i];
+    if (key == from + 1) return id;
+    if (key == 0) return kNotFound;
+  }
+}
 
 ClassifierTable::ClassifierTable(const std::vector<PropertySet>& queries,
                                  const ClassifierStore& store) {
@@ -26,14 +88,57 @@ ClassifierTable::ClassifierTable(
   Build(instance.queries(), *owned_, &prices);
 }
 
+ClassifierTable::ClassifierTable(const ClassifierTable& parent,
+                                 std::span<const uint32_t> queries,
+                                 std::span<const Cost> prices)
+    : store_(parent.store_) {
+  size_t lookups = 0;
+  for (uint32_t qi : queries) lookups += parent.subsets(qi).size();
+  DenseIds local(parent.size(), lookups);
+  queries_.reserve(queries.size());
+  offsets_.reserve(queries.size() + 1);
+  offsets_.push_back(0);
+  entries_.reserve(lookups);
+  covers_.reserve(queries.size());
+  for (uint32_t qi : queries) {
+    queries_.push_back(parent.queries_[qi]);
+    uint32_t covered = 0;
+    for (const QuerySubset& s : parent.subsets(qi)) {
+      const Cost price = prices[s.id];
+      if (IsInfiniteCost(price)) continue;
+      const ClassifierId id = local.Intern(s.id);
+      if (id == store_ids_.size()) {
+        store_ids_.push_back(parent.store_ids_[s.id]);
+        parent_ids_.push_back(s.id);
+        costs_.push_back(price);
+      }
+      entries_.push_back(QuerySubset{s.mask, id});
+      covered |= s.mask;
+    }
+    const size_t length = parent.query(qi).size();
+    covers_.push_back(length <= kMaxQueryLength &&
+                      covered == FullMask(length));
+    offsets_.push_back(entries_.size());
+  }
+}
+
 void ClassifierTable::Build(const std::vector<PropertySet>& queries,
                             const ClassifierStore& store,
                             const std::vector<Cost>* prices) {
   store_ = &store;
-  id_of_.assign(store.id_bound(), kNotFound);
+  // A query meets at most all of its subsets, and at most every classifier.
+  size_t max_lookups = 0;
+  for (const PropertySet& q : queries) {
+    if (q.size() <= kMaxQueryLength) {
+      max_lookups += std::min<size_t>(FullMask(q.size()), store.size());
+    }
+  }
+  id_of_ = DenseIds(store.id_bound(), max_lookups);
+  queries_.reserve(queries.size());
   offsets_.assign(queries.size() + 1, 0);
   covers_.assign(queries.size(), false);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
+    queries_.push_back(&queries[qi]);
     const std::vector<PropertyId>& ids = queries[qi].ids();
     const size_t begin = entries_.size();
     const uint32_t covered = store.AppendSubsets(ids, &entries_);
@@ -42,9 +147,8 @@ void ClassifierTable::Build(const std::vector<PropertySet>& queries,
     // A classifier gets its id on first hit.
     for (size_t e = begin; e < entries_.size(); ++e) {
       const ClassifierId store_id = entries_[e].id;
-      ClassifierId& id = id_of_[store_id];
-      if (id == kNotFound) {
-        id = static_cast<ClassifierId>(store_ids_.size());
+      const ClassifierId id = id_of_.Intern(store_id);
+      if (id == store_ids_.size()) {
         store_ids_.push_back(store_id);
         costs_.push_back(prices == nullptr ? store.cost(store_id)
                                            : (*prices)[store_id]);
@@ -69,7 +173,7 @@ ClassifierId ClassifierTable::FindSubset(size_t query, uint32_t mask) const {
 
 ClassifierId ClassifierTable::Find(const PropertySet& classifier) const {
   const ClassifierId store_id = store_->Find(classifier.ids());
-  return store_id == kNotFound ? kNotFound : id_of_[store_id];
+  return store_id == kNotFound ? kNotFound : id_of_.Find(store_id);
 }
 
 }  // namespace mc3

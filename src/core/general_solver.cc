@@ -1,32 +1,38 @@
 #include "core/general_solver.h"
 
-#include "core/exact_solver.h"
+#include <algorithm>
 
+#include "core/classifier_table.h"
+#include "core/exact_solver.h"
 #include "core/k2_solver.h"
 #include "core/wsc_reduction.h"
 #include "obs/trace.h"
 #include "setcover/greedy.h"
 #include "setcover/lp_rounding.h"
 #include "setcover/primal_dual.h"
-#include "util/parallel.h"
-#include "util/timer.h"
 
 namespace mc3 {
 namespace {
 
-Status SolveComponent(const Instance& component, const SolverOptions& options,
-                      Solution* out) {
+Status SolveComponent(const ClassifierTable& component,
+                      const SolverOptions& options,
+                      const std::vector<std::string>& names,
+                      std::vector<ClassifierId>* plan) {
   obs::ScopedSpan span("general_component");
-  span.AddStat("queries", static_cast<double>(component.NumQueries()));
+  span.AddStat("queries", static_cast<double>(component.num_queries()));
   // Extension: tiny components can be closed exactly.
   if (options.exact_component_max_queries > 0 &&
-      component.NumQueries() <= options.exact_component_max_queries) {
+      component.num_queries() <= options.exact_component_max_queries) {
     obs::ScopedSpan exact_span("exact_component");
     ExactSolver::Limits limits;
     limits.max_queries = options.exact_component_max_queries;
-    auto exact = ExactSolver(limits).Solve(component);
+    // The instance's store numbers the classifiers as the table does.
+    const Instance instance = ComponentInstance(component, {});
+    auto exact = ExactSolver(limits).Solve(instance);
     if (exact.ok()) {
-      out->Merge(exact->solution);
+      for (const PropertySet& classifier : exact->solution.classifiers()) {
+        plan->push_back(instance.costs().Find(classifier.ids()));
+      }
       return Status::OK();
     }
     if (exact.status().code() != StatusCode::kInvalidArgument) {
@@ -41,16 +47,17 @@ Status SolveComponent(const Instance& component, const SolverOptions& options,
   // misconfiguration error below still fires.
   const bool wsc_enabled =
       options.run_greedy || options.f_method != SolverOptions::FMethod::kNone;
-  if (wsc_enabled && component.NumQueries() > 0 &&
-      component.MaxQueryLength() <= 2) {
+  size_t max_length = 0;
+  for (size_t qi = 0; qi < component.num_queries(); ++qi) {
+    max_length = std::max(max_length, component.query(qi).size());
+  }
+  if (wsc_enabled && component.num_queries() > 0 && max_length <= 2) {
     SolverOptions k2_options = options;
-    k2_options.num_threads = 1;          // already inside the component loop
-    k2_options.verify_solution = false;  // the outer FinishSolve verifies
-    k2_options.prune_unused = false;
-    auto exact = K2ExactSolver(std::move(k2_options)).Solve(component);
-    if (!exact.ok()) return exact.status();
-    out->Merge(exact->solution);
-    return Status::OK();
+    k2_options.num_threads = 1;  // already inside the component loop
+    obs::ScopedSpan k2_span("k2_solver");
+    SolveResult stats;
+    return K2ExactSolver(std::move(k2_options))
+        .SolveTable(component, names, plan, &stats);
   }
   obs::ScopedSpan wsc_span("wsc");
   const WscReduction reduction = [&] {
@@ -90,57 +97,41 @@ Status SolveComponent(const Instance& component, const SolverOptions& options,
     return Status::InvalidArgument(
         "GeneralSolver configured with no WSC algorithm enabled");
   }
-  const Solution mapped = WscSolutionToMc3(reduction, best);
-  out->Merge(mapped);
+  for (setcover::SetId set : best.selected) {
+    plan->push_back(reduction.set_to_id[set]);
+  }
   return Status::OK();
 }
 
 }  // namespace
 
 Result<SolveResult> GeneralSolver::Solve(const Instance& instance) const {
+  return Solve(instance.queries(), instance.costs(),
+               instance.property_names());
+}
+
+Result<SolveResult> GeneralSolver::Solve(
+    const std::vector<PropertySet>& queries, const ClassifierStore& prices,
+    const std::vector<std::string>& names) const {
   obs::ScopedSpan span("general_solver");
-  Timer preprocess_timer;
-  Solution solution;
-  std::vector<Instance> components;
-  size_t num_components;
-  if (options_.preprocess) {
-    auto pre = Preprocess(instance, options_.preprocess_options);
-    if (!pre.ok()) return pre.status();
-    solution.Merge(pre->forced);
-    components = std::move(pre->components);
-    num_components = components.size();
-  } else {
-    if (!instance.IsFeasible()) {
-      return Status::Infeasible("no finite-cost solution exists");
-    }
-    components.push_back(instance);
-    num_components = 1;
-  }
-  const double preprocess_seconds = preprocess_timer.Seconds();
+  const ClassifierTable table = BuildSolveTable(queries, prices);
+  std::vector<ClassifierId> plan;
+  SolveResult stats;
+  MC3_RETURN_IF_ERROR(SolveTable(table, names, &plan, &stats));
+  return FinishSolve(table, std::move(plan), options_, std::move(stats));
+}
 
-  Timer solve_timer;
-  std::vector<Solution> component_solutions(components.size());
-  std::vector<Status> component_statuses(components.size());
-  const obs::TraceContext trace_context = obs::CurrentTraceContext();
-  ParallelFor(components.size(), options_.num_threads, [&](size_t i) {
-    obs::ScopedSpanAdoption adopt(trace_context);
-    component_statuses[i] =
-        SolveComponent(components[i], options_, &component_solutions[i]);
-  });
-  for (size_t i = 0; i < components.size(); ++i) {
-    MC3_RETURN_IF_ERROR(component_statuses[i]);
-    solution.Merge(component_solutions[i]);
-  }
-  const double solve_seconds = solve_timer.Seconds();
-
-  auto result =
-      FinishSolve(instance, std::move(solution), options_.prune_unused,
-                  options_.verify_solution);
-  if (!result.ok()) return result.status();
-  result->num_components = num_components;
-  result->preprocess_seconds = preprocess_seconds;
-  result->solve_seconds = solve_seconds;
-  return result;
+Status GeneralSolver::SolveTable(const ClassifierTable& table,
+                                 const std::vector<std::string>& names,
+                                 std::vector<ClassifierId>* plan,
+                                 SolveResult* stats) const {
+  return SolveComponents(
+      table, options_, names,
+      [&](const ClassifierTable& component,
+          std::vector<ClassifierId>* picks) {
+        return SolveComponent(component, options_, names, picks);
+      },
+      plan, stats);
 }
 
 }  // namespace mc3

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
-#include <ranges>
 
 #include "util/rng.h"
-#include "util/union_find.h"
 
 namespace mc3 {
 
@@ -71,31 +69,6 @@ void PropertyIndex::Build() {
     direct_[offset] = static_cast<uint32_t>(ids_.size());
     ids_.push_back(static_cast<PropertyId>(min + offset));
   }
-}
-
-ComponentPartition PartitionQueries(const std::vector<PropertySet>& queries,
-                                    const std::vector<size_t>& query_indices) {
-  ComponentPartition partition;
-  partition.component_of.assign(query_indices.size(), 0);
-  if (query_indices.empty()) return partition;
-
-  auto query = [&](size_t qi) -> const PropertySet& { return queries[qi]; };
-  const PropertyIndex index(std::views::transform(query_indices, query));
-  UnionFind uf;
-  for (size_t qi : query_indices) {
-    const auto& ids = queries[qi].ids();
-    for (size_t j = 1; j < ids.size(); ++j) {
-      uf.Union(index(ids[j - 1]), index(ids[j]));
-    }
-  }
-  std::vector<size_t> component_of_root(index.size(), SIZE_MAX);
-  for (size_t idx = 0; idx < query_indices.size(); ++idx) {
-    const uint32_t root = uf.Find(index(*queries[query_indices[idx]].begin()));
-    size_t& component = component_of_root[root];
-    if (component == SIZE_MAX) component = partition.num_components++;
-    partition.component_of[idx] = component;
-  }
-  return partition;
 }
 
 ComponentPartition PartitionQueries(const std::vector<PropertySet>& queries) {

@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 #include "core/instance.h"
+#include "util/union_find.h"
 
 namespace mc3 {
 
@@ -76,11 +78,34 @@ struct ComponentPartition {
   std::vector<size_t> component_of;
 };
 
-/// Partitions the queries at `query_indices` (indices into `queries`) into
-/// shared-property components. `component_of` is parallel to
-/// `query_indices`.
-ComponentPartition PartitionQueries(const std::vector<PropertySet>& queries,
-                                    const std::vector<size_t>& query_indices);
+/// Partitions the queries at `query_indices` (indices into `queries`, a
+/// random-access range of PropertySets) into shared-property components.
+/// `component_of` is parallel to `query_indices`.
+template <typename Queries>
+ComponentPartition PartitionQueries(const Queries& queries,
+                                    const std::vector<size_t>& query_indices) {
+  ComponentPartition partition;
+  partition.component_of.assign(query_indices.size(), 0);
+  if (query_indices.empty()) return partition;
+
+  auto query = [&](size_t qi) -> const PropertySet& { return queries[qi]; };
+  const PropertyIndex index(std::views::transform(query_indices, query));
+  UnionFind uf;
+  for (size_t qi : query_indices) {
+    const auto& ids = query(qi).ids();
+    for (size_t j = 1; j < ids.size(); ++j) {
+      uf.Union(index(ids[j - 1]), index(ids[j]));
+    }
+  }
+  std::vector<size_t> component_of_root(index.size(), SIZE_MAX);
+  for (size_t idx = 0; idx < query_indices.size(); ++idx) {
+    const uint32_t root = uf.Find(index(*query(query_indices[idx]).begin()));
+    size_t& component = component_of_root[root];
+    if (component == SIZE_MAX) component = partition.num_components++;
+    partition.component_of[idx] = component;
+  }
+  return partition;
+}
 
 /// Partitions all of `queries`.
 ComponentPartition PartitionQueries(const std::vector<PropertySet>& queries);

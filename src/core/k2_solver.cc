@@ -2,18 +2,17 @@
 
 #include <unordered_map>
 
+#include "core/classifier_table.h"
 #include "flow/bipartite_vertex_cover.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/parallel.h"
-#include "util/timer.h"
 
 namespace mc3 {
 namespace {
 
-/// Solves one (preprocessed) sub-instance with queries of length <= 2 by the
-/// bipartite WVC -> max-flow reduction, appending chosen classifiers to
-/// `out`.
+/// Solves one (preprocessed) component with queries of length <= 2 by the
+/// bipartite WVC -> max-flow reduction, appending the table ids of the
+/// chosen classifiers to `plan`.
 ///
 /// Left vertices are the singleton classifiers of the component's
 /// properties; right vertices are the full-query classifiers. A length-2
@@ -22,47 +21,62 @@ namespace {
 /// xy. A singleton query x (present only when preprocessing is disabled)
 /// contributes an edge to an infinite-weight right vertex, forcing X into
 /// the cover.
-Status SolveComponent(const Instance& component,
-                      flow::MaxFlowAlgorithm algorithm, Solution* out) {
+Status SolveComponent(const ClassifierTable& component,
+                      flow::MaxFlowAlgorithm algorithm,
+                      std::vector<ClassifierId>* plan) {
   obs::ScopedSpan span("k2_component");
   flow::BipartiteVcInstance vc;
   std::unordered_map<PropertyId, int32_t> left_index;
-  std::vector<PropertyId> left_property;
-  std::vector<const PropertySet*> right_query;  // length-2 queries only
+  // The classifier of each vertex; kNotFound when it is unpriced (an
+  // infinite weight, which a finite cover never holds) or, on the right,
+  // a singleton query's forcing vertex.
+  std::vector<ClassifierId> left_id;
+  std::vector<ClassifierId> right_id;
+  const auto cost_of = [&](ClassifierId id) {
+    return id == ClassifierTable::kNotFound ? kInfiniteCost
+                                            : component.cost(id);
+  };
   {
     obs::ScopedSpan build("build_vc");
-    auto left_of = [&](PropertyId p) {
-      const auto [it, inserted] =
-          left_index.emplace(p, static_cast<int32_t>(vc.left_weights.size()));
+    // The left vertex of the property at `position` of query `qi`.
+    auto left_of = [&](size_t qi, size_t position) {
+      const auto [it, inserted] = left_index.emplace(
+          component.query(qi).ids()[position],
+          static_cast<int32_t>(vc.left_weights.size()));
       if (inserted) {
-        vc.left_weights.push_back(component.CostOf(PropertySet::Of({p})));
-        left_property.push_back(p);
+        const ClassifierId id =
+            component.FindSubset(qi, uint32_t{1} << position);
+        vc.left_weights.push_back(cost_of(id));
+        left_id.push_back(id);
       }
       return it->second;
     };
 
-    for (const PropertySet& q : component.queries()) {
-      if (q.size() > 2) {
-        return Status::InvalidArgument(
-            "k=2 solver given query of length " + std::to_string(q.size()));
+    for (size_t qi = 0; qi < component.num_queries(); ++qi) {
+      const size_t length = component.query(qi).size();
+      if (length > 2) {
+        return Status::InvalidArgument("k=2 solver given query of length " +
+                                       std::to_string(length));
       }
       const auto r = static_cast<int32_t>(vc.right_weights.size());
-      if (q.size() == 1) {
+      if (length == 1) {
         // Force the singleton classifier into the cover.
         vc.right_weights.push_back(kInfiniteCost);
-        right_query.push_back(nullptr);
-        vc.edges.emplace_back(left_of(*q.begin()), r);
+        right_id.push_back(ClassifierTable::kNotFound);
+        vc.edges.emplace_back(left_of(qi, 0), r);
       } else {
-        vc.right_weights.push_back(component.CostOf(q));
-        right_query.push_back(&q);
-        for (PropertyId p : q) vc.edges.emplace_back(left_of(p), r);
+        const ClassifierId pair = component.FindSubset(qi, FullMask(2));
+        vc.right_weights.push_back(cost_of(pair));
+        right_id.push_back(pair);
+        vc.edges.emplace_back(left_of(qi, 0), r);
+        vc.edges.emplace_back(left_of(qi, 1), r);
       }
     }
     build.AddStat("left", static_cast<double>(vc.left_weights.size()));
     build.AddStat("right", static_cast<double>(vc.right_weights.size()));
     build.AddStat("edges", static_cast<double>(vc.edges.size()));
   }
-  span.AddStat("queries", static_cast<double>(component.queries().size()));
+  span.AddStat("queries", static_cast<double>(component.num_queries()));
 
   obs::ScopedSpan flow_span("maxflow");
   auto cover = flow::SolveBipartiteVertexCover(vc, algorithm);
@@ -75,13 +89,13 @@ Status SolveComponent(const Instance& component,
     return cover.status();
   }
   for (size_t l = 0; l < vc.left_weights.size(); ++l) {
-    if (cover->left_in_cover[l]) {
-      out->Add(PropertySet::Of({left_property[l]}));
+    if (cover->left_in_cover[l] && left_id[l] != ClassifierTable::kNotFound) {
+      plan->push_back(left_id[l]);
     }
   }
   for (size_t r = 0; r < vc.right_weights.size(); ++r) {
-    if (cover->right_in_cover[r] && right_query[r] != nullptr) {
-      out->Add(*right_query[r]);
+    if (cover->right_in_cover[r] && right_id[r] != ClassifierTable::kNotFound) {
+      plan->push_back(right_id[r]);
     }
   }
   return Status::OK();
@@ -90,56 +104,42 @@ Status SolveComponent(const Instance& component,
 }  // namespace
 
 Result<SolveResult> K2ExactSolver::Solve(const Instance& instance) const {
-  if (instance.MaxQueryLength() > 2) {
-    return Status::InvalidArgument(
-        "K2ExactSolver requires max query length <= 2; use GeneralSolver");
+  return Solve(instance.queries(), instance.costs(),
+               instance.property_names());
+}
+
+Result<SolveResult> K2ExactSolver::Solve(
+    const std::vector<PropertySet>& queries, const ClassifierStore& prices,
+    const std::vector<std::string>& names) const {
+  for (const PropertySet& q : queries) {
+    if (q.size() > 2) {
+      return Status::InvalidArgument(
+          "K2ExactSolver requires max query length <= 2; use GeneralSolver");
+    }
   }
   obs::ScopedSpan span("k2_solver");
-  Timer preprocess_timer;
-  Solution solution;
-  std::vector<Instance> components;
-  size_t num_components;
-  if (options_.preprocess) {
-    auto pre = Preprocess(instance, options_.preprocess_options);
-    if (!pre.ok()) return pre.status();
-    solution.Merge(pre->forced);
-    components = std::move(pre->components);
-    num_components = components.size();
-  } else {
-    if (!instance.IsFeasible()) {
-      return Status::Infeasible("no finite-cost solution exists");
-    }
-    components.push_back(instance);
-    num_components = 1;
-  }
-  const double preprocess_seconds = preprocess_timer.Seconds();
+  const ClassifierTable table = BuildSolveTable(queries, prices);
+  std::vector<ClassifierId> plan;
+  SolveResult stats;
+  MC3_RETURN_IF_ERROR(SolveTable(table, names, &plan, &stats));
+  return FinishSolve(table, std::move(plan), options_, std::move(stats));
+}
 
-  Timer solve_timer;
-  std::vector<Solution> component_solutions(components.size());
-  std::vector<Status> component_statuses(components.size());
-  const obs::TraceContext trace_context = obs::CurrentTraceContext();
-  ParallelFor(components.size(), options_.num_threads, [&](size_t i) {
-    obs::ScopedSpanAdoption adopt(trace_context);
-    component_statuses[i] = SolveComponent(components[i], options_.max_flow,
-                                           &component_solutions[i]);
-  });
+Status K2ExactSolver::SolveTable(const ClassifierTable& table,
+                                 const std::vector<std::string>& names,
+                                 std::vector<ClassifierId>* plan,
+                                 SolveResult* stats) const {
+  const Status status = SolveComponents(
+      table, options_, names,
+      [&](const ClassifierTable& component,
+          std::vector<ClassifierId>* picks) {
+        return SolveComponent(component, options_.max_flow, picks);
+      },
+      plan, stats);
   obs::MetricsRegistry::Global()
       .GetCounter("k2.components_solved")
-      .Add(components.size());
-  for (size_t i = 0; i < components.size(); ++i) {
-    MC3_RETURN_IF_ERROR(component_statuses[i]);
-    solution.Merge(component_solutions[i]);
-  }
-  const double solve_seconds = solve_timer.Seconds();
-
-  auto result =
-      FinishSolve(instance, std::move(solution), options_.prune_unused,
-                  options_.verify_solution);
-  if (!result.ok()) return result.status();
-  result->num_components = num_components;
-  result->preprocess_seconds = preprocess_seconds;
-  result->solve_seconds = solve_seconds;
-  return result;
+      .Add(stats->num_components);
+  return status;
 }
 
 }  // namespace mc3

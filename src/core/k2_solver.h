@@ -22,6 +22,20 @@ class K2ExactSolver : public Solver {
   std::string Name() const override { return "mc3s"; }
   Result<SolveResult> Solve(const Instance& instance) const override;
 
+  /// Solves `queries` at `prices` through one table of them, built once and
+  /// read by every stage; `names` names properties in errors.
+  Result<SolveResult> Solve(const std::vector<PropertySet>& queries,
+                            const ClassifierStore& prices,
+                            const std::vector<std::string>& names = {}) const;
+
+  /// Algorithm 2 over `table` (queries of length <= 2) without
+  /// FinishSolve: appends the table ids of the classifiers it buys to
+  /// `plan` (distinct, in buying order) and fills `stats`'s component count
+  /// and timings.
+  Status SolveTable(const ClassifierTable& table,
+                    const std::vector<std::string>& names,
+                    std::vector<ClassifierId>* plan, SolveResult* stats) const;
+
  private:
   SolverOptions options_;
 };

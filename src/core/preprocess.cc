@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <ranges>
 
 #include "core/classifier_table.h"
 #include "core/cover_dp.h"
@@ -62,31 +63,39 @@ void RecordPreprocessMetrics(const PreprocessStats& stats, double seconds) {
 
 enum class CState : uint8_t { kPresent, kSelected, kRemoved };
 
+/// The queries of `table`, as a range of PropertySets.
+auto QueriesOf(const ClassifierTable& table) {
+  return std::views::iota(size_t{0}, table.num_queries()) |
+         std::views::transform([&table](size_t qi) -> const PropertySet& {
+           return table.query(qi);
+         });
+}
+
 /// Algorithm 1, for every k, over an interned classifier table: per-query
 /// subset lists come from the table; per-classifier and per-property state
 /// lives in arrays indexed by classifier id and dense property index.
 class Worker {
  public:
-  Worker(const Instance& instance, const ClassifierTable& table,
+  Worker(const ClassifierTable& table, const std::vector<std::string>& names,
          const PreprocessOptions& options)
-      : input_(instance),
-        queries_(instance.queries()),
+      : names_(names),
         table_(table),
         options_(options),
-        props_(queries_) {
-    const size_t n = queries_.size();
+        props_(QueriesOf(table)) {
+    const size_t n = table.num_queries();
     alive_.assign(n, true);
     covered_mask_.assign(n, 0);
+    refreshed_.assign(n, 0);
     state_.assign(table.size(), CState::kPresent);
     replacement_.assign(table.size(), kInfiniteCost);
     stamp_.assign(table.size(), 0);
     by_prop_.resize(props_.size());
     for (size_t qi = 0; qi < n; ++qi) {
-      for (PropertyId p : queries_[qi]) by_prop_[props_(p)].push_back(qi);
+      for (PropertyId p : table.query(qi)) by_prop_[props_(p)].push_back(qi);
     }
   }
 
-  Result<PreprocessResult> Run() {
+  Result<Residual> Run() {
     MC3_RETURN_IF_ERROR(CheckFeasible());
     if (options_.step1_forced_singletons) {
       obs::ScopedSpan step("step1");
@@ -127,18 +136,18 @@ class Worker {
 
  private:
   uint32_t FullMaskOf(size_t qi) const {
-    return FullMask(queries_[qi].size());
+    return FullMask(table_.query(qi).size());
   }
 
   /// Every query must be short enough for mask-based preprocessing and
   /// coverable by finite-weight classifiers.
   Status CheckFeasible() const {
-    for (size_t qi = 0; qi < queries_.size(); ++qi) {
-      const PropertySet& q = queries_[qi];
-      MC3_RETURN_IF_ERROR(CheckQueryLength(q, input_.property_names()));
+    for (size_t qi = 0; qi < table_.num_queries(); ++qi) {
+      const PropertySet& q = table_.query(qi);
+      MC3_RETURN_IF_ERROR(CheckQueryLength(q, names_));
       if (!table_.Covers(qi)) {
         return Status::Infeasible(
-            "query " + q.ToString(input_.property_names()) +
+            "query " + q.ToString(names_) +
             " cannot be covered by finite-weight classifiers");
       }
     }
@@ -160,22 +169,25 @@ class Worker {
   void Select(ClassifierId id) {
     assert(state_[id] == CState::kPresent);
     state_[id] = CState::kSelected;
-    result_.forced.Add(PropertySet::FromSorted(table_.classifier(id)));
+    result_.forced.push_back(id);
     result_.forced_cost += table_.cost(id);
     for (PropertyId p : table_.classifier(id)) touched_props_.push_back(p);
   }
 
   /// Recomputes coverage of the queries containing any recently-touched
-  /// property; marks fully covered queries dead. Clears the touched list.
+  /// property, each once; marks fully covered queries dead. Clears the
+  /// touched list.
   void RefreshCoverage() {
     if (touched_props_.empty()) return;
     std::sort(touched_props_.begin(), touched_props_.end());
     touched_props_.erase(
         std::unique(touched_props_.begin(), touched_props_.end()),
         touched_props_.end());
+    ++refresh_;
     for (PropertyId p : touched_props_) {
       for (size_t qi : by_prop_[props_(p)]) {
-        if (!alive_[qi]) continue;
+        if (!alive_[qi] || refreshed_[qi] == refresh_) continue;
+        refreshed_[qi] = refresh_;
         uint32_t covered = 0;
         for (const QuerySubset& s : table_.subsets(qi)) {
           if (state_[s.id] == CState::kSelected) covered |= s.mask;
@@ -192,8 +204,8 @@ class Worker {
 
   // ---- Step 1: singleton queries and zero-weight classifiers. ----
   void StepOne() {
-    for (size_t qi = 0; qi < queries_.size(); ++qi) {
-      if (queries_[qi].size() != 1) continue;
+    for (size_t qi = 0; qi < table_.num_queries(); ++qi) {
+      if (table_.query(qi).size() != 1) continue;
       // CheckFeasible guarantees the singleton classifier is priced.
       for (const QuerySubset& s : table_.subsets(qi)) {
         if (state_[s.id] == CState::kPresent) {
@@ -227,7 +239,7 @@ class Worker {
     // First pass over every alive query; later passes only over queries
     // touched by forced selections (line 11 of Algorithm 1).
     std::vector<size_t> work;
-    for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    for (size_t qi = 0; qi < table_.num_queries(); ++qi) {
       if (alive_[qi]) work.push_back(qi);
     }
     while (!work.empty() &&
@@ -313,8 +325,7 @@ class Worker {
       const uint32_t uncovered = FullMaskOf(qi) & ~covered_mask_[qi];
       if ((candidate_once & uncovered) != uncovered) {
         return Status::Infeasible(
-            "property of query " +
-            queries_[qi].ToString(input_.property_names()) +
+            "property of query " + table_.query(qi).ToString(names_) +
             " lost all candidate classifiers");
       }
       uint32_t forced = uncovered & candidate_once & ~candidate_multi;
@@ -338,8 +349,8 @@ class Worker {
   // ---- Step 4: k = 2 singleton pruning. ----
   void StepFour() {
     size_t max_len = 0;
-    for (size_t qi = 0; qi < queries_.size(); ++qi) {
-      if (alive_[qi]) max_len = std::max(max_len, queries_[qi].size());
+    for (size_t qi = 0; qi < table_.num_queries(); ++qi) {
+      if (alive_[qi]) max_len = std::max(max_len, table_.query(qi).size());
     }
     if (max_len > 2 || max_len == 0) return;
 
@@ -368,7 +379,7 @@ class Worker {
       std::vector<size_t> pair_queries;
       for (size_t qi : by_prop_[x]) {
         if (!alive_[qi]) continue;
-        if (queries_[qi].size() != 2) continue;  // singletons died in step 1
+        if (table_.query(qi).size() != 2) continue;  // singletons died
         const ClassifierId pair = table_.FindSubset(qi, FullMaskOf(qi));
         sum += pair == ClassifierTable::kNotFound ? kInfiniteCost
                                                   : Effective(pair);
@@ -384,7 +395,7 @@ class Worker {
           Select(pair);
           ++result_.stats.selections_step4;
         }
-        for (PropertyId y : queries_[qi]) {
+        for (PropertyId y : table_.query(qi)) {
           if (props_(y) != x) worklist.push_back(props_(y));
         }
       }
@@ -399,7 +410,7 @@ class Worker {
   /// query containing it; kNotFound when it is unpriced.
   ClassifierId SingletonId(uint32_t x) const {
     const size_t qi = by_prop_[x].front();
-    const auto& ids = queries_[qi].ids();
+    const auto& ids = table_.query(qi).ids();
     const auto pos =
         std::lower_bound(ids.begin(), ids.end(), props_.id(x)) - ids.begin();
     return table_.FindSubset(qi, uint32_t{1} << pos);
@@ -408,10 +419,30 @@ class Worker {
   // ---- Step 2: partition into independent sub-instances. ----
   void StepTwoPartition() {
     std::vector<size_t> alive_ids;
-    for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    for (size_t qi = 0; qi < table_.num_queries(); ++qi) {
       if (alive_[qi]) alive_ids.push_back(qi);
     }
     result_.stats.remaining_queries = alive_ids.size();
+    // The residual prices: the original cost while present, zero once
+    // selected, absent once removed. They take over the replacement
+    // array, which no step reads any more, so the solve holds no second
+    // per-classifier cost array.
+    for (ClassifierId id = 0; id < table_.size(); ++id) {
+      replacement_[id] = state_[id] == CState::kRemoved ? kInfiniteCost
+                                                        : Effective(id);
+    }
+    result_.prices = std::move(replacement_);
+    // Components share no property, so a classifier is counted once.
+    ++pass_;
+    for (size_t qi : alive_ids) {
+      for (const QuerySubset& s : table_.subsets(qi)) {
+        if (state_[s.id] == CState::kRemoved || stamp_[s.id] == pass_) {
+          continue;
+        }
+        stamp_[s.id] = pass_;
+        ++result_.stats.remaining_classifiers;
+      }
+    }
     if (alive_ids.empty()) {
       result_.stats.num_components = 0;
       return;
@@ -420,45 +451,29 @@ class Worker {
     std::vector<size_t> component_of(alive_ids.size(), 0);
     size_t num_components = 1;
     if (options_.step2_partition) {
-      ComponentPartition partition = PartitionQueries(queries_, alive_ids);
+      ComponentPartition partition =
+          PartitionQueries(QueriesOf(table_), alive_ids);
       num_components = partition.num_components;
       component_of = std::move(partition.component_of);
     }
     result_.stats.num_components = num_components;
-
-    result_.components.assign(num_components, Instance{});
-    for (auto& component : result_.components) {
-      component.share_property_names(input_.shared_property_names());
-    }
+    result_.components.resize(num_components);
     for (size_t idx = 0; idx < alive_ids.size(); ++idx) {
-      Instance& component = result_.components[component_of[idx]];
-      const size_t qi = alive_ids[idx];
-      component.AddQuery(queries_[qi]);
-      for (const QuerySubset& s : table_.subsets(qi)) {
-        switch (state_[s.id]) {
-          case CState::kPresent:
-            component.SetCost(table_.classifier(s.id), table_.cost(s.id));
-            break;
-          case CState::kSelected:
-            component.SetCost(table_.classifier(s.id), 0);
-            break;
-          case CState::kRemoved:
-            break;  // omitted (weight infinity)
-        }
-      }
-    }
-    for (const auto& component : result_.components) {
-      result_.stats.remaining_classifiers += component.costs().size();
+      result_.components[component_of[idx]].push_back(
+          static_cast<uint32_t>(alive_ids[idx]));
     }
   }
 
-  const Instance& input_;
-  const std::vector<PropertySet>& queries_;
+  const std::vector<std::string>& names_;
   const ClassifierTable& table_;
   const PreprocessOptions& options_;
   const PropertyIndex props_;
   std::vector<bool> alive_;
   std::vector<uint32_t> covered_mask_;
+  /// RefreshCoverage stamp, so a query holding several touched properties
+  /// is recomputed once per refresh.
+  std::vector<uint32_t> refreshed_;
+  uint32_t refresh_ = 0;
   std::vector<std::vector<size_t>> by_prop_;  // by dense property index
   std::vector<PropertyId> touched_props_;
   // Per-classifier state, by id.
@@ -471,30 +486,60 @@ class Worker {
   /// examined once per pass.
   std::vector<uint32_t> stamp_;
   uint32_t pass_ = 0;
-  PreprocessResult result_;
+  Residual result_;
 };
 
 }  // namespace
 
-Result<PreprocessResult> Preprocess(const Instance& instance,
-                                    const PreprocessOptions& options) {
+Result<Residual> Preprocess(const ClassifierTable& table,
+                            const std::vector<std::string>& names,
+                            const PreprocessOptions& options) {
   Timer timer;
-  // Opened before any set-up, so the span covers everything the histogram
-  // times, the table build and teardown included.
   obs::ScopedSpan span("preprocess");
-  Result<PreprocessResult> result = [&]() -> Result<PreprocessResult> {
-    const ClassifierTable table = [&] {
-      obs::ScopedSpan build("classifier_table");
-      return ClassifierTable(instance.queries(), instance.costs());
-    }();
-    return Worker(instance, table, options).Run();
-  }();
+  Result<Residual> result = Worker(table, names, options).Run();
   if (result.ok()) {
     span.AddStat("queries_covered",
                  static_cast<double>(result->stats.queries_covered));
     RecordPreprocessMetrics(result->stats, timer.Seconds());
   }
   return result;
+}
+
+Result<PreprocessResult> Preprocess(const Instance& instance,
+                                    const PreprocessOptions& options) {
+  const ClassifierTable table = [&] {
+    obs::ScopedSpan build("classifier_table");
+    return ClassifierTable(instance.queries(), instance.costs());
+  }();
+  Result<Residual> residual =
+      Preprocess(table, instance.property_names(), options);
+  if (!residual.ok()) return residual.status();
+  PreprocessResult result;
+  for (ClassifierId id : residual->forced) {
+    result.forced.Add(PropertySet::FromSorted(table.classifier(id)));
+  }
+  result.forced_cost = residual->forced_cost;
+  result.stats = residual->stats;
+  result.components.reserve(residual->components.size());
+  for (const std::vector<uint32_t>& queries : residual->components) {
+    result.components.push_back(
+        ComponentInstance(ClassifierTable(table, queries, residual->prices),
+                          instance.shared_property_names()));
+  }
+  return result;
+}
+
+Instance ComponentInstance(const ClassifierTable& component,
+                           const PropertyNames& names) {
+  Instance instance;
+  instance.share_property_names(names);
+  for (size_t qi = 0; qi < component.num_queries(); ++qi) {
+    instance.AddQuery(component.query(qi));
+    for (const QuerySubset& s : component.subsets(qi)) {
+      instance.SetCost(component.classifier(s.id), component.cost(s.id));
+    }
+  }
+  return instance;
 }
 
 }  // namespace mc3

@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/instance.h"
@@ -45,6 +46,8 @@
 #include "util/status.h"
 
 namespace mc3 {
+
+class ClassifierTable;
 
 /// Per-step switches (all on by default); the ablation bench toggles them.
 struct PreprocessOptions {
@@ -69,7 +72,27 @@ struct PreprocessStats {
   size_t queries_covered = 0;    ///< queries fully covered by preprocessing
   size_t num_components = 0;
   size_t remaining_queries = 0;
-  size_t remaining_classifiers = 0;  ///< available classifiers in residuals
+  /// Available classifiers in the residual: the distinct present or
+  /// selected ones of the residual queries.
+  size_t remaining_classifiers = 0;
+};
+
+/// Algorithm 1 over a solve's ClassifierTable, as the solvers run it.
+struct Residual {
+  /// Table ids of the classifiers selected, in selection order; part of
+  /// every solution assembled from this result.
+  std::vector<ClassifierId> forced;
+  /// Total original cost of the forced classifiers.
+  Cost forced_cost = 0;
+  /// Each table id's residual price: its cost while present, 0 once
+  /// selected, kInfiniteCost once removed.
+  std::vector<Cost> prices;
+  /// The independent residual components (step 2), each as ascending
+  /// indices into the table's queries; ClassifierTable(table, component,
+  /// prices) is a component's table. Every query is either covered by
+  /// `forced` or in exactly one component.
+  std::vector<std::vector<uint32_t>> components;
+  PreprocessStats stats;
 };
 
 /// Output of Algorithm 1.
@@ -87,8 +110,21 @@ struct PreprocessResult {
   PreprocessStats stats;
 };
 
-/// Runs Algorithm 1 on `instance`. Returns kInfeasible when some query
-/// cannot be covered by finite-weight classifiers.
+/// Runs Algorithm 1 on `table`'s queries at its prices; `names` names
+/// properties in errors. Returns kInfeasible when some query cannot be
+/// covered by finite-weight classifiers.
+Result<Residual> Preprocess(const ClassifierTable& table,
+                            const std::vector<std::string>& names,
+                            const PreprocessOptions& options);
+
+/// The instance of a component's table: its queries, and each classifier
+/// at the table's price, priced in id order (so the instance's store
+/// numbers them as the table does). Shares `names`.
+Instance ComponentInstance(const ClassifierTable& component,
+                           const PropertyNames& names);
+
+/// Runs Algorithm 1 on `instance` through one table of its queries, and
+/// materializes the forced classifiers and each residual component.
 Result<PreprocessResult> Preprocess(const Instance& instance,
                                     const PreprocessOptions& options = {});
 

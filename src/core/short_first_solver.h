@@ -19,6 +19,13 @@ class ShortFirstSolver : public Solver {
   std::string Name() const override { return "sf"; }
   Result<SolveResult> Solve(const Instance& instance) const override;
 
+  /// Solves `queries` at `prices` through one table of them: each phase
+  /// reads the table of its queries derived from it. `names` names
+  /// properties in errors.
+  Result<SolveResult> Solve(const std::vector<PropertySet>& queries,
+                            const ClassifierStore& prices,
+                            const std::vector<std::string>& names = {}) const;
+
  private:
   SolverOptions options_;
 };

@@ -1,13 +1,47 @@
 #include "core/solution.h"
 
 #include <algorithm>
-#include <span>
 
 #include "core/classifier_table.h"
 #include "core/cover_dp.h"
 #include "util/float_cmp.h"
 
 namespace mc3 {
+namespace {
+
+/// For each query, a cheapest witness cover among the classifiers of
+/// `table` that are subsets of it and `bought` holds (every one when null);
+/// marks each classifier a witness uses in `used`. Returns false when some
+/// query has no finite witness (it is not covered, or only through unpriced
+/// classifiers), so pruning is not safe.
+bool MarkWitnesses(const ClassifierTable& table,
+                   const std::vector<bool>* bought, std::vector<bool>* used) {
+  std::vector<uint32_t> masks;
+  std::vector<Cost> costs;
+  std::vector<ClassifierId> ids;
+  std::vector<size_t> picks;
+  MaskCoverScratch scratch;
+  for (size_t i = 0; i < table.num_queries(); ++i) {
+    const size_t k = table.query(i).size();
+    masks.clear();
+    costs.clear();
+    ids.clear();
+    for (const QuerySubset& s : table.subsets(i)) {
+      if (bought != nullptr && !(*bought)[s.id]) continue;
+      masks.push_back(s.mask);
+      costs.push_back(table.cost(s.id));
+      ids.push_back(s.id);
+    }
+    if (k > kMaxQueryLength ||
+        IsInfiniteCost(MinCostMaskCover(k, masks, costs, &picks, &scratch))) {
+      return false;
+    }
+    for (size_t pick : picks) (*used)[ids[pick]] = true;
+  }
+  return true;
+}
+
+}  // namespace
 
 bool Solution::Add(const PropertySet& classifier) {
   if (!lookup_.insert(classifier).second) return false;
@@ -69,42 +103,29 @@ bool Covers(const Instance& instance, const Solution& solution) {
 Solution PruneUnusedClassifiers(const Instance& instance,
                                 const Solution& solution) {
   return PruneUnusedClassifiers(
-      instance, ClassifierTable(instance, solution.classifiers()), solution);
+      ClassifierTable(instance, solution.classifiers()), solution);
 }
 
-Solution PruneUnusedClassifiers(const Instance& instance,
-                                const ClassifierTable& table,
+Solution PruneUnusedClassifiers(const ClassifierTable& table,
                                 const Solution& solution) {
-  // For each query, a cheapest witness cover among the selected classifiers
-  // that are subsets of it.
   std::vector<bool> used(table.size(), false);
-  std::vector<uint32_t> masks;
-  std::vector<Cost> costs;
-  std::vector<size_t> picks;
-  MaskCoverScratch scratch;
-  for (size_t i = 0; i < instance.NumQueries(); ++i) {
-    const size_t k = instance.queries()[i].size();
-    const std::span<const QuerySubset> subsets = table.subsets(i);
-    masks.clear();
-    costs.clear();
-    for (const QuerySubset& s : subsets) {
-      masks.push_back(s.mask);
-      costs.push_back(table.cost(s.id));
-    }
-    if (k > kMaxQueryLength ||
-        IsInfiniteCost(MinCostMaskCover(k, masks, costs, &picks, &scratch))) {
-      // Solution does not cover the query (or only via unpriced
-      // classifiers); pruning is not safe — return the input untouched.
-      return solution;
-    }
-    for (size_t pick : picks) used[subsets[pick].id] = true;
-  }
+  if (!MarkWitnesses(table, nullptr, &used)) return solution;
   Solution pruned;
   for (const PropertySet& c : solution.classifiers()) {
     const ClassifierId id = table.Find(c);
     if (id != ClassifierTable::kNotFound && used[id]) pruned.Add(c);
   }
   return pruned;
+}
+
+std::vector<ClassifierId> PruneUnusedClassifiers(
+    const ClassifierTable& table, std::vector<ClassifierId> plan) {
+  std::vector<bool> bought(table.size(), false);
+  for (ClassifierId id : plan) bought[id] = true;
+  std::vector<bool> used(table.size(), false);
+  if (!MarkWitnesses(table, &bought, &used)) return plan;
+  std::erase_if(plan, [&](ClassifierId id) { return !used[id]; });
+  return plan;
 }
 
 }  // namespace mc3

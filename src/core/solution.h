@@ -74,12 +74,18 @@ Solution PruneUnusedClassifiers(const Instance& instance,
                                 const Solution& solution);
 
 /// PruneUnusedClassifiers over `table`, the solution's classifiers already
-/// interned against `instance` (ClassifierTable(instance,
+/// interned against the instance (ClassifierTable(instance,
 /// solution.classifiers())), so the table that verified a solution can
 /// also prune it.
-Solution PruneUnusedClassifiers(const Instance& instance,
-                                const ClassifierTable& table,
+Solution PruneUnusedClassifiers(const ClassifierTable& table,
                                 const Solution& solution);
+
+/// PruneUnusedClassifiers over a solve's own table: `plan` holds distinct
+/// ids of `table`, and the witnesses are chosen among them. Returns the
+/// used ids in plan order, or `plan` itself when some query has no finite
+/// witness among them.
+std::vector<ClassifierId> PruneUnusedClassifiers(
+    const ClassifierTable& table, std::vector<ClassifierId> plan);
 
 }  // namespace mc3
 

@@ -1,6 +1,7 @@
 // Common solver interface shared by the paper's algorithms and baselines.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,8 @@
 #include "util/status.h"
 
 namespace mc3 {
+
+class ClassifierTable;
 
 /// Options shared by the MC3 solvers.
 struct SolverOptions {
@@ -69,7 +72,9 @@ struct SolveResult {
   Cost cost = 0;
   /// Number of independent sub-instances processed.
   size_t num_components = 0;
+  /// Algorithm 1 (or, with it off, the feasibility check).
   double preprocess_seconds = 0;
+  /// The component solves.
   double solve_seconds = 0;
 };
 
@@ -89,6 +94,44 @@ class Solver {
 /// an uncovered query.
 Result<SolveResult> FinishSolve(const Instance& instance, Solution solution,
                                 bool prune_unused, bool verify = true);
+
+/// The verification and pruning of FinishSolve over a solve's own table:
+/// `plan` holds distinct table ids in the order they were bought, and both
+/// passes read the table's rows. Returns the kept ids in plan order.
+Result<std::vector<ClassifierId>> FinishPlan(const ClassifierTable& table,
+                                             std::vector<ClassifierId> plan,
+                                             bool prune_unused, bool verify);
+
+/// FinishSolve over a solve's own table: FinishPlan under `options`, then
+/// the cost at the table's prices and the solution, materialized last in
+/// plan order, into `stats` (which carries the component count and
+/// timings).
+Result<SolveResult> FinishSolve(const ClassifierTable& table,
+                                std::vector<ClassifierId> plan,
+                                const SolverOptions& options,
+                                SolveResult stats = {});
+
+/// Solves one residual component given by its table, appending the
+/// component table's ids of the classifiers it buys to `plan`.
+using ComponentSolver =
+    std::function<Status(const ClassifierTable& component,
+                         std::vector<ClassifierId>* plan)>;
+
+/// The frame GeneralSolver and K2ExactSolver share over a table: Algorithm
+/// 1 when `options.preprocess` (else the feasibility check), then
+/// `solve_component` on each residual component, in parallel over
+/// `options.num_threads`. Appends the forced classifiers and then each
+/// component's picks to `plan` as distinct ids of `table`, each where it
+/// first appears, and fills `stats`'s component count and timings.
+Status SolveComponents(const ClassifierTable& table,
+                       const SolverOptions& options,
+                       const std::vector<std::string>& names,
+                       const ComponentSolver& solve_component,
+                       std::vector<ClassifierId>* plan, SolveResult* stats);
+
+/// Builds the one table of a solve, under a `classifier_table` span.
+ClassifierTable BuildSolveTable(const std::vector<PropertySet>& queries,
+                                const ClassifierStore& prices);
 
 }  // namespace mc3
 

@@ -8,25 +8,21 @@
 
 namespace mc3 {
 
-WscReduction ReduceToWsc(const Instance& instance) {
+WscReduction ReduceToWsc(const ClassifierTable& table) {
   WscReduction reduction;
-  const auto& queries = instance.queries();
 
   // Element ids: contiguous per query, in sorted property order.
-  reduction.element_offset.resize(queries.size());
+  reduction.element_offset.resize(table.num_queries());
   setcover::ElementId next = 0;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
+  for (size_t qi = 0; qi < table.num_queries(); ++qi) {
     reduction.element_offset[qi] = next;
-    next += static_cast<setcover::ElementId>(queries[qi].size());
+    next += static_cast<setcover::ElementId>(table.query(qi).size());
   }
   reduction.wsc.num_elements = next;
 
-  // The priced classifiers relevant to some query (S subseteq q) and, per
-  // query, which of them are its subsets.
-  const ClassifierTable table(queries, instance.costs());
-
   // Canonical set order for determinism.
-  std::vector<ClassifierId> order(table.size());
+  std::vector<ClassifierId>& order = reduction.set_to_id;
+  order.resize(table.size());
   std::iota(order.begin(), order.end(), ClassifierId{0});
   std::sort(order.begin(), order.end(), [&](ClassifierId a, ClassifierId b) {
     const ClassifierKey x = table.classifier(a);
@@ -36,18 +32,14 @@ WscReduction ReduceToWsc(const Instance& instance) {
   });
   std::vector<setcover::SetId> set_of(table.size());
   reduction.wsc.sets.resize(order.size());
-  reduction.set_to_classifier.reserve(order.size());
   for (size_t i = 0; i < order.size(); ++i) {
-    const ClassifierId id = order[i];
-    set_of[id] = static_cast<setcover::SetId>(i);
-    reduction.wsc.sets[i].cost = table.cost(id);
-    reduction.set_to_classifier.push_back(
-        PropertySet::FromSorted(table.classifier(id)));
+    set_of[order[i]] = static_cast<setcover::SetId>(i);
+    reduction.wsc.sets[i].cost = table.cost(order[i]);
   }
 
   // Elements p_q of each set. Queries are walked in order and each mask's
   // positions ascending, so every element list comes out sorted.
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
+  for (size_t qi = 0; qi < table.num_queries(); ++qi) {
     for (const QuerySubset& s : table.subsets(qi)) {
       std::vector<setcover::ElementId>& elements =
           reduction.wsc.sets[set_of[s.id]].elements;
@@ -57,6 +49,17 @@ WscReduction ReduceToWsc(const Instance& instance) {
                                std::countr_zero(rest)));
       }
     }
+  }
+  return reduction;
+}
+
+WscReduction ReduceToWsc(const Instance& instance) {
+  const ClassifierTable table(instance.queries(), instance.costs());
+  WscReduction reduction = ReduceToWsc(table);
+  reduction.set_to_classifier.reserve(reduction.set_to_id.size());
+  for (ClassifierId id : reduction.set_to_id) {
+    reduction.set_to_classifier.push_back(
+        PropertySet::FromSorted(table.classifier(id)));
   }
   return reduction;
 }

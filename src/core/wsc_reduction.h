@@ -15,19 +15,28 @@
 
 namespace mc3 {
 
+class ClassifierTable;
+
 /// The reduced instance plus the back-mapping from sets to classifiers.
 struct WscReduction {
   setcover::WscInstance wsc;
-  /// set_to_classifier[i] is the classifier represented by wsc.sets[i].
+  /// set_to_id[i] is the table id of the classifier wsc.sets[i] represents.
+  std::vector<ClassifierId> set_to_id;
+  /// set_to_classifier[i] is that classifier (filled by the Instance
+  /// overload only).
   std::vector<PropertySet> set_to_classifier;
   /// element_offset[qi] is the element id of the first property of query qi
   /// (elements of a query are contiguous, in the query's sorted id order).
   std::vector<setcover::ElementId> element_offset;
 };
 
-/// Builds the reduction. Only finite-cost classifiers become sets; sets are
-/// ordered canonically (by length, then lexicographically) for deterministic
-/// downstream behavior.
+/// Builds the reduction of `table`'s queries at its prices: every
+/// classifier of the table becomes a set; sets are ordered canonically (by
+/// length, then lexicographically) for deterministic downstream behavior.
+WscReduction ReduceToWsc(const ClassifierTable& table);
+
+/// Builds the reduction of `instance` through one table of its queries.
+/// Only finite-cost classifiers become sets.
 WscReduction ReduceToWsc(const Instance& instance);
 
 /// Maps a WSC solution back to the corresponding MC3 classifier selection.

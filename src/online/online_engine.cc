@@ -101,17 +101,7 @@ std::optional<size_t> OnlineEngine::ComponentOf(
   return owner->second;
 }
 
-Instance OnlineEngine::BuildSubInstance(
-    const std::vector<PropertySet>& queries) const {
-  Instance sub;
-  sub.share_property_names(names_);
-  for (const PropertySet& q : queries) sub.AddQuery(q);
-  CopySubsetPrices(costs_, &sub);
-  return sub;
-}
-
-Status OnlineEngine::SolveComponent(const Instance& sub,
-                                    Component* out) const {
+Status OnlineEngine::SolveComponent(Component* out) const {
   SolverOptions inner = options_.solver_options;
   // The engine parallelizes across components; a component is solved by one
   // worker.
@@ -119,20 +109,26 @@ Status OnlineEngine::SolveComponent(const Instance& sub,
 
   EngineOptions::SolverKind kind = options_.solver;
   if (kind == EngineOptions::SolverKind::kAuto) {
-    kind = sub.MaxQueryLength() <= 2 ? EngineOptions::SolverKind::kK2Exact
-                                     : EngineOptions::SolverKind::kGeneral;
+    const bool all_short = std::ranges::all_of(
+        out->queries, [](const PropertySet& q) { return q.size() <= 2; });
+    kind = all_short ? EngineOptions::SolverKind::kK2Exact
+                     : EngineOptions::SolverKind::kGeneral;
   }
+  // The solver reads the engine's store through one table of the
+  // component's queries; nothing is copied out of it.
+  const std::vector<PropertySet>& queries = out->queries;
+  const std::vector<std::string>& names = property_names();
   Result<SolveResult> solved = [&]() -> Result<SolveResult> {
     switch (kind) {
       case EngineOptions::SolverKind::kK2Exact:
-        return K2ExactSolver(inner).Solve(sub);
+        return K2ExactSolver(inner).Solve(queries, costs_, names);
       case EngineOptions::SolverKind::kShortFirst:
-        return ShortFirstSolver(inner).Solve(sub);
+        return ShortFirstSolver(inner).Solve(queries, costs_, names);
       case EngineOptions::SolverKind::kAuto:
       case EngineOptions::SolverKind::kGeneral:
         break;
     }
-    return GeneralSolver(inner).Solve(sub);
+    return GeneralSolver(inner).Solve(queries, costs_, names);
   }();
   if (!solved.ok()) return solved.status();
   SolutionPiece entries;
@@ -266,14 +262,7 @@ Result<UpdateStats> OnlineEngine::ApplyUpdate(
                 fresh[i].queries = std::move(groups[i]);
                 solve_span.AddStat(
                     "queries", static_cast<double>(fresh[i].queries.size()));
-                Instance sub;
-                {
-                  obs::ScopedSpan build_span("build_sub_instance");
-                  sub = BuildSubInstance(fresh[i].queries);
-                  build_span.AddStat(
-                      "classifiers", static_cast<double>(sub.costs().size()));
-                }
-                statuses[i] = SolveComponent(sub, &fresh[i]);
+                statuses[i] = SolveComponent(&fresh[i]);
               });
   Status first_error;
   for (size_t i = 0; i < fresh.size(); ++i) {
@@ -372,7 +361,11 @@ Instance OnlineEngine::LiveInstance() const {
                    component.queries.end());
   }
   std::sort(queries.begin(), queries.end());
-  return BuildSubInstance(queries);
+  Instance live;
+  live.share_property_names(names_);
+  for (PropertySet& q : queries) live.AddQuery(std::move(q));
+  CopySubsetPrices(costs_, &live);
+  return live;
 }
 
 size_t EngineState::NumQueries() const {

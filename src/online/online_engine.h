@@ -20,7 +20,9 @@
 //     batch machinery (GeneralSolver / K2ExactSolver / ShortFirstSolver),
 //     dirty components in parallel via SolverOptions::num_threads, over its
 //     queries in content order, so the plan depends on the live set and the
-//     prices, never on the order of past updates;
+//     prices, never on the order of past updates; the solver reads the
+//     engine's store through one classifier table of the component's
+//     queries, so no sub-instance is built;
 //   * each component stores its solution as one immutable piece (its
 //     classifiers, sorted, with their prices), built when the component is
 //     solved; untouched components keep their piece verbatim, and read
@@ -28,10 +30,10 @@
 //
 // The re-solve work of an update is proportional to the dirty region, not
 // the universe — the same observation sub-linear Set Cover algorithms build
-// on (Indyk et al., arXiv:1902.03534): the repartition, the sub-instance
-// builds and the solves read only the dirty components' queries and their
-// classifiers' prices, and every sub-instance shares the engine's
-// immutable property-name table instead of copying it. Two per-batch steps
+// on (Indyk et al., arXiv:1902.03534): the repartition and the solves read
+// only the dirty components' queries and their classifiers' prices, and
+// the solves name properties through the engine's immutable name table
+// instead of copying it. Two per-batch steps
 // stay O(components), one pointer per component: SolutionPieces() and the
 // read-view build on top of it (online/read_view.h). See docs/online.md
 // for the full model.
@@ -88,7 +90,7 @@ struct UpdateStats {
   size_t components_resolved = 0;
   /// Live queries in the dirty region (re-solved queries).
   size_t queries_touched = 0;
-  /// Wall time of the update: repartition + sub-instance builds + solves.
+  /// Wall time of the update: repartition + solves.
   double resolve_seconds = 0;
 };
 
@@ -179,8 +181,8 @@ class OnlineEngine {
   /// classifier of the table that is a subset of `query`.
   bool Coverable(const PropertySet& query) const;
 
-  /// The name table (index = PropertyId). Every sub-instance the engine
-  /// solves shares it; nothing per update copies it.
+  /// The name table (index = PropertyId). Every component solve reads it;
+  /// nothing per update copies it.
   const std::vector<std::string>& property_names() const {
     return NamesOf(names_);
   }
@@ -239,13 +241,11 @@ class OnlineEngine {
   Result<std::vector<PropertySet>> ValidateAdds(
       const std::vector<PropertySet>& add) const;
 
-  /// Builds the sub-instance over `queries`; it shares the engine's name
-  /// table.
-  Instance BuildSubInstance(const std::vector<PropertySet>& queries) const;
-
-  /// Solves `sub` with the configured solver. On success stores the
-  /// solution's piece and cost into `out`.
-  Status SolveComponent(const Instance& sub, Component* out) const;
+  /// Solves `out`'s queries at the engine's prices with the configured
+  /// solver, which reads the store through one table of them. On success
+  /// stores the solution's piece and cost into `out`. Reads the store and
+  /// writes only `out`, so components solve in parallel.
+  Status SolveComponent(Component* out) const;
 
   EngineOptions options_;
 

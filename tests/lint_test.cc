@@ -445,6 +445,29 @@ TEST(LintR8, NamesAQualifiedMemberByItsDeclarator) {
   }
 }
 
+TEST(LintR8, ChecksMembersAfterSpecifierAndMemberPointerParentheses) {
+  // The operand of alignas or decltype is not a parameter list, and a
+  // pointer-to-member declarator is a parenthesized declarator.
+  const auto findings = Lint(
+      "class Hooks {\n"
+      "  util::Mutex mu_;\n"
+      "  alignas(64) int counter_ = 0;\n"
+      "  decltype(0) last_ = 0;\n"
+      "  void (Hooks::*method_)(int);\n"
+      "  int plain_ = 0;\n"
+      "};\n");
+  ASSERT_EQ(findings.size(), 4u);
+  const std::vector<std::string> expected = {"counter_", "last_", "method_",
+                                             "plain_"};
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(findings[i].rule, "R8");
+    EXPECT_EQ(findings[i].line, static_cast<int>(i) + 3);
+    EXPECT_NE(findings[i].message.find("member '" + expected[i] + "'"),
+              std::string::npos)
+        << findings[i].message;
+  }
+}
+
 // ---------------------------------------------------------------- R9
 
 TEST(LintR9, FlagsDetachAndNeverJoinedThread) {

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/general_solver.h"
 #include "core/instance_util.h"
 #include "core/k2_solver.h"
+#include "core/short_first_solver.h"
 #include "data/synthetic.h"
 #include "obs/trace.h"
 #include "online/churn.h"
@@ -422,7 +424,7 @@ TEST(OnlineEngineTest, ResolvesAndRestoresShareOneNameTable) {
   EXPECT_EQ(engine.property_names().data(), table);
   ASSERT_TRUE(engine.RemoveQueries({inst.queries()[0]}).ok());
   EXPECT_EQ(engine.property_names().data(), table);
-  // LiveInstance builds through the same path as every re-solve.
+  // LiveInstance shares it too.
   EXPECT_EQ(engine.LiveInstance().property_names().data(), table);
 
   // A restored engine holds its own copy of the table, and its re-solves
@@ -441,7 +443,7 @@ void CollectSpans(const obs::SpanNode& node, const std::string& name,
   for (const auto& child : node.children) CollectSpans(*child, name, out);
 }
 
-TEST(OnlineEngineTest, TracedUpdateTimesTheSubInstanceBuild) {
+TEST(OnlineEngineTest, TracedUpdateBuildsOneTablePerResolve) {
   online::ShardedSyntheticConfig config;
   config.num_domains = 60;
   config.domain.num_queries = 15;
@@ -465,20 +467,158 @@ TEST(OnlineEngineTest, TracedUpdateTimesTheSubInstanceBuild) {
   std::vector<const obs::SpanNode*> solves;
   CollectSpans(*trace.root(), "solve_component", &solves);
   ASSERT_FALSE(solves.empty());
-  // Each component re-solve times its sub-instance build as a child, and
-  // the children (build plus solver) cover at least 90% of the re-solve.
+  // Each component re-solve walks its queries' lattices once, into the one
+  // table every stage reads, and its children (the solver) cover at least
+  // 90% of the re-solve.
   double solve_seconds = 0;
   double child_seconds = 0;
   for (const obs::SpanNode* solve : solves) {
-    size_t builds = 0;
-    for (const auto& child : solve->children) {
-      if (child->name == "build_sub_instance") ++builds;
-      child_seconds += child->seconds;
-    }
-    EXPECT_EQ(builds, 1u);
+    EXPECT_EQ(solve->CountSpans("classifier_table"), 1u);
+    EXPECT_EQ(solve->CountSpans("build_sub_instance"), 0u);
+    for (const auto& child : solve->children) child_seconds += child->seconds;
     solve_seconds += solve->seconds;
   }
   EXPECT_GE(child_seconds, 0.9 * solve_seconds);
+  for (const char* stage : {"finish", "wsc"}) {
+    std::vector<const obs::SpanNode*> spans;
+    CollectSpans(*trace.root(), stage, &spans);
+    EXPECT_FALSE(spans.empty()) << stage;
+    for (const obs::SpanNode* span : spans) {
+      EXPECT_EQ(span->CountSpans("classifier_table"), 0u) << stage;
+    }
+  }
+}
+
+/// Expects every component of `engine` to hold what the batch solver of
+/// `kind` buys, at the same cost, when run on SubInstance of the
+/// component's queries (the path every re-solve took before the engine
+/// solved straight from its store).
+void ExpectPiecesMatchBatchSolves(const OnlineEngine& engine,
+                                  EngineOptions::SolverKind kind,
+                                  SolverOptions options) {
+  options.num_threads = 1;
+  const Instance live = engine.LiveInstance();
+  const online::EngineState state = engine.ExportState();
+  const auto pieces = engine.SolutionPieces();
+  ASSERT_EQ(pieces.size(), state.components.size());
+  for (size_t c = 0; c < state.components.size(); ++c) {
+    const online::EngineState::Component& component = state.components[c];
+    std::vector<size_t> indices;
+    for (const PropertySet& q : component.queries) {
+      indices.push_back(static_cast<size_t>(
+          std::lower_bound(live.queries().begin(), live.queries().end(), q) -
+          live.queries().begin()));
+    }
+    const Instance sub = SubInstance(live, indices);
+    EngineOptions::SolverKind resolved = kind;
+    if (resolved == EngineOptions::SolverKind::kAuto) {
+      resolved = sub.MaxQueryLength() <= 2
+                     ? EngineOptions::SolverKind::kK2Exact
+                     : EngineOptions::SolverKind::kGeneral;
+    }
+    Result<SolveResult> solved = Status::Internal("unset");
+    switch (resolved) {
+      case EngineOptions::SolverKind::kK2Exact:
+        solved = K2ExactSolver(options).Solve(sub);
+        break;
+      case EngineOptions::SolverKind::kShortFirst:
+        solved = ShortFirstSolver(options).Solve(sub);
+        break;
+      case EngineOptions::SolverKind::kAuto:
+      case EngineOptions::SolverKind::kGeneral:
+        solved = GeneralSolver(options).Solve(sub);
+        break;
+    }
+    ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+    std::vector<PropertySet> bought;
+    for (const auto& entry : *pieces[c]) bought.push_back(entry.first);
+    EXPECT_EQ(bought, solved->solution.Sorted()) << "component " << c;
+    EXPECT_EQ(component.cost, solved->cost) << "component " << c;
+  }
+}
+
+/// Churns `inst` through an engine of `kind` on `threads` threads with
+/// seeded batches, checking every component after every batch.
+void ChurnAndCompare(const Instance& inst, uint64_t seed,
+                     EngineOptions::SolverKind kind, size_t threads) {
+  SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+               std::to_string(threads));
+  EngineOptions options;
+  options.solver = kind;
+  options.solver_options.num_threads = threads;
+  OnlineEngine engine(options);
+  ASSERT_TRUE(engine.Initialize(inst).ok());
+  ExpectPiecesMatchBatchSolves(engine, kind, options.solver_options);
+  ChurnGenerator churn(inst, seed + 100);
+  for (int step = 0; step < 8; ++step) {
+    const ChurnGenerator::Batch batch = churn.Next(3, step == 0 ? 12 : 3);
+    auto applied = engine.ApplyUpdate(batch.add, batch.remove);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    ExpectPiecesMatchBatchSolves(engine, kind, options.solver_options);
+  }
+  EXPECT_TRUE(engine.CheckInvariants().ok());
+}
+
+/// Counts the general components whose Algorithm 1 residual was all-short
+/// and went to Algorithm 2 with Algorithm 1 on again.
+size_t NestedShortRuns(const obs::SpanNode& root) {
+  std::vector<const obs::SpanNode*> components;
+  CollectSpans(root, "general_component", &components);
+  size_t nested = 0;
+  for (const obs::SpanNode* component : components) {
+    for (const auto& child : component->children) {
+      if (child->name == "k2_solver" &&
+          child->CountSpans("preprocess") > 0) {
+        ++nested;
+      }
+    }
+  }
+  return nested;
+}
+
+TEST(OnlineOneTableTest, GeneralResolvesMatchBatchSolvesOfSubInstances) {
+  obs::Trace trace("serve");
+  {
+    obs::ScopedTraceActivation activate(&trace);
+    // Domains of 10 queries draw from a pool of a few properties, which
+    // leaves some residuals all-short; the 15-query ones are typical.
+    for (const auto& [queries, seed] :
+         {std::pair<size_t, uint64_t>{10, 1}, {15, 3}}) {
+      online::ShardedSyntheticConfig config;
+      config.num_domains = 8;
+      config.domain.num_queries = queries;
+      config.domain.max_query_length = 5;
+      config.domain.seed = seed;
+      const Instance inst = online::GenerateShardedSynthetic(config);
+      for (size_t threads : {size_t{1}, size_t{2}}) {
+        ChurnAndCompare(inst, seed, EngineOptions::SolverKind::kGeneral,
+                        threads);
+      }
+    }
+  }
+  // Some residuals were all-short, so the nested Algorithm 1 run over a
+  // residual's prices was compared too.
+  EXPECT_GT(NestedShortRuns(*trace.root()), 0u);
+}
+
+TEST(OnlineOneTableTest, K2AndShortFirstResolvesMatchBatchSolves) {
+  for (uint64_t seed = 4; seed <= 5; ++seed) {
+    online::ShardedSyntheticConfig config;
+    config.num_domains = 8;
+    config.domain.num_queries = 15;
+    config.domain.seed = seed;
+    config.domain.max_query_length = 2;
+    const Instance short_only = online::GenerateShardedSynthetic(config);
+    config.domain.max_query_length = 5;
+    const Instance mixed = online::GenerateShardedSynthetic(config);
+    for (size_t threads : {size_t{1}, size_t{2}}) {
+      ChurnAndCompare(short_only, seed, EngineOptions::SolverKind::kK2Exact,
+                      threads);
+      ChurnAndCompare(mixed, seed, EngineOptions::SolverKind::kShortFirst,
+                      threads);
+      ChurnAndCompare(mixed, seed, EngineOptions::SolverKind::kAuto, threads);
+    }
+  }
 }
 
 TEST(ShardedSyntheticTest, DomainsAreDisjointComponents) {

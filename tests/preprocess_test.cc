@@ -8,10 +8,12 @@
 #include <numeric>
 #include <set>
 
+#include "core/classifier_table.h"
 #include "core/exact_solver.h"
 #include "core/general_solver.h"
 #include "core/instance_util.h"
 #include "core/k2_solver.h"
+#include "core/wsc_reduction.h"
 #include "tests/test_util.h"
 
 namespace mc3 {
@@ -419,6 +421,101 @@ TEST_P(Step3DefinitionTest, FirstPassRemovesExactlyTheDominatedClassifiers) {
 TEST_P(Step3DefinitionTest, EveryPassMatchesTheDefinition) {
   ExpectStep3ByDefinition(Step3Instance(GetParam()),
                           std::numeric_limits<int>::max());
+}
+
+void ExpectSameStats(const PreprocessStats& a, const PreprocessStats& b) {
+  EXPECT_EQ(a.singleton_queries_selected, b.singleton_queries_selected);
+  EXPECT_EQ(a.zero_weight_selected, b.zero_weight_selected);
+  EXPECT_EQ(a.classifiers_removed_step3, b.classifiers_removed_step3);
+  EXPECT_EQ(a.forced_selections_step3, b.forced_selections_step3);
+  EXPECT_EQ(a.step3_passes, b.step3_passes);
+  EXPECT_EQ(a.singletons_removed_step4, b.singletons_removed_step4);
+  EXPECT_EQ(a.selections_step4, b.selections_step4);
+  EXPECT_EQ(a.queries_covered, b.queries_covered);
+  EXPECT_EQ(a.num_components, b.num_components);
+  EXPECT_EQ(a.remaining_queries, b.remaining_queries);
+  EXPECT_EQ(a.remaining_classifiers, b.remaining_classifiers);
+}
+
+// The public Instance entry points against the core the solvers run over
+// one table: Algorithm 1's forced set, stats and residual components, the
+// WSC reduction of each component, and FinishSolve of the core's plans.
+class OneTableWrapperTest : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Seeds, OneTableWrapperTest, ::testing::Range(0, 100));
+
+TEST_P(OneTableWrapperTest, InstanceEntryPointsMatchTheTableCore) {
+  const Instance inst = Step3Instance(GetParam());
+  const ClassifierTable table(inst.queries(), inst.costs());
+  auto residual = Preprocess(table, inst.property_names(), PreprocessOptions{});
+  auto pre = Preprocess(inst);
+  ASSERT_TRUE(residual.ok()) << residual.status().ToString();
+  ASSERT_TRUE(pre.ok()) << pre.status().ToString();
+  std::vector<PropertySet> forced;
+  for (ClassifierId id : residual->forced) {
+    forced.push_back(PropertySet::FromSorted(table.classifier(id)));
+  }
+  EXPECT_EQ(pre->forced.classifiers(), forced);
+  EXPECT_EQ(pre->forced_cost, residual->forced_cost);
+  ExpectSameStats(pre->stats, residual->stats);
+
+  ASSERT_EQ(pre->components.size(), residual->components.size());
+  size_t remaining = 0;
+  for (size_t c = 0; c < pre->components.size(); ++c) {
+    SCOPED_TRACE("component " + std::to_string(c));
+    const ClassifierTable component(table, residual->components[c],
+                                    residual->prices);
+    const Instance& wrapped = pre->components[c];
+    remaining += component.size();
+    ASSERT_EQ(wrapped.NumQueries(), component.num_queries());
+    for (size_t qi = 0; qi < component.num_queries(); ++qi) {
+      EXPECT_EQ(wrapped.queries()[qi], component.query(qi));
+    }
+    // The component's store numbers its classifiers as the table does.
+    ASSERT_EQ(wrapped.costs().size(), component.size());
+    for (ClassifierId id = 0; id < component.size(); ++id) {
+      EXPECT_EQ(wrapped.costs().Classifier(id),
+                PropertySet::FromSorted(component.classifier(id)));
+      EXPECT_EQ(wrapped.costs().cost(id), component.cost(id));
+    }
+    const WscReduction a = ReduceToWsc(wrapped);
+    const WscReduction b = ReduceToWsc(component);
+    EXPECT_EQ(a.wsc.num_elements, b.wsc.num_elements);
+    EXPECT_EQ(a.element_offset, b.element_offset);
+    ASSERT_EQ(a.wsc.sets.size(), b.wsc.sets.size());
+    for (size_t i = 0; i < a.wsc.sets.size(); ++i) {
+      EXPECT_EQ(a.wsc.sets[i].elements, b.wsc.sets[i].elements);
+      EXPECT_EQ(a.wsc.sets[i].cost, b.wsc.sets[i].cost);
+      EXPECT_EQ(a.set_to_classifier[i],
+                PropertySet::FromSorted(component.classifier(b.set_to_id[i])));
+    }
+  }
+  EXPECT_EQ(residual->stats.remaining_classifiers, remaining);
+
+  SolverOptions defaults;
+  SolverOptions unpreprocessed;
+  unpreprocessed.preprocess = false;
+  SolverOptions exact_components;
+  exact_components.exact_component_max_queries = 3;
+  for (const SolverOptions& options :
+       {defaults, unpreprocessed, exact_components}) {
+    std::vector<ClassifierId> plan;
+    SolveResult stats;
+    ASSERT_TRUE(GeneralSolver(options)
+                    .SolveTable(table, inst.property_names(), &plan, &stats)
+                    .ok());
+    Solution solution;
+    for (ClassifierId id : plan) {
+      solution.Add(PropertySet::FromSorted(table.classifier(id)));
+    }
+    auto wrapped = FinishSolve(inst, solution, /*prune_unused=*/true);
+    auto core = FinishSolve(table, plan, defaults);
+    ASSERT_TRUE(wrapped.ok() && core.ok());
+    EXPECT_EQ(wrapped->solution.classifiers(), core->solution.classifiers());
+    EXPECT_EQ(wrapped->cost, core->cost);
+    auto solved = GeneralSolver(options).Solve(inst);
+    ASSERT_TRUE(solved.ok());
+    EXPECT_EQ(solved->solution.classifiers(), core->solution.classifiers());
+  }
 }
 
 // Property-based: preprocessing preserves the optimal cost.

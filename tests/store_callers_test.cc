@@ -321,7 +321,7 @@ double StatOf(const obs::SpanNode& node, const std::string& name) {
   return -1;
 }
 
-TEST(StoreCallersTest, SubInstanceBuildCountsThePerSubsetReference) {
+TEST(StoreCallersTest, ResolveTableCountsThePerSubsetReference) {
   online::ShardedSyntheticConfig config;
   config.num_domains = 8;
   config.domain.num_queries = 20;
@@ -351,7 +351,8 @@ TEST(StoreCallersTest, SubInstanceBuildCountsThePerSubsetReference) {
     }
     ASSERT_EQ(StatOf(*solves[i], "queries"),
               static_cast<double>(component.queries.size()));
-    const obs::SpanNode* build = solves[i]->FindSpan("build_sub_instance");
+    // The re-solve's one table counts the component's priced subsets.
+    const obs::SpanNode* build = solves[i]->FindSpan("classifier_table");
     ASSERT_NE(build, nullptr);
     EXPECT_EQ(StatOf(*build, "classifiers"),
               static_cast<double>(distinct.size()))

@@ -127,7 +127,8 @@ bool PrecededByWord(const std::string& s, size_t pos,
 /// collapsed) declares, or nullopt when it declares a function: when the
 /// first '(' at template depth 0, before any initializer or bit-field
 /// width, follows the declarator name. A '(' opening a parenthesized
-/// declarator, as in `int (*raw_)(int)`, does not.
+/// declarator, as in `int (*raw_)(int)` or `void (Cls::*method_)(int)`,
+/// does not, nor does the operand of `alignas(...)` or `decltype(...)`.
 std::optional<std::string> DataMemberName(const std::string& text) {
   if (ContainsWord(text, "operator")) return std::nullopt;
   size_t end = text.size();
@@ -148,8 +149,23 @@ std::optional<std::string> DataMemberName(const std::string& text) {
       end = i;  // initializer, array bound or bit-field width
       break;
     } else if (c == '(') {
+      if (PrecededByWord(text, i, "alignas") ||
+          PrecededByWord(text, i, "decltype")) {
+        i = std::min(SkipBalanced(text, i, '(', ')'), text.size()) - 1;
+        continue;
+      }
       const size_t inner = SkipSpaces(text, i + 1);
-      if (inner >= text.size() || (text[inner] != '*' && text[inner] != '&')) {
+      // `(Cls::*name)`: the class qualifier runs up to a "::*".
+      size_t star = inner;
+      while (star < text.size() &&
+             (IsIdentChar(text[star]) || text[star] == ':')) {
+        ++star;
+      }
+      const bool member_pointer = star > inner + 1 && star < text.size() &&
+                                  text[star] == '*' &&
+                                  text.compare(star - 2, 2, "::") == 0;
+      if (inner >= text.size() ||
+          (text[inner] != '*' && text[inner] != '&' && !member_pointer)) {
         return std::nullopt;  // a parameter list
       }
       end = std::min(text.find(')', inner), text.size());
