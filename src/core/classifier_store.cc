@@ -116,67 +116,127 @@ std::vector<ClassifierId> ClassifierStore::SortedIds() const {
   return sorted;
 }
 
-uint32_t ClassifierStore::AppendSubsets(ClassifierKey query,
-                                        std::vector<QuerySubset>* out) const {
-  if (query.size() > kMaxQueryLength || slots_.empty()) return 0;
+template <typename KeyAt, typename RowEnd>
+void ClassifierStore::Walk(size_t count, KeyAt key_at,
+                           std::vector<QuerySubset>* out,
+                           RowEnd row_end) const {
+  if (slots_.empty()) {
+    for (size_t qi = 0; qi < count; ++qi) row_end(qi, 0);
+    return;
+  }
   // A batch of masks moves through the probe in stages, each prefetching
   // what the next one reads (slot, entry, key), so the cache misses of a
-  // batch overlap instead of queueing behind each other.
-  constexpr uint32_t kBatch = 16;
-  std::array<uint64_t, kBatch> hashes;
-  std::array<size_t, kBatch> candidate;  // first slot with a matching tag
+  // batch overlap instead of queueing behind each other. A batch fills with
+  // the masks of as many consecutive queries as it takes.
+  constexpr size_t kBatch = 32;
+  struct Pending {
+    uint64_t hash;
+    size_t slot;  // the first with a matching tag, or the empty one
+    size_t query;
+    uint32_t mask;
+  };
+  std::array<Pending, kBatch> batch;
   std::array<uint64_t, kMaxQueryLength> terms;
-  for (size_t i = 0; i < query.size(); ++i) terms[i] = Term(query[i]);
   const size_t capacity_mask = slots_.size() - 1;
-  const uint32_t limit = uint32_t{1} << query.size();
-  uint32_t covered = 0;
+  // The masks of query `next` come in ascending order up to `limit`; the
+  // rows of queries below `row` are finished.
+  size_t next = 0;
+  uint32_t mask = 0;
+  uint32_t limit = 0;
   uint64_t sum = 0;  // of the terms of mask's positions
-  for (uint32_t first = 1; first < limit; first += kBatch) {
-    const uint32_t last = std::min(limit, first + kBatch);
-    for (uint32_t mask = first; mask < last; ++mask) {
+  const auto start = [&](size_t qi) {
+    const ClassifierKey query = key_at(qi);
+    mask = 0;
+    sum = 0;
+    limit = 1;
+    if (query.size() > kMaxQueryLength) return;
+    limit <<= query.size();
+    for (size_t i = 0; i < query.size(); ++i) terms[i] = Term(query[i]);
+  };
+  size_t row = 0;
+  uint32_t covered = 0;
+  if (count > 0) start(0);
+  while (next < count) {
+    size_t n = 0;
+    while (n < kBatch) {
+      if (++mask == limit) {
+        if (++next == count) break;
+        start(next);
+        continue;
+      }
       // mask - 1 -> mask clears the trailing ones and sets the bit above
       // them.
       const int low = std::countr_zero(mask);
       for (int i = 0; i < low; ++i) sum -= terms[i];
       sum += terms[low];
       const uint64_t hash = Mix(sum);
-      hashes[mask - first] = hash;
+      batch[n++] = Pending{hash, 0, next, mask};
       __builtin_prefetch(&slots_[hash & capacity_mask]);
     }
-    for (uint32_t mask = first; mask < last; ++mask) {
-      const uint64_t hash = hashes[mask - first];
-      const uint32_t tag = TagOf(hash);
-      size_t i = hash & capacity_mask;
+    for (size_t b = 0; b < n; ++b) {
+      Pending& p = batch[b];
+      const uint32_t tag = TagOf(p.hash);
+      size_t i = p.hash & capacity_mask;
       while (slots_[i].ref != 0 && slots_[i].tag != tag) {
         i = (i + 1) & capacity_mask;
       }
-      candidate[mask - first] = i;
+      p.slot = i;
       if (slots_[i].ref != 0) __builtin_prefetch(&entries_[slots_[i].ref - 1]);
     }
-    for (uint32_t mask = first; mask < last; ++mask) {
-      const Slot& slot = slots_[candidate[mask - first]];
+    for (size_t b = 0; b < n; ++b) {
+      const Slot& slot = slots_[batch[b].slot];
       if (slot.ref != 0) {
         __builtin_prefetch(arena_.data() + entries_[slot.ref - 1].offset);
       }
     }
     // Confirm each candidate against the exact key; past a tag collision
-    // the probe goes on.
-    for (uint32_t mask = first; mask < last; ++mask) {
-      const uint32_t tag = TagOf(hashes[mask - first]);
-      for (size_t i = candidate[mask - first];; i = (i + 1) & capacity_mask) {
+    // the probe goes on. A mask of a later query finishes the rows before
+    // it.
+    for (size_t b = 0; b < n; ++b) {
+      const Pending& p = batch[b];
+      for (; row < p.query; ++row, covered = 0) row_end(row, covered);
+      const ClassifierKey query = key_at(p.query);
+      const uint32_t tag = TagOf(p.hash);
+      for (size_t i = p.slot;; i = (i + 1) & capacity_mask) {
         const Slot& slot = slots_[i];
         if (slot.ref == 0) break;
         if (slot.tag != tag) continue;
         const ClassifierId id = slot.ref - 1;
-        if (!IsSubsetAt(key(id), query, mask)) continue;
+        if (!IsSubsetAt(key(id), query, p.mask)) continue;
         if (!IsInfiniteCost(entries_[id].cost)) {
-          out->push_back(QuerySubset{mask, id});
-          covered |= mask;
+          out->push_back(QuerySubset{p.mask, id});
+          covered |= p.mask;
         }
         break;
       }
     }
   }
+  for (; row < count; ++row, covered = 0) row_end(row, covered);
+}
+
+void ClassifierStore::AppendSubsets(std::span<const PropertySet> queries,
+                                    std::vector<QuerySubset>* out,
+                                    std::vector<size_t>* row_ends,
+                                    std::vector<bool>* covers) const {
+  Walk(
+      queries.size(),
+      [queries](size_t qi) -> ClassifierKey { return queries[qi].ids(); },
+      out, [&](size_t qi, uint32_t covered) {
+        if (row_ends != nullptr) row_ends->push_back(out->size());
+        if (covers != nullptr) {
+          const size_t length = queries[qi].size();
+          covers->push_back(length <= kMaxQueryLength &&
+                            covered == FullMask(length));
+        }
+      });
+}
+
+uint32_t ClassifierStore::AppendSubsets(ClassifierKey query,
+                                        std::vector<QuerySubset>* out) const {
+  uint32_t covered = 0;
+  Walk(
+      1, [query](size_t) { return query; }, out,
+      [&covered](size_t, uint32_t mask) { covered = mask; });
   return covered;
 }
 

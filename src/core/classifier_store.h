@@ -13,6 +13,12 @@
 // costs one mix, and every hit is confirmed against the exact key. No
 // PropertySet is built or hashed per subset, and nothing is re-indexed per
 // solve: the index lives as long as the prices.
+//
+// There is one walk, over a list of queries. Its masks move through the
+// index's slot, entry and key reads in fixed batches that take the masks of
+// as many consecutive queries as they hold, so the cache misses of
+// neighbouring queries overlap; a two-property query has only three masks.
+// The one-query walk is that walk over a list of one.
 #pragma once
 
 #include <cstddef>
@@ -112,11 +118,20 @@ class ClassifierStore {
   /// the canonical order of every output that lists the table.
   std::vector<ClassifierId> SortedIds() const;
 
-  /// The lattice walk: appends every priced subset of `query` (sorted,
-  /// distinct ids) to `out` as (mask over the query's positions, id), in
-  /// ascending mask order, the visit order of ForEachNonEmptySubset.
-  /// Returns the union of the appended masks. A query longer than
-  /// kMaxQueryLength walks as no subsets.
+  /// The lattice walk: appends every priced subset of each of `queries`,
+  /// query after query, to `out` as (mask over the query's positions, id),
+  /// each query's in ascending mask order, the visit order of
+  /// ForEachNonEmptySubset. After each query's subsets it appends the size
+  /// of `out` to `row_ends` and, to `covers`, whether those subsets jointly
+  /// cover the query (either may be null). A query longer than
+  /// kMaxQueryLength walks as no subsets and is not covered.
+  void AppendSubsets(std::span<const PropertySet> queries,
+                     std::vector<QuerySubset>* out,
+                     std::vector<size_t>* row_ends = nullptr,
+                     std::vector<bool>* covers = nullptr) const;
+
+  /// The walk over the one query `query` (sorted, distinct ids). Returns
+  /// the union of the appended masks.
   uint32_t AppendSubsets(ClassifierKey query,
                          std::vector<QuerySubset>* out) const;
 
@@ -134,6 +149,12 @@ class ClassifierStore {
     uint32_t ref = 0;
   };
 
+  /// The walk under both AppendSubsets: `count` queries, the i-th keyed
+  /// `key_at(i)`; `row_end(i, covered)` runs once per query, in order,
+  /// after its subsets are appended, with the union of their masks.
+  template <typename KeyAt, typename RowEnd>
+  void Walk(size_t count, KeyAt key_at, std::vector<QuerySubset>* out,
+            RowEnd row_end) const;
   /// Id of the entry keyed `classifier` with hash `hash`, hidden or not;
   /// kNotFound when there is none.
   ClassifierId Probe(uint64_t hash, ClassifierKey classifier) const;

@@ -126,36 +126,21 @@ void ClassifierTable::Build(const std::vector<PropertySet>& queries,
                             const ClassifierStore& store,
                             const std::vector<Cost>* prices) {
   store_ = &store;
-  // A query meets at most all of its subsets, and at most every classifier.
-  size_t max_lookups = 0;
-  for (const PropertySet& q : queries) {
-    if (q.size() <= kMaxQueryLength) {
-      max_lookups += std::min<size_t>(FullMask(q.size()), store.size());
-    }
-  }
-  id_of_ = DenseIds(store.id_bound(), max_lookups);
   queries_.reserve(queries.size());
-  offsets_.assign(queries.size() + 1, 0);
-  covers_.assign(queries.size(), false);
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    queries_.push_back(&queries[qi]);
-    const std::vector<PropertyId>& ids = queries[qi].ids();
-    const size_t begin = entries_.size();
-    const uint32_t covered = store.AppendSubsets(ids, &entries_);
-    covers_[qi] = ids.size() <= kMaxQueryLength &&
-                  covered == FullMask(ids.size());
-    // A classifier gets its id on first hit.
-    for (size_t e = begin; e < entries_.size(); ++e) {
-      const ClassifierId store_id = entries_[e].id;
-      const ClassifierId id = id_of_.Intern(store_id);
-      if (id == store_ids_.size()) {
-        store_ids_.push_back(store_id);
-        costs_.push_back(prices == nullptr ? store.cost(store_id)
-                                           : (*prices)[store_id]);
-      }
-      entries_[e].id = id;
+  for (const PropertySet& q : queries) queries_.push_back(&q);
+  offsets_.reserve(queries.size() + 1);
+  offsets_.push_back(0);
+  covers_.reserve(queries.size());
+  store.AppendSubsets(queries, &entries_, &offsets_, &covers_);
+  // A classifier gets its id on first hit, over the rows in order.
+  id_of_ = DenseIds(store.id_bound(), entries_.size());
+  for (QuerySubset& s : entries_) {
+    const ClassifierId id = id_of_.Intern(s.id);
+    if (id == store_ids_.size()) {
+      store_ids_.push_back(s.id);
+      costs_.push_back(prices == nullptr ? store.cost(s.id) : (*prices)[s.id]);
     }
-    offsets_[qi + 1] = entries_.size();
+    s.id = id;
   }
 }
 

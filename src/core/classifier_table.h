@@ -3,11 +3,11 @@
 // Algorithm 1, the Section 5 WSC reduction, the k <= 2 vertex-cover build,
 // coverage verification and pruning all ask the same question of every
 // query q: which subsets of q are classifiers of the set, and at what cost.
-// The store's lattice walk (core/classifier_store.h) answers it per query;
-// the table keeps the answers for one solve as a per-query CSR list of
-// (subset mask, id) pairs in ascending mask order, the visit order of
-// ForEachNonEmptySubset, and renumbers the classifiers it meets densely so
-// per-classifier state lives in arrays indexed by id.
+// The store's lattice walk (core/classifier_store.h) answers it for the
+// whole query list at once; the table keeps the answers for one solve as a
+// per-query CSR list of (subset mask, id) pairs in ascending mask order,
+// the visit order of ForEachNonEmptySubset, and renumbers the classifiers
+// it meets densely so per-classifier state lives in arrays indexed by id.
 //
 // A solve walks its queries once. Every later stage reads that table, or a
 // table derived from it for a subset of its queries under other prices (a
@@ -67,6 +67,10 @@ class ClassifierTable {
   }
   Cost cost(ClassifierId id) const { return costs_[id]; }
 
+  /// Number of (query, subset) entries over all rows: the lattice walk's
+  /// hits.
+  size_t num_subsets() const { return entries_.size(); }
+
   /// The id of classifier `id` in the table this one was derived from
   /// (`id` itself on a table built from a store).
   ClassifierId parent_id(ClassifierId id) const {
@@ -123,8 +127,9 @@ class ClassifierTable {
     ClassifierId next_ = 0;
   };
 
-  /// Walks every query over `store`; `prices`, when given, overrides the
-  /// store's costs (indexed by store id).
+  /// Walks the queries over `store` in one list walk, which writes the rows,
+  /// their ends and coverage, then numbers the hits in row order; `prices`,
+  /// when given, overrides the store's costs (indexed by store id).
   void Build(const std::vector<PropertySet>& queries,
              const ClassifierStore& store, const std::vector<Cost>* prices);
 

@@ -25,13 +25,10 @@ size_t Instance::NumProperties() const {
 
 size_t Instance::Incidence() const {
   // I(S) = |{q : S subseteq q}| for finite-weight S; I = max I(S).
-  std::vector<size_t> counts(costs_.id_bound(), 0);
   std::vector<QuerySubset> subsets;
-  for (const auto& q : queries_) {
-    subsets.clear();
-    costs_.AppendSubsets(q.ids(), &subsets);
-    for (const QuerySubset& s : subsets) ++counts[s.id];
-  }
+  costs_.AppendSubsets(queries_, &subsets);
+  std::vector<size_t> counts(costs_.id_bound(), 0);
+  for (const QuerySubset& s : subsets) ++counts[s.id];
   return counts.empty() ? 0 : *std::max_element(counts.begin(), counts.end());
 }
 
@@ -68,13 +65,9 @@ Status Instance::Validate() const {
 
 bool Instance::IsFeasible() const {
   std::vector<QuerySubset> subsets;
-  for (const PropertySet& q : queries_) {
-    if (q.size() > kMaxQueryLength) return false;
-    subsets.clear();
-    const uint32_t covered = costs_.AppendSubsets(q.ids(), &subsets);
-    if (covered != FullMask(q.size())) return false;
-  }
-  return true;
+  std::vector<bool> covers;
+  costs_.AppendSubsets(queries_, &subsets, nullptr, &covers);
+  return std::find(covers.begin(), covers.end(), false) == covers.end();
 }
 
 Status CheckQueryLength(const PropertySet& query,

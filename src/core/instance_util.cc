@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <span>
 
 #include "util/rng.h"
 
@@ -10,10 +11,16 @@ namespace mc3 {
 
 void CopySubsetPrices(const ClassifierStore& from, Instance* to,
                       size_t max_length) {
+  // A slice of queries at a time, so the walk's scratch rows stay small
+  // however many queries `to` holds (the engine copies its whole catalog).
+  constexpr size_t kSlice = 1024;
+  const std::span<const PropertySet> queries = to->queries();
   std::vector<QuerySubset> subsets;
-  for (const PropertySet& q : to->queries()) {
+  for (size_t first = 0; first < queries.size(); first += kSlice) {
     subsets.clear();
-    from.AppendSubsets(q.ids(), &subsets);
+    from.AppendSubsets(
+        queries.subspan(first, std::min(kSlice, queries.size() - first)),
+        &subsets);
     for (const QuerySubset& s : subsets) {
       if (static_cast<size_t>(std::popcount(s.mask)) <= max_length) {
         to->SetCost(from.key(s.id), from.cost(s.id));

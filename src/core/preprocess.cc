@@ -4,7 +4,10 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <optional>
 #include <ranges>
+#include <span>
+#include <utility>
 
 #include "core/classifier_table.h"
 #include "core/cover_dp.h"
@@ -89,14 +92,41 @@ class Worker {
     state_.assign(table.size(), CState::kPresent);
     replacement_.assign(table.size(), kInfiniteCost);
     stamp_.assign(table.size(), 0);
-    by_prop_.resize(props_.size());
+    // Count each property's queries, then place them in ascending query
+    // order; each cursor ends where the next property's list begins.
+    const size_t num_props = props_.size();
+    prop_start_.assign(num_props + 1, 0);
     for (size_t qi = 0; qi < n; ++qi) {
-      for (PropertyId p : table.query(qi)) by_prop_[props_(p)].push_back(qi);
+      for (PropertyId p : table.query(qi)) ++prop_start_[props_(p)];
     }
+    uint32_t total = 0;
+    for (uint32_t& start : prop_start_) total += std::exchange(start, total);
+    prop_queries_.resize(total);
+    for (size_t qi = 0; qi < n; ++qi) {
+      for (PropertyId p : table.query(qi)) {
+        prop_queries_[prop_start_[props_(p)]++] = static_cast<uint32_t>(qi);
+      }
+    }
+    std::shift_right(prop_start_.begin(), prop_start_.end(), 1);
+    prop_start_[0] = 0;
+  }
+
+  /// Every query must be short enough for mask-based preprocessing and
+  /// coverable by finite-weight classifiers.
+  Status CheckFeasible() const {
+    for (size_t qi = 0; qi < table_.num_queries(); ++qi) {
+      const PropertySet& q = table_.query(qi);
+      MC3_RETURN_IF_ERROR(CheckQueryLength(q, names_));
+      if (!table_.Covers(qi)) {
+        return Status::Infeasible(
+            "query " + q.ToString(names_) +
+            " cannot be covered by finite-weight classifiers");
+      }
+    }
+    return Status::OK();
   }
 
   Result<Residual> Run() {
-    MC3_RETURN_IF_ERROR(CheckFeasible());
     if (options_.step1_forced_singletons) {
       obs::ScopedSpan step("step1");
       StepOne();
@@ -139,19 +169,10 @@ class Worker {
     return FullMask(table_.query(qi).size());
   }
 
-  /// Every query must be short enough for mask-based preprocessing and
-  /// coverable by finite-weight classifiers.
-  Status CheckFeasible() const {
-    for (size_t qi = 0; qi < table_.num_queries(); ++qi) {
-      const PropertySet& q = table_.query(qi);
-      MC3_RETURN_IF_ERROR(CheckQueryLength(q, names_));
-      if (!table_.Covers(qi)) {
-        return Status::Infeasible(
-            "query " + q.ToString(names_) +
-            " cannot be covered by finite-weight classifiers");
-      }
-    }
-    return Status::OK();
+  /// The queries holding dense property `x`, ascending.
+  std::span<const uint32_t> QueriesWith(uint32_t x) const {
+    return {prop_queries_.data() + prop_start_[x],
+            prop_queries_.data() + prop_start_[x + 1]};
   }
 
   Cost Effective(ClassifierId id) const {
@@ -185,7 +206,7 @@ class Worker {
         touched_props_.end());
     ++refresh_;
     for (PropertyId p : touched_props_) {
-      for (size_t qi : by_prop_[props_(p)]) {
+      for (const uint32_t qi : QueriesWith(props_(p))) {
         if (!alive_[qi] || refreshed_[qi] == refresh_) continue;
         refreshed_[qi] = refresh_;
         uint32_t covered = 0;
@@ -257,7 +278,7 @@ class Worker {
           std::unique(selected_props.begin(), selected_props.end()),
           selected_props.end());
       for (PropertyId p : selected_props) {
-        for (size_t qi : by_prop_[props_(p)]) {
+        for (const uint32_t qi : QueriesWith(props_(p))) {
           if (alive_[qi]) work.push_back(qi);
         }
       }
@@ -356,8 +377,8 @@ class Worker {
 
     // Dense indices ascend with the ids: the worklist pops in id order.
     std::vector<uint32_t> worklist;
-    for (auto p = static_cast<uint32_t>(by_prop_.size()); p-- > 0;) {
-      for (size_t qi : by_prop_[p]) {
+    for (auto p = static_cast<uint32_t>(props_.size()); p-- > 0;) {
+      for (const uint32_t qi : QueriesWith(p)) {
         if (alive_[qi]) {
           worklist.push_back(p);
           break;
@@ -377,7 +398,7 @@ class Worker {
       // queries containing x (the classifiers that intersect X).
       Cost sum = 0;
       std::vector<size_t> pair_queries;
-      for (size_t qi : by_prop_[x]) {
+      for (const uint32_t qi : QueriesWith(x)) {
         if (!alive_[qi]) continue;
         if (table_.query(qi).size() != 2) continue;  // singletons died
         const ClassifierId pair = table_.FindSubset(qi, FullMaskOf(qi));
@@ -409,7 +430,7 @@ class Worker {
   /// Id of the singleton classifier of dense property x, found through a
   /// query containing it; kNotFound when it is unpriced.
   ClassifierId SingletonId(uint32_t x) const {
-    const size_t qi = by_prop_[x].front();
+    const size_t qi = QueriesWith(x).front();
     const auto& ids = table_.query(qi).ids();
     const auto pos =
         std::lower_bound(ids.begin(), ids.end(), props_.id(x)) - ids.begin();
@@ -474,7 +495,10 @@ class Worker {
   /// is recomputed once per refresh.
   std::vector<uint32_t> refreshed_;
   uint32_t refresh_ = 0;
-  std::vector<std::vector<size_t>> by_prop_;  // by dense property index
+  /// The queries of each dense property, one list after another: those of
+  /// x are prop_queries_[prop_start_[x] .. prop_start_[x + 1]).
+  std::vector<uint32_t> prop_start_;
+  std::vector<uint32_t> prop_queries_;
   std::vector<PropertyId> touched_props_;
   // Per-classifier state, by id.
   std::vector<CState> state_;
@@ -496,7 +520,13 @@ Result<Residual> Preprocess(const ClassifierTable& table,
                             const PreprocessOptions& options) {
   Timer timer;
   obs::ScopedSpan span("preprocess");
-  Result<Residual> result = Worker(table, names, options).Run();
+  std::optional<Worker> worker;
+  {
+    obs::ScopedSpan setup("setup");
+    worker.emplace(table, names, options);
+    MC3_RETURN_IF_ERROR(worker->CheckFeasible());
+  }
+  Result<Residual> result = worker->Run();
   if (result.ok()) {
     span.AddStat("queries_covered",
                  static_cast<double>(result->stats.queries_covered));

@@ -28,6 +28,7 @@ Result<SolveResult> FinishSolve(const Instance& instance, Solution solution,
       solution = std::move(pruned);
     }
   }
+  obs::ScopedSpan materialize("materialize");
   SolveResult result;
   result.cost = solution.TotalCost(instance);
   result.solution = std::move(solution);
@@ -68,6 +69,7 @@ Result<SolveResult> FinishSolve(const ClassifierTable& table,
       FinishPlan(table, std::move(plan), options.prune_unused,
                  options.verify_solution);
   if (!kept.ok()) return kept.status();
+  obs::ScopedSpan materialize("materialize");
   for (ClassifierId id : *kept) {
     stats.cost += table.cost(id);
     stats.solution.Add(PropertySet::FromSorted(table.classifier(id)));
@@ -134,6 +136,7 @@ ClassifierTable BuildSolveTable(const std::vector<PropertySet>& queries,
   obs::ScopedSpan build("classifier_table");
   ClassifierTable table(queries, prices);
   build.AddStat("classifiers", static_cast<double>(table.size()));
+  build.AddStat("subsets", static_cast<double>(table.num_subsets()));
   return table;
 }
 

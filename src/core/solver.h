@@ -104,8 +104,8 @@ Result<std::vector<ClassifierId>> FinishPlan(const ClassifierTable& table,
 
 /// FinishSolve over a solve's own table: FinishPlan under `options`, then
 /// the cost at the table's prices and the solution, materialized last in
-/// plan order, into `stats` (which carries the component count and
-/// timings).
+/// plan order under a `materialize` span, into `stats` (which carries the
+/// component count and timings).
 Result<SolveResult> FinishSolve(const ClassifierTable& table,
                                 std::vector<ClassifierId> plan,
                                 const SolverOptions& options,
@@ -129,7 +129,8 @@ Status SolveComponents(const ClassifierTable& table,
                        const ComponentSolver& solve_component,
                        std::vector<ClassifierId>* plan, SolveResult* stats);
 
-/// Builds the one table of a solve, under a `classifier_table` span.
+/// Builds the one table of a solve, under a `classifier_table` span with
+/// its `classifiers` and `subsets` counts.
 ClassifierTable BuildSolveTable(const std::vector<PropertySet>& queries,
                                 const ClassifierStore& prices);
 

@@ -1,10 +1,13 @@
 // ClassifierStore tests: id assignment, hiding and reviving, index growth,
-// extreme property ids, and the lattice walk against its per-subset
-// definition (tests/test_util.h).
+// extreme property ids, and the lattice walk, over one query and over query
+// lists, against its per-subset definition (tests/test_util.h).
 #include "core/classifier_store.h"
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
@@ -172,28 +175,131 @@ Instance WalkInstance(uint64_t seed) {
   return instance;
 }
 
+std::vector<std::pair<uint32_t, ClassifierId>> Pairs(
+    std::span<const QuerySubset> subsets) {
+  std::vector<std::pair<uint32_t, ClassifierId>> pairs;
+  for (const QuerySubset& s : subsets) pairs.emplace_back(s.mask, s.id);
+  return pairs;
+}
+
+/// The list walk of `queries` over `store` against the per-subset
+/// definition, query by query: each row, its end and its coverage. The
+/// walk appends behind an entry already in `out`, which it must keep. Each
+/// query's one-query walk must give its row and the union of its masks.
+void ExpectListWalkMatchesReference(const ClassifierStore& store,
+                                    const std::vector<PropertySet>& queries) {
+  const auto prices = testing::ReferencePrices(store);
+  const QuerySubset before{5, 7};
+  std::vector<QuerySubset> out = {before};
+  std::vector<size_t> row_ends;
+  std::vector<bool> covers;
+  store.AppendSubsets(queries, &out, &row_ends, &covers);
+  ASSERT_EQ(row_ends.size(), queries.size());
+  ASSERT_EQ(covers.size(), queries.size());
+  EXPECT_EQ(out[0].mask, before.mask);
+  EXPECT_EQ(out[0].id, before.id);
+  size_t begin = 1;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    SCOPED_TRACE("query " + std::to_string(qi) + " " +
+                 queries[qi].ToString());
+    ASSERT_LE(begin, row_ends[qi]);
+    ASSERT_LE(row_ends[qi], out.size());
+    const std::span<const QuerySubset> row(out.data() + begin,
+                                           out.data() + row_ends[qi]);
+    const std::vector<testing::PricedSubset> expected =
+        testing::ReferencePricedSubsets(prices, queries[qi]);
+    std::vector<testing::PricedSubset> got;
+    for (const QuerySubset& s : row) {
+      got.push_back({s.mask, store.Classifier(s.id), store.cost(s.id)});
+    }
+    EXPECT_EQ(got, expected);
+    uint32_t covered = 0;
+    for (const testing::PricedSubset& s : expected) covered |= s.mask;
+    const size_t length = queries[qi].size();
+    EXPECT_EQ(covers[qi],
+              length <= kMaxQueryLength && covered == FullMask(length));
+    std::vector<QuerySubset> alone;
+    EXPECT_EQ(store.AppendSubsets(queries[qi].ids(), &alone), covered);
+    EXPECT_EQ(Pairs(alone), Pairs(row));
+    begin = row_ends[qi];
+  }
+  EXPECT_EQ(begin, out.size());
+}
+
 TEST(ClassifierStoreTest, WalkMatchesThePerSubsetDefinition) {
   for (uint64_t seed = 0; seed < 60; ++seed) {
+    SCOPED_TRACE(seed);
     const Instance instance = WalkInstance(seed);
-    const ClassifierStore& store = instance.costs();
-    const auto prices = testing::ReferencePrices(store);
-    for (const PropertySet& q : instance.queries()) {
-      const std::vector<testing::PricedSubset> expected =
-          testing::ReferencePricedSubsets(prices, q);
-      std::vector<QuerySubset> walked;
-      uint32_t covered_expected = 0;
-      for (const testing::PricedSubset& s : expected) {
-        covered_expected |= s.mask;
-      }
-      EXPECT_EQ(store.AppendSubsets(q.ids(), &walked), covered_expected);
-      std::vector<testing::PricedSubset> got;
-      for (const QuerySubset& s : walked) {
-        got.push_back({s.mask, store.Classifier(s.id), store.cost(s.id)});
-      }
-      EXPECT_EQ(got, expected) << "seed " << seed << " query "
-                               << q.ToString();
-    }
+    ExpectListWalkMatchesReference(instance.costs(), instance.queries());
   }
+}
+
+TEST(ClassifierStoreTest, ListWalkMatchesThePerSubsetDefinition) {
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    SCOPED_TRACE(seed);
+    const testing::WalkList list = testing::RandomWalkList(seed);
+    ExpectListWalkMatchesReference(list.store, list.queries);
+  }
+}
+
+TEST(ClassifierStoreTest, ListWalkProbesThroughAHalfFullIndex) {
+  // Eight entries fill the smallest index (16 slots) to its load limit, so
+  // probes run through occupied slots; two of them are hidden, and still
+  // occupy theirs.
+  for (uint64_t seed = 0; seed < 30; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    ClassifierStore store;
+    std::vector<PropertySet> priced;
+    while (store.id_bound() < 8) {
+      std::vector<PropertyId> props;
+      for (PropertyId p = 0; p < 6; ++p) {
+        if (rng.Bernoulli(0.4)) props.push_back(p);
+      }
+      if (props.empty()) continue;
+      const PropertySet c = PropertySet::FromSorted(std::move(props));
+      if (store.Find(c.ids()) != ClassifierStore::kNotFound) continue;
+      store.Set(c.ids(), static_cast<Cost>(rng.UniformInt(0, 9)));
+      priced.push_back(c);
+    }
+    store.Set(priced[1].ids(), kInfiniteCost);
+    store.Set(priced[6].ids(), kInfiniteCost);
+    std::vector<PropertySet> queries;
+    for (int i = 0; i < 24; ++i) {
+      std::vector<PropertyId> props;
+      for (PropertyId p = 0; p < 8; ++p) {
+        if (rng.Bernoulli(0.5)) props.push_back(p);
+      }
+      queries.push_back(PropertySet::FromSorted(std::move(props)));
+    }
+    queries.push_back(PS({0, 1, 2, 3, 4, 5}));
+    ExpectListWalkMatchesReference(store, queries);
+  }
+}
+
+TEST(ClassifierStoreTest, ListWalkOverAnEmptyStoreOrAnEmptyList) {
+  const testing::WalkList list = testing::RandomWalkList(3);
+  const ClassifierStore empty;
+  std::vector<QuerySubset> out;
+  std::vector<size_t> row_ends;
+  std::vector<bool> covers;
+  empty.AppendSubsets(list.queries, &out, &row_ends, &covers);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(row_ends, std::vector<size_t>(list.queries.size(), 0));
+  ASSERT_EQ(covers.size(), list.queries.size());
+  for (size_t qi = 0; qi < list.queries.size(); ++qi) {
+    // Only the empty query is covered, by nothing.
+    EXPECT_EQ(covers[qi], list.queries[qi].empty()) << qi;
+  }
+  ExpectListWalkMatchesReference(empty, list.queries);
+
+  list.store.AppendSubsets(std::span<const PropertySet>(), &out, &row_ends,
+                           &covers);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(row_ends.size(), list.queries.size());
+  EXPECT_EQ(covers.size(), list.queries.size());
+  ExpectListWalkMatchesReference(list.store, {});
+  ExpectListWalkMatchesReference(empty, {});
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/solution.h"
 #include "tests/test_util.h"
@@ -215,6 +219,56 @@ TEST(ClassifierTableTest, CoverageChecksMatchTheReferenceOracles) {
     }
     EXPECT_EQ(instance.IsFeasible(),
               testing::ReferenceCovers(instance, everything));
+  }
+}
+
+TEST(ClassifierTableTest, TableEqualsOneAssembledFromPerQueryReferenceWalks) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    SCOPED_TRACE(seed);
+    const testing::WalkList list = testing::RandomWalkList(seed);
+    const auto prices = testing::ReferencePrices(list.store);
+    // The reference: each query's priced subsets in ascending mask order,
+    // ids numbered on first appearance over the rows in order.
+    std::map<PropertySet, ClassifierId> ids;
+    std::vector<Cost> costs;
+    std::vector<std::vector<std::pair<uint32_t, ClassifierId>>> rows;
+    std::vector<bool> covers;
+    for (const PropertySet& q : list.queries) {
+      rows.emplace_back();
+      uint32_t covered = 0;
+      for (const testing::PricedSubset& s :
+           testing::ReferencePricedSubsets(prices, q)) {
+        const auto [it, fresh] = ids.emplace(
+            s.classifier, static_cast<ClassifierId>(ids.size()));
+        if (fresh) costs.push_back(s.cost);
+        rows.back().emplace_back(s.mask, it->second);
+        covered |= s.mask;
+      }
+      covers.push_back(q.size() <= kMaxQueryLength &&
+                       covered == FullMask(q.size()));
+    }
+
+    const ClassifierTable table(list.queries, list.store);
+    ASSERT_EQ(table.num_queries(), list.queries.size());
+    ASSERT_EQ(table.size(), ids.size());
+    size_t entries = 0;
+    for (size_t qi = 0; qi < list.queries.size(); ++qi) {
+      std::vector<std::pair<uint32_t, ClassifierId>> row;
+      for (const QuerySubset& s : table.subsets(qi)) {
+        row.emplace_back(s.mask, s.id);
+      }
+      EXPECT_EQ(row, rows[qi]) << "query " << qi;
+      EXPECT_EQ(table.Covers(qi), covers[qi]) << "query " << qi;
+      entries += row.size();
+    }
+    EXPECT_EQ(table.num_subsets(), entries);
+    EXPECT_EQ(table.CoversAll(),
+              std::find(covers.begin(), covers.end(), false) == covers.end());
+    for (const auto& [classifier, id] : ids) {
+      EXPECT_EQ(PropertySet::FromSorted(table.classifier(id)), classifier);
+      EXPECT_EQ(table.cost(id), costs[id]);
+      EXPECT_EQ(table.Find(classifier), id);
+    }
   }
 }
 

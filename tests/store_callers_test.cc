@@ -5,11 +5,13 @@
 // inputs and must not move when the pricing loops change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/classifier_table.h"
 #include "core/general_solver.h"
 #include "core/instance.h"
 #include "core/instance_util.h"
@@ -344,9 +346,11 @@ TEST(StoreCallersTest, ResolveTableCountsThePerSubsetReference) {
   for (size_t i = 0; i < solves.size(); ++i) {
     const online::EngineState::Component& component = state.components[i];
     std::set<PropertySet> distinct;
+    size_t entries = 0;
     for (const PropertySet& q : component.queries) {
       for (const testing::PricedSubset& s : ReferencePricedSubsets(prices, q)) {
         distinct.insert(s.classifier);
+        ++entries;
       }
     }
     ASSERT_EQ(StatOf(*solves[i], "queries"),
@@ -357,7 +361,80 @@ TEST(StoreCallersTest, ResolveTableCountsThePerSubsetReference) {
     EXPECT_EQ(StatOf(*build, "classifiers"),
               static_cast<double>(distinct.size()))
         << "component " << i;
+    EXPECT_EQ(StatOf(*build, "subsets"), static_cast<double>(entries))
+        << "component " << i;
   }
+}
+
+/// Expects each `parent` span under `root` to hold exactly one direct
+/// `child`, and at least one `parent` to exist.
+void ExpectOneChildEach(const obs::SpanNode& root, const std::string& parent,
+                        const std::string& child) {
+  std::vector<const obs::SpanNode*> spans;
+  CollectSpans(root, parent, &spans);
+  EXPECT_FALSE(spans.empty()) << parent;
+  for (const obs::SpanNode* span : spans) {
+    const auto count = std::count_if(
+        span->children.begin(), span->children.end(),
+        [&](const auto& node) { return node->name == child; });
+    EXPECT_EQ(count, 1) << parent << " / " << child;
+  }
+}
+
+TEST(StoreCallersTest, TracedSolvesTimeSetupAndMaterialization) {
+  data::SyntheticConfig config;
+  config.num_queries = 400;
+  config.seed = 11;
+  config.max_query_length = 6;
+  const Instance general = data::GenerateSynthetic(config);
+  std::vector<size_t> short_queries;
+  for (size_t qi = 0; qi < general.NumQueries(); ++qi) {
+    if (general.queries()[qi].size() <= 2) short_queries.push_back(qi);
+  }
+  const Instance k2 = SubInstance(general, short_queries);
+  for (const Instance* instance : {&general, &k2}) {
+    obs::Trace trace("solve");
+    {
+      obs::ScopedTraceActivation activate(&trace);
+      const auto solved =
+          instance == &k2 ? K2ExactSolver(SolverOptions{}).Solve(*instance)
+                          : GeneralSolver(SolverOptions{}).Solve(*instance);
+      ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+    }
+    ExpectOneChildEach(*trace.root(), "preprocess", "setup");
+    ExpectOneChildEach(*trace.root(), "finish", "materialize");
+    // The solve's table counts the walk's hits: its rows' entries.
+    const obs::SpanNode* build = trace.root()->FindSpan("classifier_table");
+    ASSERT_NE(build, nullptr);
+    const ClassifierTable table(instance->queries(), instance->costs());
+    EXPECT_EQ(StatOf(*build, "classifiers"), static_cast<double>(table.size()));
+    EXPECT_EQ(StatOf(*build, "subsets"),
+              static_cast<double>(table.num_subsets()));
+  }
+
+  online::ShardedSyntheticConfig sharded;
+  sharded.num_domains = 40;
+  sharded.domain.num_queries = 15;
+  sharded.domain.seed = 3;
+  const Instance catalog = online::GenerateShardedSynthetic(sharded);
+  online::OnlineEngine engine;
+  ASSERT_TRUE(engine.Initialize(catalog).ok());
+  online::ChurnGenerator churn(catalog, 5);
+  const online::ChurnGenerator::Batch warmup = churn.Next(0, 60);
+  ASSERT_TRUE(engine.ApplyUpdate(warmup.add, warmup.remove).ok());
+  obs::Trace trace("serve");
+  {
+    obs::ScopedTraceActivation activate(&trace);
+    for (int step = 0; step < 10; ++step) {
+      const online::ChurnGenerator::Batch batch = churn.Next(4, 4);
+      ASSERT_TRUE(engine.ApplyUpdate(batch.add, batch.remove).ok());
+    }
+  }
+  std::vector<const obs::SpanNode*> solves;
+  CollectSpans(*trace.root(), "solve_component", &solves);
+  ASSERT_FALSE(solves.empty());
+  ExpectOneChildEach(*trace.root(), "preprocess", "setup");
+  ExpectOneChildEach(*trace.root(), "finish", "materialize");
 }
 
 /// CRC-32 of an instance's CSV rendering.

@@ -185,6 +185,66 @@ inline std::vector<PricedSubset> ReferencePricedSubsets(
   return out;
 }
 
+/// A query list and a store to walk it over.
+struct WalkList {
+  std::vector<PropertySet> queries;
+  ClassifierStore store;
+};
+
+/// Seeded: `num_queries` queries over a pool of 12 properties, each of 1,
+/// 2, 4 or 6 properties, so a walk's batches straddle query boundaries,
+/// with an empty query and an over-long one (26 properties) every 13
+/// queries. About half of their subsets are priced (some at zero), then
+/// about a tenth hidden and some of those revived, so the index holds
+/// hidden entries; two classifiers no query contains are priced too.
+/// Queries may repeat.
+inline WalkList RandomWalkList(uint64_t seed, size_t num_queries = 40) {
+  Rng rng(seed);
+  WalkList list;
+  constexpr size_t kLengths[] = {1, 2, 4, 6};
+  for (size_t i = 0; i < num_queries; ++i) {
+    std::vector<PropertyId> props;
+    if (i % 13 == 9) {
+      for (PropertyId p = 0; p <= kMaxQueryLength; ++p) props.push_back(p);
+    } else if (i % 13 != 5) {
+      const size_t length = kLengths[rng.UniformInt(0, 3)];
+      while (props.size() < length) {
+        const auto p = static_cast<PropertyId>(rng.UniformInt(0, 11));
+        if (std::find(props.begin(), props.end(), p) == props.end()) {
+          props.push_back(p);
+        }
+      }
+    }
+    list.queries.push_back(PropertySet::FromUnsorted(std::move(props)));
+  }
+  std::vector<PropertySet> priced;
+  for (const PropertySet& q : list.queries) {
+    if (q.size() > kMaxQueryLength) continue;
+    ForEachNonEmptySubset(q, [&](const PropertySet& c) {
+      if (list.store.Find(c.ids()) != ClassifierStore::kNotFound ||
+          !rng.Bernoulli(0.5)) {
+        return;
+      }
+      const Cost cost =
+          rng.Bernoulli(0.1) ? 0 : static_cast<Cost>(rng.UniformInt(1, 9));
+      list.store.Set(c.ids(), cost);
+      priced.push_back(c);
+    });
+  }
+  list.store.Set(PropertySet::Of({40, 41}).ids(), 1);
+  list.store.Set(PropertySet::Of({42}).ids(), 2);
+  for (const PropertySet& c : priced) {
+    if (rng.Bernoulli(0.1)) list.store.Set(c.ids(), kInfiniteCost);
+  }
+  for (const PropertySet& c : priced) {
+    if (list.store.Find(c.ids()) == ClassifierStore::kNotFound &&
+        rng.Bernoulli(0.3)) {
+      list.store.Set(c.ids(), static_cast<Cost>(rng.UniformInt(0, 5)));
+    }
+  }
+  return list;
+}
+
 /// The entries of `store` in id order (hidden ones left out).
 inline std::vector<std::pair<PropertySet, Cost>> EntriesInIdOrder(
     const ClassifierStore& store) {
